@@ -182,19 +182,19 @@ func (s *Server) SeedIDs(n int64) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	routes := map[string]http.HandlerFunc{
-		"GET /healthz":               s.health,
-		"POST /v1/apps":              s.shed(s.submit),
-		"GET /v1/apps":               s.listApps,
-		"GET /v1/apps/{id}":          s.status,
+		"GET /healthz":                 s.health,
+		"POST /v1/apps":                s.shed(s.submit),
+		"GET /v1/apps":                 s.listApps,
+		"GET /v1/apps/{id}":            s.status,
 		"POST /v1/apps/{id}/accept":    s.shed(s.accept),
 		"POST /v1/apps/{id}/counter":   s.shed(s.counter),
 		"POST /v1/apps/{id}/reject":    s.shed(s.reject),
 		"POST /v1/apps/{id}/revisions": s.shed(s.deployRevision),
 		"GET /v1/apps/{id}/revisions":  s.revisions,
 		"POST /v1/apps/{id}/traffic":   s.shed(s.setTraffic),
-		"GET /v1/vcs":                s.vcs,
-		"GET /v1/metrics":            s.metrics,
-		"GET /v1/events":             s.events,
+		"GET /v1/vcs":                  s.vcs,
+		"GET /v1/metrics":              s.metrics,
+		"GET /v1/events":               s.events,
 	}
 	if s.cfg.Registry != nil {
 		routes["GET /metrics"] = s.cfg.Registry.Handler().ServeHTTP

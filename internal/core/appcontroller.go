@@ -68,28 +68,30 @@ func (e *ScaleOutEnforcer) OnViolation(cm *ClusterManager, _ string, projected b
 // steering the service's replica target, and invoking the Enforcer when
 // local capacity cannot cover the target before the SLO burns.
 type AppController struct {
-	cm   *ClusterManager
-	st   *appState
-	tick *sim.Timer
+	cm *ClusterManager
+	st *appState
+	// timer is the poll's periodic series, or the event-driven
+	// controller's next wake-up (due at nextAt).
+	timer sim.Timer
 
-	// Event-driven scheduling (sharded runtime, batch-framework apps
-	// without an SLO). The legacy per-interval poll evaluates monotone
-	// conditions against a linear progress model, so between job
-	// transitions the first grid instant at which a check could act is
-	// computable in closed form — the controller sleeps until exactly
-	// that instant instead of ticking. Check instants stay on the
-	// legacy grid (created + k·MonitorInterval), so every counter the
-	// poll would have produced is produced here, at the same virtual
-	// time. Any transition that breaks progress linearity (suspension,
-	// crash requeue) drops the app to grid polling for its remaining
-	// lifetime — exactly the legacy cadence.
+	// Event-driven scheduling (batch-framework apps without an SLO, on
+	// every engine). The per-interval poll evaluates monotone conditions
+	// against a linear progress model, so between job transitions the
+	// first grid instant at which a check could act is computable in
+	// closed form — the controller sleeps until exactly that instant
+	// instead of ticking. Check instants stay on the poll's grid
+	// (created + k·MonitorInterval), so every counter the poll would
+	// have produced is produced here, at the same virtual time. Any
+	// transition that breaks progress linearity (suspension, crash
+	// requeue) drops the app to grid polling for its remaining lifetime
+	// — exactly the poll's cadence.
+	created    sim.Time
+	nextAt     sim.Time
+	wake       func() // onWake, bound once so re-arming allocates nothing
 	evDriven   bool
 	poll       bool // suspended/requeued at least once: poll every grid instant
 	segChecked bool // current execution segment's projection already decided
 	stopped    bool
-	created    sim.Time
-	next       *sim.Timer
-	nextAt     sim.Time
 
 	reportedProjected bool
 	reportedViolation bool
@@ -106,22 +108,23 @@ type AppController struct {
 }
 
 // newAppController starts monitoring; the controller lives until the
-// application finishes.
+// application finishes. Batch applications without an SLO get the
+// event-driven discipline; every other controller polls.
 func newAppController(cm *ClusterManager, st *appState) *AppController {
 	ac := &AppController{cm: cm, st: st}
-	if _, batch := cm.ad.(*BatchAdapter); batch && cm.p.shards != nil &&
-		st.contract.SLO == nil && !cm.p.cfg.PollControllers {
+	if _, batch := cm.ad.(*BatchAdapter); batch && st.contract.SLO == nil && !cm.p.pollControllers {
 		ac.evDriven = true
 		ac.created = cm.eng.Now()
+		ac.wake = ac.onWake
 		ac.resync()
 		return ac
 	}
-	ac.tick = cm.eng.Every(cm.p.cfg.MonitorInterval, ac.check)
+	ac.timer = cm.eng.Every(cm.p.cfg.MonitorInterval, ac.check)
 	return ac
 }
 
-// gridAfter returns the first legacy check instant (created + k·I,
-// k ≥ 1) strictly after t — "strictly" because both poll conditions
+// gridAfter returns the first poll instant (created + k·I, k ≥ 1)
+// strictly after t — "strictly" because both poll conditions
 // (now > deadline; now + est > deadline) are strict comparisons.
 func (ac *AppController) gridAfter(t sim.Time) sim.Time {
 	interval := ac.cm.p.cfg.MonitorInterval
@@ -145,7 +148,7 @@ func (ac *AppController) nextEffectAt() sim.Time {
 	}
 	deadline := st.rec.Deadline
 	if ac.reportedViolation {
-		return 0 // every later legacy tick is a no-op
+		return 0 // every later poll tick is a no-op
 	}
 	if ac.reportedProjected {
 		// Only the hard-violation branch remains: now > deadline.
@@ -200,36 +203,41 @@ func (ac *AppController) resync() {
 	if !ac.evDriven || ac.stopped {
 		return
 	}
-	if ac.next != nil {
-		ac.next.Cancel()
-		ac.next = nil
-	}
+	ac.timer.Cancel()
 	at := ac.nextEffectAt()
 	if at == 0 {
 		return
 	}
 	ac.nextAt = at
-	ac.next = ac.cm.eng.After(at-ac.cm.eng.Now(), func() {
-		ac.next = nil
-		ac.check()
-		// A check that observed an execution segment in flight (elapsed
-		// > 0, so the eta branch ran) has decided the segment's constant
-		// projection; later grid instants are no-ops until a transition.
-		if ac.st.job != nil && ac.st.job.State == framework.JobRunning && !ac.poll &&
-			ac.cm.eng.Now() > ac.st.job.StartedAt {
-			ac.segChecked = true
-		}
-		ac.resync()
-	})
+	ac.timer = ac.cm.eng.After(at-ac.cm.eng.Now(), ac.wake)
+}
+
+// onWake runs one event-driven check and schedules the next.
+func (ac *AppController) onWake() {
+	ac.check()
+	// A check that observed an execution segment in flight (elapsed > 0,
+	// so the eta branch ran) has decided the segment's constant
+	// projection; later grid instants are no-ops until a transition.
+	if ac.st.job != nil && ac.st.job.State == framework.JobRunning && !ac.poll &&
+		ac.cm.eng.Now() > ac.st.job.StartedAt {
+		ac.segChecked = true
+	}
+	ac.resync()
+}
+
+// dueNow reports whether an event-driven wake-up is pending at the
+// current instant.
+func (ac *AppController) dueNow() bool {
+	return ac.evDriven && ac.timer.Active() && ac.nextAt == ac.cm.eng.Now()
 }
 
 // jobStarted is the transition hook for a (re)started job: a fresh
 // execution segment needs one projection check.
 func (ac *AppController) jobStarted() {
 	ac.segChecked = false
-	if ac.next != nil && ac.nextAt == ac.cm.eng.Now() {
+	if ac.dueNow() {
 		// A check due this very instant still fires after this event —
-		// matching the legacy tick at this grid instant, which evaluates
+		// matching the poll's tick at this grid instant, which evaluates
 		// identically before and after a zero-progress start.
 		return
 	}
@@ -238,11 +246,11 @@ func (ac *AppController) jobStarted() {
 
 // jobInterrupted is the transition hook for suspension or crash
 // requeue: progress is no longer linear from StartedAt, so the app
-// polls every grid instant from here on, like the legacy controller.
+// polls every grid instant from here on.
 func (ac *AppController) jobInterrupted() {
 	ac.poll = true
-	if ac.next != nil && ac.nextAt == ac.cm.eng.Now() {
-		return // due this instant; let it fire, like the legacy tick
+	if ac.dueNow() {
+		return // due this instant; let it fire, like the poll's tick
 	}
 	ac.resync()
 }
@@ -439,15 +447,10 @@ func (ac *AppController) desiredReplicas(stats service.Stats) int {
 	return n
 }
 
-// stop cancels the monitor.
+// stop cancels the monitor. The controller outlives its application in
+// the VC's records, so it drops its wake-up callback too.
 func (ac *AppController) stop() {
 	ac.stopped = true
-	if ac.tick != nil {
-		ac.tick.Cancel()
-		ac.tick = nil
-	}
-	if ac.next != nil {
-		ac.next.Cancel()
-		ac.next = nil
-	}
+	ac.timer.Cancel()
+	ac.wake = nil
 }

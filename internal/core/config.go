@@ -249,21 +249,16 @@ type Config struct {
 	// Shards partitions the Cluster Managers across that many shard
 	// engines that dispatch concurrently within tick windows, with
 	// cross-shard effects merged deterministically at a barrier (see
-	// internal/core/shard.go). 0 or 1 (the default) keeps the classic
-	// single-engine dispatch; results are identical either way for
-	// workloads without cross-shard same-instant event ties.
+	// internal/core/shard.go). 0 or 1 (the default) runs every Cluster
+	// Manager on the platform's one engine. The shard count changes only
+	// how the work is dispatched, never the results, for workloads
+	// without cross-shard same-instant event ties.
 	Shards int
 	// ShardWindow is the tick-window width used when Shards > 1
 	// (default 10 s). Larger windows amortize barrier cost; the width
 	// never changes results, only how often shards synchronize. It must
 	// not exceed the settle grace period (300 s).
 	ShardWindow sim.Time
-	// PollControllers forces the legacy per-interval poll Application
-	// Controllers even when Shards > 1, instead of the event-driven
-	// controllers the sharded runtime uses for batch applications. The
-	// two are observably identical by construction; this escape hatch
-	// exists for A/B tests and for measuring the monitor-tick cost.
-	PollControllers bool
 
 	// Latencies configures the Meryn pipeline (default Table 1 calibration).
 	Latencies Latencies

@@ -88,6 +88,12 @@ type Platform struct {
 	// scan over all VCs' node tables.
 	nodeCM map[string]*ClusterManager
 
+	// pollControllers puts batch Application Controllers on the
+	// per-interval poll: the reference the event-driven discipline is
+	// tested against (TestControllerInvarianceUnderCrashes). Tests set
+	// it before the first dispatch.
+	pollControllers bool
+
 	// Sharded-dispatch state (nil / unused at Shards == 1); see shard.go.
 	shards       *sim.Sharded
 	gout         *shardOutbox   // outbox for global/feed-context effects

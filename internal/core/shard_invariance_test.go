@@ -147,9 +147,10 @@ func TestShardInvariance(t *testing.T) {
 }
 
 // TestControllerInvarianceUnderCrashes replays a deterministic
-// node-crash storm at fixed shard counts, once with the event-driven
-// Application Controllers and once with the legacy per-interval poll
-// forced (Config.PollControllers), and demands byte-identical state.
+// node-crash storm at fixed shard counts — the single engine and two
+// sharded ones — once with the event-driven Application Controllers and
+// once with the per-interval poll forced for batch applications (the
+// unexported pollControllers oracle), and demands byte-identical state.
 // The jobs killed by each crash requeue, restart, and drop their
 // event-driven controllers back to grid polling, so this pins the
 // interrupted-execution paths — the one regime where the event-driven
@@ -166,6 +167,8 @@ func TestControllerInvarianceUnderCrashes(t *testing.T) {
 		poll   bool
 	}
 	variants := []variant{
+		{shards: 1, poll: false},
+		{shards: 1, poll: true},
 		{shards: 4, poll: false},
 		{shards: 4, poll: true},
 		{shards: 8, poll: false},
@@ -175,9 +178,8 @@ func TestControllerInvarianceUnderCrashes(t *testing.T) {
 	events := map[int][]SessionEvent{}
 	for _, v := range variants {
 		name := fmt.Sprintf("shards=%d/poll=%v", v.shards, v.poll)
-		cfg := shardParityConfig(v.shards, sim.Seconds(10))
-		cfg.PollControllers = v.poll
-		p := newPlatform(t, cfg)
+		p := newPlatform(t, shardParityConfig(v.shards, sim.Seconds(10)))
+		p.pollControllers = v.poll
 		s, err := p.Open()
 		if err != nil {
 			t.Fatal(err)

@@ -31,10 +31,10 @@ const (
 	// running 1200 s on one VM — utilization 1200/(4·320) ≈ 0.94 per
 	// 4-VM VC, a saturated-but-stable queue. Long-running jobs are the
 	// representative PaaS batch shape (the paper's workloads run for
-	// hours) and the demanding one for the control plane: the legacy
-	// engine pays a 30 s monitor tick for every application's whole
-	// lifetime (~40 ticks each), while the sharded runtime's
-	// event-driven controllers replace them with O(1) checks.
+	// hours) and the demanding one for the control plane: a 30 s
+	// monitor poll would tick ~40 times over each application's
+	// lifetime, which the event-driven Application Controllers replace
+	// with O(1) checks on every engine.
 	scaleWave = 320
 	scaleWork = 1200
 )
@@ -118,9 +118,10 @@ type ScaleBenchCell struct {
 }
 
 // ScaleBench carries the timing grid plus the hardware context needed
-// to read it: speedups on a single-core host come from the sharded
-// runtime's architectural wins (per-shard event heaps, the arrival
-// queue bypassing the heap), not goroutine parallelism.
+// to read it: the shard phases can run in parallel on at most
+// GOMAXPROCS cores, and every cell runs the same event-driven
+// controllers, so a speedup is the sharded runtime's parallelism net of
+// its barrier cost.
 type ScaleBench struct {
 	Cores      int
 	GOMAXPROCS int

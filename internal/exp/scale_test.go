@@ -61,6 +61,27 @@ func TestScaleBenchSmoke(t *testing.T) {
 	}
 }
 
+// TestScaleEventsPerApp pins the single engine's event budget on the
+// scale scenario: exactly five events per application — arrival, Client
+// Manager transfer, negotiation, dispatch and job finish — because the
+// event-driven Application Controllers of these on-time batch jobs never
+// need to wake. Polling controllers fired 44 per application; gating the
+// event-driven discipline again fails here, with the digest unchanged.
+func TestScaleEventsPerApp(t *testing.T) {
+	const apps = 2000
+	pt, _, fired, err := scaleRun(42, apps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.Digest != "ad1460a83f367dad" {
+		t.Fatalf("digest %s, want ad1460a83f367dad", pt.Digest)
+	}
+	if fired != 5*apps {
+		t.Fatalf("%d events for %d apps (%.2f per app), want exactly 5 per app",
+			fired, apps, float64(fired)/apps)
+	}
+}
+
 // TestParseAppsList covers the -scale-apps flag parser.
 func TestParseAppsList(t *testing.T) {
 	got, err := ParseAppsList("1000, 100000,1000000")

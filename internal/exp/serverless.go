@@ -208,20 +208,20 @@ type ServerlessCellStats struct {
 	Conc      float64 `json:"conc_target"`
 	Reps      int     `json:"reps"`
 
-	Attainment     Metric `json:"slo_attainment"`      // clean-interval fraction; cold starts burn intervals
-	ColdStarts     Metric `json:"cold_starts"`         // instances booted from cold, per run
-	ColdDelay      Metric `json:"cold_start_delay_s"`  // mean boot delay charged per cold start [s]
-	Activations    Metric `json:"activations"`         // scale-from-zero episodes, per run
-	ActivationRate Metric `json:"activations_per_ks"`  // activations per 1000 simulated seconds
-	ZeroScales     Metric `json:"zero_scales"`         // idle windows that reached zero replicas
-	PeakRepl       Metric `json:"peak_replicas"`       // widest any function scaled
-	Served         Metric `json:"served_requests"`     // requests served across functions
-	Metered        Metric `json:"metered_units"`       // pay-per-invocation revenue (cap-bounded)
-	Penalty        Metric `json:"penalty_units"`       // SLO-burn penalties refunded
-	CanaryRequests Metric `json:"canary_requests_v2"`  // requests the v2 revision served
-	CanaryCold     Metric `json:"canary_cold_starts"`  // cold starts charged to v2 (re-warm flips)
-	BatchMissed    Metric `json:"batch_missed"`        // batch deadlines missed alongside
-	CostCapped     Metric `json:"cost_cap_throttles"`  // functions throttled at their cost cap
+	Attainment     Metric `json:"slo_attainment"`     // clean-interval fraction; cold starts burn intervals
+	ColdStarts     Metric `json:"cold_starts"`        // instances booted from cold, per run
+	ColdDelay      Metric `json:"cold_start_delay_s"` // mean boot delay charged per cold start [s]
+	Activations    Metric `json:"activations"`        // scale-from-zero episodes, per run
+	ActivationRate Metric `json:"activations_per_ks"` // activations per 1000 simulated seconds
+	ZeroScales     Metric `json:"zero_scales"`        // idle windows that reached zero replicas
+	PeakRepl       Metric `json:"peak_replicas"`      // widest any function scaled
+	Served         Metric `json:"served_requests"`    // requests served across functions
+	Metered        Metric `json:"metered_units"`      // pay-per-invocation revenue (cap-bounded)
+	Penalty        Metric `json:"penalty_units"`      // SLO-burn penalties refunded
+	CanaryRequests Metric `json:"canary_requests_v2"` // requests the v2 revision served
+	CanaryCold     Metric `json:"canary_cold_starts"` // cold starts charged to v2 (re-warm flips)
+	BatchMissed    Metric `json:"batch_missed"`       // batch deadlines missed alongside
+	CostCapped     Metric `json:"cost_cap_throttles"` // functions throttled at their cost cap
 }
 
 // ServerlessResult aggregates the full grid, cells in expansion order

@@ -49,7 +49,7 @@ type runInfo struct {
 	nodeIDs   []string
 	speed     float64 // min speed across assigned nodes
 	startedAt sim.Time
-	finish    *sim.Timer
+	finish    sim.Timer
 	seq       uint64 // submission sequence, for running-set removal
 }
 

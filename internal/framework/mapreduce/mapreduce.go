@@ -56,7 +56,7 @@ type taskRun struct {
 	jobID  string
 	phase  phase
 	nodeID string
-	timer  *sim.Timer
+	timer  sim.Timer
 }
 
 type jobState struct {

@@ -87,8 +87,8 @@ type fnState struct {
 	cap     int      // autoscaler ceiling override; 0 = the contracted VMs
 	nodeIDs []string // instance nodes in assignment order
 
-	startedAt sim.Time   // current execution segment start
-	finish    *sim.Timer // fires when the remaining lifetime elapses
+	startedAt sim.Time  // current execution segment start
+	finish    sim.Timer // fires when the remaining lifetime elapses
 
 	// Activation queue: requests buffered while no warm capacity exists
 	// (fluid model, advanced once per tick).
@@ -190,7 +190,7 @@ type Serverless struct {
 	states  framework.SeqSet[*fnState]
 
 	unsettled int
-	tick      *sim.Timer
+	tick      sim.Timer
 }
 
 var _ framework.Framework = (*Serverless)(nil)
@@ -789,7 +789,7 @@ func (s *Serverless) p95(st *fnState, lambda float64, warmN int, warmCap float64
 // ensureTicker starts the evaluation ticker while unsettled functions
 // exist; onTick cancels it when the last one settles.
 func (s *Serverless) ensureTicker() {
-	if s.tick != nil || s.unsettled == 0 {
+	if s.tick.Active() || s.unsettled == 0 {
 		return
 	}
 	s.tick = s.eng.Every(s.cfg.Tick, s.onTick)
@@ -801,7 +801,6 @@ func (s *Serverless) ensureTicker() {
 func (s *Serverless) onTick() {
 	if s.unsettled == 0 {
 		s.tick.Cancel()
-		s.tick = nil
 		return
 	}
 	now := s.eng.Now()
@@ -1189,9 +1188,8 @@ func (s *Serverless) finishFn(st *fnState) {
 	s.running.Remove(st.seq)
 	s.states.Remove(st.seq)
 	s.unsettled--
-	if s.unsettled == 0 && s.tick != nil {
+	if s.unsettled == 0 {
 		s.tick.Cancel()
-		s.tick = nil
 	}
 	if s.cfg.Events.OnFinish != nil {
 		s.cfg.Events.OnFinish(j)

@@ -540,7 +540,7 @@ func TestTickerStopsWhenDrained(t *testing.T) {
 	addNodes(s, 2, 1.0)
 	must(t, s.Submit(fn("f", 2, 10, 100, 5, 5)))
 	eng.RunAll()
-	if s.tick != nil {
+	if s.tick.Active() {
 		t.Fatal("ticker still armed after the last function settled")
 	}
 	if eng.Pending() != 0 {

@@ -62,8 +62,8 @@ type svcState struct {
 	target  int      // desired replicas; schedule() grows toward it
 	nodeIDs []string // replica nodes in assignment order
 
-	startedAt sim.Time   // current execution segment start
-	finish    *sim.Timer // fires when the remaining lifetime elapses
+	startedAt sim.Time  // current execution segment start
+	finish    sim.Timer // fires when the remaining lifetime elapses
 
 	// SLO accounting, advanced once per tick while the job is unsettled.
 	intervals int // evaluated intervals
@@ -131,7 +131,7 @@ type Service struct {
 	// unsettled counts services not yet done: the ticker runs while any
 	// exist (queued and suspended services burn SLO intervals too).
 	unsettled int
-	tick      *sim.Timer
+	tick      sim.Timer
 }
 
 var _ framework.Framework = (*Service)(nil)
@@ -611,7 +611,7 @@ func (s *Service) p95(st *svcState) float64 {
 // exist; onTick cancels it when the last one settles, so a drained
 // framework schedules no events and simulations terminate naturally.
 func (s *Service) ensureTicker() {
-	if s.tick != nil || s.unsettled == 0 {
+	if s.tick.Active() || s.unsettled == 0 {
 		return
 	}
 	s.tick = s.eng.Every(s.cfg.Tick, s.onTick)
@@ -624,7 +624,6 @@ func (s *Service) ensureTicker() {
 func (s *Service) onTick() {
 	if s.unsettled == 0 {
 		s.tick.Cancel()
-		s.tick = nil
 		return
 	}
 	// Running services first (maintained submission order, no scan).
@@ -774,9 +773,8 @@ func (s *Service) finishSvc(st *svcState) {
 	s.running.Remove(st.seq)
 	s.states.Remove(st.seq)
 	s.unsettled--
-	if s.unsettled == 0 && s.tick != nil {
+	if s.unsettled == 0 {
 		s.tick.Cancel()
-		s.tick = nil
 	}
 	if s.cfg.Events.OnFinish != nil {
 		s.cfg.Events.OnFinish(j)

@@ -408,7 +408,7 @@ func TestTickerStopsWhenDrained(t *testing.T) {
 	addNodes(s, 1, 1.0)
 	must(t, s.Submit(svc("web", 1, 10, 100, 5)))
 	eng.RunAll()
-	if s.tick != nil {
+	if s.tick.Active() {
 		t.Fatal("ticker still armed after the last service settled")
 	}
 	if eng.Pending() != 0 {

@@ -22,25 +22,32 @@ type Time = time.Duration
 // driven until the event queue drains.
 const Forever Time = math.MaxInt64
 
-// Event is a scheduled callback. The callback receives the engine so that
-// handlers can schedule follow-up events.
+// event is one scheduled callback. A nil fn marks a cancelled (or
+// recycled) record.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among events at the same instant
-	fn   func()
-	canc *bool // optional cancellation flag
+	at  Time
+	seq uint64 // tie-breaker: FIFO among events at the same instant; 0 once recycled
+	fn  func()
+	// period > 0 marks a periodic series (Every): the record re-arms in
+	// place after each firing and is never recycled, so its Timer
+	// handle stays valid for the series' whole life.
+	period Time
+}
+
+// before reports whether ev dispatches ahead of o: by time, then by
+// scheduling order.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
+	}
+	return ev.seq < o.seq
 }
 
 type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
+func (q eventQueue) Less(i, j int) bool { return q[i].before(q[j]) }
 
 func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
@@ -59,26 +66,31 @@ func (q *eventQueue) Pop() any {
 // for concurrent use; run independent simulations in separate Engines
 // (see exp.Pool for parallel sweeps).
 //
-// Two hot-path optimizations keep event dispatch cheap:
+// Pending events live in one of three queues, each kept in (time, seq)
+// order:
 //
-//   - fired events are recycled through a free list, so steady-state
-//     simulation (handlers scheduling follow-up events) allocates no
-//     event records after warm-up;
-//   - events scheduled for the current instant (Schedule(0) cascades,
-//     e.g. bid-round fan-outs) go to a FIFO ring instead of the heap,
-//     avoiding O(log n) sift work per push/pop for same-instant bursts.
+//   - the ring, a FIFO of events at the current instant (Schedule(0)
+//     cascades, e.g. bid-round fan-outs);
+//   - the lane, a FIFO of future events scheduled in nondecreasing time
+//     — a time-sorted bulk submission appends its arrivals here in O(1)
+//     each instead of sifting them through the heap;
+//   - the heap, for every other future event.
 //
-// The ring only ever holds events whose time equals Now(): events land
-// there at creation when their time is the present, and the dispatch
-// loop drains the ring before advancing the clock. Heap events carrying
-// the same timestamp as ring events are necessarily older (the clock had
-// not yet reached that instant when they were pushed), so interleaving
-// by (at, seq) preserves the global FIFO tie-break.
+// An event joins the ring when its time is the present, else the lane
+// when its time is at or after the lane's tail, else the heap. Sequence
+// numbers grow with every scheduling call, so each queue is sorted by
+// (time, seq) by construction, and dispatch pops the least of the three
+// heads: the global (time, seq) order, exactly what one heap would give.
+// Fired events are recycled through a free list, so steady-state
+// simulation (handlers scheduling follow-up events, timers armed and
+// cancelled) allocates nothing after warm-up.
 type Engine struct {
 	now       Time
 	queue     eventQueue
 	ring      []*event // FIFO of events at the current instant
 	ringPos   int      // consumption cursor into ring
+	lane      []*event // FIFO of future events in nondecreasing time
+	lanePos   int      // consumption cursor into lane
 	free      []*event // recycled event records
 	seq       uint64
 	running   bool
@@ -89,7 +101,7 @@ type Engine struct {
 
 // alloc takes an event record from the free list (or allocates one) and
 // stamps it with the next sequence number.
-func (e *Engine) alloc(at Time, fn func(), canc *bool) *event {
+func (e *Engine) alloc(at Time, fn func()) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -99,62 +111,137 @@ func (e *Engine) alloc(at Time, fn func(), canc *bool) *event {
 		ev = &event{}
 	}
 	e.seq++
-	ev.at, ev.seq, ev.fn, ev.canc = at, e.seq, fn, canc
+	*ev = event{at: at, seq: e.seq, fn: fn}
 	return ev
 }
 
-// recycle returns a dispatched (or cancelled) event to the free list,
-// dropping its references so closures are not retained.
+// recycle returns a dispatched (or cancelled) one-shot event to the free
+// list, dropping its callback so closures are not retained and zeroing
+// its seq so stale Timer handles no longer match it. Series records are
+// only disarmed: their handles keep pointing at them.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
-	ev.canc = nil
+	if ev.period > 0 {
+		return
+	}
+	ev.seq = 0
 	e.free = append(e.free, ev)
 }
 
-// add enqueues fn at absolute time t (clamped to the present): the FIFO
-// ring for the current instant, the heap for the future.
-func (e *Engine) add(t Time, fn func(), canc *bool) {
+// add enqueues fn at absolute time t (clamped to the present).
+func (e *Engine) add(t Time, fn func()) *event {
+	if fn == nil {
+		panic("sim: scheduling a nil func")
+	}
 	if t < e.now {
 		t = e.now
 	}
-	ev := e.alloc(t, fn, canc)
-	if t == e.now {
-		e.ring = append(e.ring, ev)
-		return
-	}
-	heap.Push(&e.queue, ev)
+	ev := e.alloc(t, fn)
+	e.enqueue(ev)
+	return ev
 }
 
-// popNext removes and returns the earliest queued event, interleaving
-// ring and heap by (at, seq). It returns nil — leaving the event queued —
-// when nothing remains or the earliest event lies beyond the horizon.
-func (e *Engine) popNext(until Time) *event {
-	var ev *event
-	fromRing := e.ringPos < len(e.ring)
-	if fromRing && len(e.queue) > 0 {
-		r, h := e.ring[e.ringPos], e.queue[0]
-		fromRing = r.at < h.at || (r.at == h.at && r.seq < h.seq)
-	}
-	if fromRing {
-		ev = e.ring[e.ringPos]
-		if ev.at > until {
-			return nil
+// enqueue files a stamped event into the ring, the lane or the heap.
+func (e *Engine) enqueue(ev *event) {
+	switch {
+	case ev.at == e.now:
+		e.ring = append(e.ring, ev)
+	case len(e.lane) == 0 || ev.at >= e.lane[len(e.lane)-1].at:
+		if n := len(e.lane); n == cap(e.lane) && 2*e.lanePos >= n {
+			// Full, and at least half consumed: reuse the consumed prefix
+			// instead of growing, so a lane that never drains completely
+			// stays O(pending) in memory.
+			k := copy(e.lane, e.lane[e.lanePos:])
+			clear(e.lane[k:])
+			e.lane, e.lanePos = e.lane[:k], 0
 		}
+		e.lane = append(e.lane, ev)
+	default:
+		heap.Push(&e.queue, ev)
+	}
+}
+
+// Queues, as named by peek.
+const (
+	inRing = iota
+	inLane
+	inHeap
+)
+
+// peek returns the earliest queued event by (at, seq) and the queue
+// holding it, or nil when nothing is queued.
+func (e *Engine) peek() (*event, int) {
+	var best *event
+	src := inRing
+	if e.ringPos < len(e.ring) {
+		best = e.ring[e.ringPos]
+	}
+	if e.lanePos < len(e.lane) {
+		if ev := e.lane[e.lanePos]; best == nil || ev.before(best) {
+			best, src = ev, inLane
+		}
+	}
+	if len(e.queue) > 0 {
+		if ev := e.queue[0]; best == nil || ev.before(best) {
+			best, src = ev, inHeap
+		}
+	}
+	return best, src
+}
+
+// popNext removes and returns the earliest queued event. It returns nil
+// — leaving the event queued — when nothing remains or the earliest
+// event lies beyond the horizon.
+func (e *Engine) popNext(until Time) *event {
+	ev, src := e.peek()
+	if ev == nil || ev.at > until {
+		return nil
+	}
+	switch src {
+	case inRing:
 		e.ring[e.ringPos] = nil
 		e.ringPos++
 		if e.ringPos == len(e.ring) {
 			e.ring = e.ring[:0]
 			e.ringPos = 0
 		}
-		return ev
+	case inLane:
+		e.lane[e.lanePos] = nil
+		e.lanePos++
+		if e.lanePos == len(e.lane) {
+			e.lane = e.lane[:0]
+			e.lanePos = 0
+		}
+	default:
+		heap.Pop(&e.queue)
 	}
-	if len(e.queue) == 0 {
-		return nil
+	return ev
+}
+
+// fire dispatches one popped event and reports whether its callback ran
+// (false: it was cancelled, and is dropped). A periodic series re-arms
+// after its callback returns, unless the callback cancelled it.
+func (e *Engine) fire(ev *event) bool {
+	fn := ev.fn
+	if fn == nil {
+		e.recycle(ev)
+		return false
 	}
-	if e.queue[0].at > until {
-		return nil
+	e.now = ev.at
+	e.fired++
+	e.lastFired = ev.at
+	if ev.period == 0 {
+		e.recycle(ev)
+		fn()
+		return true
 	}
-	return heap.Pop(&e.queue).(*event)
+	fn()
+	if ev.fn != nil {
+		e.seq++
+		ev.at, ev.seq = e.now+ev.period, e.seq
+		e.enqueue(ev)
+	}
+	return true
 }
 
 // NewEngine returns an Engine with the clock at zero and an empty queue.
@@ -169,7 +256,9 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are queued.
-func (e *Engine) Pending() int { return len(e.queue) + len(e.ring) - e.ringPos }
+func (e *Engine) Pending() int {
+	return len(e.queue) + len(e.ring) - e.ringPos + len(e.lane) - e.lanePos
+}
 
 // LastFired returns the time of the most recently dispatched event (the
 // zero Time when none fired yet). Unlike Now, it does not move when Run
@@ -180,11 +269,8 @@ func (e *Engine) LastFired() Time { return e.lastFired }
 // exists. Cancelled events still count until they drain: NextAt is a
 // scheduling bound, not a guarantee that work will run at that instant.
 func (e *Engine) NextAt() (Time, bool) {
-	if e.ringPos < len(e.ring) {
-		return e.now, true
-	}
-	if len(e.queue) > 0 {
-		return e.queue[0].at, true
+	if ev, _ := e.peek(); ev != nil {
+		return ev.at, true
 	}
 	return 0, false
 }
@@ -200,54 +286,52 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 }
 
 // At runs fn at absolute virtual time t. Times in the past are clamped to
-// the present.
-func (e *Engine) At(t Time, fn func()) {
-	if fn == nil {
-		panic("sim: At called with nil func")
-	}
-	e.add(t, fn, nil)
-}
+// the present. A nil fn panics.
+func (e *Engine) At(t Time, fn func()) { e.add(t, fn) }
 
-// Timer is a cancellable scheduled event.
+// Timer is a handle on a callback scheduled by After or Every. It is a
+// small value — arming and cancelling one allocate nothing — and it
+// names a one-shot event by record and sequence number, so a handle that
+// outlives its event (fired, or cancelled and recycled into a later
+// event) is inert. The zero Timer is valid and inactive.
 type Timer struct {
-	cancelled *bool
+	ev  *event
+	seq uint64 // the armed event's seq; 0 for a series, which re-arms under fresh seqs
 }
 
-// Cancel prevents the timer's callback from firing. Cancelling an
-// already-fired or already-cancelled timer is a no-op.
+// Active reports whether the timer's callback is still due: a one-shot
+// timer not yet fired or cancelled, or a series not yet cancelled.
+func (t *Timer) Active() bool {
+	return t != nil && t.ev != nil && t.ev.fn != nil && (t.seq == 0 || t.ev.seq == t.seq)
+}
+
+// Cancel prevents the timer's callback from firing (a series stops).
+// Cancelling a fired, cancelled or zero timer is a no-op.
 func (t *Timer) Cancel() {
-	if t != nil && t.cancelled != nil {
-		*t.cancelled = true
+	if t.Active() {
+		t.ev.fn = nil
 	}
 }
 
 // After schedules fn like Schedule but returns a Timer that can cancel it.
-func (e *Engine) After(delay Time, fn func()) *Timer {
+func (e *Engine) After(delay Time, fn func()) Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	cancelled := false
-	e.add(e.now+delay, fn, &cancelled)
-	return &Timer{cancelled: &cancelled}
+	ev := e.add(e.now+delay, fn)
+	return Timer{ev: ev, seq: ev.seq}
 }
 
 // Every schedules fn to run periodically with the given period, starting
 // after one period. The returned Timer cancels the series. A non-positive
 // period panics: it would live-lock the simulation.
-func (e *Engine) Every(period Time, fn func()) *Timer {
+func (e *Engine) Every(period Time, fn func()) Timer {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: Every with non-positive period %v", period))
 	}
-	cancelled := false
-	var tick func()
-	tick = func() {
-		fn()
-		if !cancelled {
-			e.add(e.now+period, tick, &cancelled)
-		}
-	}
-	e.add(e.now+period, tick, &cancelled)
-	return &Timer{cancelled: &cancelled}
+	ev := e.add(e.now+period, fn)
+	ev.period = period
+	return Timer{ev: ev}
 }
 
 // Stop aborts Run after the current event handler returns.
@@ -270,16 +354,7 @@ func (e *Engine) Run(until Time) Time {
 		if ev == nil {
 			break
 		}
-		if ev.canc != nil && *ev.canc {
-			e.recycle(ev)
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		e.lastFired = ev.at
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
+		e.fire(ev)
 	}
 	if !e.stopped && until != Forever && e.now < until {
 		// Advance the clock to the horizon (standard DES semantics):
@@ -304,17 +379,9 @@ func (e *Engine) Step() bool {
 		if ev == nil {
 			return false
 		}
-		if ev.canc != nil && *ev.canc {
-			e.recycle(ev)
-			continue
+		if e.fire(ev) {
+			return true
 		}
-		e.now = ev.at
-		e.fired++
-		e.lastFired = ev.at
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
-		return true
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -145,7 +146,7 @@ func TestTimerCancel(t *testing.T) {
 func TestEvery(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	var tm *Timer
+	var tm Timer
 	tm = e.Every(10*time.Second, func() {
 		ticks = append(ticks, e.Now())
 		if len(ticks) == 3 {
@@ -235,6 +236,262 @@ func TestEventPoolRecycling(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d, want 0", e.Pending())
 	}
+}
+
+// After and Cancel allocate nothing on a warmed engine: the Timer is a
+// value naming a pooled event record.
+func TestTimerAfterCancelAllocsZero(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	run := func() {
+		cancelled := e.After(time.Second, fn)
+		e.After(2*time.Second, fn)
+		cancelled.Cancel()
+		e.RunAll()
+	}
+	run() // warm the free list and the queues' capacity
+	if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+		t.Fatalf("After+Cancel+dispatch allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// A handle that outlives its event is inert: once the record is recycled
+// into a later event, cancelling the stale handle must not disarm it.
+func TestTimerStaleHandleIsInert(t *testing.T) {
+	e := NewEngine()
+	stale := e.After(time.Second, func() {})
+	e.RunAll()
+	if stale.Active() {
+		t.Fatal("fired timer still active")
+	}
+	fired := false
+	fresh := e.After(time.Second, func() { fired = true })
+	if fresh.ev != stale.ev {
+		t.Fatal("the pooled record was not reused; the test exercises nothing")
+	}
+	stale.Cancel()
+	if !fresh.Active() {
+		t.Fatal("a stale handle disarmed its record's new event")
+	}
+	e.RunAll()
+	if !fired {
+		t.Fatal("event cancelled through a stale handle")
+	}
+}
+
+// A lane that never drains completely — each firing appends one event
+// past the tail, keeping 1000 pending — reuses its consumed prefix
+// instead of growing with every event ever scheduled.
+func TestLaneReusesConsumedPrefix(t *testing.T) {
+	const pending, total = 1000, 100_000
+	e := NewEngine()
+	var tail, prev Time
+	scheduled, fired := 0, 0
+	var next func()
+	schedule := func() {
+		tail += time.Millisecond
+		scheduled++
+		e.At(tail, next)
+	}
+	next = func() {
+		if e.Now() <= prev {
+			t.Fatalf("event at %v fired after one at %v", e.Now(), prev)
+		}
+		prev = e.Now()
+		fired++
+		if scheduled < total {
+			schedule()
+		}
+	}
+	for i := 0; i < pending; i++ {
+		schedule()
+	}
+	e.RunAll()
+	if fired != total {
+		t.Fatalf("fired %d events, want %d", fired, total)
+	}
+	if c := cap(e.lane); c > 4*pending {
+		t.Fatalf("lane capacity %d for %d pending events: the consumed prefix is not reused", c, pending)
+	}
+}
+
+// TestPropertyQueueOrder drives random handlers through every scheduling
+// entry point — At, Schedule, After, Cancel and Every — on top of a
+// sorted bulk pre-schedule (the lane), with same-instant ties, past
+// times, and times on both sides of the latest time scheduled so far,
+// alternating Run horizons with single Steps. Every event that is not
+// cancelled must fire exactly once, and dispatch must follow (time,
+// scheduling order): the order a single heap gives.
+func TestPropertyQueueOrder(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		if msg := checkQueueOrder(seed); msg != "" {
+			t.Fatalf("seed %d: %s", seed, msg)
+		}
+	}
+}
+
+// occurrence is one scheduled callback of the reference model; its
+// index in the model is its scheduling order.
+type occurrence struct {
+	at        Time // effective (clamped) time
+	cancelled bool
+	fired     int
+}
+
+// modelTimer pairs a Timer with the occurrence it would fire next.
+type modelTimer struct {
+	tm     Timer
+	next   int
+	series bool
+	done   bool // series stopped
+}
+
+func checkQueueOrder(seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	e := NewEngine()
+	var (
+		occ    []*occurrence
+		order  []int
+		timers []*modelTimer
+		fail   string
+		tail   Time // latest time scheduled so far
+		budget = 400
+	)
+	newOcc := func(t Time) int {
+		if t < e.Now() {
+			t = e.Now()
+		}
+		if t > tail {
+			tail = t
+		}
+		occ = append(occ, &occurrence{at: t})
+		return len(occ) - 1
+	}
+	fired := func(id int) {
+		occ[id].fired++
+		order = append(order, id)
+		if e.Now() != occ[id].at && fail == "" {
+			fail = fmt.Sprintf("occurrence %d fired at %v, due at %v", id, e.Now(), occ[id].at)
+		}
+	}
+	// randTime is in the past (clamped), now (a same-instant tie), the
+	// near future, at or past the latest time so far, or anywhere up to it.
+	randTime := func() Time {
+		now := e.Now()
+		switch rng.Intn(5) {
+		case 0:
+			return now - Time(rng.Intn(50))*time.Millisecond
+		case 1:
+			return now
+		case 2:
+			return now + Time(rng.Intn(100))*time.Millisecond
+		case 3:
+			return tail + Time(rng.Intn(3))*time.Millisecond
+		default:
+			return now + Time(rng.Int63n(int64(tail-now)+1))
+		}
+	}
+	var act func()
+	oneShot := func(id int) func() {
+		return func() {
+			fired(id)
+			for k := rng.Intn(4); k > 0; k-- {
+				act()
+			}
+		}
+	}
+	act = func() {
+		if budget == 0 {
+			return
+		}
+		budget--
+		switch rng.Intn(5) {
+		case 0:
+			t := randTime()
+			id := newOcc(t)
+			e.At(t, oneShot(id))
+		case 1:
+			d := randTime() - e.Now()
+			id := newOcc(e.Now() + d)
+			e.Schedule(d, oneShot(id))
+		case 2:
+			d := randTime() - e.Now()
+			id := newOcc(e.Now() + d)
+			timers = append(timers, &modelTimer{tm: e.After(d, oneShot(id)), next: id})
+		case 3:
+			if len(timers) == 0 {
+				return
+			}
+			mt := timers[rng.Intn(len(timers))]
+			mt.tm.Cancel()
+			if !mt.done && occ[mt.next].fired == 0 {
+				occ[mt.next].cancelled = true
+			}
+			mt.done = mt.series
+		default:
+			period := Time(1+rng.Intn(40)) * time.Millisecond
+			ticks := 1 + rng.Intn(4)
+			mt := &modelTimer{series: true, next: newOcc(e.Now() + period)}
+			mt.tm = e.Every(period, func() {
+				fired(mt.next)
+				for k := rng.Intn(3); k > 0; k-- {
+					act()
+				}
+				if mt.done { // cancelled by one of the actions above
+					return
+				}
+				if ticks--; ticks == 0 {
+					mt.tm.Cancel()
+					mt.done = true
+					return
+				}
+				// The engine re-arms after the callback returns: the next
+				// occurrence is scheduled last.
+				mt.next = newOcc(e.Now() + period)
+			})
+			timers = append(timers, mt)
+		}
+	}
+
+	// A sorted bulk pre-schedule with ties fills the lane.
+	at := Time(0)
+	for i := 50 + rng.Intn(300); i > 0; i-- {
+		at += Time(rng.Intn(3)) * time.Millisecond
+		id := newOcc(at)
+		e.At(at, oneShot(id))
+	}
+	for i := 0; i < 20; i++ {
+		act()
+	}
+	for e.Pending() > 0 {
+		if rng.Intn(3) == 0 {
+			e.Step()
+		} else {
+			e.Run(e.Now() + Time(rng.Intn(200))*time.Millisecond)
+		}
+		if rng.Intn(4) == 0 {
+			act() // external scheduling between Run slices
+		}
+	}
+
+	if fail != "" {
+		return fail
+	}
+	for id, o := range occ {
+		if o.cancelled && o.fired != 0 {
+			return fmt.Sprintf("cancelled occurrence %d fired", id)
+		}
+		if !o.cancelled && o.fired != 1 {
+			return fmt.Sprintf("occurrence %d fired %d times, want once", id, o.fired)
+		}
+	}
+	for i := 1; i < len(order); i++ {
+		a, b := order[i-1], order[i]
+		if occ[a].at > occ[b].at || (occ[a].at == occ[b].at && a > b) {
+			return fmt.Sprintf("occurrence %d (at %v) fired after %d (at %v)", b, occ[b].at, a, occ[a].at)
+		}
+	}
+	return ""
 }
 
 func TestFiredCount(t *testing.T) {
@@ -386,6 +643,46 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 	}
 	e.Schedule(time.Millisecond, next)
 	e.RunAll()
+}
+
+// BenchmarkEngineBulkArrivals models a bulk submission: 100k arrivals
+// pre-scheduled in time order, drained alongside a small steady-state
+// population of 64 self-renewing in-flight events. One op is one drain
+// of a reused engine. The arrivals ride the lane, so the heap holds only
+// the in-flight events.
+func BenchmarkEngineBulkArrivals(b *testing.B) {
+	const arrivals, inflight = 100_000, 64
+	e := NewEngine()
+	left := 0
+	arrive := func() { left-- }
+	chains := make([]func(), inflight)
+	for k := range chains {
+		period := Time(5+3*k) * time.Millisecond
+		var tick func()
+		tick = func() {
+			if left > 0 {
+				e.Schedule(period, tick)
+			}
+		}
+		chains[k] = tick
+	}
+	drain := func() {
+		base := e.Now()
+		left = arrivals
+		for j := 1; j <= arrivals; j++ {
+			e.At(base+Time(j)*time.Millisecond, arrive)
+		}
+		for _, tick := range chains {
+			e.Schedule(0, tick)
+		}
+		e.RunAll()
+	}
+	drain() // fill the free list: measure the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drain()
+	}
 }
 
 // BenchmarkEngineSameInstantBurst measures the same-instant fan-out shape

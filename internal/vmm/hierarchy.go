@@ -63,7 +63,7 @@ type Hierarchy struct {
 	cfg     HierarchyConfig
 	members map[string]*member
 	leader  string
-	ticker  *sim.Timer
+	ticker  sim.Timer
 
 	// Failovers counts GM/GL replacements performed.
 	Failovers int
@@ -115,19 +115,14 @@ func NewHierarchy(eng *sim.Engine, nodeIDs []string, cfg HierarchyConfig) *Hiera
 // Start begins the heartbeat/monitoring loop. Stop it with Stop; an
 // unstopped loop keeps the simulation's event queue alive.
 func (h *Hierarchy) Start() {
-	if h.ticker != nil {
+	if h.ticker.Active() {
 		return
 	}
 	h.ticker = h.eng.Every(h.cfg.HeartbeatInterval, h.tick)
 }
 
 // Stop halts monitoring.
-func (h *Hierarchy) Stop() {
-	if h.ticker != nil {
-		h.ticker.Cancel()
-		h.ticker = nil
-	}
-}
+func (h *Hierarchy) Stop() { h.ticker.Cancel() }
 
 // Leader returns the current Group Leader's ID.
 func (h *Hierarchy) Leader() string { return h.leader }
