@@ -36,9 +36,8 @@ func main() {
 		reps       = flag.Int("reps", 0, "seed replications for sampling experiments (0 = default)")
 		jsonPath   = flag.String("json", "", "also write machine-readable JSON to this file (- for stdout)")
 		sweepSpec  = flag.String("sweep", "", `run a custom matrix sweep, e.g. "policy=meryn,static load=35,50 reps=5" (overrides -exp)`)
-		shards     = flag.Int("shards", 0, "core shard count for every experiment platform (0 = per-experiment default; identical outputs for tie-free workloads like the scale experiment)")
 		scaleApps  = flag.String("scale-apps", "", `comma-separated app counts for the scale experiment, e.g. "1000,100000,1000000"`)
-		scaleBench = flag.Bool("scale-bench", false, "scale experiment: benchmark mode (each app count at shards 1/4/8, wall-clock recorded)")
+		scaleBench = flag.Bool("scale-bench", false, "scale experiment: benchmark mode (each app count timed over -reps runs, min wall-clock recorded)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -88,10 +87,7 @@ func main() {
 		out = f
 	}
 
-	if *shards < 0 {
-		fatal(fmt.Errorf("invalid -shards %d: must be >= 0", *shards))
-	}
-	opt := exp.Options{Workers: *workers, Reps: *reps, Shards: *shards, ScaleBench: *scaleBench}
+	opt := exp.Options{Workers: *workers, Reps: *reps, ScaleBench: *scaleBench}
 	if *scaleApps != "" {
 		ladder, err := exp.ParseAppsList(*scaleApps)
 		if err != nil {

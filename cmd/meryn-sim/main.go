@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chart     = fs.Bool("chart", false, "print the VM-usage ASCII chart")
 		csvOut    = fs.String("csv", "", "write the usage series as CSV to this file")
 		hier      = fs.Bool("hierarchy", false, "deploy the Snooze-like hierarchical management plane")
-		shards    = fs.Int("shards", 0, "platform core shard count (0 = classic single engine; identical results for workloads without cross-shard same-instant ties)")
 		services  = fs.Bool("services", false, "run the elastic latency-SLO services demo scenario instead of the batch workload")
 		svcLoad   = fs.Float64("svc-load", 1, "services demo: offered-load multiplier")
 		svcBurst  = fs.Float64("svc-burst", 2.5, "services demo: burst amplitude (1 = no bursts)")
@@ -108,10 +107,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	sweepOnly := []string{"workers", "reps", "json"}
-	singleOnly := []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace", "chart", "csv", "hierarchy", "shards", "services", "svc-load", "svc-burst", "svc-policy", "serverless", "fn-gap", "fn-cold", "fn-conc", "chaos", "chaos-intensity", "chaos-policy"}
+	singleOnly := []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace", "chart", "csv", "hierarchy", "services", "svc-load", "svc-burst", "svc-policy", "serverless", "fn-gap", "fn-cold", "fn-conc", "chaos", "chaos-intensity", "chaos-policy"}
 	servicesOnly := []string{"svc-load", "svc-burst", "svc-policy"}
 	fnOnly := []string{"fn-gap", "fn-cold", "fn-conc"}
 	chaosOnly := []string{"chaos-intensity", "chaos-policy"}
+	batchOnly := []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace", "hierarchy"}
 	if *sweepSpec == "" {
 		for _, name := range sweepOnly {
 			if set[name] {
@@ -161,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *services {
-		for _, name := range []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace", "hierarchy", "shards"} {
+		for _, name := range batchOnly {
 			if set[name] {
 				return fail(fmt.Errorf("-%s does not apply with -services (use -svc-load/-svc-burst/-svc-policy)", name))
 			}
@@ -173,7 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *fnDemo {
-		for _, name := range []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace", "hierarchy", "shards"} {
+		for _, name := range batchOnly {
 			if set[name] {
 				return fail(fmt.Errorf("-%s does not apply with -serverless (use -fn-gap/-fn-cold/-fn-conc)", name))
 			}
@@ -185,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *chaosDemo {
-		for _, name := range []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace", "hierarchy", "shards"} {
+		for _, name := range batchOnly {
 			if set[name] {
 				return fail(fmt.Errorf("-%s does not apply with -chaos (use -chaos-intensity/-chaos-policy)", name))
 			}
@@ -198,10 +198,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := meryn.DefaultConfig()
 	cfg.Seed = *seed
-	if *shards < 0 {
-		return fail(fmt.Errorf("invalid -shards %d: must be >= 0", *shards))
-	}
-	cfg.Shards = *shards
 	if *hier {
 		cfg.Hierarchy = &vmm.HierarchyConfig{GroupManagers: 2}
 	}

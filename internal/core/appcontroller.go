@@ -114,12 +114,12 @@ func newAppController(cm *ClusterManager, st *appState) *AppController {
 	ac := &AppController{cm: cm, st: st}
 	if _, batch := cm.ad.(*BatchAdapter); batch && st.contract.SLO == nil && !cm.p.pollControllers {
 		ac.evDriven = true
-		ac.created = cm.eng.Now()
+		ac.created = cm.p.Eng.Now()
 		ac.wake = ac.onWake
 		ac.resync()
 		return ac
 	}
-	ac.timer = cm.eng.Every(cm.p.cfg.MonitorInterval, ac.check)
+	ac.timer = cm.p.Eng.Every(cm.p.cfg.MonitorInterval, ac.check)
 	return ac
 }
 
@@ -142,7 +142,7 @@ func (ac *AppController) nextEffectAt() sim.Time {
 	if st.job == nil || st.job.State == framework.JobDone {
 		return 0
 	}
-	now := ac.cm.eng.Now()
+	now := ac.cm.p.Eng.Now()
 	if ac.poll {
 		return ac.gridAfter(now)
 	}
@@ -209,7 +209,7 @@ func (ac *AppController) resync() {
 		return
 	}
 	ac.nextAt = at
-	ac.timer = ac.cm.eng.After(at-ac.cm.eng.Now(), ac.wake)
+	ac.timer = ac.cm.p.Eng.After(at-ac.cm.p.Eng.Now(), ac.wake)
 }
 
 // onWake runs one event-driven check and schedules the next.
@@ -219,7 +219,7 @@ func (ac *AppController) onWake() {
 	// so the eta branch ran) has decided the segment's constant
 	// projection; later grid instants are no-ops until a transition.
 	if ac.st.job != nil && ac.st.job.State == framework.JobRunning && !ac.poll &&
-		ac.cm.eng.Now() > ac.st.job.StartedAt {
+		ac.cm.p.Eng.Now() > ac.st.job.StartedAt {
 		ac.segChecked = true
 	}
 	ac.resync()
@@ -228,7 +228,7 @@ func (ac *AppController) onWake() {
 // dueNow reports whether an event-driven wake-up is pending at the
 // current instant.
 func (ac *AppController) dueNow() bool {
-	return ac.evDriven && ac.timer.Active() && ac.nextAt == ac.cm.eng.Now()
+	return ac.evDriven && ac.timer.Active() && ac.nextAt == ac.cm.p.Eng.Now()
 }
 
 // jobStarted is the transition hook for a (re)started job: a fresh
@@ -270,18 +270,15 @@ func (ac *AppController) check() {
 		}
 		return
 	}
-	now := ac.cm.now()
+	now := ac.cm.p.Eng.Now()
 	deadline := st.rec.Deadline
 
 	// Hard violation: the deadline passed and the application has not
-	// finished. The Cluster Manager is informed exactly once. The
-	// Enforcer may hold cross-VC state (ScaleOutEnforcer's boost budget
-	// is platform-wide), so it runs in the exclusive global context.
+	// finished. The Cluster Manager is informed exactly once.
 	if now > deadline && !ac.reportedViolation {
 		ac.reportedViolation = true
-		ac.cm.ctr().Violations.Inc()
-		cm, id := ac.cm, st.app.ID
-		cm.runGlobal(func() { cm.p.cfg.Enforcer.OnViolation(cm, id, false) })
+		ac.cm.p.Counters.Violations.Inc()
+		ac.cm.p.cfg.Enforcer.OnViolation(ac.cm, st.app.ID, false)
 		return
 	}
 
@@ -309,9 +306,8 @@ func (ac *AppController) check() {
 
 func (ac *AppController) reportProjected() {
 	ac.reportedProjected = true
-	ac.cm.ctr().Projected.Inc()
-	cm, id := ac.cm, ac.st.app.ID
-	cm.runGlobal(func() { cm.p.cfg.Enforcer.OnViolation(cm, id, true) })
+	ac.cm.p.Counters.Projected.Inc()
+	ac.cm.p.cfg.Enforcer.OnViolation(ac.cm, ac.st.app.ID, true)
 }
 
 // checkService runs the service elasticity loop: pull the framework's
@@ -343,9 +339,9 @@ func (ac *AppController) checkService() {
 	target := ac.desiredReplicas(stats)
 	if target != stats.Target {
 		if target > stats.Target {
-			cm.ctr().ReplicaScaleOuts.Inc()
+			cm.p.Counters.ReplicaScaleOuts.Inc()
 		} else {
-			cm.ctr().ReplicaScaleIns.Inc()
+			cm.p.Counters.ReplicaScaleIns.Inc()
 		}
 		_ = svc.SetTargetReplicas(id, target)
 	}
@@ -363,8 +359,8 @@ func (ac *AppController) checkService() {
 	// before the burn accrues further.
 	if !ac.sloArmed {
 		ac.sloArmed = true
-		cm.ctr().Projected.Inc()
-		cm.runGlobal(func() { cm.p.cfg.Enforcer.OnViolation(cm, id, true) })
+		cm.p.Counters.Projected.Inc()
+		cm.p.cfg.Enforcer.OnViolation(cm, id, true)
 	}
 }
 
@@ -399,7 +395,7 @@ func (ac *AppController) checkServerless() {
 	if c.CostCap > 0 && c.PerInvocation > 0 && stats.Served*c.PerInvocation >= c.CostCap {
 		if !ac.capped {
 			ac.capped = true
-			cm.ctr().CostCapThrottles.Inc()
+			cm.p.Counters.CostCapThrottles.Inc()
 			_ = fw.SetInstanceCap(id, 1)
 		}
 	}
@@ -415,8 +411,8 @@ func (ac *AppController) checkServerless() {
 	// backlog burns further intervals.
 	if !ac.sloArmed {
 		ac.sloArmed = true
-		cm.ctr().Projected.Inc()
-		cm.runGlobal(func() { cm.p.cfg.Enforcer.OnViolation(cm, id, true) })
+		cm.p.Counters.Projected.Inc()
+		cm.p.cfg.Enforcer.OnViolation(cm, id, true)
 	}
 }
 

@@ -115,16 +115,8 @@ func (a *Auditor) arm() {
 
 func (a *Auditor) tick() {
 	a.armed = false
-	// Sharded platforms audit at the window barrier, after the merge:
-	// mid-window the shard outboxes hold detaches and gauge moves the
-	// audit would misread as violations. The barrier is exactly the
-	// "between events" consistent point the catalogue is defined at.
-	if a.p.shards != nil {
-		a.p.auditPending = true
-	} else {
-		a.run()
-	}
-	if a.p.remaining > 0 && a.p.eventsPending() > 0 {
+	a.run()
+	if a.p.remaining > 0 && a.p.Eng.Pending() > 0 {
 		a.arm()
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"meryn/internal/metrics"
-	"meryn/internal/sim"
 	"meryn/internal/workload"
 )
 
@@ -36,37 +35,24 @@ func NewClientManager(p *Platform) *ClientManager {
 // VC. Routing falls back to the first VC whose framework type matches
 // when the application names no VC.
 func (c *ClientManager) Submit(app workload.App) {
-	c.submitAt(app, c.p.Eng.Now())
-}
-
-// submitAt is Submit with an explicit arrival instant — the sharded
-// feed phase dispatches queued arrivals mid-window, when the global
-// clock already sits at the window edge, so the true submission time
-// travels with the call.
-func (c *ClientManager) submitAt(app workload.App, now sim.Time) {
 	entry := c.next % NumClientManagers
 	c.next++
 	c.Submissions[entry].Inc()
 
 	cm := c.route(app)
 	if cm == nil {
-		if c.p.gout != nil {
-			c.p.gout.counters.Rejections.Inc()
-			c.p.gout.settles = append(c.p.gout.settles, now)
-		} else {
-			c.p.Counters.Rejections.Inc()
-			c.p.appSettled()
-		}
+		c.p.Counters.Rejections.Inc()
+		c.p.appSettled()
 		if neg := c.p.sessionNeg(app.ID); neg != nil {
 			neg.noteRejected(fmt.Errorf("core: no VC hosts application type %q", app.Type))
 		}
 		return
 	}
 	rec := c.p.Ledger.Open(app.ID)
-	rec.SubmitTime = now
+	rec.SubmitTime = c.p.Eng.Now()
 	rec.VC = cm.Name()
 	rec.Type = string(cm.cfg.Type)
-	cm.eng.At(now+cm.lat(latClientTransfer), func() {
+	c.p.Eng.Schedule(cm.lat(latClientTransfer), func() {
 		cm.handleSubmission(app)
 	})
 }

@@ -91,19 +91,10 @@ type ClusterManager struct {
 	fw   framework.Framework
 	ad   Adapter
 
-	// eng is the engine this CM (and its framework) dispatches on: the
-	// platform engine at Shards == 1, the CM's shard engine otherwise.
-	eng   *sim.Engine
-	shard int
-	// out is the CM's shard outbox (nil at Shards == 1): shard-phase
-	// effects on shared state buffer here until the window barrier.
-	out *shardOutbox
-
-	// latRN holds one RNG stream per pipeline-latency kind. Separate
-	// streams make each draw a function of (VC, kind, how many draws of
-	// that kind came before) — quantities the sharded and single-engine
-	// dispatch orders agree on — so latencies, and with them the whole
-	// simulation, reproduce across shard counts.
+	// latRN holds one RNG stream per pipeline-latency kind, so each draw
+	// is a function of (VC, kind, how many draws of that kind came
+	// before). Merging the streams would reorder every draw and move
+	// every recorded digest and experiment output.
 	latRN [numLatKinds]*sim.RNG
 
 	// avail counts attached nodes not committed to any application —
@@ -130,20 +121,14 @@ type ClusterManager struct {
 	OwnedPrivate int
 }
 
-// newClusterManager builds a CM and its framework instance. idx is the
-// VC's position in configuration order; it fixes the CM's shard.
-func newClusterManager(p *Platform, cfg VCConfig, idx int) (*ClusterManager, error) {
+// newClusterManager builds a CM and its framework instance.
+func newClusterManager(p *Platform, cfg VCConfig) (*ClusterManager, error) {
 	cm := &ClusterManager{
 		name:  cfg.Name,
 		p:     p,
 		cfg:   cfg,
-		eng:   p.Eng,
 		nodes: make(map[string]*nodeInfo),
 		apps:  make(map[string]*appState),
-	}
-	if p.shards != nil {
-		cm.shard = idx % p.shards.NumShards()
-		cm.eng = p.shards.Shard(cm.shard)
 	}
 	for k := latKind(0); k < numLatKinds; k++ {
 		cm.latRN[k] = sim.NewRNG(p.cfg.Seed, "core/cm/"+cfg.Name+"/lat/"+latNames[k])
@@ -168,7 +153,7 @@ func newClusterManager(p *Platform, cfg VCConfig, idx int) (*ClusterManager, err
 	}
 	switch cfg.Type {
 	case workload.TypeBatch:
-		cm.fw = batch.New(cm.eng, batch.Config{
+		cm.fw = batch.New(p.Eng, batch.Config{
 			Name: cfg.Name, Image: cfg.Name + ".img", Events: events, Backfill: cfg.Backfill,
 		})
 		cm.ad = &BatchAdapter{
@@ -184,7 +169,7 @@ func newClusterManager(p *Platform, cfg VCConfig, idx int) (*ClusterManager, err
 		if slots <= 0 {
 			slots = 2
 		}
-		cm.fw = mapreduce.New(cm.eng, mapreduce.Config{
+		cm.fw = mapreduce.New(p.Eng, mapreduce.Config{
 			Name: cfg.Name, Image: cfg.Name + ".img", SlotsPerNode: slots, Events: events,
 		})
 		cm.ad = &MapReduceAdapter{
@@ -197,7 +182,7 @@ func newClusterManager(p *Platform, cfg VCConfig, idx int) (*ClusterManager, err
 			ScaleOutLimit:     p.cfg.SLAScaleOutLimit,
 		}
 	case workload.TypeService:
-		cm.fw = service.New(cm.eng, service.Config{
+		cm.fw = service.New(p.Eng, service.Config{
 			Name: cfg.Name, Image: cfg.Name + ".img", Tick: p.cfg.ServiceTick, Events: events,
 		})
 		cm.ad = &ServiceAdapter{
@@ -211,7 +196,7 @@ func newClusterManager(p *Platform, cfg VCConfig, idx int) (*ClusterManager, err
 			Interval:          p.cfg.ServiceTick,
 		}
 	case workload.TypeServerless:
-		cm.fw = serverless.New(cm.eng, serverless.Config{
+		cm.fw = serverless.New(p.Eng, serverless.Config{
 			Name: cfg.Name, Image: cfg.Name + ".img", Tick: p.cfg.ServiceTick, Events: events,
 		})
 		cm.ad = &ServerlessAdapter{
@@ -329,21 +314,19 @@ func (cm *ClusterManager) BoostWithCloud(n int) {
 	if n <= 0 {
 		return
 	}
-	cm.runGlobal(func() {
-		dur := sim.Seconds(cm.p.cfg.ProcessingEstimate)
-		p, typeName, _ := cm.cheapestCloud(n, dur, nil)
-		if p == nil {
-			return
-		}
-		cm.leaseVia(p, typeName, n, dur, cm.spotAllowed(nil),
-			func(p *cloud.Provider, live []*cloud.Instance, lost int) {
-				for _, inst := range live {
-					cm.attachCloud(inst, p)
-				}
-				cm.retryPending()
-			},
-			func() {}) // boosts are best-effort; sustained pressure re-fires the enforcer
-	})
+	dur := sim.Seconds(cm.p.cfg.ProcessingEstimate)
+	p, typeName, _ := cm.cheapestCloud(n, dur, nil)
+	if p == nil {
+		return
+	}
+	cm.leaseVia(p, typeName, n, dur, cm.spotAllowed(nil),
+		func(p *cloud.Provider, live []*cloud.Instance, lost int) {
+			for _, inst := range live {
+				cm.attachCloud(inst, p)
+			}
+			cm.retryPending()
+		},
+		func() {}) // boosts are best-effort; sustained pressure re-fires the enforcer
 }
 
 // handleSubmission is the entry point after the Client Manager transfer
@@ -380,10 +363,10 @@ func (cm *ClusterManager) handleSubmission(app workload.App) {
 // rejectSubmission settles a submission that will not run (validation
 // failure or failed negotiation).
 func (cm *ClusterManager) rejectSubmission(neg *Negotiation, err error) {
-	cm.ctr().Rejections.Inc()
-	cm.settled()
+	cm.p.Counters.Rejections.Inc()
+	cm.p.appSettled()
 	if neg != nil {
-		neg.noteRejectedVia(cm, err)
+		neg.noteRejected(err)
 	}
 }
 
@@ -401,7 +384,7 @@ func (cm *ClusterManager) acceptContract(st *appState, contract *sla.Contract) {
 		neg.noteAgreed(cm, st, contract)
 	}
 	// SLA agreement + executable/input upload latency, then selection.
-	cm.after(cm.lat(latNegotiate), func() {
+	cm.p.Eng.Schedule(cm.lat(latNegotiate), func() {
 		cm.selectResources(st)
 	})
 }
@@ -457,83 +440,9 @@ func (cm *ClusterManager) lat(k latKind) sim.Time {
 	return sim.Seconds(cm.latDist(k).Sample(cm.latRN[k]))
 }
 
-// inShardPhase reports whether the caller runs on a concurrently
-// dispatching shard engine (always false at Shards == 1). The flag is
-// written only while no shard goroutines run, and the goroutine
-// spawn/join sequences it against shard-phase readers.
-func (cm *ClusterManager) inShardPhase() bool {
-	return cm.p.shards != nil && cm.p.inShard
-}
-
-// now is the CM's current logical time: its engine's clock inside the
-// shard phase, the platform clock outside it (global-engine callbacks
-// such as RM completions land mid-window, while the shard clock still
-// sits at the previous window's edge).
-func (cm *ClusterManager) now() sim.Time {
-	if cm.p.shards == nil || cm.inShardPhase() {
-		return cm.eng.Now()
-	}
-	return cm.p.Eng.Now()
-}
-
-// after schedules fn on the CM's engine, d past the CM's logical time.
-func (cm *ClusterManager) after(d sim.Time, fn func()) {
-	if cm.p.shards == nil || cm.inShardPhase() {
-		cm.eng.Schedule(d, fn)
-		return
-	}
-	cm.eng.At(cm.p.Eng.Now()+d, fn)
-}
-
-// runGlobal executes fn in the exclusive global context: directly when
-// the caller already is exclusive (always at Shards == 1), else
-// deferred to the current window's barrier. CM code wraps every touch
-// of shared platform state (cloud market, Resource Manager, peer VCs)
-// in it.
-func (cm *ClusterManager) runGlobal(fn func()) {
-	if cm.inShardPhase() {
-		cm.out.deferred = append(cm.out.deferred, fn)
-		return
-	}
-	fn()
-}
-
-// ctr returns where this CM's counter bumps go: the platform counters
-// at Shards == 1, the CM's outbox replica otherwise (summed into the
-// platform at the barrier).
-func (cm *ClusterManager) ctr() *Counters {
-	if cm.out != nil {
-		return &cm.out.counters
-	}
-	return &cm.p.Counters
-}
-
-// emit routes a session event-log append from CM context.
-func (cm *ClusterManager) emit(appID, kind, detail string) {
-	if cm.out != nil {
-		cm.out.emit(cm.now(), appID, kind, detail)
-		return
-	}
-	cm.p.sessionEmit(appID, kind, detail)
-}
-
-// settled routes an application settlement from CM context.
-func (cm *ClusterManager) settled() {
-	if cm.out != nil {
-		cm.out.settles = append(cm.out.settles, cm.now())
-		return
-	}
-	cm.p.appSettled()
-}
-
-// gaugeAdd routes a usage-gauge move from CM context (the gauges demand
-// time-ordered writes, so sharded mode merges them at the barrier).
+// gaugeAdd moves the cloud or private usage gauge by delta.
 func (cm *ClusterManager) gaugeAdd(isCloud bool, at sim.Time, delta int) {
 	if delta == 0 {
-		return
-	}
-	if cm.out != nil {
-		cm.out.gauges = append(cm.out.gauges, gaugeOp{at: at, cloud: isCloud, delta: delta})
 		return
 	}
 	if isCloud {
@@ -546,10 +455,6 @@ func (cm *ClusterManager) gaugeAdd(isCloud bool, at sim.Time, delta int) {
 // indexNode records or clears this CM's ownership of a node in the
 // platform-wide node index (the crash/revocation router).
 func (cm *ClusterManager) indexNode(id string, add bool) {
-	if cm.out != nil {
-		cm.out.index = append(cm.out.index, indexOp{id: id, cm: cm, add: add})
-		return
-	}
 	if add {
 		cm.p.nodeCM[id] = cm
 	} else {
@@ -577,7 +482,7 @@ func (cm *ClusterManager) commit(st *appState, placement metrics.Placement) {
 	}
 	cm.avail -= n
 	st.rec.Placement = placement
-	cm.after(cm.lat(latDispatch), func() {
+	cm.p.Eng.Schedule(cm.lat(latDispatch), func() {
 		cm.dispatch(st)
 	})
 }
@@ -606,7 +511,7 @@ func (cm *ClusterManager) onJobStart(j *framework.Job) {
 		st.rec.PeakReplicas = j.Replicas
 	}
 	cm.openSegment(st, j)
-	cm.emit(j.ID, "started", "")
+	cm.p.sessionEmit(j.ID, "started", "")
 	if st.controller != nil {
 		st.controller.jobStarted()
 	}
@@ -615,7 +520,7 @@ func (cm *ClusterManager) onJobStart(j *framework.Job) {
 // openSegment captures the job's current node kinds and cost rates and
 // moves the usage gauges once with the whole delta.
 func (cm *ClusterManager) openSegment(st *appState, j *framework.Job) {
-	now := cm.now()
+	now := cm.p.Eng.Now()
 	st.segStart = now
 	// Rates accumulate in the framework's deterministic visit order, so
 	// the float sum reproduces run to run.
@@ -654,7 +559,7 @@ func (cm *ClusterManager) closeSegment(st *appState) {
 	if !st.segOpen {
 		return
 	}
-	now := cm.now()
+	now := cm.p.Eng.Now()
 	dur := sim.ToSeconds(now - st.segStart)
 	st.rec.Cost += dur * st.segRate
 	cm.gaugeAdd(true, now, -st.segCloudN)
@@ -672,7 +577,7 @@ func (cm *ClusterManager) onJobSuspend(j *framework.Job) {
 	st.rec.Suspended = true
 	cm.closeSegment(st)
 	st.lastReplicas = 0 // a suspended service holds no replicas
-	cm.emit(j.ID, "suspended", "")
+	cm.p.sessionEmit(j.ID, "suspended", "")
 	if st.controller != nil {
 		st.controller.jobInterrupted()
 	}
@@ -714,11 +619,9 @@ func (cm *ClusterManager) onJobRequeue(j *framework.Job) {
 func (cm *ClusterManager) handleNodeCrash(id string) {
 	info := cm.nodes[id]
 	if info == nil {
-		// Sharded routing hop: the node detached (transfer, GC) in the
-		// same window, between the index lookup and this event.
 		return
 	}
-	cm.ctr().NodeCrashes.Inc()
+	cm.p.Counters.NodeCrashes.Inc()
 	if info.cloud {
 		cm.handleCloudLoss(id, true)
 		return
@@ -731,19 +634,17 @@ func (cm *ClusterManager) handleNodeCrash(id string) {
 	cm.OwnedPrivate--
 	cm.avail-- // attached count dropped; commitments stand
 
-	cm.runGlobal(func() {
-		cm.p.RM.StartPrivate(cm.Image(), 1, func(vms []*vmm.VM, err error) {
-			if err != nil {
-				return // capacity raced away; recover on future finishes
+	cm.p.RM.StartPrivate(cm.Image(), 1, func(vms []*vmm.VM, err error) {
+		if err != nil {
+			return // capacity raced away; recover on future finishes
+		}
+		cm.p.Eng.Schedule(cm.lat(latConfigure), func() {
+			for _, vm := range vms {
+				cm.attachPrivate(vm.ID, vm.SpeedFactor)
 			}
-			cm.after(cm.lat(latConfigure), func() {
-				for _, vm := range vms {
-					cm.attachPrivate(vm.ID, vm.SpeedFactor)
-				}
-				cm.ctr().Replacements.Inc()
-				cm.tryResumeVictims()
-				cm.retryPending()
-			})
+			cm.p.Counters.Replacements.Inc()
+			cm.tryResumeVictims()
+			cm.retryPending()
 		})
 	})
 }
@@ -754,9 +655,9 @@ func (cm *ClusterManager) handleNodeCrash(id string) {
 // re-running resource selection for replacement capacity.
 func (cm *ClusterManager) handleCloudRevocation(id string) {
 	if cm.nodes[id] == nil {
-		return // detached in the same window, after the routing hop
+		return
 	}
-	cm.ctr().SpotRevocations.Inc()
+	cm.p.Counters.SpotRevocations.Inc()
 	cm.handleCloudLoss(id, false)
 }
 
@@ -780,7 +681,7 @@ func (cm *ClusterManager) handleCloudLoss(id string, settleLease bool) {
 	cm.indexNode(id, false)
 	cm.avail-- // attached count dropped; commitments stand
 	if settleLease && info.provider != nil {
-		cm.runGlobal(func() { cm.p.RM.Release(info.provider, info.instID) })
+		cm.p.RM.Release(info.provider, info.instID)
 	}
 	if len(hit) == 0 {
 		return // the node was idle; nothing to re-run
@@ -797,7 +698,7 @@ func (cm *ClusterManager) handleCloudLoss(id string, settleLease bool) {
 			worst = st
 		}
 	}
-	cm.runGlobal(func() { cm.leaseReplacement(worst) })
+	cm.leaseReplacement(worst)
 }
 
 // appsOnNode returns the applications occupying a node, in running
@@ -840,7 +741,7 @@ func (cm *ClusterManager) onJobFinish(j *framework.Job) {
 	if st == nil {
 		return
 	}
-	now := cm.now()
+	now := cm.p.Eng.Now()
 	cm.closeSegment(st)
 	st.rec.EndTime = now
 	if st.contract.SLO != nil {
@@ -858,8 +759,8 @@ func (cm *ClusterManager) onJobFinish(j *framework.Job) {
 		cm.avail += st.lastReplicas - st.contract.NumVMs
 		st.lastReplicas = 0
 	}
-	cm.emit(j.ID, "completed", "")
-	cm.settled()
+	cm.p.sessionEmit(j.ID, "completed", "")
+	cm.p.appSettled()
 
 	// Release idle cloud VMs first so they never masquerade as free
 	// private capacity (paper §3.5: stop cloud VMs when done).
@@ -869,7 +770,7 @@ func (cm *ClusterManager) onJobFinish(j *framework.Job) {
 		cm.owedLoan = append(cm.owedLoan, st.loan)
 		st.loan = nil
 	}
-	cm.runGlobal(cm.processLoanReturns)
+	cm.processLoanReturns()
 	// Resume suspended victims now that capacity freed up.
 	cm.tryResumeVictims()
 	cm.retryPending()
@@ -910,13 +811,13 @@ func (cm *ClusterManager) settleSLO(st *appState, j *framework.Job) {
 // controller sync and the final settle never double count).
 func (cm *ClusterManager) syncFunctionStats(rec *metrics.AppRecord, stats serverless.Stats) {
 	if d := stats.ColdStarts - rec.ColdStarts; d > 0 {
-		cm.ctr().ColdStarts.AddN(int64(d))
+		cm.p.Counters.ColdStarts.AddN(int64(d))
 	}
 	if d := stats.Activations - rec.Activations; d > 0 {
-		cm.ctr().Activations.AddN(int64(d))
+		cm.p.Counters.Activations.AddN(int64(d))
 	}
 	if d := stats.ZeroScales - rec.ZeroScales; d > 0 {
-		cm.ctr().ZeroScales.AddN(int64(d))
+		cm.p.Counters.ZeroScales.AddN(int64(d))
 	}
 	rec.SLOIntervals, rec.SLOBurned = stats.Intervals, stats.Burned
 	if stats.PeakReplicas > rec.PeakReplicas {
@@ -938,13 +839,11 @@ func (cm *ClusterManager) gcIdleCloud() {
 	}
 	picked, infos := cm.detachFreeNodes(n, true)
 	cm.avail -= len(picked)
-	cm.runGlobal(func() {
-		for i := range picked {
-			if infos[i].provider != nil {
-				cm.p.RM.Release(infos[i].provider, infos[i].instID)
-			}
+	for i := range picked {
+		if infos[i].provider != nil {
+			cm.p.RM.Release(infos[i].provider, infos[i].instID)
 		}
-	})
+	}
 }
 
 // tryResumeVictims resumes suspended applications FIFO while capacity
@@ -966,7 +865,7 @@ func (cm *ClusterManager) tryResumeVictims() {
 		if err := cm.fw.Resume(v.appID); err != nil {
 			panic(fmt.Sprintf("core: resuming %s: %v", v.appID, err))
 		}
-		cm.ctr().Resumes.Inc()
+		cm.p.Counters.Resumes.Inc()
 	}
 }
 
@@ -977,7 +876,7 @@ func (cm *ClusterManager) retryPending() {
 		st := cm.pending[0]
 		cm.pending = cm.pending[1:]
 		before := len(cm.pending)
-		cm.ctr().PendingRetries.Inc()
+		cm.p.Counters.PendingRetries.Inc()
 		cm.selectResources(st)
 		if len(cm.pending) > before {
 			return // it re-queued itself; wait for the next event

@@ -246,20 +246,6 @@ type Config struct {
 	// changes no simulation outcome (see Auditor).
 	Audit *AuditConfig
 
-	// Shards partitions the Cluster Managers across that many shard
-	// engines that dispatch concurrently within tick windows, with
-	// cross-shard effects merged deterministically at a barrier (see
-	// internal/core/shard.go). 0 or 1 (the default) runs every Cluster
-	// Manager on the platform's one engine. The shard count changes only
-	// how the work is dispatched, never the results, for workloads
-	// without cross-shard same-instant event ties.
-	Shards int
-	// ShardWindow is the tick-window width used when Shards > 1
-	// (default 10 s). Larger windows amortize barrier cost; the width
-	// never changes results, only how often shards synchronize. It must
-	// not exceed the settle grace period (300 s).
-	ShardWindow sim.Time
-
 	// Latencies configures the Meryn pipeline (default Table 1 calibration).
 	Latencies Latencies
 }
@@ -436,21 +422,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Audit.Every == 0 {
 		c.Audit.Every = sim.Seconds(defaultAuditEveryS)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("core: negative shard count %d", c.Shards)
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.ShardWindow < 0 {
-		return fmt.Errorf("core: negative shard window %s", c.ShardWindow)
-	}
-	if c.ShardWindow == 0 {
-		c.ShardWindow = sim.Seconds(10)
-	}
-	if c.ShardWindow > settleGrace {
-		return fmt.Errorf("core: shard window %s exceeds the settle grace period %s", c.ShardWindow, settleGrace)
 	}
 	if c.UserVMPrice < c.cheapestCloudPrice() {
 		return fmt.Errorf("core: user VM price %g below cloud VM cost %g (unbounded platform losses, paper §4.2.1)",

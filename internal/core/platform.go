@@ -93,19 +93,6 @@ type Platform struct {
 	// tested against (TestControllerInvarianceUnderCrashes). Tests set
 	// it before the first dispatch.
 	pollControllers bool
-
-	// Sharded-dispatch state (nil / unused at Shards == 1); see shard.go.
-	shards       *sim.Sharded
-	gout         *shardOutbox   // outbox for global/feed-context effects
-	outs         []*shardOutbox // one outbox per shard
-	inShard      bool           // true only during the concurrent shard phase
-	auditPending bool           // an audit fell due this window; run it at the barrier
-	arrQ         []arrival      // time-sorted external arrivals not yet fed
-	arrPos       int
-	settleAt     sim.Time // instant the last app settled (valid when settleFound)
-	settleFound  bool
-	mergeOps     []taggedOp // reused merge tag buffer (see mergeData)
-	closBuf      []func()   // reused barrier closure buffer
 }
 
 // currentSession returns the open session (nil when none is).
@@ -145,21 +132,11 @@ func (p *Platform) appSettled() {
 // owns it, via the platform-wide node index (O(1), where the original
 // implementation scanned every VC's node table). VMs crashing
 // mid-transfer (owned by no CM) need no handling: the transfer
-// protocol's completions deal with them. At Shards > 1 the crash fires
-// on the global engine but the CM's state belongs to its shard, so the
-// handling hops onto the shard engine at the same instant; the handler
-// re-checks ownership, since a same-window detach may land first.
+// protocol's completions deal with them.
 func (p *Platform) handleCrash(vm *vmm.VM) {
-	cm := p.nodeCM[vm.ID]
-	if cm == nil {
-		return
-	}
-	if p.shards == nil {
+	if cm := p.nodeCM[vm.ID]; cm != nil {
 		cm.handleNodeCrash(vm.ID)
-		return
 	}
-	id := vm.ID
-	cm.eng.At(p.Eng.Now(), func() { cm.handleNodeCrash(id) })
 }
 
 // handleRevocation routes a revoked spot lease to the Cluster Manager
@@ -167,16 +144,9 @@ func (p *Platform) handleCrash(vm *vmm.VM) {
 // (mid-configure) need no routing: the lease completions observe the
 // terminated state.
 func (p *Platform) handleRevocation(inst *cloud.Instance) {
-	cm := p.nodeCM[inst.ID]
-	if cm == nil {
-		return
-	}
-	if p.shards == nil {
+	if cm := p.nodeCM[inst.ID]; cm != nil {
 		cm.handleCloudRevocation(inst.ID)
-		return
 	}
-	id := inst.ID
-	cm.eng.At(p.Eng.Now(), func() { cm.handleCloudRevocation(id) })
 }
 
 // NewPlatform validates the config, builds every component and performs
@@ -196,16 +166,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		Ledger:      metrics.NewLedger(),
 		PrivateUsed: metrics.NewGauge("private-used"),
 		CloudUsed:   metrics.NewGauge("cloud-used"),
-	}
-	if cfg.Shards > 1 {
-		p.shards = sim.NewSharded(eng, cfg.Shards, cfg.ShardWindow)
-		p.shards.NextExternal = p.nextArrival
-		p.shards.Feed = p.feed
-		p.shards.Barrier = p.barrier
-		p.gout = &shardOutbox{}
-		for i := 0; i < cfg.Shards; i++ {
-			p.outs = append(p.outs, &shardOutbox{})
-		}
 	}
 	if cfg.MetricsMaxPoints != 0 {
 		p.PrivateUsed.SetMaxPoints(cfg.MetricsMaxPoints)
@@ -264,8 +224,8 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		p.Hierarchy.Start()
 	}
 
-	for i, vcCfg := range cfg.VCs {
-		cm, err := newClusterManager(p, vcCfg, i)
+	for _, vcCfg := range cfg.VCs {
+		cm, err := newClusterManager(p, vcCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -288,15 +248,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 				return nil, fmt.Errorf("core: deploying VC %s: %w", name, err)
 			}
 			cm.attachPrivate(vm.ID, vm.SpeedFactor)
-		}
-	}
-	// Arm the outboxes only now: the initial deployment above must apply
-	// directly (the node index has to be complete before the first
-	// window opens — a crash can fire before the first barrier).
-	if p.shards != nil {
-		for _, name := range p.cmOrder {
-			cm := p.cms[name]
-			cm.out = p.outs[cm.shard]
 		}
 	}
 	p.Audit = newAuditor(p, cfg.Audit)
@@ -365,11 +316,6 @@ func (p *Platform) Run(w workload.Workload) (*Results, error) {
 	// Bulk submission: pre-size the accounting structures once (the
 	// scale scenario submits 10^6 applications).
 	p.Ledger.Reserve(len(w))
-	if p.shards != nil && cap(p.arrQ)-len(p.arrQ) < len(w) {
-		grown := make([]arrival, len(p.arrQ), len(p.arrQ)+len(w))
-		copy(grown, p.arrQ)
-		p.arrQ = grown
-	}
 	for i := range w {
 		if _, err := s.SubmitWith(w[i], nil); err != nil {
 			s.close() // unreachable after upfront validation; belt and braces
@@ -387,7 +333,7 @@ func (p *Platform) buildResults() *Results {
 		PrivateSeries: p.PrivateUsed.Series(),
 		CloudSeries:   p.CloudUsed.Series(),
 		Counters:      p.Counters,
-		EventsFired:   p.firedAll(),
+		EventsFired:   p.Eng.Fired(),
 	}
 	if p.Audit != nil {
 		res.AuditChecks = p.Audit.Checks

@@ -49,22 +49,18 @@ func (cm *ClusterManager) selectResources(st *appState) {
 	if cm.p.cfg.Policy == PolicyStatic {
 		if len(cm.p.RM.Clouds()) == 0 {
 			// No elasticity at all: queue locally without a detour
-			// through the cloud path (keeps the decision shard-local,
-			// and retryPending ordering identical across modes).
+			// through the cloud path.
 			cm.pending = append(cm.pending, st)
 			return
 		}
-		cm.runGlobal(func() { cm.burstToCloud(st) })
+		cm.burstToCloud(st)
 		return
 	}
 	// Invite all the other Cluster Managers to propose a bid, compute
 	// the local bid and query cloud prices; one bid-round latency covers
-	// the message exchange. Bids read peer and market state, so the
-	// decision itself is a global-context step.
-	cm.ctr().BidRounds.Inc()
-	cm.after(cm.lat(latBidRound), func() {
-		cm.runGlobal(func() { cm.decideWithBids(st) })
-	})
+	// the message exchange.
+	cm.p.Counters.BidRounds.Inc()
+	cm.p.Eng.Schedule(cm.lat(latBidRound), func() { cm.decideWithBids(st) })
 }
 
 // decideWithBids gathers bids and acts on the cheapest option.
@@ -158,7 +154,7 @@ func (cm *ClusterManager) localBid(n int, duration sim.Time) Bid {
 //	free_t     = deadline - (spent_t + finish_t)
 //	cost       = min_suspension_cost [+ delay_penalty(duration - free_t)]
 func (cm *ClusterManager) suspensionBid(n int, duration sim.Time) Bid {
-	now := cm.now()
+	now := cm.p.Eng.Now()
 	best := Bid{Cost: math.Inf(1)}
 	for _, job := range cm.fw.Running() {
 		st, ok := cm.apps[job.ID]
@@ -231,7 +227,7 @@ func (cm *ClusterManager) spotAllowed(st *appState) bool {
 	if st != nil && st.revocations >= sp.MaxRevocations {
 		if !st.fellBack {
 			st.fellBack = true
-			cm.ctr().SpotFallbacks.Inc()
+			cm.p.Counters.SpotFallbacks.Inc()
 		}
 		return false
 	}
@@ -255,11 +251,11 @@ func (cm *ClusterManager) leaseVia(p *cloud.Provider, typeName string, n int, du
 	}
 	done := func(insts []*cloud.Instance, err error) {
 		if err != nil {
-			cm.ctr().CloudFailures.Inc()
+			cm.p.Counters.CloudFailures.Inc()
 			if spot {
 				// Outbid or flaky spot request: fall back to an
 				// on-demand lease from the same provider.
-				cm.ctr().SpotFallbacks.Inc()
+				cm.p.Counters.SpotFallbacks.Inc()
 				cm.leaseVia(p, typeName, n, duration, false, attached, exhausted)
 				return
 			}
@@ -270,11 +266,11 @@ func (cm *ClusterManager) leaseVia(p *cloud.Provider, typeName string, n int, du
 			exhausted()
 			return
 		}
-		cm.ctr().CloudLeases.AddN(int64(n))
+		cm.p.Counters.CloudLeases.AddN(int64(n))
 		if spot {
-			cm.ctr().SpotLeases.AddN(int64(n))
+			cm.p.Counters.SpotLeases.AddN(int64(n))
 		}
-		cm.after(cm.lat(latCloudConfigure), func() {
+		cm.p.Eng.Schedule(cm.lat(latCloudConfigure), func() {
 			live := insts[:0]
 			for _, inst := range insts {
 				if inst.State == cloud.InstanceRunning {
@@ -296,7 +292,7 @@ func (cm *ClusterManager) leaseVia(p *cloud.Provider, typeName string, n int, du
 // application on the freed VMs.
 func (cm *ClusterManager) yieldLocalAndRun(st *appState, bid Bid) {
 	n := st.contract.NumVMs
-	cm.after(cm.lat(latSuspendLocal), func() {
+	cm.p.Eng.Schedule(cm.lat(latSuspendLocal), func() {
 		if !cm.yieldVictim(cm, bid, n) || cm.avail < n {
 			// The victim vanished (finished or already yielded to a
 			// concurrent decision); re-run the protocol.
@@ -344,7 +340,7 @@ func (cm *ClusterManager) suspendVictim(owner *ClusterManager, victimID string) 
 		resumeVMs = 0
 	}
 	owner.victims = append(owner.victims, victim{appID: victimID, vms: resumeVMs})
-	cm.ctr().Suspensions.Inc()
+	cm.p.Counters.Suspensions.Inc()
 	return true
 }
 
@@ -380,7 +376,7 @@ func (cm *ClusterManager) shrinkVictim(owner *ClusterManager, victimID string, n
 	if err := svc.Shrink(victimID, n); err != nil {
 		return false
 	}
-	cm.ctr().ReplicaReclaims.AddN(int64(n))
+	cm.p.Counters.ReplicaReclaims.AddN(int64(n))
 	return true
 }
 
@@ -420,16 +416,12 @@ func (cm *ClusterManager) acquireFromVC(peer *ClusterManager, st *appState, bid 
 		proceed()
 		return
 	}
-	cm.after(cm.lat(latSuspendRemote), func() {
-		// The yield touches the peer VC's framework; run it (and the
-		// transfer that follows) in the exclusive global context.
-		cm.runGlobal(func() {
-			if !cm.yieldVictim(peer, bid, n) {
-				cm.selectResources(st)
-				return
-			}
-			proceed()
-		})
+	cm.p.Eng.Schedule(cm.lat(latSuspendRemote), func() {
+		if !cm.yieldVictim(peer, bid, n) {
+			cm.selectResources(st)
+			return
+		}
+		proceed()
 	})
 }
 
@@ -440,11 +432,11 @@ func (cm *ClusterManager) receiveTransferredVMs(st *appState, n int, ln *loan) {
 		if err != nil {
 			panic(fmt.Sprintf("core: starting transferred VMs for %s: %v", cm.name, err))
 		}
-		cm.after(cm.lat(latConfigure), func() {
+		cm.p.Eng.Schedule(cm.lat(latConfigure), func() {
 			for _, vm := range vms {
 				cm.attachPrivate(vm.ID, vm.SpeedFactor)
 			}
-			cm.ctr().VMTransfers.AddN(int64(n))
+			cm.p.Counters.VMTransfers.AddN(int64(n))
 			st.loan = ln
 			cm.commit(st, metrics.PlacementVC)
 		})
@@ -488,7 +480,7 @@ func (cm *ClusterManager) burstToCloudVia(st *appState, p *cloud.Provider, typeN
 		},
 		func() {
 			// All providers failed; retry the whole protocol shortly.
-			cm.after(sim.Seconds(5), func() { cm.selectResources(st) })
+			cm.p.Eng.Schedule(sim.Seconds(5), func() { cm.selectResources(st) })
 		})
 }
 
@@ -512,8 +504,7 @@ func (cm *ClusterManager) leaseReplacement(st *appState) {
 			drained := len(cm.fw.Running()) == 0 && len(cm.fw.QueuedJobs()) == 0
 			for _, inst := range live {
 				if drained {
-					id := inst.ID
-					cm.runGlobal(func() { cm.p.RM.Release(p, id) })
+					cm.p.RM.Release(p, inst.ID)
 					continue
 				}
 				cm.attachCloud(inst, p)
@@ -527,16 +518,14 @@ func (cm *ClusterManager) leaseReplacement(st *appState) {
 			st.rec.Revocations += lost
 			if !drained {
 				for i := 0; i < lost; i++ {
-					cm.runGlobal(func() { cm.leaseReplacement(st) })
+					cm.leaseReplacement(st)
 				}
 			}
 			cm.tryResumeVictims()
 			cm.retryPending()
 		},
 		func() {
-			cm.after(sim.Seconds(5), func() {
-				cm.runGlobal(func() { cm.leaseReplacement(st) })
-			})
+			cm.p.Eng.Schedule(sim.Seconds(5), func() { cm.leaseReplacement(st) })
 		})
 }
 
@@ -586,11 +575,11 @@ func (cm *ClusterManager) processLoanReturns() {
 				if err != nil {
 					panic(fmt.Sprintf("core: restarting returned VMs: %v", err))
 				}
-				lender.after(lender.lat(latConfigure), func() {
+				lender.p.Eng.Schedule(lender.lat(latConfigure), func() {
 					for _, vm := range vms {
 						lender.attachPrivate(vm.ID, vm.SpeedFactor)
 					}
-					lender.ctr().LoanReturns.Inc()
+					lender.p.Counters.LoanReturns.Inc()
 					lender.tryResumeVictims()
 					lender.retryPending()
 				})

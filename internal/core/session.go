@@ -163,24 +163,6 @@ type Session struct {
 	submitted int
 	events    []SessionEvent
 	closed    bool
-
-	// Sharded-mode bookkeeping. vnow overrides the event-log clock while
-	// the feed phase dispatches a queued arrival (the global clock
-	// already sits at the window edge) and while Drain's reject pass
-	// stamps walk-aways at the settle anchor; draining forces direct
-	// event-log appends during that pass (the log is already flushed and
-	// merged up to the anchor).
-	vnow     sim.Time
-	vnowSet  bool
-	draining bool
-}
-
-// now is the session's event-log clock.
-func (s *Session) now() sim.Time {
-	if s.vnowSet {
-		return s.vnow
-	}
-	return s.p.Eng.Now()
 }
 
 // Open starts a session on the platform. One session may be open at a
@@ -246,18 +228,7 @@ func (s *Session) submit(app workload.App, interactive bool, u sla.User) (*Negot
 	// The timer disarms itself once the platform settles, so drained
 	// engines still run dry.
 	s.p.Audit.arm()
-	at := app.SubmitAt
-	if at < s.p.Eng.Now() {
-		at = s.p.Eng.Now()
-	}
-	if s.p.shards != nil {
-		// Sharded platforms keep arrivals out of the event heaps: the
-		// feed phase dispatches them per window, in time order.
-		s.p.settleFound = false
-		s.p.queueArrival(at, app)
-	} else {
-		s.p.Eng.At(at, func() { s.p.Client.Submit(app) })
-	}
+	s.p.Eng.At(app.SubmitAt, func() { s.p.Client.Submit(app) })
 	s.emitLocked(app.ID, "submitted", "")
 	return g, nil
 }
@@ -288,15 +259,6 @@ func (s *Session) Step(until sim.Time) sim.Time {
 	if s.closed { // a drained session no longer drives the engine
 		return s.p.Eng.Now()
 	}
-	if s.p.shards != nil {
-		for {
-			if _, ok := s.p.shards.RunWindow(until); !ok {
-				break
-			}
-		}
-		s.p.shards.AdvanceTo(until)
-		return s.p.Eng.Now()
-	}
 	return s.p.Eng.Run(until)
 }
 
@@ -314,19 +276,8 @@ func (s *Session) RunToSettle() bool {
 }
 
 func (s *Session) runToSettleLocked() {
-	for s.p.remaining > 0 && s.stepOnceLocked() {
+	for s.p.remaining > 0 && s.p.Eng.Step() {
 	}
-}
-
-// stepOnceLocked makes one unit of progress: the next event on a
-// single-engine platform, one tick window on a sharded one. It reports
-// false when nothing can run.
-func (s *Session) stepOnceLocked() bool {
-	if s.p.shards != nil {
-		_, ok := s.p.shards.RunWindow(sim.Forever)
-		return ok
-	}
-	return s.p.Eng.Step()
 }
 
 // Now returns the current virtual time.
@@ -366,7 +317,6 @@ func (s *Session) Negotiation(appID string) (*Negotiation, bool) {
 func (s *Session) EventsSince(seq int) []SessionEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.p.flushOutboxes()
 	if seq < 0 {
 		seq = 0
 	}
@@ -379,17 +329,11 @@ func (s *Session) EventsSince(seq int) []SessionEvent {
 }
 
 // emitLocked appends to the event log. Callers hold s.mu (or run inside
-// an engine step driven under it). On sharded platforms session-context
-// events route through the global outbox, so they merge with the
-// shard-phase events in canonical time order at the barrier.
+// an engine step driven under it).
 func (s *Session) emitLocked(appID, kind, detail string) {
-	if s.p.gout != nil && !s.draining {
-		s.p.gout.emit(s.now(), appID, kind, detail)
-		return
-	}
 	s.events = append(s.events, SessionEvent{
 		Seq:    len(s.events) + 1,
-		Time:   s.now(),
+		Time:   s.p.Eng.Now(),
 		AppID:  appID,
 		Kind:   kind,
 		Detail: detail,
@@ -442,12 +386,11 @@ func (s *Session) VCs() []VCStatus {
 func (s *Session) Metrics() PlatformMetrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.p.flushOutboxes()
 	m := PlatformMetrics{
 		Now:         s.p.Eng.Now(),
 		PrivateUsed: s.p.PrivateUsed.Value(),
 		CloudUsed:   s.p.CloudUsed.Value(),
-		EventsFired: s.p.firedAll(),
+		EventsFired: s.p.Eng.Fired(),
 		Submitted:   s.submitted,
 		Settled:     s.submitted - s.p.remaining,
 		Counters:    s.p.Counters,
@@ -569,15 +512,7 @@ func (s *Session) Drain() (*Results, error) {
 		}
 		// Events exhausted with unsettled submissions: only open
 		// negotiations can hold the session up — walk away from them
-		// and settle what their rejection unblocks. On a sharded
-		// platform the log is merged up to the anchor first, then the
-		// walk-aways append directly, stamped at the anchor (exactly
-		// the single-engine clock at this point).
-		if s.p.shards != nil {
-			s.p.flushOutboxes()
-			s.draining = true
-			s.vnow, s.vnowSet = s.settleAnchorLocked(), true
-		}
+		// and settle what their rejection unblocks.
 		open := false
 		for _, id := range s.order {
 			if g := s.negs[id]; g.state == NegotiationPending || g.state == NegotiationOffered {
@@ -585,48 +520,18 @@ func (s *Session) Drain() (*Results, error) {
 				open = true
 			}
 		}
-		if s.p.shards != nil {
-			s.draining, s.vnowSet = false, false
-		}
 		if !open {
 			break
 		}
 	}
 	// Drain follow-up work (transfers, releases, resumes) bounded by the
 	// grace window; without crash injection the queue simply empties.
-	if s.p.shards != nil {
-		target := s.settleAnchorLocked() + settleGrace
-		for {
-			if _, ok := s.p.shards.RunWindow(target); !ok {
-				break
-			}
-		}
-		s.p.shards.AdvanceTo(target)
-		s.p.flushOutboxes()
-	} else {
-		s.p.Eng.Run(s.p.Eng.Now() + settleGrace)
-	}
+	s.p.Eng.Run(s.p.Eng.Now() + settleGrace)
 	// One final audit barrier over the drained platform, so every run
 	// ends with the whole invariant catalogue verified.
 	s.p.Audit.run()
 	s.closeLocked()
 	return s.p.buildResults(), nil
-}
-
-// settleAnchorLocked is the sharded drain's time origin — the instant
-// the last application settled when the barrier recorded one, else the
-// last dispatched event. Both match what Eng.Now() reads at this point
-// on the single-engine platform, where the Step loop halts exactly on
-// the settling event; windows overshoot it, so the anchor is tracked
-// explicitly.
-func (s *Session) settleAnchorLocked() sim.Time {
-	if s.p.shards == nil {
-		return s.p.Eng.Now()
-	}
-	if s.p.settleFound {
-		return s.p.settleAt
-	}
-	return s.p.shards.LastFired()
 }
 
 // close abandons the session without draining, freeing the platform's
@@ -701,7 +606,7 @@ func (g *Negotiation) Err() error {
 func (g *Negotiation) Await() error {
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
-	for g.state == NegotiationPending && !g.s.closed && g.s.stepOnceLocked() {
+	for g.state == NegotiationPending && !g.s.closed && g.s.p.Eng.Step() {
 	}
 	if g.state == NegotiationPending {
 		return fmt.Errorf("core: %s: no queued event can progress the negotiation", g.appID)
@@ -783,20 +688,19 @@ func (g *Negotiation) rejectLocked(err error) {
 func (g *Negotiation) offersReady(cm *ClusterManager, st *appState, m *sla.Negotiation) {
 	g.cm, g.st, g.m = cm, st, m
 	g.state = NegotiationOffered
-	cm.emit(g.appID, "offers", fmt.Sprintf("%d offers", len(m.Offers())))
+	g.s.emitLocked(g.appID, "offers", fmt.Sprintf("%d offers", len(m.Offers())))
 }
 
 // noteAgreed records the agreed contract (called from acceptContract,
-// on both the interactive and the strategy-driven path). The event
-// routes through the CM, which runs on a shard engine at Shards > 1.
+// on both the interactive and the strategy-driven path).
 func (g *Negotiation) noteAgreed(cm *ClusterManager, st *appState, c *sla.Contract) {
 	g.cm, g.st, g.contract = cm, st, c
 	g.state = NegotiationAccepted
-	cm.emit(g.appID, "agreed", fmt.Sprintf("%d VMs for %.0f units", c.NumVMs, c.Price))
+	g.s.emitLocked(g.appID, "agreed", fmt.Sprintf("%d VMs for %.0f units", c.NumVMs, c.Price))
 }
 
-// noteRejected records a rejection decided in session context
-// (validation failure, routing failure, no agreement).
+// noteRejected records a rejection (validation failure, routing
+// failure, no agreement, user walk-away).
 func (g *Negotiation) noteRejected(err error) {
 	g.state = NegotiationRejected
 	g.err = err
@@ -805,19 +709,6 @@ func (g *Negotiation) noteRejected(err error) {
 		detail = err.Error()
 	}
 	g.s.emitLocked(g.appID, "rejected", detail)
-}
-
-// noteRejectedVia is noteRejected from Cluster-Manager context: the
-// event routes through the CM's outbox, so shard-phase rejections stay
-// race-free and merge in canonical order.
-func (g *Negotiation) noteRejectedVia(cm *ClusterManager, err error) {
-	g.state = NegotiationRejected
-	g.err = err
-	detail := ""
-	if err != nil {
-		detail = err.Error()
-	}
-	cm.emit(g.appID, "rejected", detail)
 }
 
 // statusLocked builds the submission snapshot.

@@ -29,10 +29,6 @@ type Scenario struct {
 	// before the workload starts — the hook chaos campaigns use to arm
 	// fault injectors on the platform's engine.
 	Setup func(*core.Platform)
-	// Shards overrides core.Config.Shards for this run (0 keeps the
-	// Mutate/default value). RunScenarios fills it from Options.Shards,
-	// so one -shards flag reaches every experiment platform.
-	Shards int
 }
 
 // Run builds the platform and executes the scenario.
@@ -42,9 +38,6 @@ func (s Scenario) Run() (*core.Results, error) {
 	cfg.Seed = s.Seed
 	if s.Mutate != nil {
 		s.Mutate(&cfg)
-	}
-	if s.Shards > 0 {
-		cfg.Shards = s.Shards
 	}
 	p, err := core.NewPlatform(cfg)
 	if err != nil {
@@ -122,7 +115,7 @@ func All() []Experiment {
 			m.BaseSeed = seed
 			return m.Chaos(opt)
 		}},
-		{Name: "scale", Artifact: "Scale benchmark: sharded core at 1k→100k→1M applications", Run: func(seed int64, opt Options) (Renderable, error) {
+		{Name: "scale", Artifact: "Scale benchmark: one engine at 1k→100k→1M applications", Run: func(seed int64, opt Options) (Renderable, error) {
 			return Scale(seed, opt)
 		}},
 		{Name: "sweep", Artifact: "Parallel matrix sweep (policy x load, mean ±CI)", Run: func(seed int64, opt Options) (Renderable, error) {

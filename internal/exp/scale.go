@@ -17,16 +17,11 @@ import (
 
 // The scale scenario: one large private site (64 nodes x 8 cores)
 // hosting 64 saturated batch VCs under the static policy, no cloud.
-// Every protocol decision stays on the shard-local fast path, so the
-// sharded runtime's byte-identity contract covers the whole run and the
-// experiment doubles as an end-to-end invariance check at six and seven
-// figure application counts.
+// Every protocol decision stays on the local fast path (no bid rounds,
+// no leases), so the run measures the engine, the batch scheduler and
+// the ledger at six and seven figure application counts.
 const (
 	scaleVCs = 64
-	// scaleWindow is the sharded tick-window width. Arrival waves land
-	// every scaleWave seconds, so a 240 s window amortizes waves per
-	// barrier while staying under the drain grace period.
-	scaleWindow = 240
 	// scaleWave / scaleWork: one application per VC every 320 s, each
 	// running 1200 s on one VM — utilization 1200/(4·320) ≈ 0.94 per
 	// 4-VM VC, a saturated-but-stable queue. Long-running jobs are the
@@ -40,13 +35,13 @@ const (
 )
 
 // scaleLadderDefault is the smoke ladder used when Options.ScaleApps is
-// empty: large enough to exercise the arrival queue and per-shard heaps,
+// empty: large enough to exercise the engine's arrival lane and heap,
 // small enough for CI. The paper-scale ladder (1k -> 100k -> 1M) is what
 // BENCH_scale.json commits.
 var scaleLadderDefault = []int{1000, 5000}
 
 // scaleConfig builds the platform for one scale run.
-func scaleConfig(seed int64, shards int) core.Config {
+func scaleConfig(seed int64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Policy = core.PolicyStatic
 	cfg.Seed = seed
@@ -62,17 +57,12 @@ func scaleConfig(seed int64, shards int) core.Config {
 	// The auditor walks every VC each tick; at 1M applications that is
 	// measurement noise, and the invariance tests already cover it.
 	cfg.Audit = &core.AuditConfig{Disabled: true}
-	cfg.Shards = shards
-	if shards > 1 {
-		cfg.ShardWindow = sim.Seconds(scaleWindow)
-	}
 	return cfg
 }
 
 // scaleWorkload generates n batch applications in waves of one per VC
 // every scaleWave seconds, each arrival jittered by its VC index so no
-// two applications share a submission instant (the byte-identity
-// contract excludes cross-shard same-instant ties).
+// two applications share a submission instant.
 func scaleWorkload(n int) workload.Workload {
 	w := make(workload.Workload, 0, n)
 	for i := 0; i < n; i++ {
@@ -89,10 +79,10 @@ func scaleWorkload(n int) workload.Workload {
 }
 
 // ScalePoint is the invariant record for one application count: only
-// quantities that are byte-identical across shard and worker counts —
+// quantities that are byte-identical across worker counts and reps —
 // the session digest, the ledger aggregate and the protocol counters.
-// Wall-clock and engine topology deliberately never appear here, so the
-// JSON from -shards 1 and -shards 8 runs can be compared with cmp.
+// Wall-clock deliberately never appears here, so the JSON from any two
+// runs can be compared with cmp.
 type ScalePoint struct {
 	Apps      int
 	Digest    string
@@ -102,26 +92,19 @@ type ScalePoint struct {
 }
 
 // ScaleBenchCell is one honest wall-clock measurement: the given
-// application count run at the given shard count, on this machine.
-// WallMS is the minimum over Reps identical runs — the standard way to
-// strip scheduler noise from a single-core container; every rep must
-// produce the same digest or the bench fails.
+// application count run on this machine. WallMS is the minimum over
+// Reps identical runs — the standard way to strip scheduler noise from
+// a shared host; every rep must produce the same digest or the bench
+// fails.
 type ScaleBenchCell struct {
 	Apps        int
-	Shards      int
 	Reps        int
 	WallMS      int64
 	EventsFired uint64
-	// Speedup is wall-clock relative to the Shards=1 cell at the same
-	// application count (1.0 for that cell itself).
-	Speedup float64
 }
 
-// ScaleBench carries the timing grid plus the hardware context needed
-// to read it: the shard phases can run in parallel on at most
-// GOMAXPROCS cores, and every cell runs the same event-driven
-// controllers, so a speedup is the sharded runtime's parallelism net of
-// its barrier cost.
+// ScaleBench carries one cell per rung plus the hardware the timings
+// were taken on.
 type ScaleBench struct {
 	Cores      int
 	GOMAXPROCS int
@@ -136,10 +119,10 @@ type ScaleResult struct {
 	Bench  *ScaleBench `json:",omitempty"`
 }
 
-// scaleRun executes one (apps, shards) cell and returns its invariant
-// point plus the honest wall-clock cost of the run.
-func scaleRun(seed int64, apps, shards int) (ScalePoint, time.Duration, uint64, error) {
-	p, err := core.NewPlatform(scaleConfig(seed, shards))
+// scaleRun executes one rung and returns its invariant point plus the
+// honest wall-clock cost of the run.
+func scaleRun(seed int64, apps int) (ScalePoint, time.Duration, uint64, error) {
+	p, err := core.NewPlatform(scaleConfig(seed))
 	if err != nil {
 		return ScalePoint{}, 0, 0, err
 	}
@@ -170,10 +153,10 @@ func scaleRun(seed int64, apps, shards int) (ScalePoint, time.Duration, uint64, 
 }
 
 // Scale runs the scale ladder. In the default (invariant) mode each
-// application count runs once at Options.Shards and the output contains
-// no timing; in benchmark mode (Options.ScaleBench) each count runs at
-// shard counts 1, 4 and 8 sequentially with wall-clock recorded, and
-// the run fails loudly if any shard count produces a different digest.
+// application count runs once and the output contains no timing; in
+// benchmark mode (Options.ScaleBench) each count runs Reps times
+// sequentially with wall-clock recorded, and the run fails loudly if
+// any rep produces a different digest.
 func Scale(seed int64, opt Options) (*ScaleResult, error) {
 	ladder := opt.ScaleApps
 	if len(ladder) == 0 {
@@ -182,13 +165,9 @@ func Scale(seed int64, opt Options) (*ScaleResult, error) {
 	out := &ScaleResult{Ladder: ladder}
 
 	if !opt.ScaleBench {
-		shards := opt.Shards
-		if shards <= 0 {
-			shards = 1
-		}
 		points := make([]ScalePoint, len(ladder))
 		err := Pool{Workers: opt.Workers}.Each(len(ladder), func(i int) error {
-			pt, _, _, err := scaleRun(seed, ladder[i], shards)
+			pt, _, _, err := scaleRun(seed, ladder[i])
 			if err != nil {
 				return fmt.Errorf("apps=%d: %w", ladder[i], err)
 			}
@@ -202,53 +181,35 @@ func Scale(seed int64, opt Options) (*ScaleResult, error) {
 		return out, nil
 	}
 
-	// Benchmark mode: sequential, timed, digest-checked across shard
-	// counts. Never run this through a worker pool — concurrent runs
-	// would contend for cores and the timings would be fiction.
+	// Benchmark mode: sequential, timed, digest-checked across reps.
+	// Never run this through a worker pool — concurrent runs would
+	// contend for cores and the timings would be fiction.
 	reps := opt.Reps
 	if reps <= 0 {
 		reps = 3
 	}
 	bench := &ScaleBench{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	for _, apps := range ladder {
-		var base ScalePoint
-		var baseWall time.Duration
-		for _, shards := range []int{1, 4, 8} {
-			var pt ScalePoint
-			var wall time.Duration
-			var fired uint64
-			for r := 0; r < reps; r++ {
-				p, w, f, err := scaleRun(seed, apps, shards)
-				if err != nil {
-					return nil, fmt.Errorf("apps=%d shards=%d: %w", apps, shards, err)
-				}
-				if r == 0 {
-					pt, wall, fired = p, w, f
-					continue
-				}
-				if p.Digest != pt.Digest {
-					return nil, fmt.Errorf("apps=%d shards=%d: nondeterministic digest across reps: %s vs %s",
-						apps, shards, p.Digest, pt.Digest)
-				}
-				if w < wall {
-					wall = w
-				}
+		var pt ScalePoint
+		var wall time.Duration
+		var fired uint64
+		for r := 0; r < reps; r++ {
+			p, w, f, err := scaleRun(seed, apps)
+			if err != nil {
+				return nil, fmt.Errorf("apps=%d: %w", apps, err)
 			}
-			cell := ScaleBenchCell{Apps: apps, Shards: shards, Reps: reps, WallMS: wall.Milliseconds(), EventsFired: fired, Speedup: 1}
-			if shards == 1 {
-				base, baseWall = pt, wall
-				out.Points = append(out.Points, pt)
-			} else {
-				if pt.Digest != base.Digest {
-					return nil, fmt.Errorf("apps=%d: digest diverged: shards=%d gave %s, shards=1 gave %s",
-						apps, shards, pt.Digest, base.Digest)
-				}
-				if wall > 0 {
-					cell.Speedup = float64(baseWall) / float64(wall)
-				}
+			if r == 0 {
+				pt, wall, fired = p, w, f
+				continue
 			}
-			bench.Cells = append(bench.Cells, cell)
+			if p.Digest != pt.Digest {
+				return nil, fmt.Errorf("apps=%d: nondeterministic digest across reps: %s vs %s",
+					apps, p.Digest, pt.Digest)
+			}
+			wall = min(wall, w)
 		}
+		out.Points = append(out.Points, pt)
+		bench.Cells = append(bench.Cells, ScaleBenchCell{Apps: apps, Reps: reps, WallMS: wall.Milliseconds(), EventsFired: fired})
 	}
 	out.Bench = bench
 	return out, nil
@@ -278,16 +239,16 @@ func ParseAppsList(s string) ([]int, error) {
 // Render implements Renderable.
 func (r *ScaleResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Scale: sharded core at %v applications\n", r.Ladder)
+	fmt.Fprintf(&b, "Scale: one engine at %v applications\n", r.Ladder)
 	fmt.Fprintf(&b, "%-10s %-18s %10s %14s\n", "apps", "digest", "completed", "completion(s)")
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "%-10d %-18s %10d %14.0f\n", p.Apps, p.Digest, p.Completed, p.Aggregate.CompletionTime)
 	}
 	if r.Bench != nil {
 		fmt.Fprintf(&b, "\nBenchmark (cores=%d, GOMAXPROCS=%d, wall = min over reps):\n", r.Bench.Cores, r.Bench.GOMAXPROCS)
-		fmt.Fprintf(&b, "%-10s %7s %5s %10s %14s %9s\n", "apps", "shards", "reps", "wall(ms)", "events", "speedup")
+		fmt.Fprintf(&b, "%-10s %5s %10s %14s\n", "apps", "reps", "wall(ms)", "events")
 		for _, c := range r.Bench.Cells {
-			fmt.Fprintf(&b, "%-10d %7d %5d %10d %14d %8.2fx\n", c.Apps, c.Shards, c.Reps, c.WallMS, c.EventsFired, c.Speedup)
+			fmt.Fprintf(&b, "%-10d %5d %10d %14d\n", c.Apps, c.Reps, c.WallMS, c.EventsFired)
 		}
 	}
 	return b.String()

@@ -25,18 +25,13 @@ type Options struct {
 	// Reps overrides the seed-replication count for experiments that
 	// sample (Table 1, sweeps). 0 keeps the experiment's default.
 	Reps int
-	// Shards sets core.Config.Shards on every experiment platform
-	// (0 keeps each scenario's own setting; 1 is the single-engine
-	// default). Experiment outputs are shard-invariant, so this is a
-	// performance knob, not a result axis.
-	Shards int
 	// ScaleApps overrides the scale experiment's application-count
 	// ladder (nil = the smoke ladder).
 	ScaleApps []int
 	// ScaleBench switches the scale experiment into benchmark mode:
-	// every app count runs at shard counts 1, 4 and 8 with wall-clock
-	// timing recorded. Timings are honest measurements and belong in
-	// BENCH artifacts only; invariant outputs never include them.
+	// every app count runs Reps times with wall-clock timing recorded.
+	// Timings are honest measurements and belong in BENCH artifacts
+	// only; invariant outputs never include them.
 	ScaleBench bool
 }
 
@@ -111,15 +106,10 @@ func Parallel(n, workers int, fn func(i int)) {
 // aggregation is deterministic whatever the worker count. It is the
 // low-level executor of the sweep harness; the reproduction experiments
 // (Table 1, figures, ablations) run their unit grids through it.
-// Options-level platform settings (the -shards override) apply to every
-// scenario that does not pin its own.
 func RunScenarios(n int, opt Options, build func(i int) Scenario) ([]*core.Results, error) {
 	out := make([]*core.Results, n)
 	err := Pool{Workers: opt.Workers}.Each(n, func(i int) error {
 		s := build(i)
-		if s.Shards == 0 {
-			s.Shards = opt.Shards
-		}
 		r, err := s.Run()
 		if err != nil {
 			if s.Label != "" {

@@ -85,18 +85,17 @@ func (q *eventQueue) Pop() any {
 // simulation (handlers scheduling follow-up events, timers armed and
 // cancelled) allocates nothing after warm-up.
 type Engine struct {
-	now       Time
-	queue     eventQueue
-	ring      []*event // FIFO of events at the current instant
-	ringPos   int      // consumption cursor into ring
-	lane      []*event // FIFO of future events in nondecreasing time
-	lanePos   int      // consumption cursor into lane
-	free      []*event // recycled event records
-	seq       uint64
-	running   bool
-	stopped   bool
-	fired     uint64
-	lastFired Time // time of the most recently dispatched event
+	now     Time
+	queue   eventQueue
+	ring    []*event // FIFO of events at the current instant
+	ringPos int      // consumption cursor into ring
+	lane    []*event // FIFO of future events in nondecreasing time
+	lanePos int      // consumption cursor into lane
+	free    []*event // recycled event records
+	seq     uint64
+	running bool
+	stopped bool
+	fired   uint64
 }
 
 // alloc takes an event record from the free list (or allocates one) and
@@ -229,7 +228,6 @@ func (e *Engine) fire(ev *event) bool {
 	}
 	e.now = ev.at
 	e.fired++
-	e.lastFired = ev.at
 	if ev.period == 0 {
 		e.recycle(ev)
 		fn()
@@ -258,21 +256,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int {
 	return len(e.queue) + len(e.ring) - e.ringPos + len(e.lane) - e.lanePos
-}
-
-// LastFired returns the time of the most recently dispatched event (the
-// zero Time when none fired yet). Unlike Now, it does not move when Run
-// advances the clock to an event-free horizon.
-func (e *Engine) LastFired() Time { return e.lastFired }
-
-// NextAt returns the time of the earliest queued event and whether one
-// exists. Cancelled events still count until they drain: NextAt is a
-// scheduling bound, not a guarantee that work will run at that instant.
-func (e *Engine) NextAt() (Time, bool) {
-	if ev, _ := e.peek(); ev != nil {
-		return ev.at, true
-	}
-	return 0, false
 }
 
 // Schedule runs fn after delay. A negative delay is an error in the
