@@ -619,7 +619,7 @@ func (cm *ClusterManager) onJobRequeue(j *framework.Job) {
 func (cm *ClusterManager) handleNodeCrash(id string) {
 	info := cm.nodes[id]
 	if info == nil {
-		return
+		return // not attached here: callers outside the node index (tests) may pass any ID
 	}
 	cm.p.Counters.NodeCrashes.Inc()
 	if info.cloud {
@@ -633,16 +633,28 @@ func (cm *ClusterManager) handleNodeCrash(id string) {
 	cm.indexNode(id, false)
 	cm.OwnedPrivate--
 	cm.avail-- // attached count dropped; commitments stand
+	cm.replacePrivate()
+}
 
+// replacePrivate boots one private VM in place of a crashed one. The
+// replacement can itself crash during its configure delay, before the
+// node index routes crashes to this CM; attachPrivate then refuses it
+// and the slot is requested again, so a crash storm cannot leave the VC
+// permanently short of nodes (it used to strand VCs at zero nodes with
+// applications queued, and Drain never settled).
+func (cm *ClusterManager) replacePrivate() {
 	cm.p.RM.StartPrivate(cm.Image(), 1, func(vms []*vmm.VM, err error) {
 		if err != nil {
 			return // capacity raced away; recover on future finishes
 		}
 		cm.p.Eng.Schedule(cm.lat(latConfigure), func() {
 			for _, vm := range vms {
-				cm.attachPrivate(vm.ID, vm.SpeedFactor)
+				if cm.attachPrivate(vm.ID, vm.SpeedFactor) {
+					cm.p.Counters.Replacements.Inc()
+				} else {
+					cm.replacePrivate()
+				}
 			}
-			cm.p.Counters.Replacements.Inc()
 			cm.tryResumeVictims()
 			cm.retryPending()
 		})
@@ -655,7 +667,7 @@ func (cm *ClusterManager) handleNodeCrash(id string) {
 // re-running resource selection for replacement capacity.
 func (cm *ClusterManager) handleCloudRevocation(id string) {
 	if cm.nodes[id] == nil {
-		return
+		return // not attached here (see handleNodeCrash)
 	}
 	cm.p.Counters.SpotRevocations.Inc()
 	cm.handleCloudLoss(id, false)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"meryn/internal/chaos"
 	"meryn/internal/core"
@@ -124,4 +125,46 @@ func mustPlatform(t *testing.T) *core.Platform {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestHeavyChaosRestoresPrivateVMs is the lost-replacement regression.
+// In this heavy on-demand campaign replacement private VMs crash during
+// their configure delay; the platform used to count them as replaced
+// and never ask again, so vc1 ended at zero nodes with applications
+// queued, and Drain spun on periodic ticks forever. The test steps the
+// session to a fixed horizon instead of draining (a regression must
+// fail, not hang) and requires every application settled and vc1 back
+// at its eight private VMs.
+func TestHeavyChaosRestoresPrivateVMs(t *testing.T) {
+	sc := ChaosScenario(ChaosScenarioConfig{
+		Seed: 7950849312380375297, Policy: SpotPolicyOnDemand, Intensity: ChaosHeavy,
+	})
+	cfg := core.DefaultConfig()
+	cfg.Policy, cfg.Seed = sc.Policy, sc.Seed
+	sc.Mutate(&cfg)
+	p, err := core.NewPlatform(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Setup(p)
+	s, err := p.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range sc.Workload {
+		if _, err := s.SubmitWith(app, nil); err != nil {
+			t.Fatalf("submit %s: %v", app.ID, err)
+		}
+	}
+	s.Step(6 * time.Hour)
+	if m := s.Metrics(); m.Settled != len(sc.Workload) {
+		t.Errorf("%d of %d applications settled by 6 h", m.Settled, len(sc.Workload))
+	}
+	if vc := s.VCs()[0]; vc.Nodes != 8 || vc.OwnedPrivate != 8 {
+		t.Errorf("vc1 ends with %d nodes (%d private, avail %d), want its 8 private VMs",
+			vc.Nodes, vc.OwnedPrivate, vc.Avail)
+	}
+	if err := p.AuditNow(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -26,12 +26,12 @@ var registryPins = map[string]string{
 	"services":          "ec7b2f19d0a41bf78b962a42187df481648ce56ac8c90eb91f35c3232330a458",
 	"serverless":        "be21401db117ac093e8275b944ed851bb8b52779ad7da9c98e752f8e423a7cee",
 	"spot":              "6dcf177d2eb69bacf02ef9635d678935b360539dd97db21bd63d5f8fe79c3e84",
-	"chaos":             "2f387fecc7838bf576bcb290b404b4cac51a1630d0f4025d9b56b24e39ee85f6",
+	"chaos":             "eed19ac134a8f3a5246ec2c93779a04fc2fb53fb523d3c87ab1d839a558a48d2",
 	"scale":             "ce1b6054d8ef6582f442a9e229e2fe896dc1be22920a7e911090265cee44f00a",
 	"sweep":             "d30d5423ccb33d79a9e281d106405a3e9aac303ac5f061fa0d164e7f8f2280b3",
 	"spot/reps=2":       "9865aa9d313462fd83f0de1b5f48d04d10f956b54d502d898d76c177254c32c9",
 	"serverless/reps=2": "36c693d7004397c91598954862e6d6c8436adf6f36f45357e4d8463180f48bef",
-	"chaos/reps=2":      "b710a0e22c4e99fceb9d8613982651f30b77ca90134b441db6560c800c769529",
+	"chaos/reps=2":      "1918b721308de6b77ad81525f40746d831fbf155a187fd1e881493768285cad8",
 }
 
 // TestRegistryWorkerInvariance runs every registered experiment at
