@@ -619,7 +619,9 @@ func (cm *ClusterManager) onJobRequeue(j *framework.Job) {
 func (cm *ClusterManager) handleNodeCrash(id string) {
 	info := cm.nodes[id]
 	if info == nil {
-		return // not attached here: callers outside the node index (tests) may pass any ID
+		// The node index routes only attached nodes here; a direct call
+		// with a stale ID is a no-op.
+		return
 	}
 	cm.p.Counters.NodeCrashes.Inc()
 	if info.cloud {
@@ -640,8 +642,7 @@ func (cm *ClusterManager) handleNodeCrash(id string) {
 // replacement can itself crash during its configure delay, before the
 // node index routes crashes to this CM; attachPrivate then refuses it
 // and the slot is requested again, so a crash storm cannot leave the VC
-// permanently short of nodes (it used to strand VCs at zero nodes with
-// applications queued, and Drain never settled).
+// permanently short of nodes while applications wait for them.
 func (cm *ClusterManager) replacePrivate() {
 	cm.p.RM.StartPrivate(cm.Image(), 1, func(vms []*vmm.VM, err error) {
 		if err != nil {
@@ -667,7 +668,7 @@ func (cm *ClusterManager) replacePrivate() {
 // re-running resource selection for replacement capacity.
 func (cm *ClusterManager) handleCloudRevocation(id string) {
 	if cm.nodes[id] == nil {
-		return // not attached here (see handleNodeCrash)
+		return // stale ID (see handleNodeCrash)
 	}
 	cm.p.Counters.SpotRevocations.Inc()
 	cm.handleCloudLoss(id, false)
