@@ -243,9 +243,8 @@ func (cm *ClusterManager) peers() []*ClusterManager {
 // attach (crash replacement, transfer receive, loan return) races its
 // Configure window against crash injection, and the crash handler
 // cannot route a VM that is not attached yet — unguarded, the dead VM
-// would join the framework and "execute" work. Callers treat a refusal
-// like their existing capacity-raced-away paths: the platform recovers
-// on future job finishes.
+// would join the framework and "execute" work. The delayed callers
+// request a refused VM again through replacePrivate.
 func (cm *ClusterManager) attachPrivate(id string, speed float64) bool {
 	if vm, err := cm.p.VMM.Get(id); err != nil || vm.State != vmm.StateRunning {
 		return false

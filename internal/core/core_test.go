@@ -311,6 +311,76 @@ func TestRemoteSuspensionLoanAndReturn(t *testing.T) {
 	}
 }
 
+// TestDelayedAttachCrashIsReplaced crashes a VM during the configure
+// delay of the two delayed attaches the loan fixture above goes
+// through: the first running VM attached to no Cluster Manager is
+// vc1's transferred VM (t≈79 s), the second is vc2's returned one
+// (t≈129 s). The refused VM must be requested again, or the transfer
+// leaves both applications waiting forever, and the return leaves the
+// victim suspended. The engine steps to a fixed horizon instead of
+// draining, so a lost VM fails the test instead of hanging it.
+func TestDelayedAttachCrashIsReplaced(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		nth  int // which unattached running VM to crash
+	}{{"transfer", 1}, {"loan-return", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.VCs = []VCConfig{
+				{Name: "vc1", Type: workload.TypeBatch, InitialVMs: 0},
+				{Name: "vc2", Type: workload.TypeBatch, InitialVMs: 1},
+			}
+			cfg.Clouds = []cloud.Config{}
+			cfg.ConservativeSpeed = 1.0
+			p := newPlatform(t, cfg)
+			s, err := p.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, app := range []workload.App{
+				batchApp("victim", "vc2", 0, 2000),
+				batchApp("quick", "vc1", 20, 10),
+			} {
+				if _, err := s.SubmitWith(app, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seen := map[string]bool{}
+			crashedAt := sim.Time(-1)
+			for p.Eng.Now() < sim.Seconds(10*3600) && p.Eng.Step() {
+				if crashedAt >= 0 {
+					continue
+				}
+				for _, vm := range p.VMM.List(vmm.StateRunning) {
+					if p.nodeCM[vm.ID] != nil || seen[vm.ID] {
+						continue
+					}
+					seen[vm.ID] = true
+					if len(seen) == tc.nth {
+						if err := p.VMM.Crash(vm.ID); err != nil {
+							t.Fatal(err)
+						}
+						crashedAt = p.Eng.Now()
+					}
+				}
+			}
+			if crashedAt < 0 {
+				t.Fatalf("only %d unattached running VMs appeared, want %d", len(seen), tc.nth)
+			}
+			if m := s.Metrics(); m.Settled != 2 {
+				t.Errorf("%d of 2 applications settled after a crash at %v", m.Settled, crashedAt)
+			}
+			vc2, _ := p.CM("vc2")
+			if vc2.OwnedPrivate != 1 {
+				t.Errorf("vc2 owns %d private VMs, want its 1 back", vc2.OwnedPrivate)
+			}
+			if err := p.AuditNow(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestStaticPolicyNeverBidsOrExchanges(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = PolicyStatic

@@ -434,7 +434,9 @@ func (cm *ClusterManager) receiveTransferredVMs(st *appState, n int, ln *loan) {
 		}
 		cm.p.Eng.Schedule(cm.lat(latConfigure), func() {
 			for _, vm := range vms {
-				cm.attachPrivate(vm.ID, vm.SpeedFactor)
+				if !cm.attachPrivate(vm.ID, vm.SpeedFactor) {
+					cm.replacePrivate()
+				}
 			}
 			cm.p.Counters.VMTransfers.AddN(int64(n))
 			st.loan = ln
@@ -577,7 +579,9 @@ func (cm *ClusterManager) processLoanReturns() {
 				}
 				lender.p.Eng.Schedule(lender.lat(latConfigure), func() {
 					for _, vm := range vms {
-						lender.attachPrivate(vm.ID, vm.SpeedFactor)
+						if !lender.attachPrivate(vm.ID, vm.SpeedFactor) {
+							lender.replacePrivate()
+						}
 					}
 					lender.p.Counters.LoanReturns.Inc()
 					lender.tryResumeVictims()
