@@ -4,12 +4,12 @@
 // of VMs — and checkpoint-based job suspension, which is what makes the
 // bid computation of paper Algorithm 2 possible.
 //
-// Scheduler state is indexed, not rescanned: free and idle-disabled
-// nodes live in intrusive attach-ordered sets (framework.NodeIndex)
-// maintained on every node/job transition, the job queue is a ring
-// deque with O(1) front pops and requeues, and the running set is kept
-// in submission order so Running() — called once per bid by the core
-// protocol — neither sorts nor allocates.
+// Scheduler state is indexed, not rescanned: the node table is the
+// shared dedicated-node table (framework.Nodes), whose free and
+// idle-disabled sets are maintained on every node/job transition, the
+// job queue is a ring deque with O(1) front pops and requeues, and the
+// running set is kept in submission order so Running() — called once
+// per bid by the core protocol — neither sorts nor allocates.
 package batch
 
 import (
@@ -22,21 +22,11 @@ import (
 
 // Errors returned by the batch framework.
 var (
-	ErrNodeExists  = errors.New("batch: node already attached")
-	ErrNodeUnknown = errors.New("batch: unknown node")
-	ErrNodeBusy    = errors.New("batch: node is running a job")
-	ErrJobExists   = errors.New("batch: job already submitted")
-	ErrJobUnknown  = errors.New("batch: unknown job")
-	ErrJobState    = errors.New("batch: job is not in a valid state for this operation")
-	ErrBadJob      = errors.New("batch: invalid job description")
+	ErrJobExists  = errors.New("batch: job already submitted")
+	ErrJobUnknown = errors.New("batch: unknown job")
+	ErrJobState   = errors.New("batch: job is not in a valid state for this operation")
+	ErrBadJob     = errors.New("batch: invalid job description")
 )
-
-type nodeState struct {
-	node     framework.Node
-	disabled bool
-	jobID    string // "" when idle
-	entry    framework.IndexEntry
-}
 
 // jobEntry pairs a job with its submission sequence number, which
 // orders the maintained running set.
@@ -68,15 +58,10 @@ type Config struct {
 
 // Batch is an OGE-like framework. It implements framework.Framework.
 type Batch struct {
-	eng   *sim.Engine
-	cfg   Config
-	nodes map[string]*nodeState
+	framework.Nodes
 
-	// attachSeq stamps nodes in attach order; the indexes keep that
-	// order so node selection matches the pre-index full scans.
-	attachSeq uint64
-	free      framework.NodeIndex // enabled nodes with no job
-	idleDis   framework.NodeIndex // disabled nodes with no job
+	eng *sim.Engine
+	cfg Config
 
 	jobs   map[string]jobEntry
 	jobSeq uint64
@@ -85,8 +70,6 @@ type Batch struct {
 
 	// running holds running jobs in submission order.
 	running framework.SeqSet[*framework.Job]
-
-	scratch []string // reused by schedule() for free-node collection
 }
 
 var _ framework.Framework = (*Batch)(nil)
@@ -100,11 +83,10 @@ func New(eng *sim.Engine, cfg Config) *Batch {
 		cfg.Image = cfg.Name + ".img"
 	}
 	return &Batch{
-		eng:   eng,
-		cfg:   cfg,
-		nodes: make(map[string]*nodeState),
-		jobs:  make(map[string]jobEntry),
-		runs:  make(map[string]*runInfo),
+		eng:  eng,
+		cfg:  cfg,
+		jobs: make(map[string]jobEntry),
+		runs: make(map[string]*runInfo),
 	}
 }
 
@@ -115,51 +97,10 @@ func (b *Batch) Name() string { return b.cfg.Name }
 func (b *Batch) Image() string { return b.cfg.Image }
 
 // AddNode implements framework.Framework. Adding a node immediately
-// triggers scheduling. Adding a duplicate ID panics: it indicates a
-// Cluster Manager bookkeeping bug.
+// triggers scheduling.
 func (b *Batch) AddNode(n framework.Node) {
-	if _, dup := b.nodes[n.ID]; dup {
-		panic(fmt.Sprintf("%v: %s", ErrNodeExists, n.ID))
-	}
-	if n.SpeedFactor <= 0 {
-		n.SpeedFactor = 1.0
-	}
-	ns := &nodeState{node: n}
-	ns.entry.Init(n.ID, b.attachSeq, n.Cloud)
-	b.attachSeq++
-	b.nodes[n.ID] = ns
-	b.free.Insert(&ns.entry)
+	b.Attach(n)
 	b.schedule()
-}
-
-// DisableNode implements framework.Framework.
-func (b *Batch) DisableNode(id string) error {
-	ns, ok := b.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	if !ns.disabled {
-		ns.disabled = true
-		if ns.jobID == "" {
-			ns.entry.Unlink()
-			b.idleDis.Insert(&ns.entry)
-		}
-	}
-	return nil
-}
-
-// RemoveNode implements framework.Framework.
-func (b *Batch) RemoveNode(id string) error {
-	ns, ok := b.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	if ns.jobID != "" {
-		return fmt.Errorf("%w: %s runs %s", ErrNodeBusy, id, ns.jobID)
-	}
-	ns.entry.Unlink()
-	delete(b.nodes, id)
-	return nil
 }
 
 // FailNode implements framework.Framework. A crashed node kills the job
@@ -167,22 +108,16 @@ func (b *Batch) RemoveNode(id string) error {
 // is lost, the job's surviving nodes are freed and the job requeues at
 // the front.
 func (b *Batch) FailNode(id string) error {
-	ns, ok := b.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	jobID := ns.jobID
-	ns.entry.Unlink()
-	delete(b.nodes, id)
-	if jobID == "" {
-		return nil
+	jobID, err := b.Detach(id)
+	if err != nil || jobID == "" {
+		return err
 	}
 	j := b.jobs[jobID].job
 	run := b.runs[jobID]
 	run.finish.Cancel()
 	delete(b.runs, jobID)
 	b.running.Remove(run.seq)
-	b.freeNodes(run.nodeIDs) // survivors become idle
+	b.Release(run.nodeIDs...) // survivors become idle
 	j.State = framework.JobQueued
 	b.queue.PushFront(jobID)
 	if b.cfg.Events.OnRequeue != nil {
@@ -190,49 +125,6 @@ func (b *Batch) FailNode(id string) error {
 	}
 	b.schedule()
 	return nil
-}
-
-// NumNodes implements framework.Framework.
-func (b *Batch) NumNodes() int { return len(b.nodes) }
-
-// InspectNode implements framework.Inspector: a batch node is busy
-// while it hosts a job.
-func (b *Batch) InspectNode(id string) (framework.NodeStatus, bool) {
-	ns, ok := b.nodes[id]
-	if !ok {
-		return framework.NodeStatus{}, false
-	}
-	return framework.NodeStatus{
-		Busy:     ns.jobID != "",
-		Disabled: ns.disabled,
-		Cloud:    ns.node.Cloud,
-	}, true
-}
-
-// VisitNodeJobs implements framework.NodeJobVisitor: a batch node
-// hosts at most one job.
-func (b *Batch) VisitNodeJobs(nodeID string, visit func(jobID string) bool) {
-	if ns, ok := b.nodes[nodeID]; ok && ns.jobID != "" {
-		visit(ns.jobID)
-	}
-}
-
-// FreeNodeIDs implements framework.Framework.
-func (b *Batch) FreeNodeIDs() []string {
-	return b.free.CollectN(nil, -1)
-}
-
-// FreeNodeCount implements framework.Framework.
-func (b *Batch) FreeNodeCount(cloud bool) int { return b.free.Count(cloud) }
-
-// VisitFreeNodes implements framework.Framework.
-func (b *Batch) VisitFreeNodes(cloud bool, visit func(id string) bool) {
-	b.free.Visit(cloud, visit)
-}
-
-// IdleDisabledNodeIDs implements framework.Framework.
-func (b *Batch) IdleDisabledNodeIDs() []string {
-	return b.idleDis.CollectN(nil, -1)
 }
 
 // Submit implements framework.Framework.
@@ -272,7 +164,7 @@ func (b *Batch) Suspend(id string) error {
 	}
 	j.State = framework.JobSuspended
 	j.Suspensions++
-	b.freeNodes(run.nodeIDs)
+	b.Release(run.nodeIDs...)
 	delete(b.runs, id)
 	b.running.Remove(run.seq)
 	if b.cfg.Events.OnSuspend != nil {
@@ -379,29 +271,12 @@ func (b *Batch) QueuedJobs() []*framework.Job {
 	return out
 }
 
-// freeNodes marks the given nodes idle and re-indexes them. IDs no
-// longer attached (a crashed node inside a run's node list) are skipped.
-func (b *Batch) freeNodes(ids []string) {
-	for _, id := range ids {
-		ns, ok := b.nodes[id]
-		if !ok {
-			continue
-		}
-		ns.jobID = ""
-		if ns.disabled {
-			b.idleDis.Insert(&ns.entry)
-		} else {
-			b.free.Insert(&ns.entry)
-		}
-	}
-}
-
 // schedule assigns queued jobs to free nodes: strict FIFO, or FIFO with
 // backfill when configured. The free set is indexed, so each round costs
 // O(queue scan + nodes started) instead of O(all nodes).
 func (b *Batch) schedule() {
 	for {
-		nfree := b.free.Len()
+		nfree := b.FreeLen()
 		if nfree == 0 || b.queue.Len() == 0 {
 			return
 		}
@@ -415,8 +290,7 @@ func (b *Batch) schedule() {
 				continue
 			}
 			b.queue.RemoveAt(qi)
-			b.scratch = b.free.CollectN(b.scratch[:0], je.job.VMs)
-			b.start(je, b.scratch)
+			b.start(je)
 			started = true
 			break
 		}
@@ -426,15 +300,17 @@ func (b *Batch) schedule() {
 	}
 }
 
-func (b *Batch) start(je jobEntry, nodeIDs []string) {
+// start runs a job on the first j.VMs free nodes in attach order; the
+// caller checked that enough are free.
+func (b *Batch) start(je jobEntry) {
 	j := je.job
+	nodeIDs := make([]string, 0, j.VMs)
 	speed := 0.0
-	for _, id := range nodeIDs {
-		ns := b.nodes[id]
-		ns.entry.Unlink()
-		ns.jobID = j.ID
-		if speed == 0 || ns.node.SpeedFactor < speed {
-			speed = ns.node.SpeedFactor
+	for len(nodeIDs) < j.VMs {
+		n, _ := b.Take(j.ID)
+		nodeIDs = append(nodeIDs, n.ID)
+		if speed == 0 || n.SpeedFactor < speed {
+			speed = n.SpeedFactor
 		}
 	}
 	now := b.eng.Now()
@@ -448,7 +324,7 @@ func (b *Batch) start(je jobEntry, nodeIDs []string) {
 	// slowest slice does — Work / (n * min speed).
 	remaining := (j.Work - j.DoneWork) / (speed * float64(len(nodeIDs)))
 	run := &runInfo{
-		nodeIDs:   append([]string(nil), nodeIDs...),
+		nodeIDs:   nodeIDs,
 		speed:     speed,
 		startedAt: now,
 		seq:       je.seq,
@@ -466,7 +342,7 @@ func (b *Batch) finish(j *framework.Job) {
 	j.DoneWork = j.Work
 	j.FinishedAt = b.eng.Now()
 	run := b.runs[j.ID]
-	b.freeNodes(run.nodeIDs)
+	b.Release(run.nodeIDs...)
 	delete(b.runs, j.ID)
 	b.running.Remove(run.seq)
 	if b.cfg.Events.OnFinish != nil {

@@ -286,17 +286,17 @@ func TestNodeManagement(t *testing.T) {
 	}
 	must(t, b.Submit(job("a", 1, 1000)))
 	// n00 is busy; removing it must fail, removing n01 must work.
-	if err := b.RemoveNode("n00"); !errors.Is(err, ErrNodeBusy) {
+	if err := b.RemoveNode("n00"); !errors.Is(err, framework.ErrNodeBusy) {
 		t.Fatalf("err = %v", err)
 	}
 	must(t, b.RemoveNode("n01"))
 	if b.NumNodes() != 1 {
 		t.Fatalf("NumNodes = %d", b.NumNodes())
 	}
-	if err := b.RemoveNode("nope"); !errors.Is(err, ErrNodeUnknown) {
+	if err := b.RemoveNode("nope"); !errors.Is(err, framework.ErrNodeUnknown) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := b.DisableNode("nope"); !errors.Is(err, ErrNodeUnknown) {
+	if err := b.DisableNode("nope"); !errors.Is(err, framework.ErrNodeUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -546,7 +546,7 @@ func TestFailIdleAndUnknownNode(t *testing.T) {
 	if b.NumNodes() != 0 {
 		t.Fatalf("NumNodes = %d", b.NumNodes())
 	}
-	if err := b.FailNode("ghost"); !errors.Is(err, ErrNodeUnknown) {
+	if err := b.FailNode("ghost"); !errors.Is(err, framework.ErrNodeUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 }

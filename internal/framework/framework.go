@@ -5,8 +5,10 @@
 // suspend/resume jobs, report progress — because Meryn's extensibility
 // argument (§2) rests on leaving framework internals untouched.
 //
-// Concrete implementations live in the batch (OGE-like) and mapreduce
-// (Hadoop-like) subpackages.
+// Concrete implementations live in the batch (OGE-like), mapreduce
+// (Hadoop-like), service and serverless subpackages. Batch, service and
+// serverless dedicate each node to one job and share the node table
+// Nodes; mapreduce keeps its own slot-bucket table.
 package framework
 
 import (

@@ -15,11 +15,15 @@ import (
 	"meryn/internal/framework"
 )
 
-// Target is the composite interface CheckIndexes drives: the generic
-// framework surface plus per-node introspection.
+// Target is what CheckIndexes drives: the free/idle-disabled listings
+// of framework.Framework plus per-node introspection. Every framework
+// satisfies it, and so does a bare framework.Nodes table.
 type Target interface {
-	framework.Framework
 	framework.Inspector
+	FreeNodeIDs() []string
+	IdleDisabledNodeIDs() []string
+	FreeNodeCount(cloud bool) int
+	VisitFreeNodes(cloud bool, visit func(id string) bool)
 }
 
 // CheckIndexes compares the maintained free/idle-disabled indexes

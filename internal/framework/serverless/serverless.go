@@ -30,11 +30,10 @@
 // largest-remainder quota and per-tick request tallies split by
 // weight — both deterministic, no randomness anywhere.
 //
-// Scheduler state is indexed exactly like batch and service: free and
-// idle-disabled nodes live in intrusive attach-ordered sets
-// (framework.NodeIndex), the wait queue is a ring deque, and the
-// running set is a maintained submission-ordered SeqSet — so the PR-2
-// index invariants and the fwtest lifecycle checks carry over.
+// Scheduler state is indexed exactly like batch and service: the node
+// table is the shared dedicated-node table (framework.Nodes), the wait
+// queue is a ring deque, and the running set is a maintained
+// submission-ordered SeqSet.
 package serverless
 
 import (
@@ -48,23 +47,19 @@ import (
 
 // Errors returned by the serverless framework.
 var (
-	ErrNodeExists  = errors.New("serverless: node already attached")
-	ErrNodeUnknown = errors.New("serverless: unknown node")
-	ErrNodeBusy    = errors.New("serverless: node hosts an instance")
-	ErrJobExists   = errors.New("serverless: job already submitted")
-	ErrJobUnknown  = errors.New("serverless: unknown job")
-	ErrJobState    = errors.New("serverless: job is not in a valid state for this operation")
-	ErrBadJob      = errors.New("serverless: invalid job description")
-	ErrRevision    = errors.New("serverless: invalid revision operation")
+	ErrJobExists  = errors.New("serverless: job already submitted")
+	ErrJobUnknown = errors.New("serverless: unknown job")
+	ErrJobState   = errors.New("serverless: job is not in a valid state for this operation")
+	ErrBadJob     = errors.New("serverless: invalid job description")
+	ErrRevision   = errors.New("serverless: invalid revision operation")
 )
 
-type nodeState struct {
-	node     framework.Node
-	disabled bool
-	jobID    string // "" when hosting no instance
-	rev      int    // revision index the instance runs, valid when jobID != ""
-	warmAt   sim.Time
-	entry    framework.IndexEntry
+// instance is one function instance: the node hosting it, the revision
+// it runs and when its boot finishes.
+type instance struct {
+	node   string
+	rev    int // index into fnState.revs
+	warmAt sim.Time
 }
 
 // revision is one immutable deployment of a function.
@@ -83,9 +78,9 @@ type fnState struct {
 	job *framework.Job
 	seq uint64 // submission order
 
-	target  int      // desired instances; schedule() grows toward it
-	cap     int      // autoscaler ceiling override; 0 = the contracted VMs
-	nodeIDs []string // instance nodes in assignment order
+	target int        // desired instances; schedule() grows toward it
+	cap    int        // autoscaler ceiling override; 0 = the contracted VMs
+	insts  []instance // in assignment order
 
 	startedAt sim.Time  // current execution segment start
 	finish    sim.Timer // fires when the remaining lifetime elapses
@@ -174,13 +169,10 @@ type Config struct {
 // Serverless is the scale-to-zero function framework. It implements
 // framework.Framework.
 type Serverless struct {
-	eng   *sim.Engine
-	cfg   Config
-	nodes map[string]*nodeState
+	framework.Nodes
 
-	attachSeq uint64
-	free      framework.NodeIndex // enabled nodes hosting no instance
-	idleDis   framework.NodeIndex // disabled nodes hosting no instance
+	eng *sim.Engine
+	cfg Config
 
 	jobs   map[string]*fnState
 	jobSeq uint64
@@ -208,10 +200,9 @@ func New(eng *sim.Engine, cfg Config) *Serverless {
 		cfg.Tick = sim.Seconds(10)
 	}
 	return &Serverless{
-		eng:   eng,
-		cfg:   cfg,
-		nodes: make(map[string]*nodeState),
-		jobs:  make(map[string]*fnState),
+		eng:  eng,
+		cfg:  cfg,
+		jobs: make(map[string]*fnState),
 	}
 }
 
@@ -227,49 +218,8 @@ func (s *Serverless) Tick() sim.Time { return s.cfg.Tick }
 // AddNode implements framework.Framework. New capacity immediately
 // feeds under-target growth (cold starts waiting on nodes).
 func (s *Serverless) AddNode(n framework.Node) {
-	if _, dup := s.nodes[n.ID]; dup {
-		panic(fmt.Sprintf("%v: %s", ErrNodeExists, n.ID))
-	}
-	if n.SpeedFactor <= 0 {
-		n.SpeedFactor = 1.0
-	}
-	ns := &nodeState{node: n}
-	ns.entry.Init(n.ID, s.attachSeq, n.Cloud)
-	s.attachSeq++
-	s.nodes[n.ID] = ns
-	s.free.Insert(&ns.entry)
+	s.Attach(n)
 	s.schedule()
-}
-
-// DisableNode implements framework.Framework. A disabled node hosting
-// an instance keeps serving until the function scales in or finishes.
-func (s *Serverless) DisableNode(id string) error {
-	ns, ok := s.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	if !ns.disabled {
-		ns.disabled = true
-		if ns.jobID == "" {
-			ns.entry.Unlink()
-			s.idleDis.Insert(&ns.entry)
-		}
-	}
-	return nil
-}
-
-// RemoveNode implements framework.Framework.
-func (s *Serverless) RemoveNode(id string) error {
-	ns, ok := s.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	if ns.jobID != "" {
-		return fmt.Errorf("%w: %s hosts an instance of %s", ErrNodeBusy, id, ns.jobID)
-	}
-	ns.entry.Unlink()
-	delete(s.nodes, id)
-	return nil
 }
 
 // FailNode implements framework.Framework. Losing an instance — warm or
@@ -279,70 +229,25 @@ func (s *Serverless) RemoveNode(id string) error {
 // back to cold (an OnScale notification re-opens accounting at the
 // smaller node set); there is no requeue path.
 func (s *Serverless) FailNode(id string) error {
-	ns, ok := s.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	jobID := ns.jobID
-	ns.entry.Unlink()
-	delete(s.nodes, id)
-	if jobID == "" {
-		return nil
+	jobID, err := s.Detach(id)
+	if err != nil || jobID == "" {
+		return err
 	}
 	st := s.jobs[jobID]
-	for i, nid := range st.nodeIDs {
-		if nid == id {
-			st.nodeIDs = append(st.nodeIDs[:i], st.nodeIDs[i+1:]...)
+	for i, in := range st.insts {
+		if in.node == id {
+			st.revs[in.rev].instances--
+			st.insts = append(st.insts[:i], st.insts[i+1:]...)
 			break
 		}
 	}
-	st.revs[ns.rev].instances--
-	st.job.Replicas = len(st.nodeIDs)
+	st.job.Replicas = len(st.insts)
 	if s.cfg.Events.OnScale != nil {
 		s.cfg.Events.OnScale(st.job)
 	}
 	s.schedule() // chase the pre-crash target on remaining capacity
 	return nil
 }
-
-// NumNodes implements framework.Framework.
-func (s *Serverless) NumNodes() int { return len(s.nodes) }
-
-// InspectNode implements framework.Inspector: a serverless node is busy
-// while it hosts an instance (booting instances hold their node).
-func (s *Serverless) InspectNode(id string) (framework.NodeStatus, bool) {
-	ns, ok := s.nodes[id]
-	if !ok {
-		return framework.NodeStatus{}, false
-	}
-	return framework.NodeStatus{
-		Busy:     ns.jobID != "",
-		Disabled: ns.disabled,
-		Cloud:    ns.node.Cloud,
-	}, true
-}
-
-// VisitNodeJobs implements framework.NodeJobVisitor: a serverless node
-// hosts at most one function instance.
-func (s *Serverless) VisitNodeJobs(nodeID string, visit func(jobID string) bool) {
-	if ns, ok := s.nodes[nodeID]; ok && ns.jobID != "" {
-		visit(ns.jobID)
-	}
-}
-
-// FreeNodeIDs implements framework.Framework.
-func (s *Serverless) FreeNodeIDs() []string { return s.free.CollectN(nil, -1) }
-
-// FreeNodeCount implements framework.Framework.
-func (s *Serverless) FreeNodeCount(cloud bool) int { return s.free.Count(cloud) }
-
-// VisitFreeNodes implements framework.Framework.
-func (s *Serverless) VisitFreeNodes(cloud bool, visit func(id string) bool) {
-	s.free.Visit(cloud, visit)
-}
-
-// IdleDisabledNodeIDs implements framework.Framework.
-func (s *Serverless) IdleDisabledNodeIDs() []string { return s.idleDis.CollectN(nil, -1) }
 
 // Submit implements framework.Framework. Function jobs declare an
 // instance ceiling (VMs), a per-instance capacity (SvcRate), a lifetime
@@ -398,11 +303,7 @@ func (s *Serverless) Suspend(id string) error {
 	}
 	st.finish.Cancel()
 	s.accrueLifetime(st)
-	s.freeNodes(st.nodeIDs)
-	st.nodeIDs = nil
-	for _, r := range st.revs {
-		r.instances = 0
-	}
+	s.releaseAll(st)
 	st.target = 0
 	j.Replicas = 0
 	j.State = framework.JobSuspended
@@ -444,8 +345,10 @@ func (s *Serverless) JobNodes(id string) ([]string, error) {
 	if !ok || st.job.State != framework.JobRunning {
 		return nil, fmt.Errorf("%w: %s is not running", ErrJobState, id)
 	}
-	out := make([]string, len(st.nodeIDs))
-	copy(out, st.nodeIDs)
+	out := make([]string, len(st.insts))
+	for i, in := range st.insts {
+		out[i] = in.node
+	}
 	return out, nil
 }
 
@@ -456,8 +359,8 @@ func (s *Serverless) VisitJobNodes(id string, visit func(id string) bool) error 
 	if !ok || st.job.State != framework.JobRunning {
 		return fmt.Errorf("%w: %s is not running", ErrJobState, id)
 	}
-	for _, nid := range st.nodeIDs {
-		if !visit(nid) {
+	for _, in := range st.insts {
+		if !visit(in.node) {
 			return nil
 		}
 	}
@@ -541,24 +444,24 @@ func (s *Serverless) Shrink(id string, k int) error {
 	if st.job.State != framework.JobRunning {
 		return fmt.Errorf("%w: %s is %v", ErrJobState, id, st.job.State)
 	}
-	if k <= 0 || k > len(st.nodeIDs)-1 {
-		return fmt.Errorf("%w: shrink %s by %d with %d instances", ErrJobState, id, k, len(st.nodeIDs))
+	if k <= 0 || k > len(st.insts)-1 {
+		return fmt.Errorf("%w: shrink %s by %d with %d instances", ErrJobState, id, k, len(st.insts))
 	}
 	for pass := 0; pass < 2 && k > 0; pass++ {
 		wantCloud := pass == 1
-		for i := len(st.nodeIDs) - 1; i >= 0 && k > 0; i-- {
-			nid := st.nodeIDs[i]
-			if s.nodes[nid].node.Cloud != wantCloud {
+		for i := len(st.insts) - 1; i >= 0 && k > 0; i-- {
+			in := st.insts[i]
+			if s.Node(in.node).Cloud != wantCloud {
 				continue
 			}
-			st.revs[s.nodes[nid].rev].instances--
-			st.nodeIDs = append(st.nodeIDs[:i], st.nodeIDs[i+1:]...)
-			s.freeNodes([]string{nid})
+			st.revs[in.rev].instances--
+			st.insts = append(st.insts[:i], st.insts[i+1:]...)
+			s.Release(in.node)
 			k--
 		}
 	}
-	st.job.Replicas = len(st.nodeIDs)
-	st.target = len(st.nodeIDs)
+	st.job.Replicas = len(st.insts)
+	st.target = len(st.insts)
 	s.rebalance(st)
 	if s.cfg.Events.OnScale != nil {
 		s.cfg.Events.OnScale(st.job)
@@ -573,8 +476,8 @@ func (s *Serverless) ReplicaKinds(id string) (private, cloud int, err error) {
 	if !ok || st.job.State != framework.JobRunning {
 		return 0, 0, fmt.Errorf("%w: %s is not running", ErrJobState, id)
 	}
-	for _, nid := range st.nodeIDs {
-		if s.nodes[nid].node.Cloud {
+	for _, in := range st.insts {
+		if s.Node(in.node).Cloud {
 			cloud++
 		} else {
 			private++
@@ -685,7 +588,7 @@ func (s *Serverless) FunctionStats(id string) (Stats, error) {
 		return Stats{}, fmt.Errorf("%w: %s", ErrJobUnknown, id)
 	}
 	out := Stats{
-		Instances:       len(st.nodeIDs),
+		Instances:       len(st.insts),
 		Target:          st.target,
 		QueueDepth:      st.queue,
 		Intervals:       st.intervals,
@@ -735,11 +638,10 @@ func offeredRate(j *framework.Job, t sim.Time) float64 {
 // service rates.
 func (s *Serverless) warmCapacity(st *fnState, now sim.Time) (int, float64) {
 	n, c := 0, 0.0
-	for _, id := range st.nodeIDs {
-		ns := s.nodes[id]
-		if ns.warmAt <= now {
+	for _, in := range st.insts {
+		if in.warmAt <= now {
 			n++
-			c += st.job.SvcRate * ns.node.SpeedFactor
+			c += st.job.SvcRate * s.Node(in.node).SpeedFactor
 		}
 	}
 	return n, c
@@ -750,10 +652,9 @@ func (s *Serverless) warmCapacity(st *fnState, now sim.Time) (int, float64) {
 func (s *Serverless) earliestWarm(st *fnState, now sim.Time) (sim.Time, bool) {
 	var best sim.Time
 	found := false
-	for _, id := range st.nodeIDs {
-		ns := s.nodes[id]
-		if ns.warmAt > now && (!found || ns.warmAt < best) {
-			best = ns.warmAt
+	for _, in := range st.insts {
+		if in.warmAt > now && (!found || in.warmAt < best) {
+			best = in.warmAt
 			found = true
 		}
 	}
@@ -883,7 +784,7 @@ func (s *Serverless) tally(st *fnState, served float64) {
 // holds the floor while it lasts; an idle window scales to zero.
 func (s *Serverless) autoscale(st *fnState, lambda, demand float64, warmN int, now sim.Time, tickS float64) {
 	j := st.job
-	cur := len(st.nodeIDs)
+	cur := len(st.insts)
 	desired := 0
 	if demand > 0 {
 		mu := j.SvcRate
@@ -946,7 +847,7 @@ func (s *Serverless) SetInstanceCap(id string, n int) error {
 		n = 0
 	}
 	st.cap = n
-	if st.job.State == framework.JobRunning && n > 0 && len(st.nodeIDs) > n {
+	if st.job.State == framework.JobRunning && n > 0 && len(st.insts) > n {
 		s.retarget(st, n)
 	}
 	return nil
@@ -956,15 +857,15 @@ func (s *Serverless) SetInstanceCap(id string, n int) error {
 // immediately, growth goes through the scheduler as free nodes allow.
 func (s *Serverless) retarget(st *fnState, n int) {
 	st.target = n
-	if n < len(st.nodeIDs) {
-		s.releaseInstances(st, len(st.nodeIDs)-n)
+	if n < len(st.insts) {
+		s.releaseInstances(st, len(st.insts)-n)
 		s.rebalance(st)
 		if s.cfg.Events.OnScale != nil {
 			s.cfg.Events.OnScale(st.job)
 		}
 		return
 	}
-	if n > len(st.nodeIDs) {
+	if n > len(st.insts) {
 		s.schedule()
 	}
 }
@@ -979,31 +880,26 @@ func (s *Serverless) accrueLifetime(st *fnState) {
 	}
 }
 
-// freeNodes releases instance hosts back to the indexes.
-func (s *Serverless) freeNodes(ids []string) {
-	for _, id := range ids {
-		ns, ok := s.nodes[id]
-		if !ok {
-			continue // crashed away
-		}
-		ns.jobID = ""
-		if ns.disabled {
-			s.idleDis.Insert(&ns.entry)
-		} else {
-			s.free.Insert(&ns.entry)
-		}
+// releaseAll frees every instance of a function.
+func (s *Serverless) releaseAll(st *fnState) {
+	for _, in := range st.insts {
+		s.Release(in.node)
+	}
+	st.insts = nil
+	for _, r := range st.revs {
+		r.instances = 0
 	}
 }
 
 // releaseInstances frees k instances, newest assignment first.
 func (s *Serverless) releaseInstances(st *fnState, k int) {
-	for ; k > 0 && len(st.nodeIDs) > 0; k-- {
-		id := st.nodeIDs[len(st.nodeIDs)-1]
-		st.nodeIDs = st.nodeIDs[:len(st.nodeIDs)-1]
-		st.revs[s.nodes[id].rev].instances--
-		s.freeNodes([]string{id})
+	for ; k > 0 && len(st.insts) > 0; k-- {
+		in := st.insts[len(st.insts)-1]
+		st.insts = st.insts[:len(st.insts)-1]
+		st.revs[in.rev].instances--
+		s.Release(in.node)
 	}
-	st.job.Replicas = len(st.nodeIDs)
+	st.job.Replicas = len(st.insts)
 }
 
 // assignInstances attaches up to k free nodes as booting instances,
@@ -1014,23 +910,19 @@ func (s *Serverless) assignInstances(st *fnState, k int) int {
 	got := 0
 	now := s.eng.Now()
 	for ; k > 0; k-- {
-		e := s.free.First()
-		if e == nil {
+		n, ok := s.Take(st.job.ID)
+		if !ok {
 			break
 		}
-		ns := s.nodes[e.ID()]
-		ns.entry.Unlink()
-		ns.jobID = st.job.ID
-		ns.rev = s.neediestRev(st)
-		ns.warmAt = now + sim.Seconds(st.job.ColdStartS)
-		st.revs[ns.rev].instances++
-		st.revs[ns.rev].coldStarts++
+		rev := s.neediestRev(st)
+		st.revs[rev].instances++
+		st.revs[rev].coldStarts++
 		st.coldStarts++
 		st.coldDelayS += st.job.ColdStartS
-		st.nodeIDs = append(st.nodeIDs, ns.node.ID)
+		st.insts = append(st.insts, instance{node: n.ID, rev: rev, warmAt: now + sim.Seconds(st.job.ColdStartS)})
 		got++
 	}
-	st.job.Replicas = len(st.nodeIDs)
+	st.job.Replicas = len(st.insts)
 	if st.job.Replicas > st.peakReplicas {
 		st.peakReplicas = st.job.Replicas
 	}
@@ -1084,7 +976,7 @@ func (st *fnState) quotas(n int) []int {
 // neediestRev picks the revision with the largest quota deficit for the
 // fleet one instance larger — where the next instance belongs.
 func (s *Serverless) neediestRev(st *fnState) int {
-	q := st.quotas(len(st.nodeIDs) + 1)
+	q := st.quotas(len(st.insts) + 1)
 	best, bestDeficit := 0, math.MinInt32
 	for i, r := range st.revs {
 		if d := q[i] - r.instances; d > bestDeficit {
@@ -1099,7 +991,7 @@ func (s *Serverless) neediestRev(st *fnState) int {
 // newest instances to under-quota ones. A flipped instance re-boots on
 // the new revision's image — a cold start charged like any other.
 func (s *Serverless) rebalance(st *fnState) {
-	q := st.quotas(len(st.nodeIDs))
+	q := st.quotas(len(st.insts))
 	now := s.eng.Now()
 	for i := range st.revs {
 		for st.revs[i].instances < q[i] {
@@ -1114,14 +1006,14 @@ func (s *Serverless) rebalance(st *fnState) {
 				return
 			}
 			// Newest instance of the donor revision flips.
-			for k := len(st.nodeIDs) - 1; k >= 0; k-- {
-				ns := s.nodes[st.nodeIDs[k]]
-				if ns.rev != donor {
+			for k := len(st.insts) - 1; k >= 0; k-- {
+				in := &st.insts[k]
+				if in.rev != donor {
 					continue
 				}
 				st.revs[donor].instances--
-				ns.rev = i
-				ns.warmAt = now + sim.Seconds(st.job.ColdStartS)
+				in.rev = i
+				in.warmAt = now + sim.Seconds(st.job.ColdStartS)
 				st.revs[i].instances++
 				st.revs[i].coldStarts++
 				st.coldStarts++
@@ -1142,10 +1034,10 @@ func (s *Serverless) schedule() {
 		s.start(st)
 	}
 	for _, st := range s.states.Values() {
-		if s.free.Len() == 0 {
+		if s.FreeLen() == 0 {
 			break
 		}
-		if want := st.target - len(st.nodeIDs); want > 0 {
+		if want := st.target - len(st.insts); want > 0 {
 			if s.assignInstances(st, want) > 0 && s.cfg.Events.OnScale != nil {
 				s.cfg.Events.OnScale(st.job)
 			}
@@ -1180,11 +1072,7 @@ func (s *Serverless) finishFn(st *fnState) {
 	j.State = framework.JobDone
 	j.DoneWork = j.Work
 	j.FinishedAt = s.eng.Now()
-	s.freeNodes(st.nodeIDs)
-	st.nodeIDs = nil
-	for _, r := range st.revs {
-		r.instances = 0
-	}
+	s.releaseAll(st)
 	s.running.Remove(st.seq)
 	s.states.Remove(st.seq)
 	s.unsettled--

@@ -469,8 +469,8 @@ func TestFreeNodeIndexConsistency(t *testing.T) {
 	must(t, s.Submit(j1))
 	j2 := fn("f2", 1, 10, 1000, 5, 5)
 	must(t, s.Submit(j2))
-	if s.free.Len() != 5 {
-		t.Fatalf("free = %d after two cold launches, want all 5", s.free.Len())
+	if s.FreeLen() != 5 {
+		t.Fatalf("free = %d after two cold launches, want all 5", s.FreeLen())
 	}
 	check("cold launch f1 f2")
 

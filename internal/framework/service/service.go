@@ -20,11 +20,10 @@
 // yield capacity by shrinking, never by suspending, which is what makes
 // the reclaim bid of the service adapter (core) cheap when load is low.
 //
-// Scheduler state is indexed exactly like batch: free and idle-disabled
-// nodes live in intrusive attach-ordered sets (framework.NodeIndex),
-// the wait queue is a ring deque, and the running set is a maintained
-// submission-ordered SeqSet — so the PR-2 index invariants and the
-// index-consistency lifecycle tests carry over unchanged.
+// Scheduler state is indexed exactly like batch: the node table is the
+// shared dedicated-node table (framework.Nodes), the wait queue is a
+// ring deque, and the running set is a maintained submission-ordered
+// SeqSet.
 package service
 
 import (
@@ -38,21 +37,11 @@ import (
 
 // Errors returned by the service framework.
 var (
-	ErrNodeExists  = errors.New("service: node already attached")
-	ErrNodeUnknown = errors.New("service: unknown node")
-	ErrNodeBusy    = errors.New("service: node hosts a replica")
-	ErrJobExists   = errors.New("service: job already submitted")
-	ErrJobUnknown  = errors.New("service: unknown job")
-	ErrJobState    = errors.New("service: job is not in a valid state for this operation")
-	ErrBadJob      = errors.New("service: invalid job description")
+	ErrJobExists  = errors.New("service: job already submitted")
+	ErrJobUnknown = errors.New("service: unknown job")
+	ErrJobState   = errors.New("service: job is not in a valid state for this operation")
+	ErrBadJob     = errors.New("service: invalid job description")
 )
-
-type nodeState struct {
-	node     framework.Node
-	disabled bool
-	jobID    string // "" when hosting no replica
-	entry    framework.IndexEntry
-}
 
 // svcState is the framework's per-service bookkeeping.
 type svcState struct {
@@ -109,15 +98,10 @@ type Config struct {
 // Service is the elastic long-running-service framework. It implements
 // framework.Framework.
 type Service struct {
-	eng   *sim.Engine
-	cfg   Config
-	nodes map[string]*nodeState
+	framework.Nodes
 
-	// attachSeq stamps nodes in attach order; the indexes keep that
-	// order so node selection is deterministic and attach-ordered.
-	attachSeq uint64
-	free      framework.NodeIndex // enabled nodes hosting no replica
-	idleDis   framework.NodeIndex // disabled nodes hosting no replica
+	eng *sim.Engine
+	cfg Config
 
 	jobs   map[string]*svcState
 	jobSeq uint64
@@ -148,10 +132,9 @@ func New(eng *sim.Engine, cfg Config) *Service {
 		cfg.Tick = sim.Seconds(10)
 	}
 	return &Service{
-		eng:   eng,
-		cfg:   cfg,
-		nodes: make(map[string]*nodeState),
-		jobs:  make(map[string]*svcState),
+		eng:  eng,
+		cfg:  cfg,
+		jobs: make(map[string]*svcState),
 	}
 }
 
@@ -167,50 +150,8 @@ func (s *Service) Tick() sim.Time { return s.cfg.Tick }
 // AddNode implements framework.Framework. New capacity immediately
 // feeds waiting services and under-target growth.
 func (s *Service) AddNode(n framework.Node) {
-	if _, dup := s.nodes[n.ID]; dup {
-		panic(fmt.Sprintf("%v: %s", ErrNodeExists, n.ID))
-	}
-	if n.SpeedFactor <= 0 {
-		n.SpeedFactor = 1.0
-	}
-	ns := &nodeState{node: n}
-	ns.entry.Init(n.ID, s.attachSeq, n.Cloud)
-	s.attachSeq++
-	s.nodes[n.ID] = ns
-	s.free.Insert(&ns.entry)
+	s.Attach(n)
 	s.schedule()
-}
-
-// DisableNode implements framework.Framework. A disabled node hosting a
-// replica keeps serving until the service shrinks or finishes; the
-// scheduler assigns it no new replicas.
-func (s *Service) DisableNode(id string) error {
-	ns, ok := s.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	if !ns.disabled {
-		ns.disabled = true
-		if ns.jobID == "" {
-			ns.entry.Unlink()
-			s.idleDis.Insert(&ns.entry)
-		}
-	}
-	return nil
-}
-
-// RemoveNode implements framework.Framework.
-func (s *Service) RemoveNode(id string) error {
-	ns, ok := s.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	if ns.jobID != "" {
-		return fmt.Errorf("%w: %s hosts a replica of %s", ErrNodeBusy, id, ns.jobID)
-	}
-	ns.entry.Unlink()
-	delete(s.nodes, id)
-	return nil
 }
 
 // FailNode implements framework.Framework. Losing one replica of many is
@@ -219,15 +160,9 @@ func (s *Service) RemoveNode(id string) error {
 // re-opens accounting). Losing the last replica takes the service down:
 // it requeues at the front with its elapsed lifetime preserved.
 func (s *Service) FailNode(id string) error {
-	ns, ok := s.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	jobID := ns.jobID
-	ns.entry.Unlink()
-	delete(s.nodes, id)
-	if jobID == "" {
-		return nil
+	jobID, err := s.Detach(id)
+	if err != nil || jobID == "" {
+		return err
 	}
 	st := s.jobs[jobID]
 	for i, nid := range st.nodeIDs {
@@ -257,45 +192,6 @@ func (s *Service) FailNode(id string) error {
 	s.schedule()
 	return nil
 }
-
-// NumNodes implements framework.Framework.
-func (s *Service) NumNodes() int { return len(s.nodes) }
-
-// InspectNode implements framework.Inspector: a service node is busy
-// while it hosts a replica.
-func (s *Service) InspectNode(id string) (framework.NodeStatus, bool) {
-	ns, ok := s.nodes[id]
-	if !ok {
-		return framework.NodeStatus{}, false
-	}
-	return framework.NodeStatus{
-		Busy:     ns.jobID != "",
-		Disabled: ns.disabled,
-		Cloud:    ns.node.Cloud,
-	}, true
-}
-
-// VisitNodeJobs implements framework.NodeJobVisitor: a service node
-// hosts at most one replica.
-func (s *Service) VisitNodeJobs(nodeID string, visit func(jobID string) bool) {
-	if ns, ok := s.nodes[nodeID]; ok && ns.jobID != "" {
-		visit(ns.jobID)
-	}
-}
-
-// FreeNodeIDs implements framework.Framework.
-func (s *Service) FreeNodeIDs() []string { return s.free.CollectN(nil, -1) }
-
-// FreeNodeCount implements framework.Framework.
-func (s *Service) FreeNodeCount(cloud bool) int { return s.free.Count(cloud) }
-
-// VisitFreeNodes implements framework.Framework.
-func (s *Service) VisitFreeNodes(cloud bool, visit func(id string) bool) {
-	s.free.Visit(cloud, visit)
-}
-
-// IdleDisabledNodeIDs implements framework.Framework.
-func (s *Service) IdleDisabledNodeIDs() []string { return s.idleDis.CollectN(nil, -1) }
 
 // Submit implements framework.Framework. Service jobs declare contracted
 // replicas (VMs), a per-replica capacity (SvcRate) and a lifetime in
@@ -336,7 +232,7 @@ func (s *Service) Suspend(id string) error {
 	}
 	st.finish.Cancel()
 	s.accrueLifetime(st)
-	s.freeNodes(st.nodeIDs)
+	s.Release(st.nodeIDs...)
 	st.nodeIDs = nil
 	j.Replicas = 0
 	j.State = framework.JobSuspended
@@ -489,11 +385,11 @@ func (s *Service) Shrink(id string, k int) error {
 		wantCloud := pass == 1
 		for i := len(st.nodeIDs) - 1; i >= 0 && k > 0; i-- {
 			nid := st.nodeIDs[i]
-			if s.nodes[nid].node.Cloud != wantCloud {
+			if s.Node(nid).Cloud != wantCloud {
 				continue
 			}
 			st.nodeIDs = append(st.nodeIDs[:i], st.nodeIDs[i+1:]...)
-			s.freeNodes([]string{nid})
+			s.Release(nid)
 			k--
 		}
 	}
@@ -513,7 +409,7 @@ func (s *Service) ReplicaKinds(id string) (private, cloud int, err error) {
 		return 0, 0, fmt.Errorf("%w: %s is not running", ErrJobState, id)
 	}
 	for _, nid := range st.nodeIDs {
-		if s.nodes[nid].node.Cloud {
+		if s.Node(nid).Cloud {
 			cloud++
 		} else {
 			private++
@@ -581,7 +477,7 @@ func offeredRate(j *framework.Job, t sim.Time) float64 {
 func (s *Service) capacity(st *svcState) float64 {
 	c := 0.0
 	for _, id := range st.nodeIDs {
-		c += st.job.SvcRate * s.nodes[id].node.SpeedFactor
+		c += st.job.SvcRate * s.Node(id).SpeedFactor
 	}
 	return c
 }
@@ -663,22 +559,6 @@ func (s *Service) accrueLifetime(st *svcState) {
 	}
 }
 
-// freeNodes releases replica hosts back to the indexes.
-func (s *Service) freeNodes(ids []string) {
-	for _, id := range ids {
-		ns, ok := s.nodes[id]
-		if !ok {
-			continue // crashed away
-		}
-		ns.jobID = ""
-		if ns.disabled {
-			s.idleDis.Insert(&ns.entry)
-		} else {
-			s.free.Insert(&ns.entry)
-		}
-	}
-}
-
 // releaseReplicas frees k replicas, newest assignment first — scale-out
 // capacity (typically cloud boosts, attached latest) is returned before
 // the original footprint.
@@ -686,7 +566,7 @@ func (s *Service) releaseReplicas(st *svcState, k int) {
 	for ; k > 0 && len(st.nodeIDs) > 0; k-- {
 		id := st.nodeIDs[len(st.nodeIDs)-1]
 		st.nodeIDs = st.nodeIDs[:len(st.nodeIDs)-1]
-		s.freeNodes([]string{id})
+		s.Release(id)
 	}
 	st.job.Replicas = len(st.nodeIDs)
 }
@@ -696,14 +576,11 @@ func (s *Service) releaseReplicas(st *svcState, k int) {
 func (s *Service) assignReplicas(st *svcState, k int) int {
 	got := 0
 	for ; k > 0; k-- {
-		e := s.free.First()
-		if e == nil {
+		n, ok := s.Take(st.job.ID)
+		if !ok {
 			break
 		}
-		ns := s.nodes[e.ID()]
-		ns.entry.Unlink()
-		ns.jobID = st.job.ID
-		st.nodeIDs = append(st.nodeIDs, ns.node.ID)
+		st.nodeIDs = append(st.nodeIDs, n.ID)
 		got++
 	}
 	st.job.Replicas = len(st.nodeIDs)
@@ -723,7 +600,7 @@ func (s *Service) schedule() {
 	// contracted replica set to launch).
 	for s.queue.Len() > 0 {
 		st := s.jobs[s.queue.At(0)]
-		if s.free.Len() < st.job.VMs {
+		if s.FreeLen() < st.job.VMs {
 			break
 		}
 		s.queue.RemoveAt(0)
@@ -731,7 +608,7 @@ func (s *Service) schedule() {
 	}
 	// Phase 2: growth toward targets.
 	for _, st := range s.states.Values() {
-		if s.free.Len() == 0 {
+		if s.FreeLen() == 0 {
 			break
 		}
 		if want := st.target - len(st.nodeIDs); want > 0 {
@@ -768,7 +645,7 @@ func (s *Service) finishSvc(st *svcState) {
 	j.State = framework.JobDone
 	j.DoneWork = j.Work
 	j.FinishedAt = s.eng.Now()
-	s.freeNodes(st.nodeIDs)
+	s.Release(st.nodeIDs...)
 	st.nodeIDs = nil
 	s.running.Remove(st.seq)
 	s.states.Remove(st.seq)

@@ -137,8 +137,8 @@ func TestShrinkReclaimsAndHoldsTarget(t *testing.T) {
 	}
 	// The freed nodes must not be re-grabbed by a scheduling pass.
 	s.schedule()
-	if j.Replicas != 2 || s.free.Len() != 2 {
-		t.Fatalf("replicas=%d free=%d, want the reclaim to stick", j.Replicas, s.free.Len())
+	if j.Replicas != 2 || s.FreeLen() != 2 {
+		t.Fatalf("replicas=%d free=%d, want the reclaim to stick", j.Replicas, s.FreeLen())
 	}
 	// Shrinking below one replica is refused.
 	if err := s.Shrink("web", 2); err == nil {
