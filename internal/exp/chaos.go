@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"meryn/internal/chaos"
@@ -138,31 +136,6 @@ func (m ChaosMatrix) withDefaults() ChaosMatrix {
 	return m
 }
 
-// chaosRun is one expanded grid replication.
-type chaosRun struct {
-	intensity string
-	policy    string
-	rep       int
-	seed      int64
-}
-
-// expand enumerates the grid cell-major with replications adjacent.
-func (m ChaosMatrix) expand() []chaosRun {
-	var runs []chaosRun
-	for _, in := range m.Intensities {
-		for _, p := range m.Policies {
-			cell := fmt.Sprintf("%s/%s", in, p)
-			for rep := 0; rep < m.Reps; rep++ {
-				runs = append(runs, chaosRun{
-					intensity: in, policy: p, rep: rep,
-					seed: DeriveSeed(m.BaseSeed, fmt.Sprintf("chaos/%s/rep=%d", cell, rep)),
-				})
-			}
-		}
-	}
-	return runs
-}
-
 // ChaosCellStats is one aggregated grid cell.
 type ChaosCellStats struct {
 	Intensity string `json:"intensity"`
@@ -178,15 +151,8 @@ type ChaosCellStats struct {
 	AuditChecks Metric `json:"audit_checks"`     // invariant audits passed per run
 }
 
-// ChaosResult aggregates the full grid, cells in expansion order so
-// rendering and JSON are byte-identical whatever the worker count.
-type ChaosResult struct {
-	Name     string           `json:"name"`
-	BaseSeed int64            `json:"base_seed"`
-	Reps     int              `json:"reps"`
-	Runs     int              `json:"runs"`
-	Cells    []ChaosCellStats `json:"cells"`
-}
+// ChaosResult aggregates the full grid.
+type ChaosResult struct{ Grid[ChaosCellStats] }
 
 // Chaos executes the grid on the worker pool with derived per-run
 // seeds and aggregates per-cell statistics. Any invariant violation
@@ -197,50 +163,43 @@ func (m ChaosMatrix) Chaos(opt Options) (*ChaosResult, error) {
 	if opt.Reps > 0 {
 		m.Reps = opt.Reps
 	}
-	runs := m.expand()
-	results, err := RunScenarios(len(runs), opt, func(i int) Scenario {
-		r := runs[i]
-		return ChaosScenario(ChaosScenarioConfig{
-			Seed: r.seed, Policy: r.policy, Intensity: r.intensity,
+	var cells []ChaosCellStats
+	for _, in := range m.Intensities {
+		for _, p := range m.Policies {
+			cells = append(cells, ChaosCellStats{Intensity: in, Policy: p})
+		}
+	}
+	g, err := runGrid(opt, m.Name, m.BaseSeed, m.Reps, cells,
+		func(c ChaosCellStats) string { return fmt.Sprintf("chaos/%s/%s", c.Intensity, c.Policy) },
+		func(c ChaosCellStats, _ int, seed int64) Scenario {
+			return ChaosScenario(ChaosScenarioConfig{Seed: seed, Policy: c.Policy, Intensity: c.Intensity})
+		},
+		func(c ChaosCellStats, runs []*core.Results) ChaosCellStats {
+			var pen, missed, completion, spend, crashes, revs, audits stats.Summary
+			for _, run := range runs {
+				agg := metrics.AggregateRecords(run.Ledger.All())
+				pen.Add(agg.TotalPenalty)
+				missed.Add(float64(agg.DeadlinesMissed))
+				completion.Add(run.CompletionTime)
+				spend.Add(run.CloudSpend)
+				crashes.Add(float64(run.Counters.NodeCrashes.Count))
+				revs.Add(float64(run.Counters.SpotRevocations.Count))
+				audits.Add(float64(run.AuditChecks))
+			}
+			c.Reps = len(runs)
+			c.Penalty = metricOf(&pen)
+			c.Missed = metricOf(&missed)
+			c.Completion = metricOf(&completion)
+			c.CloudSpend = metricOf(&spend)
+			c.Crashes = metricOf(&crashes)
+			c.Revocations = metricOf(&revs)
+			c.AuditChecks = metricOf(&audits)
+			return c
 		})
-	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: chaos %q: %w", m.Name, err)
 	}
-
-	res := &ChaosResult{Name: m.Name, BaseSeed: m.BaseSeed, Reps: m.Reps, Runs: len(runs)}
-	for i := 0; i < len(runs); i += m.Reps {
-		r := runs[i]
-		var pen, missed, completion, spend, crashes, revs, audits stats.Summary
-		for rep := 0; rep < m.Reps; rep++ {
-			run := results[i+rep]
-			agg := metrics.AggregateRecords(run.Ledger.All())
-			pen.Add(agg.TotalPenalty)
-			missed.Add(float64(agg.DeadlinesMissed))
-			completion.Add(run.CompletionTime)
-			spend.Add(run.CloudSpend)
-			crashes.Add(float64(run.Counters.NodeCrashes.Count))
-			revs.Add(float64(run.Counters.SpotRevocations.Count))
-			audits.Add(float64(run.AuditChecks))
-		}
-		res.Cells = append(res.Cells, ChaosCellStats{
-			Intensity: r.intensity, Policy: r.policy, Reps: m.Reps,
-			Penalty:     metricOf(&pen),
-			Missed:      metricOf(&missed),
-			Completion:  metricOf(&completion),
-			CloudSpend:  metricOf(&spend),
-			Crashes:     metricOf(&crashes),
-			Revocations: metricOf(&revs),
-			AuditChecks: metricOf(&audits),
-		})
-	}
-	return res, nil
-}
-
-// JSON returns the machine-readable form: indented, field order fixed
-// by the struct definitions, cell order fixed by grid expansion.
-func (r *ChaosResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return &ChaosResult{g}, nil
 }
 
 // Render implements Renderable.
@@ -251,18 +210,12 @@ func (r *ChaosResult) Render() string {
 	t := report.Table{Headers: []string{
 		"intensity", "policy", "penalty [u]", "missed", "completion [s]", "spend [u]", "crashes", "revocations", "audits",
 	}}
-	pm := func(m Metric, digits int) string {
-		if r.Reps < 2 {
-			return strconv.FormatFloat(m.Mean, 'f', digits, 64)
-		}
-		return fmt.Sprintf("%.*f ±%.*f", digits, m.Mean, digits, m.CI95)
-	}
 	for _, c := range r.Cells {
 		t.AddRow(c.Intensity, c.Policy,
-			pm(c.Penalty, 0),
+			pm(c.Penalty, r.Reps, 0),
 			fmt.Sprintf("%.1f", c.Missed.Mean),
-			pm(c.Completion, 0),
-			pm(c.CloudSpend, 0),
+			pm(c.Completion, r.Reps, 0),
+			pm(c.CloudSpend, r.Reps, 0),
 			fmt.Sprintf("%.1f", c.Crashes.Mean),
 			fmt.Sprintf("%.1f", c.Revocations.Mean),
 			fmt.Sprintf("%.0f", c.AuditChecks.Mean))

@@ -1,8 +1,8 @@
 // Package exp defines the reproduction experiments: one per table and
 // figure in the paper's evaluation (Table 1, Figures 5a/5b, 6a/6b) plus
 // the ablations listed in DESIGN.md, and the parallel sweep harness
-// (Matrix/Pool in sweep.go) that executes scenario grids across cores
-// with per-run derived seeds and mean/CI aggregation. Each experiment
+// (Pool in sweep.go, Grid/runGrid in grid.go) that executes scenario
+// grids across cores with per-run derived seeds and mean/CI aggregation. Each experiment
 // builds scenarios on the core platform, runs them through the harness,
 // and returns a result that renders to text and knows the paper-expected
 // values for shape checking.

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"meryn/internal/core"
@@ -175,32 +173,6 @@ func (m ServerlessMatrix) withDefaults() ServerlessMatrix {
 	return m
 }
 
-// serverlessRun is one expanded grid replication.
-type serverlessRun struct {
-	gap, cold, conc float64
-	rep             int
-	seed            int64
-}
-
-// expand enumerates the grid cell-major with replications adjacent.
-func (m ServerlessMatrix) expand() []serverlessRun {
-	var runs []serverlessRun
-	for _, gap := range m.IdleGaps {
-		for _, cold := range m.ColdStarts {
-			for _, conc := range m.Concs {
-				cell := fmt.Sprintf("gap=%g/cold=%g/conc=%g", gap, cold, conc)
-				for rep := 0; rep < m.Reps; rep++ {
-					runs = append(runs, serverlessRun{
-						gap: gap, cold: cold, conc: conc, rep: rep,
-						seed: DeriveSeed(m.BaseSeed, fmt.Sprintf("serverless/%s/rep=%d", cell, rep)),
-					})
-				}
-			}
-		}
-	}
-	return runs
-}
-
 // ServerlessCellStats is one aggregated grid cell.
 type ServerlessCellStats struct {
 	IdleGap   float64 `json:"idle_gap_s"`
@@ -224,14 +196,16 @@ type ServerlessCellStats struct {
 	CostCapped     Metric `json:"cost_cap_throttles"` // functions throttled at their cost cap
 }
 
-// ServerlessResult aggregates the full grid, cells in expansion order
-// so rendering and JSON are byte-identical whatever the worker count.
-type ServerlessResult struct {
-	Name     string                `json:"name"`
-	BaseSeed int64                 `json:"base_seed"`
-	Reps     int                   `json:"reps"`
-	Runs     int                   `json:"runs"`
-	Cells    []ServerlessCellStats `json:"cells"`
+// ServerlessResult aggregates the full grid.
+type ServerlessResult struct{ Grid[ServerlessCellStats] }
+
+// serverlessCell is one grid cell with the platform of each replication,
+// recorded by the scenario's Setup hook: revision tallies live on the
+// framework, not in Results, and function state persists past job
+// completion. Each replication writes its own entry, so no lock.
+type serverlessCell struct {
+	ServerlessCellStats
+	plats []*core.Platform
 }
 
 // Serverless executes the grid on the worker pool with derived per-run
@@ -242,118 +216,117 @@ func (m ServerlessMatrix) Serverless(opt Options) (*ServerlessResult, error) {
 	if opt.Reps > 0 {
 		m.Reps = opt.Reps
 	}
-	runs := m.expand()
-
-	// Revision tallies live on the framework, not in Results; the Setup
-	// hook captures each run's platform so the aggregation loop below
-	// can read final per-revision counts back after the runs complete
-	// (function state persists past job completion). RunScenarios keeps
-	// run order, each entry is written exactly once, so no lock.
-	plats := make([]*core.Platform, len(runs))
-	results, err := RunScenarios(len(runs), opt, func(i int) Scenario {
-		r := runs[i]
-		s := ServerlessScenario(ServerlessScenarioConfig{
-			Seed: r.seed, ColdStartS: r.cold, IdleGapS: r.gap, ConcTarget: r.conc, Canary: true,
-		})
-		inner := s.Setup
-		s.Setup = func(p *core.Platform) {
-			if inner != nil {
-				inner(p)
+	var cells []serverlessCell
+	for _, gap := range m.IdleGaps {
+		for _, cold := range m.ColdStarts {
+			for _, conc := range m.Concs {
+				cells = append(cells, serverlessCell{
+					ServerlessCellStats{IdleGap: gap, ColdStart: cold, Conc: conc},
+					make([]*core.Platform, m.Reps),
+				})
 			}
-			plats[i] = p
 		}
-		return s
-	})
+	}
+	g, err := runGrid(opt, m.Name, m.BaseSeed, m.Reps, cells,
+		func(c serverlessCell) string {
+			return fmt.Sprintf("serverless/gap=%g/cold=%g/conc=%g", c.IdleGap, c.ColdStart, c.Conc)
+		},
+		func(c serverlessCell, rep int, seed int64) Scenario {
+			s := ServerlessScenario(ServerlessScenarioConfig{
+				Seed: seed, ColdStartS: c.ColdStart, IdleGapS: c.IdleGap, ConcTarget: c.Conc, Canary: true,
+			})
+			inner := s.Setup
+			s.Setup = func(p *core.Platform) {
+				if inner != nil {
+					inner(p)
+				}
+				c.plats[rep] = p
+			}
+			return s
+		},
+		func(c serverlessCell, runs []*core.Results) ServerlessCellStats {
+			var att, cold, delay, act, actRate, zero, peak, served, metered, pen, canReq, canCold, missed, capped stats.Summary
+			for rep, run := range runs {
+				fnAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeServerless)))
+				batchAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeBatch)))
+				att.Add(fnAgg.SLOAttainment)
+				cold.Add(float64(fnAgg.ColdStarts))
+				perCold := 0.0
+				if fnAgg.ColdStarts > 0 {
+					perCold = fnAgg.ColdStartDelayS / float64(fnAgg.ColdStarts)
+				}
+				delay.Add(perCold)
+				act.Add(float64(fnAgg.Activations))
+				if run.CompletionTime > 0 {
+					actRate.Add(float64(fnAgg.Activations) / run.CompletionTime * 1000)
+				} else {
+					actRate.Add(0)
+				}
+				zero.Add(float64(fnAgg.ZeroScales))
+				maxRepl := 0
+				for _, rec := range run.Ledger.ByType(string(workload.TypeServerless)) {
+					if rec.PeakReplicas > maxRepl {
+						maxRepl = rec.PeakReplicas
+					}
+				}
+				peak.Add(float64(maxRepl))
+				served.Add(fnAgg.Served)
+				metered.Add(fnAgg.Metered)
+				pen.Add(fnAgg.TotalPenalty)
+				v2Requests, v2Cold := canaryTally(c.plats[rep])
+				canReq.Add(v2Requests)
+				canCold.Add(v2Cold)
+				missed.Add(float64(batchAgg.DeadlinesMissed))
+				capped.Add(float64(run.Counters.CostCapThrottles.Count))
+			}
+			out := c.ServerlessCellStats
+			out.Reps = len(runs)
+			out.Attainment = metricOf(&att)
+			out.ColdStarts = metricOf(&cold)
+			out.ColdDelay = metricOf(&delay)
+			out.Activations = metricOf(&act)
+			out.ActivationRate = metricOf(&actRate)
+			out.ZeroScales = metricOf(&zero)
+			out.PeakRepl = metricOf(&peak)
+			out.Served = metricOf(&served)
+			out.Metered = metricOf(&metered)
+			out.Penalty = metricOf(&pen)
+			out.CanaryRequests = metricOf(&canReq)
+			out.CanaryCold = metricOf(&canCold)
+			out.BatchMissed = metricOf(&missed)
+			out.CostCapped = metricOf(&capped)
+			return out
+		})
 	if err != nil {
 		return nil, fmt.Errorf("exp: serverless %q: %w", m.Name, err)
 	}
-	type revTally struct{ v2Requests, v2Cold float64 }
-	tallies := make([]revTally, len(runs))
-	for i, p := range plats {
-		cm, ok := p.CM("fn1")
-		if !ok {
-			continue
-		}
-		fw, _ := cm.Framework().(*serverless.Serverless)
-		if fw == nil {
-			continue
-		}
-		for fn := 0; fn < 4; fn++ {
-			revs, err := fw.Revisions(fmt.Sprintf("fn1-%03d", fn))
-			if err != nil {
-				continue
-			}
-			for _, rv := range revs {
-				if rv.Name == "v2" {
-					tallies[i].v2Requests += rv.Requests
-					tallies[i].v2Cold += float64(rv.ColdStarts)
-				}
-			}
-		}
-	}
-
-	res := &ServerlessResult{Name: m.Name, BaseSeed: m.BaseSeed, Reps: m.Reps, Runs: len(runs)}
-	for i := 0; i < len(runs); i += m.Reps {
-		r := runs[i]
-		var att, cold, delay, act, actRate, zero, peak, served, metered, pen, canReq, canCold, missed, capped stats.Summary
-		for rep := 0; rep < m.Reps; rep++ {
-			run := results[i+rep]
-			fnAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeServerless)))
-			batchAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeBatch)))
-			att.Add(fnAgg.SLOAttainment)
-			cold.Add(float64(fnAgg.ColdStarts))
-			perCold := 0.0
-			if fnAgg.ColdStarts > 0 {
-				perCold = fnAgg.ColdStartDelayS / float64(fnAgg.ColdStarts)
-			}
-			delay.Add(perCold)
-			act.Add(float64(fnAgg.Activations))
-			if run.CompletionTime > 0 {
-				actRate.Add(float64(fnAgg.Activations) / run.CompletionTime * 1000)
-			} else {
-				actRate.Add(0)
-			}
-			zero.Add(float64(fnAgg.ZeroScales))
-			maxRepl := 0
-			for _, rec := range run.Ledger.ByType(string(workload.TypeServerless)) {
-				if rec.PeakReplicas > maxRepl {
-					maxRepl = rec.PeakReplicas
-				}
-			}
-			peak.Add(float64(maxRepl))
-			served.Add(fnAgg.Served)
-			metered.Add(fnAgg.Metered)
-			pen.Add(fnAgg.TotalPenalty)
-			canReq.Add(tallies[i+rep].v2Requests)
-			canCold.Add(tallies[i+rep].v2Cold)
-			missed.Add(float64(batchAgg.DeadlinesMissed))
-			capped.Add(float64(run.Counters.CostCapThrottles.Count))
-		}
-		res.Cells = append(res.Cells, ServerlessCellStats{
-			IdleGap: r.gap, ColdStart: r.cold, Conc: r.conc, Reps: m.Reps,
-			Attainment:     metricOf(&att),
-			ColdStarts:     metricOf(&cold),
-			ColdDelay:      metricOf(&delay),
-			Activations:    metricOf(&act),
-			ActivationRate: metricOf(&actRate),
-			ZeroScales:     metricOf(&zero),
-			PeakRepl:       metricOf(&peak),
-			Served:         metricOf(&served),
-			Metered:        metricOf(&metered),
-			Penalty:        metricOf(&pen),
-			CanaryRequests: metricOf(&canReq),
-			CanaryCold:     metricOf(&canCold),
-			BatchMissed:    metricOf(&missed),
-			CostCapped:     metricOf(&capped),
-		})
-	}
-	return res, nil
+	return &ServerlessResult{g}, nil
 }
 
-// JSON returns the machine-readable form: indented, field order fixed
-// by the struct definitions, cell order fixed by grid expansion.
-func (r *ServerlessResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+// canaryTally sums the requests and cold starts of the v2 revision over
+// the fn1 functions of one finished canary run.
+func canaryTally(p *core.Platform) (requests, cold float64) {
+	cm, ok := p.CM("fn1")
+	if !ok {
+		return 0, 0
+	}
+	fw, _ := cm.Framework().(*serverless.Serverless)
+	if fw == nil {
+		return 0, 0
+	}
+	for fn := 0; fn < 4; fn++ {
+		revs, err := fw.Revisions(fmt.Sprintf("fn1-%03d", fn))
+		if err != nil {
+			continue
+		}
+		for _, rv := range revs {
+			if rv.Name == "v2" {
+				requests += rv.Requests
+				cold += float64(rv.ColdStarts)
+			}
+		}
+	}
+	return requests, cold
 }
 
 // Render implements Renderable.
@@ -364,17 +337,11 @@ func (r *ServerlessResult) Render() string {
 	t := report.Table{Headers: []string{
 		"gap [s]", "cold [s]", "conc", "slo attain", "cold starts", "activ/ks", "zero scales", "peak repl", "metered [u]", "v2 reqs",
 	}}
-	pm := func(m Metric, digits int) string {
-		if r.Reps < 2 {
-			return strconv.FormatFloat(m.Mean, 'f', digits, 64)
-		}
-		return fmt.Sprintf("%.*f ±%.*f", digits, m.Mean, digits, m.CI95)
-	}
 	for _, c := range r.Cells {
 		t.AddRow(fmt.Sprintf("%g", c.IdleGap), fmt.Sprintf("%g", c.ColdStart), fmt.Sprintf("%g", c.Conc),
-			pm(c.Attainment, 3), pm(c.ColdStarts, 1), pm(c.ActivationRate, 2),
-			pm(c.ZeroScales, 1), fmt.Sprintf("%.1f", c.PeakRepl.Mean),
-			pm(c.Metered, 0), fmt.Sprintf("%.0f", c.CanaryRequests.Mean))
+			pm(c.Attainment, r.Reps, 3), pm(c.ColdStarts, r.Reps, 1), pm(c.ActivationRate, r.Reps, 2),
+			pm(c.ZeroScales, r.Reps, 1), fmt.Sprintf("%.1f", c.PeakRepl.Mean),
+			pm(c.Metered, r.Reps, 0), fmt.Sprintf("%.0f", c.CanaryRequests.Mean))
 	}
 	_ = t.Render(&b)
 	b.WriteString("\nslo attain = clean SLO intervals / evaluated intervals (cold-start delay burns intervals);\nactiv/ks = scale-from-zero episodes per 1000 simulated seconds; v2 reqs = requests the canary revision served\n")

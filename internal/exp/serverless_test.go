@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -16,33 +15,6 @@ func smallServerlessMatrix() ServerlessMatrix {
 		Concs:      []float64{1, 2},
 		Reps:       2,
 		BaseSeed:   1,
-	}
-}
-
-// TestServerlessJSONWorkerInvariance is the harness determinism
-// guarantee extended to the serverless grid: byte-identical JSON
-// whatever the worker count, even though the canary rollout and the
-// revision tallies are read back from per-run platform state.
-func TestServerlessJSONWorkerInvariance(t *testing.T) {
-	m := smallServerlessMatrix()
-	r1, err := m.Serverless(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := m.Serverless(Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := r1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j4, err := r4.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j4) {
-		t.Fatal("serverless sweep JSON differs across worker counts")
 	}
 }
 

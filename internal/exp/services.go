@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"meryn/internal/core"
@@ -137,36 +135,6 @@ func (m ServicesMatrix) withDefaults() ServicesMatrix {
 	return m
 }
 
-// serviceRun is one expanded grid replication.
-type serviceRun struct {
-	policy   string
-	load     float64
-	burst    float64
-	rep      int
-	seed     int64
-	cellName string
-}
-
-// expand enumerates the grid cell-major with replications adjacent.
-func (m ServicesMatrix) expand() []serviceRun {
-	var runs []serviceRun
-	for _, p := range m.Policies {
-		for _, ld := range m.Loads {
-			for _, b := range m.Bursts {
-				cell := fmt.Sprintf("%s/load=%g/burst=%g", p, ld, b)
-				for rep := 0; rep < m.Reps; rep++ {
-					runs = append(runs, serviceRun{
-						policy: p, load: ld, burst: b, rep: rep,
-						seed:     DeriveSeed(m.BaseSeed, fmt.Sprintf("services/%s/rep=%d", cell, rep)),
-						cellName: cell,
-					})
-				}
-			}
-		}
-	}
-	return runs
-}
-
 // ServiceCellStats is one aggregated grid cell.
 type ServiceCellStats struct {
 	Policy string  `json:"policy"`
@@ -185,15 +153,8 @@ type ServiceCellStats struct {
 	ScaleOuts   Metric `json:"replica_scale_outs"` // controller target raises
 }
 
-// ServicesResult aggregates the full grid, cells in expansion order so
-// rendering and JSON are byte-identical whatever the worker count.
-type ServicesResult struct {
-	Name     string             `json:"name"`
-	BaseSeed int64              `json:"base_seed"`
-	Reps     int                `json:"reps"`
-	Runs     int                `json:"runs"`
-	Cells    []ServiceCellStats `json:"cells"`
-}
+// ServicesResult aggregates the full grid.
+type ServicesResult struct{ Grid[ServiceCellStats] }
 
 // Services executes the grid on the worker pool with derived per-run
 // seeds and aggregates per-cell statistics.
@@ -202,69 +163,66 @@ func (m ServicesMatrix) Services(opt Options) (*ServicesResult, error) {
 	if opt.Reps > 0 {
 		m.Reps = opt.Reps
 	}
-	runs := m.expand()
-	results, err := RunScenarios(len(runs), opt, func(i int) Scenario {
-		r := runs[i]
-		return ServiceScenario(ServiceScenarioConfig{
-			Seed: r.seed, Policy: r.policy, LoadMult: r.load, BurstAmp: r.burst,
+	var cells []ServiceCellStats
+	for _, p := range m.Policies {
+		for _, ld := range m.Loads {
+			for _, b := range m.Bursts {
+				cells = append(cells, ServiceCellStats{Policy: p, Load: ld, Burst: b})
+			}
+		}
+	}
+	g, err := runGrid(opt, m.Name, m.BaseSeed, m.Reps, cells,
+		func(c ServiceCellStats) string {
+			return fmt.Sprintf("services/%s/load=%g/burst=%g", c.Policy, c.Load, c.Burst)
+		},
+		func(c ServiceCellStats, _ int, seed int64) Scenario {
+			return ServiceScenario(ServiceScenarioConfig{Seed: seed, Policy: c.Policy, LoadMult: c.Load, BurstAmp: c.Burst})
+		},
+		func(c ServiceCellStats, runs []*core.Results) ServiceCellStats {
+			var att, pen, cost, cloudFrac, peakCloud, peakRepl, missed, reclaims, scaleOuts stats.Summary
+			for _, run := range runs {
+				svcAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeService)))
+				batchAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeBatch)))
+				all := metrics.AggregateRecords(run.Ledger.All())
+				att.Add(svcAgg.SLOAttainment)
+				pen.Add(svcAgg.TotalPenalty)
+				cost.Add(all.TotalCost)
+				horizon := sim.Seconds(run.CompletionTime)
+				cloudS := run.CloudSeries.Integral(horizon)
+				privS := run.PrivateSeries.Integral(horizon)
+				frac := 0.0
+				if cloudS+privS > 0 {
+					frac = cloudS / (cloudS + privS)
+				}
+				cloudFrac.Add(frac)
+				peakCloud.Add(run.CloudSeries.Max())
+				maxRepl := 0
+				for _, rec := range run.Ledger.ByType(string(workload.TypeService)) {
+					if rec.PeakReplicas > maxRepl {
+						maxRepl = rec.PeakReplicas
+					}
+				}
+				peakRepl.Add(float64(maxRepl))
+				missed.Add(float64(batchAgg.DeadlinesMissed))
+				reclaims.Add(float64(run.Counters.ReplicaReclaims.Count))
+				scaleOuts.Add(float64(run.Counters.ReplicaScaleOuts.Count))
+			}
+			c.Reps = len(runs)
+			c.Attainment = metricOf(&att)
+			c.Penalty = metricOf(&pen)
+			c.Cost = metricOf(&cost)
+			c.CloudFrac = metricOf(&cloudFrac)
+			c.PeakCloud = metricOf(&peakCloud)
+			c.PeakRepl = metricOf(&peakRepl)
+			c.BatchMissed = metricOf(&missed)
+			c.Reclaims = metricOf(&reclaims)
+			c.ScaleOuts = metricOf(&scaleOuts)
+			return c
 		})
-	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: services %q: %w", m.Name, err)
 	}
-
-	res := &ServicesResult{Name: m.Name, BaseSeed: m.BaseSeed, Reps: m.Reps, Runs: len(runs)}
-	for i := 0; i < len(runs); i += m.Reps {
-		r := runs[i]
-		var att, pen, cost, cloudFrac, peakCloud, peakRepl, missed, reclaims, scaleOuts stats.Summary
-		for rep := 0; rep < m.Reps; rep++ {
-			run := results[i+rep]
-			svcAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeService)))
-			batchAgg := metrics.AggregateRecords(run.Ledger.ByType(string(workload.TypeBatch)))
-			all := metrics.AggregateRecords(run.Ledger.All())
-			att.Add(svcAgg.SLOAttainment)
-			pen.Add(svcAgg.TotalPenalty)
-			cost.Add(all.TotalCost)
-			horizon := sim.Seconds(run.CompletionTime)
-			cloudS := run.CloudSeries.Integral(horizon)
-			privS := run.PrivateSeries.Integral(horizon)
-			frac := 0.0
-			if cloudS+privS > 0 {
-				frac = cloudS / (cloudS + privS)
-			}
-			cloudFrac.Add(frac)
-			peakCloud.Add(run.CloudSeries.Max())
-			maxRepl := 0
-			for _, rec := range run.Ledger.ByType(string(workload.TypeService)) {
-				if rec.PeakReplicas > maxRepl {
-					maxRepl = rec.PeakReplicas
-				}
-			}
-			peakRepl.Add(float64(maxRepl))
-			missed.Add(float64(batchAgg.DeadlinesMissed))
-			reclaims.Add(float64(run.Counters.ReplicaReclaims.Count))
-			scaleOuts.Add(float64(run.Counters.ReplicaScaleOuts.Count))
-		}
-		res.Cells = append(res.Cells, ServiceCellStats{
-			Policy: r.policy, Load: r.load, Burst: r.burst, Reps: m.Reps,
-			Attainment:  metricOf(&att),
-			Penalty:     metricOf(&pen),
-			Cost:        metricOf(&cost),
-			CloudFrac:   metricOf(&cloudFrac),
-			PeakCloud:   metricOf(&peakCloud),
-			PeakRepl:    metricOf(&peakRepl),
-			BatchMissed: metricOf(&missed),
-			Reclaims:    metricOf(&reclaims),
-			ScaleOuts:   metricOf(&scaleOuts),
-		})
-	}
-	return res, nil
-}
-
-// JSON returns the machine-readable form: indented, field order fixed
-// by the struct definitions, cell order fixed by grid expansion.
-func (r *ServicesResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return &ServicesResult{g}, nil
 }
 
 // Render implements Renderable.
@@ -275,16 +233,10 @@ func (r *ServicesResult) Render() string {
 	t := report.Table{Headers: []string{
 		"policy", "load", "burst", "slo attain", "penalty [u]", "cost [u]", "cloud frac", "peak repl", "reclaims",
 	}}
-	pm := func(m Metric, digits int) string {
-		if r.Reps < 2 {
-			return strconv.FormatFloat(m.Mean, 'f', digits, 64)
-		}
-		return fmt.Sprintf("%.*f ±%.*f", digits, m.Mean, digits, m.CI95)
-	}
 	for _, c := range r.Cells {
 		t.AddRow(c.Policy, fmt.Sprintf("%g", c.Load), fmt.Sprintf("%g", c.Burst),
-			pm(c.Attainment, 3), pm(c.Penalty, 0), pm(c.Cost, 0),
-			pm(c.CloudFrac, 3), fmt.Sprintf("%.1f", c.PeakRepl.Mean),
+			pm(c.Attainment, r.Reps, 3), pm(c.Penalty, r.Reps, 0), pm(c.Cost, r.Reps, 0),
+			pm(c.CloudFrac, r.Reps, 3), fmt.Sprintf("%.1f", c.PeakRepl.Mean),
 			fmt.Sprintf("%.1f", c.Reclaims.Mean))
 	}
 	_ = t.Render(&b)

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"meryn/internal/cloud"
@@ -129,40 +127,6 @@ func (m SpotMatrix) withDefaults() SpotMatrix {
 	return m
 }
 
-// spotRun is one expanded grid replication.
-type spotRun struct {
-	policy   string
-	vol      float64
-	bidMult  float64 // 0 for the on-demand baseline
-	rep      int
-	seed     int64
-	cellName string
-}
-
-// expand enumerates the grid cell-major with replications adjacent.
-func (m SpotMatrix) expand() []spotRun {
-	var runs []spotRun
-	for _, p := range m.Policies {
-		bids := m.BidMults
-		if p != SpotPolicySpot {
-			bids = []float64{0} // the baseline has no bid dimension
-		}
-		for _, v := range m.Vols {
-			for _, b := range bids {
-				cell := fmt.Sprintf("%s/vol=%g/bid=%g", p, v, b)
-				for rep := 0; rep < m.Reps; rep++ {
-					runs = append(runs, spotRun{
-						policy: p, vol: v, bidMult: b, rep: rep,
-						seed:     DeriveSeed(m.BaseSeed, fmt.Sprintf("spot/%s/rep=%d", cell, rep)),
-						cellName: cell,
-					})
-				}
-			}
-		}
-	}
-	return runs
-}
-
 // SpotCellStats is one aggregated grid cell.
 type SpotCellStats struct {
 	Policy  string  `json:"policy"`
@@ -179,67 +143,62 @@ type SpotCellStats struct {
 	Completion  Metric `json:"completion_s"`     // last application end
 }
 
-// SpotResult aggregates the full grid, cells in expansion order so
-// rendering and JSON are byte-identical whatever the worker count.
-type SpotResult struct {
-	Name     string          `json:"name"`
-	BaseSeed int64           `json:"base_seed"`
-	Reps     int             `json:"reps"`
-	Runs     int             `json:"runs"`
-	Cells    []SpotCellStats `json:"cells"`
-}
+// SpotResult aggregates the full grid.
+type SpotResult struct{ Grid[SpotCellStats] }
 
 // Spot executes the grid on the worker pool with derived per-run seeds
-// and aggregates per-cell statistics.
+// and aggregates per-cell statistics. The on-demand baseline has no bid
+// dimension: one cell per volatility, bid 0.
 func (m SpotMatrix) Spot(opt Options) (*SpotResult, error) {
 	m = m.withDefaults()
 	if opt.Reps > 0 {
 		m.Reps = opt.Reps
 	}
-	runs := m.expand()
-	results, err := RunScenarios(len(runs), opt, func(i int) Scenario {
-		r := runs[i]
-		return SpotScenario(SpotScenarioConfig{
-			Seed: r.seed, Policy: r.policy, BidMult: r.bidMult, Vol: r.vol,
+	var cells []SpotCellStats
+	for _, p := range m.Policies {
+		bids := m.BidMults
+		if p != SpotPolicySpot {
+			bids = []float64{0}
+		}
+		for _, v := range m.Vols {
+			for _, b := range bids {
+				cells = append(cells, SpotCellStats{Policy: p, Vol: v, BidMult: b})
+			}
+		}
+	}
+	g, err := runGrid(opt, m.Name, m.BaseSeed, m.Reps, cells,
+		func(c SpotCellStats) string {
+			return fmt.Sprintf("spot/%s/vol=%g/bid=%g", c.Policy, c.Vol, c.BidMult)
+		},
+		func(c SpotCellStats, _ int, seed int64) Scenario {
+			return SpotScenario(SpotScenarioConfig{Seed: seed, Policy: c.Policy, BidMult: c.BidMult, Vol: c.Vol})
+		},
+		func(c SpotCellStats, runs []*core.Results) SpotCellStats {
+			var pen, spend, spot, revs, falls, missed, completion stats.Summary
+			for _, run := range runs {
+				agg := metrics.AggregateRecords(run.Ledger.All())
+				pen.Add(agg.TotalPenalty)
+				spend.Add(run.CloudSpend)
+				spot.Add(run.SpotSpend)
+				revs.Add(float64(run.Counters.SpotRevocations.Count))
+				falls.Add(float64(run.Counters.SpotFallbacks.Count))
+				missed.Add(float64(agg.DeadlinesMissed))
+				completion.Add(run.CompletionTime)
+			}
+			c.Reps = len(runs)
+			c.Penalty = metricOf(&pen)
+			c.CloudSpend = metricOf(&spend)
+			c.SpotSpend = metricOf(&spot)
+			c.Revocations = metricOf(&revs)
+			c.Fallbacks = metricOf(&falls)
+			c.Missed = metricOf(&missed)
+			c.Completion = metricOf(&completion)
+			return c
 		})
-	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: spot %q: %w", m.Name, err)
 	}
-
-	res := &SpotResult{Name: m.Name, BaseSeed: m.BaseSeed, Reps: m.Reps, Runs: len(runs)}
-	for i := 0; i < len(runs); i += m.Reps {
-		r := runs[i]
-		var pen, spend, spot, revs, falls, missed, completion stats.Summary
-		for rep := 0; rep < m.Reps; rep++ {
-			run := results[i+rep]
-			agg := metrics.AggregateRecords(run.Ledger.All())
-			pen.Add(agg.TotalPenalty)
-			spend.Add(run.CloudSpend)
-			spot.Add(run.SpotSpend)
-			revs.Add(float64(run.Counters.SpotRevocations.Count))
-			falls.Add(float64(run.Counters.SpotFallbacks.Count))
-			missed.Add(float64(agg.DeadlinesMissed))
-			completion.Add(run.CompletionTime)
-		}
-		res.Cells = append(res.Cells, SpotCellStats{
-			Policy: r.policy, Vol: r.vol, BidMult: r.bidMult, Reps: m.Reps,
-			Penalty:     metricOf(&pen),
-			CloudSpend:  metricOf(&spend),
-			SpotSpend:   metricOf(&spot),
-			Revocations: metricOf(&revs),
-			Fallbacks:   metricOf(&falls),
-			Missed:      metricOf(&missed),
-			Completion:  metricOf(&completion),
-		})
-	}
-	return res, nil
-}
-
-// JSON returns the machine-readable form: indented, field order fixed
-// by the struct definitions, cell order fixed by grid expansion.
-func (r *SpotResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return &SpotResult{g}, nil
 }
 
 // Render implements Renderable.
@@ -250,19 +209,13 @@ func (r *SpotResult) Render() string {
 	t := report.Table{Headers: []string{
 		"policy", "vol", "bid", "penalty [u]", "spend [u]", "spot [u]", "revocations", "fallbacks", "missed",
 	}}
-	pm := func(m Metric, digits int) string {
-		if r.Reps < 2 {
-			return strconv.FormatFloat(m.Mean, 'f', digits, 64)
-		}
-		return fmt.Sprintf("%.*f ±%.*f", digits, m.Mean, digits, m.CI95)
-	}
 	for _, c := range r.Cells {
 		bid := "-"
 		if c.BidMult > 0 {
 			bid = fmt.Sprintf("%g", c.BidMult)
 		}
 		t.AddRow(c.Policy, fmt.Sprintf("%g", c.Vol), bid,
-			pm(c.Penalty, 0), pm(c.CloudSpend, 0), pm(c.SpotSpend, 0),
+			pm(c.Penalty, r.Reps, 0), pm(c.CloudSpend, r.Reps, 0), pm(c.SpotSpend, r.Reps, 0),
 			fmt.Sprintf("%.1f", c.Revocations.Mean),
 			fmt.Sprintf("%.1f", c.Fallbacks.Mean),
 			fmt.Sprintf("%.1f", c.Missed.Mean))

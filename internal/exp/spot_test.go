@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -16,32 +15,6 @@ func smallSpotMatrix() SpotMatrix {
 		BidMults: []float64{1.1},
 		Reps:     2,
 		BaseSeed: 1,
-	}
-}
-
-// TestSpotJSONWorkerInvariance is the harness determinism guarantee
-// extended to the spot grid: byte-identical JSON whatever the worker
-// count, even though revocation timing depends on market evolution.
-func TestSpotJSONWorkerInvariance(t *testing.T) {
-	m := smallSpotMatrix()
-	r1, err := m.Spot(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := m.Spot(Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := r1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j4, err := r4.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j4) {
-		t.Fatal("spot sweep JSON differs across worker counts")
 	}
 }
 

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -210,47 +209,50 @@ func (m Matrix) withDefaults() Matrix {
 	return m
 }
 
-// Expand enumerates the grid cell-major (policy, interarrival, cluster,
-// load) with the cell's replications adjacent, each run carrying its
-// derived seed.
-func (m Matrix) Expand() []Run {
-	m = m.withDefaults()
-	var runs []Run
+// cells enumerates the grid cell-major: policy, interarrival, cluster,
+// load.
+func (m Matrix) cells() []Cell {
+	var cells []Cell
 	for _, p := range m.Policies {
 		for _, ia := range m.Interarrivals {
 			for _, cs := range m.ClusterSizes {
 				for _, ld := range m.Loads {
-					cell := Cell{Policy: p, Interarrival: ia, ClusterSize: cs, Load: ld}
-					for rep := 0; rep < m.Reps; rep++ {
-						runs = append(runs, Run{
-							Cell: cell,
-							Rep:  rep,
-							Seed: DeriveSeed(m.BaseSeed, fmt.Sprintf("%s/rep=%d", cell.key(), rep)),
-						})
-					}
+					cells = append(cells, Cell{Policy: p, Interarrival: ia, ClusterSize: cs, Load: ld})
 				}
 			}
+		}
+	}
+	return cells
+}
+
+// Expand lists the runs Sweep executes, in its order: cell-major with
+// the cell's replications adjacent, each run carrying its derived seed.
+func (m Matrix) Expand() []Run {
+	m = m.withDefaults()
+	var runs []Run
+	for _, cell := range m.cells() {
+		for rep := 0; rep < m.Reps; rep++ {
+			runs = append(runs, Run{Cell: cell, Rep: rep, Seed: gridSeed(m.BaseSeed, cell.key(), rep)})
 		}
 	}
 	return runs
 }
 
-// scenario builds the platform run for one expanded grid point.
-func (m Matrix) scenario(r Run) Scenario {
+// scenario builds the platform run for one replication of a grid cell.
+func (m Matrix) scenario(cell Cell, rep int, seed int64) Scenario {
 	wcfg := workload.DefaultPaperConfig()
-	wcfg.Interarrival = sim.Seconds(r.Cell.Interarrival)
-	if r.Cell.Load > 0 {
+	wcfg.Interarrival = sim.Seconds(cell.Interarrival)
+	if cell.Load > 0 {
 		vc2 := wcfg.Apps - wcfg.VC1Apps
-		wcfg.VC1Apps = r.Cell.Load
-		wcfg.Apps = r.Cell.Load + vc2
+		wcfg.VC1Apps = cell.Load
+		wcfg.Apps = cell.Load + vc2
 	}
-	cell := r.Cell
 	mutate := m.Mutate
 	return Scenario{
 		Policy:   cell.Policy,
-		Seed:     r.Seed,
+		Seed:     seed,
 		Workload: workload.Paper(wcfg),
-		Label:    fmt.Sprintf("cell %s rep %d", cell.key(), r.Rep),
+		Label:    fmt.Sprintf("cell %s rep %d", cell.key(), rep),
 		Mutate: func(cfg *core.Config) {
 			if cell.ClusterSize > 0 {
 				cfg.PrivateVMCap = cell.ClusterSize
@@ -305,67 +307,46 @@ type CellStats struct {
 	Missed     Metric `json:"deadlines_missed"`
 }
 
-// SweepResult aggregates a full matrix run: one CellStats per grid cell,
-// in expansion order, so rendering and JSON output are byte-identical
-// whatever the worker count.
-type SweepResult struct {
-	Name     string      `json:"name"`
-	BaseSeed int64       `json:"base_seed"`
-	Reps     int         `json:"reps"`
-	Runs     int         `json:"runs"`
-	Cells    []CellStats `json:"cells"`
-}
+// SweepResult aggregates a full matrix run: one CellStats per grid cell.
+type SweepResult struct{ Grid[CellStats] }
 
-// Sweep expands the matrix, executes every run on the worker pool with
-// its own derived deterministic seed, and aggregates per-cell statistics.
+// Sweep executes every run of the grid on the worker pool with its own
+// derived deterministic seed, and aggregates per-cell statistics.
 func (m Matrix) Sweep(opt Options) (*SweepResult, error) {
 	m = m.withDefaults()
 	if opt.Reps > 0 {
 		m.Reps = opt.Reps
 	}
-	runs := m.Expand()
-	results, err := RunScenarios(len(runs), opt, func(i int) Scenario {
-		return m.scenario(runs[i])
-	})
+	g, err := runGrid(opt, m.Name, m.BaseSeed, m.Reps, m.cells(), Cell.key, m.scenario,
+		func(c Cell, runs []*core.Results) CellStats {
+			var cost, completion, meanExec, spend, peak, missed stats.Summary
+			for _, r := range runs {
+				agg := metrics.AggregateRecords(r.Ledger.All())
+				cost.Add(agg.TotalCost)
+				completion.Add(r.CompletionTime)
+				meanExec.Add(agg.MeanExecTime)
+				spend.Add(r.CloudSpend)
+				peak.Add(r.CloudSeries.Max())
+				missed.Add(float64(agg.DeadlinesMissed))
+			}
+			return CellStats{
+				Policy:       c.Policy.String(),
+				Interarrival: c.Interarrival,
+				ClusterSize:  c.ClusterSize,
+				Load:         c.Load,
+				Reps:         len(runs),
+				Cost:         metricOf(&cost),
+				Completion:   metricOf(&completion),
+				MeanExec:     metricOf(&meanExec),
+				CloudSpend:   metricOf(&spend),
+				PeakCloud:    metricOf(&peak),
+				Missed:       metricOf(&missed),
+			}
+		})
 	if err != nil {
 		return nil, fmt.Errorf("exp: sweep %q: %w", m.Name, err)
 	}
-
-	res := &SweepResult{Name: m.Name, BaseSeed: m.BaseSeed, Reps: m.Reps, Runs: len(runs)}
-	for i := 0; i < len(runs); i += m.Reps {
-		cell := runs[i].Cell
-		var cost, completion, meanExec, spend, peak, missed stats.Summary
-		for rep := 0; rep < m.Reps; rep++ {
-			r := results[i+rep]
-			agg := metrics.AggregateRecords(r.Ledger.All())
-			cost.Add(agg.TotalCost)
-			completion.Add(r.CompletionTime)
-			meanExec.Add(agg.MeanExecTime)
-			spend.Add(r.CloudSpend)
-			peak.Add(r.CloudSeries.Max())
-			missed.Add(float64(agg.DeadlinesMissed))
-		}
-		res.Cells = append(res.Cells, CellStats{
-			Policy:       cell.Policy.String(),
-			Interarrival: cell.Interarrival,
-			ClusterSize:  cell.ClusterSize,
-			Load:         cell.Load,
-			Reps:         m.Reps,
-			Cost:         metricOf(&cost),
-			Completion:   metricOf(&completion),
-			MeanExec:     metricOf(&meanExec),
-			CloudSpend:   metricOf(&spend),
-			PeakCloud:    metricOf(&peak),
-			Missed:       metricOf(&missed),
-		})
-	}
-	return res, nil
-}
-
-// JSON returns the machine-readable form: indented, field order fixed by
-// the struct definitions, cell order fixed by grid expansion.
-func (r *SweepResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	return &SweepResult{g}, nil
 }
 
 // Render implements Renderable: a fixed-width table with mean ± CI95.
@@ -376,12 +357,6 @@ func (r *SweepResult) Render() string {
 	t := report.Table{Headers: []string{
 		"policy", "ia [s]", "cluster", "vc1 apps", "cost [u]", "completion [s]", "peak cloud", "missed",
 	}}
-	pm := func(m Metric) string {
-		if r.Reps < 2 {
-			return fmt.Sprintf("%.0f", m.Mean)
-		}
-		return fmt.Sprintf("%.0f ±%.0f", m.Mean, m.CI95)
-	}
 	orDefault := func(v int) string {
 		if v == 0 {
 			return "paper"
@@ -391,7 +366,7 @@ func (r *SweepResult) Render() string {
 	for _, c := range r.Cells {
 		t.AddRow(c.Policy, fmt.Sprintf("%g", c.Interarrival),
 			orDefault(c.ClusterSize), orDefault(c.Load),
-			pm(c.Cost), pm(c.Completion), pm(c.PeakCloud),
+			pm(c.Cost, r.Reps, 0), pm(c.Completion, r.Reps, 0), pm(c.PeakCloud, r.Reps, 0),
 			fmt.Sprintf("%.1f", c.Missed.Mean))
 	}
 	_ = t.Render(&b)
