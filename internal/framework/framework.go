@@ -8,13 +8,23 @@
 // Concrete implementations live in the batch (OGE-like), mapreduce
 // (Hadoop-like), service and serverless subpackages. Batch, service and
 // serverless dedicate each node to one job and share the node table
-// Nodes; mapreduce keeps its own slot-bucket table.
+// Nodes; mapreduce keeps its own slot-bucket table. Service and
+// serverless also share the job table Fleets.
 package framework
 
 import (
+	"errors"
 	"fmt"
 
 	"meryn/internal/sim"
+)
+
+// Errors returned by the frameworks' job operations.
+var (
+	ErrJobExists  = errors.New("framework: job already submitted")
+	ErrJobUnknown = errors.New("framework: unknown job")
+	ErrJobState   = errors.New("framework: job is not in a valid state for this operation")
+	ErrBadJob     = errors.New("framework: invalid job description")
 )
 
 // Node is a compute slave attached to a framework: a private VM or a

@@ -1,8 +1,8 @@
 // Package fwtest provides shared invariant checks for framework
-// implementations. The batch, MapReduce and service test suites all
-// need the same property — the maintained free/idle-disabled node
-// indexes must agree with a brute-force recount of the node table —
-// and previously each carried its own copy of the check. CheckIndexes
+// implementations. The batch, MapReduce, service and serverless test
+// suites, and the tests of the shared node and fleet tables, all need
+// the same property — the maintained free/idle-disabled node indexes
+// must agree with a brute-force recount of the node table. CheckIndexes
 // is the one shared implementation, built on framework.Inspector so it
 // needs no access to framework internals; framework-specific extras
 // (MapReduce slot accounting) stay in their own suites.

@@ -30,10 +30,14 @@
 // largest-remainder quota and per-tick request tallies split by
 // weight — both deterministic, no randomness anywhere.
 //
-// Scheduler state is indexed exactly like batch and service: the node
-// table is the shared dedicated-node table (framework.Nodes), the wait
-// queue is a ring deque, and the running set is a maintained
-// submission-ordered SeqSet.
+// The job table is the one it shares with service (framework.Fleets,
+// which embeds the shared node table). Each instance's revision and
+// boot completion live on its framework.Instance, and per-revision
+// instance counts are derived from them, so the shared removal paths
+// need no revision bookkeeping. This package keeps what makes a
+// function different: validation and defaults, going cold instead of
+// requeueing, launching at zero instances, the latency model, the
+// autoscaler and revisions.
 package serverless
 
 import (
@@ -45,22 +49,8 @@ import (
 	"meryn/internal/sim"
 )
 
-// Errors returned by the serverless framework.
-var (
-	ErrJobExists  = errors.New("serverless: job already submitted")
-	ErrJobUnknown = errors.New("serverless: unknown job")
-	ErrJobState   = errors.New("serverless: job is not in a valid state for this operation")
-	ErrBadJob     = errors.New("serverless: invalid job description")
-	ErrRevision   = errors.New("serverless: invalid revision operation")
-)
-
-// instance is one function instance: the node hosting it, the revision
-// it runs and when its boot finishes.
-type instance struct {
-	node   string
-	rev    int // index into fnState.revs
-	warmAt sim.Time
-}
+// ErrRevision reports an invalid revision or traffic-split operation.
+var ErrRevision = errors.New("serverless: invalid revision operation")
 
 // revision is one immutable deployment of a function.
 type revision struct {
@@ -68,22 +58,15 @@ type revision struct {
 	weight    int // traffic weight; shares are weight / Σ weights
 	createdAt sim.Time
 
-	instances  int     // current instances pinned to this revision
 	requests   float64 // cumulative requests routed
 	coldStarts int
 }
 
-// fnState is the framework's per-function bookkeeping.
+// fnState is the framework's own per-function state; the shared
+// framework.Fleet holds the rest. SLO intervals are evaluated once per
+// tick with demand; idle ticks are vacuously clean and not counted.
 type fnState struct {
-	job *framework.Job
-	seq uint64 // submission order
-
-	target int        // desired instances; schedule() grows toward it
-	cap    int        // autoscaler ceiling override; 0 = the contracted VMs
-	insts  []instance // in assignment order
-
-	startedAt sim.Time  // current execution segment start
-	finish    sim.Timer // fires when the remaining lifetime elapses
+	cap int // autoscaler ceiling override; 0 = the contracted VMs
 
 	// Activation queue: requests buffered while no warm capacity exists
 	// (fluid model, advanced once per tick).
@@ -93,24 +76,15 @@ type fnState struct {
 
 	revs []*revision
 
-	// SLO accounting, advanced once per evaluated tick (ticks with
-	// demand; idle ticks are vacuously clean and not counted).
-	intervals int
-	burned    int
-	window    [rollingWindow]float64
-	windowN   int
-
-	peakReplicas int
-	coldStarts   int
-	coldDelayS   float64 // total boot delay charged, seconds
-	activations  int     // scale-from-zero transitions
-	zeroScales   int     // scale-to-zero transitions
-	served       float64 // cumulative requests served
+	coldStarts  int
+	coldDelayS  float64 // total boot delay charged, seconds
+	activations int     // scale-from-zero transitions
+	zeroScales  int     // scale-to-zero transitions
+	served      float64 // cumulative requests served
 }
 
-// rollingWindow matches the service framework: enough per-tick p95
-// history to smooth one-tick blips without hiding a building burst.
-const rollingWindow = 6
+// fleet is one function: the shared job-table entry plus fnState.
+type fleet = framework.Fleet[fnState]
 
 // panicFactor and panicTicks tune burst scaling: when the activation
 // backlog exceeds panicFactor × ConcTarget × warm instances, the fleet
@@ -154,35 +128,16 @@ type RevisionStats struct {
 	CreatedAtS float64
 }
 
-// Config configures a serverless framework instance.
-type Config struct {
-	Name   string
-	Image  string
-	Events framework.Events
-
-	// Tick is the evaluation interval: how often arrivals are drained
-	// through the fluid model, p95 recomputed, burn accounted and the
-	// autoscaler stepped (default 10 s).
-	Tick sim.Time
-}
+// Config configures a serverless framework instance. Its Tick is the
+// evaluation interval: how often arrivals are drained through the fluid
+// model, p95 recomputed, burn accounted and the autoscaler stepped
+// (default 10 s).
+type Config = framework.FleetConfig
 
 // Serverless is the scale-to-zero function framework. It implements
 // framework.Framework.
 type Serverless struct {
-	framework.Nodes
-
-	eng *sim.Engine
-	cfg Config
-
-	jobs   map[string]*fnState
-	jobSeq uint64
-	queue  framework.Deque[string] // functions waiting to register (transient)
-
-	running framework.SeqSet[*framework.Job]
-	states  framework.SeqSet[*fnState]
-
-	unsettled int
-	tick      sim.Timer
+	framework.Fleets[fnState]
 }
 
 var _ framework.Framework = (*Serverless)(nil)
@@ -193,27 +148,10 @@ func New(eng *sim.Engine, cfg Config) *Serverless {
 	if cfg.Name == "" {
 		cfg.Name = "serverless"
 	}
-	if cfg.Image == "" {
-		cfg.Image = cfg.Name + ".img"
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = sim.Seconds(10)
-	}
-	return &Serverless{
-		eng:  eng,
-		cfg:  cfg,
-		jobs: make(map[string]*fnState),
-	}
+	s := &Serverless{}
+	s.Init(eng, cfg, s.onTick)
+	return s
 }
-
-// Name implements framework.Framework.
-func (s *Serverless) Name() string { return s.cfg.Name }
-
-// Image implements framework.Framework.
-func (s *Serverless) Image() string { return s.cfg.Image }
-
-// Tick returns the evaluation interval.
-func (s *Serverless) Tick() sim.Time { return s.cfg.Tick }
 
 // AddNode implements framework.Framework. New capacity immediately
 // feeds under-target growth (cold starts waiting on nodes).
@@ -229,22 +167,11 @@ func (s *Serverless) AddNode(n framework.Node) {
 // back to cold (an OnScale notification re-opens accounting at the
 // smaller node set); there is no requeue path.
 func (s *Serverless) FailNode(id string) error {
-	jobID, err := s.Detach(id)
-	if err != nil || jobID == "" {
+	f, err := s.DetachInstance(id)
+	if err != nil || f == nil {
 		return err
 	}
-	st := s.jobs[jobID]
-	for i, in := range st.insts {
-		if in.node == id {
-			st.revs[in.rev].instances--
-			st.insts = append(st.insts[:i], st.insts[i+1:]...)
-			break
-		}
-	}
-	st.job.Replicas = len(st.insts)
-	if s.cfg.Events.OnScale != nil {
-		s.cfg.Events.OnScale(st.job)
-	}
+	s.Scaled(f)
 	s.schedule() // chase the pre-crash target on remaining capacity
 	return nil
 }
@@ -257,33 +184,24 @@ func (s *Serverless) FailNode(id string) error {
 func (s *Serverless) Submit(j *framework.Job) error {
 	if j.ID == "" || j.VMs <= 0 || j.Work <= 0 || j.SvcRate <= 0 || j.ColdStartS < 0 {
 		return fmt.Errorf("%w: id=%q max=%d lifetime=%g rate=%g cold=%g",
-			ErrBadJob, j.ID, j.VMs, j.Work, j.SvcRate, j.ColdStartS)
+			framework.ErrBadJob, j.ID, j.VMs, j.Work, j.SvcRate, j.ColdStartS)
 	}
-	if _, dup := s.jobs[j.ID]; dup {
-		return fmt.Errorf("%w: %s", ErrJobExists, j.ID)
+	f, err := s.Add(j, 0)
+	if err != nil {
+		return err
 	}
+	// Defaults apply only once the ID is accepted: a duplicate
+	// submission leaves its job untouched.
 	if j.ConcTarget <= 0 {
 		j.ConcTarget = 1
 	}
 	if j.IdleWindowS <= 0 {
-		j.IdleWindowS = 6 * sim.ToSeconds(s.cfg.Tick)
+		j.IdleWindowS = 6 * sim.ToSeconds(s.Tick())
 	}
 	if j.Revision == "" {
 		j.Revision = "rev-1"
 	}
-	j.State = framework.JobQueued
-	j.SubmittedAt = s.eng.Now()
-	j.Replicas = 0
-	st := &fnState{
-		job:  j,
-		seq:  s.jobSeq,
-		revs: []*revision{{name: j.Revision, weight: 100, createdAt: s.eng.Now()}},
-	}
-	s.jobSeq++
-	s.jobs[j.ID] = st
-	s.queue.PushBack(j.ID)
-	s.unsettled++
-	s.ensureTicker()
+	f.X.revs = []*revision{{name: j.Revision, weight: 100, createdAt: s.Now()}}
 	s.schedule()
 	return nil
 }
@@ -293,25 +211,8 @@ func (s *Serverless) Submit(j *framework.Job) error {
 // interface completeness and drains — reclaim shrinks functions
 // instead.
 func (s *Serverless) Suspend(id string) error {
-	st, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
-	}
-	j := st.job
-	if j.State != framework.JobRunning {
-		return fmt.Errorf("%w: %s is %v", ErrJobState, id, j.State)
-	}
-	st.finish.Cancel()
-	s.accrueLifetime(st)
-	s.releaseAll(st)
-	st.target = 0
-	j.Replicas = 0
-	j.State = framework.JobSuspended
-	j.Suspensions++
-	s.running.Remove(st.seq)
-	s.states.Remove(st.seq)
-	if s.cfg.Events.OnSuspend != nil {
-		s.cfg.Events.OnSuspend(j)
+	if err := s.Fleets.Suspend(id); err != nil {
+		return err
 	}
 	s.schedule()
 	return nil
@@ -321,92 +222,11 @@ func (s *Serverless) Suspend(id string) error {
 // cold: zero instances, the activation queue intact, demand re-warms
 // it.
 func (s *Serverless) Resume(id string) error {
-	st, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
-	}
-	j := st.job
-	if j.State != framework.JobSuspended {
-		return fmt.Errorf("%w: %s is %v", ErrJobState, id, j.State)
-	}
-	j.State = framework.JobQueued
-	st.target = 0
-	s.queue.PushFront(id)
-	if s.cfg.Events.OnResume != nil {
-		s.cfg.Events.OnResume(j)
+	if err := s.Fleets.Resume(id); err != nil {
+		return err
 	}
 	s.schedule()
 	return nil
-}
-
-// JobNodes implements framework.Framework.
-func (s *Serverless) JobNodes(id string) ([]string, error) {
-	st, ok := s.jobs[id]
-	if !ok || st.job.State != framework.JobRunning {
-		return nil, fmt.Errorf("%w: %s is not running", ErrJobState, id)
-	}
-	out := make([]string, len(st.insts))
-	for i, in := range st.insts {
-		out[i] = in.node
-	}
-	return out, nil
-}
-
-// VisitJobNodes implements framework.Framework: assignment order. A
-// cold running function visits nothing — zero instances, zero usage.
-func (s *Serverless) VisitJobNodes(id string, visit func(id string) bool) error {
-	st, ok := s.jobs[id]
-	if !ok || st.job.State != framework.JobRunning {
-		return fmt.Errorf("%w: %s is not running", ErrJobState, id)
-	}
-	for _, in := range st.insts {
-		if !visit(in.node) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// Progress implements framework.Framework: elapsed lifetime over
-// contracted lifetime.
-func (s *Serverless) Progress(id string) (float64, error) {
-	st, ok := s.jobs[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrJobUnknown, id)
-	}
-	j := st.job
-	done := j.DoneWork
-	if j.State == framework.JobRunning {
-		done += sim.ToSeconds(s.eng.Now() - st.startedAt)
-	}
-	p := done / j.Work
-	if p > 1 {
-		p = 1
-	}
-	return p, nil
-}
-
-// Get implements framework.Framework.
-func (s *Serverless) Get(id string) (*framework.Job, bool) {
-	st, ok := s.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return st.job, true
-}
-
-// Running implements framework.Framework.
-func (s *Serverless) Running() []*framework.Job { return s.running.Values() }
-
-// QueuedJobs implements framework.Framework. Functions register
-// immediately, so the queue is transient; this exists for the
-// interface.
-func (s *Serverless) QueuedJobs() []*framework.Job {
-	out := make([]*framework.Job, 0, s.queue.Len())
-	for i := 0; i < s.queue.Len(); i++ {
-		out = append(out, s.jobs[s.queue.At(i)].job)
-	}
-	return out
 }
 
 // SetTargetInstances overrides the fleet target of a running function —
@@ -414,20 +234,17 @@ func (s *Serverless) QueuedJobs() []*framework.Job {
 // go to zero explicitly. The per-tick autoscaler keeps steering after
 // an override; this pins the fleet until the next tick.
 func (s *Serverless) SetTargetInstances(id string, n int) error {
-	st, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
-	}
-	if st.job.State != framework.JobRunning {
-		return fmt.Errorf("%w: %s is %v", ErrJobState, id, st.job.State)
+	f, err := s.LookupRunning(id)
+	if err != nil {
+		return err
 	}
 	if n < 0 {
 		n = 0
 	}
-	if n > st.job.VMs {
-		n = st.job.VMs
+	if n > f.Job.VMs {
+		n = f.Job.VMs
 	}
-	s.retarget(st, n)
+	s.retarget(f, n)
 	return nil
 }
 
@@ -437,62 +254,13 @@ func (s *Serverless) SetTargetInstances(id string, n int) error {
 // transferable private VMs. At least one instance stays: reclaim never
 // forces a warm function fully cold.
 func (s *Serverless) Shrink(id string, k int) error {
-	st, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
+	f, err := s.Fleets.Shrink(id, k)
+	if err != nil {
+		return err
 	}
-	if st.job.State != framework.JobRunning {
-		return fmt.Errorf("%w: %s is %v", ErrJobState, id, st.job.State)
-	}
-	if k <= 0 || k > len(st.insts)-1 {
-		return fmt.Errorf("%w: shrink %s by %d with %d instances", ErrJobState, id, k, len(st.insts))
-	}
-	for pass := 0; pass < 2 && k > 0; pass++ {
-		wantCloud := pass == 1
-		for i := len(st.insts) - 1; i >= 0 && k > 0; i-- {
-			in := st.insts[i]
-			if s.Node(in.node).Cloud != wantCloud {
-				continue
-			}
-			st.revs[in.rev].instances--
-			st.insts = append(st.insts[:i], st.insts[i+1:]...)
-			s.Release(in.node)
-			k--
-		}
-	}
-	st.job.Replicas = len(st.insts)
-	st.target = len(st.insts)
-	s.rebalance(st)
-	if s.cfg.Events.OnScale != nil {
-		s.cfg.Events.OnScale(st.job)
-	}
+	s.rebalance(f)
+	s.Scaled(f)
 	return nil
-}
-
-// ReplicaKinds counts a running function's instance hosts by kind —
-// what a reclaim bid checks before promising transferable private VMs.
-func (s *Serverless) ReplicaKinds(id string) (private, cloud int, err error) {
-	st, ok := s.jobs[id]
-	if !ok || st.job.State != framework.JobRunning {
-		return 0, 0, fmt.Errorf("%w: %s is not running", ErrJobState, id)
-	}
-	for _, in := range st.insts {
-		if s.Node(in.node).Cloud {
-			cloud++
-		} else {
-			private++
-		}
-	}
-	return private, cloud, nil
-}
-
-// TargetInstances returns a function's current fleet target.
-func (s *Serverless) TargetInstances(id string) (int, error) {
-	st, ok := s.jobs[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrJobUnknown, id)
-	}
-	return st.target, nil
 }
 
 // DeployRevision adds an immutable revision at traffic weight zero; a
@@ -500,22 +268,19 @@ func (s *Serverless) TargetInstances(id string) (int, error) {
 // while the function is unsettled; revision names are unique per
 // function.
 func (s *Serverless) DeployRevision(id, name string) error {
-	st, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
-	}
-	if st.job.State == framework.JobDone {
-		return fmt.Errorf("%w: %s is done", ErrJobState, id)
+	f, err := s.lookupLive(id)
+	if err != nil {
+		return err
 	}
 	if name == "" {
 		return fmt.Errorf("%w: empty revision name", ErrRevision)
 	}
-	for _, r := range st.revs {
+	for _, r := range f.X.revs {
 		if r.name == name {
 			return fmt.Errorf("%w: revision %q already exists for %s", ErrRevision, name, id)
 		}
 	}
-	st.revs = append(st.revs, &revision{name: name, createdAt: s.eng.Now()})
+	f.X.revs = append(f.X.revs, &revision{name: name, createdAt: s.Now()})
 	return nil
 }
 
@@ -527,12 +292,9 @@ func (s *Serverless) DeployRevision(id, name string) error {
 // image), which is what makes an aggressive canary visible in the
 // latency accounting.
 func (s *Serverless) SetTrafficSplit(id string, weights map[string]int) error {
-	st, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
-	}
-	if st.job.State == framework.JobDone {
-		return fmt.Errorf("%w: %s is done", ErrJobState, id)
+	f, err := s.lookupLive(id)
+	if err != nil {
+		return err
 	}
 	total := 0
 	for name, w := range weights {
@@ -540,7 +302,7 @@ func (s *Serverless) SetTrafficSplit(id string, weights map[string]int) error {
 			return fmt.Errorf("%w: negative weight %d for %q", ErrRevision, w, name)
 		}
 		found := false
-		for _, r := range st.revs {
+		for _, r := range f.X.revs {
 			if r.name == name {
 				found = true
 				break
@@ -554,94 +316,89 @@ func (s *Serverless) SetTrafficSplit(id string, weights map[string]int) error {
 	if total <= 0 {
 		return fmt.Errorf("%w: traffic weights sum to zero", ErrRevision)
 	}
-	for _, r := range st.revs {
+	for _, r := range f.X.revs {
 		r.weight = weights[r.name]
 	}
-	s.rebalance(st)
+	s.rebalance(f)
 	return nil
 }
 
 // Revisions returns the per-revision monitoring view in deploy order.
 func (s *Serverless) Revisions(id string) ([]RevisionStats, error) {
-	st, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrJobUnknown, id)
+	f, err := s.Lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]RevisionStats, len(st.revs))
-	for i, r := range st.revs {
+	out := make([]RevisionStats, len(f.X.revs))
+	for i, r := range f.X.revs {
 		out[i] = RevisionStats{
 			Name:       r.name,
 			Weight:     r.weight,
-			Instances:  r.instances,
 			Requests:   r.requests,
 			ColdStarts: r.coldStarts,
 			CreatedAtS: sim.ToSeconds(r.createdAt),
 		}
+	}
+	for _, in := range f.Insts {
+		out[in.Rev].Instances++
 	}
 	return out, nil
 }
 
 // FunctionStats returns the monitoring view for one function.
 func (s *Serverless) FunctionStats(id string) (Stats, error) {
-	st, ok := s.jobs[id]
-	if !ok {
-		return Stats{}, fmt.Errorf("%w: %s", ErrJobUnknown, id)
+	f, err := s.Lookup(id)
+	if err != nil {
+		return Stats{}, err
 	}
 	out := Stats{
-		Instances:       len(st.insts),
-		Target:          st.target,
-		QueueDepth:      st.queue,
-		Intervals:       st.intervals,
-		Burned:          st.burned,
-		PeakReplicas:    st.peakReplicas,
-		ColdStarts:      st.coldStarts,
-		ColdStartDelayS: st.coldDelayS,
-		Activations:     st.activations,
-		ZeroScales:      st.zeroScales,
-		Served:          st.served,
+		Instances:       len(f.Insts),
+		Target:          f.Target,
+		QueueDepth:      f.X.queue,
+		RollingP95:      f.RollingP95(),
+		Intervals:       f.Intervals,
+		Burned:          f.Burned,
+		PeakReplicas:    f.PeakReplicas,
+		ColdStarts:      f.X.coldStarts,
+		ColdStartDelayS: f.X.coldDelayS,
+		Activations:     f.X.activations,
+		ZeroScales:      f.X.zeroScales,
+		Served:          f.X.served,
 	}
-	if st.job.State == framework.JobRunning {
-		now := s.eng.Now()
-		warmN, warmCap := s.warmCapacity(st, now)
+	if f.Job.State == framework.JobRunning {
+		now := s.Now()
+		warmN, warmCap := s.warmCapacity(f, now)
 		out.Warm = warmN
 		out.Capacity = warmCap
-		out.OfferedRate = offeredRate(st.job, now)
-		out.P95 = s.p95(st, out.OfferedRate, warmN, warmCap, now)
-	}
-	n := st.windowN
-	if n > len(st.window) {
-		n = len(st.window)
-	}
-	for i := 0; i < n; i++ {
-		if st.window[i] > out.RollingP95 {
-			out.RollingP95 = st.window[i]
-		}
+		out.OfferedRate = f.OfferedRate(now)
+		out.P95 = s.p95(f, out.OfferedRate, warmN, warmCap, now)
 	}
 	return out, nil
 }
 
 // --- internals ---
 
-// offeredRate samples the open-loop arrival process.
-func offeredRate(j *framework.Job, t sim.Time) float64 {
-	if j.Rate == nil {
-		return 0
+// lookupLive looks up a function that is not done — the functions whose
+// revisions may still change.
+func (s *Serverless) lookupLive(id string) (*fleet, error) {
+	f, err := s.Lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	r := j.Rate(t)
-	if r < 0 {
-		return 0
+	if f.Job.State == framework.JobDone {
+		return nil, fmt.Errorf("%w: %s is done", framework.ErrJobState, id)
 	}
-	return r
+	return f, nil
 }
 
 // warmCapacity counts instances past their boot delay and sums their
 // service rates.
-func (s *Serverless) warmCapacity(st *fnState, now sim.Time) (int, float64) {
+func (s *Serverless) warmCapacity(f *fleet, now sim.Time) (int, float64) {
 	n, c := 0, 0.0
-	for _, in := range st.insts {
-		if in.warmAt <= now {
+	for _, in := range f.Insts {
+		if in.WarmAt <= now {
 			n++
-			c += st.job.SvcRate * s.Node(in.node).SpeedFactor
+			c += f.Job.SvcRate * s.Node(in.Node).SpeedFactor
 		}
 	}
 	return n, c
@@ -649,12 +406,12 @@ func (s *Serverless) warmCapacity(st *fnState, now sim.Time) (int, float64) {
 
 // earliestWarm returns the soonest readiness time among booting
 // instances, or false when none is booting.
-func (s *Serverless) earliestWarm(st *fnState, now sim.Time) (sim.Time, bool) {
+func earliestWarm(f *fleet, now sim.Time) (sim.Time, bool) {
 	var best sim.Time
 	found := false
-	for _, in := range st.insts {
-		if in.warmAt > now && (!found || in.warmAt < best) {
-			best = in.warmAt
+	for _, in := range f.Insts {
+		if in.WarmAt > now && (!found || in.WarmAt < best) {
+			best = in.WarmAt
 			found = true
 		}
 	}
@@ -668,14 +425,14 @@ func (s *Serverless) earliestWarm(st *fnState, now sim.Time) (sim.Time, bool) {
 // base sojourn — requests wait in the activation queue for exactly that
 // long — or +Inf when nothing is booting (cold with no capacity on the
 // way within this tick).
-func (s *Serverless) p95(st *fnState, lambda float64, warmN int, warmCap float64, now sim.Time) float64 {
-	demand := lambda > 0 || st.queue > 0
+func (s *Serverless) p95(f *fleet, lambda float64, warmN int, warmCap float64, now sim.Time) float64 {
+	demand := lambda > 0 || f.X.queue > 0
 	if warmCap <= 0 {
 		if !demand {
 			return 0
 		}
-		if at, ok := s.earliestWarm(st, now); ok {
-			return sim.ToSeconds(at-now) + 3.0/st.job.SvcRate
+		if at, ok := earliestWarm(f, now); ok {
+			return sim.ToSeconds(at-now) + 3.0/f.Job.SvcRate
 		}
 		return math.Inf(1)
 	}
@@ -687,57 +444,38 @@ func (s *Serverless) p95(st *fnState, lambda float64, warmN int, warmCap float64
 	return 3 * s0 / (1 - rho)
 }
 
-// ensureTicker starts the evaluation ticker while unsettled functions
-// exist; onTick cancels it when the last one settles.
-func (s *Serverless) ensureTicker() {
-	if s.tick.Active() || s.unsettled == 0 {
-		return
-	}
-	s.tick = s.eng.Every(s.cfg.Tick, s.onTick)
-}
-
 // onTick advances the fluid request model, SLO accounting and the
 // autoscaler for every running function, in submission order. Suspended
 // functions with demand burn outright (they are down).
 func (s *Serverless) onTick() {
-	if s.unsettled == 0 {
-		s.tick.Cancel()
+	if s.Settled() {
 		return
 	}
-	now := s.eng.Now()
-	tickS := sim.ToSeconds(s.cfg.Tick)
-	for _, st := range s.states.Values() {
-		s.stepFn(st, now, tickS)
+	now := s.Now()
+	tickS := sim.ToSeconds(s.Tick())
+	for _, f := range s.Active.Values() {
+		s.step(f, now, tickS)
 	}
-	// Suspended functions: down; ticks with offered demand burn. Only
-	// counters advance, so the map-order scan cannot leak into results.
-	for _, st := range s.jobs {
-		if st.job.State == framework.JobSuspended && offeredRate(st.job, now) > 0 {
-			st.intervals++
-			st.burned++
+	s.VisitSuspended(func(f *fleet) {
+		if f.OfferedRate(now) > 0 {
+			f.Down()
 		}
-	}
+	})
 }
 
-// stepFn advances one running function by one tick: drain arrivals
+// step advances one running function by one tick: drain arrivals
 // through the warm fleet, account the SLO, then steer the fleet.
-func (s *Serverless) stepFn(st *fnState, now sim.Time, tickS float64) {
-	j := st.job
-	lambda := offeredRate(j, now)
+func (s *Serverless) step(f *fleet, now sim.Time, tickS float64) {
+	lambda := f.OfferedRate(now)
 	arrivals := lambda * tickS
-	demand := arrivals + st.queue
-	warmN, warmCap := s.warmCapacity(st, now)
+	demand := arrivals + f.X.queue
+	warmN, warmCap := s.warmCapacity(f, now)
 
 	// Evaluate the latency model before serving: the p95 reflects the
 	// state requests arriving this tick experience.
-	p := s.p95(st, lambda, warmN, warmCap, now)
+	p := s.p95(f, lambda, warmN, warmCap, now)
 	if demand > 0 {
-		st.window[st.windowN%len(st.window)] = p
-		st.windowN++
-		st.intervals++
-		if j.TargetP95 > 0 && (math.IsInf(p, 1) || p > j.TargetP95) {
-			st.burned++
-		}
+		f.Record(p)
 	}
 
 	// Fluid drain: warm capacity serves the backlog plus arrivals.
@@ -745,23 +483,23 @@ func (s *Serverless) stepFn(st *fnState, now sim.Time, tickS float64) {
 	if lim := warmCap * tickS; served > lim {
 		served = lim
 	}
-	st.queue = demand - served
-	if st.queue < 1e-9 {
-		st.queue = 0
+	f.X.queue = demand - served
+	if f.X.queue < 1e-9 {
+		f.X.queue = 0
 	}
 	if served > 0 {
-		st.served += served
-		s.tally(st, served)
+		f.X.served += served
+		f.X.tally(served)
 	}
 	if demand > 0 {
-		st.lastActive = now
+		f.X.lastActive = now
 	}
 
-	s.autoscale(st, lambda, demand, warmN, now, tickS)
+	s.autoscale(f, lambda, demand, warmN, now, tickS)
 }
 
 // tally splits served requests across revisions by traffic weight.
-func (s *Serverless) tally(st *fnState, served float64) {
+func (st *fnState) tally(served float64) {
 	total := 0
 	for _, r := range st.revs {
 		total += r.weight
@@ -782,9 +520,9 @@ func (s *Serverless) tally(st *fnState, served float64) {
 // so the calm fleet is ceil(λ / (μ·u*)) plus whatever drains the
 // activation backlog within one tick. Panic mode doubles the fleet and
 // holds the floor while it lasts; an idle window scales to zero.
-func (s *Serverless) autoscale(st *fnState, lambda, demand float64, warmN int, now sim.Time, tickS float64) {
-	j := st.job
-	cur := len(st.insts)
+func (s *Serverless) autoscale(f *fleet, lambda, demand float64, warmN int, now sim.Time, tickS float64) {
+	j, st := f.Job, &f.X
+	cur := len(f.Insts)
 	desired := 0
 	if demand > 0 {
 		mu := j.SvcRate
@@ -803,7 +541,7 @@ func (s *Serverless) autoscale(st *fnState, lambda, demand float64, warmN int, n
 			hold = j.ConcTarget
 		}
 		if st.queue > panicFactor*hold {
-			st.panicUntil = now + panicTicks*s.cfg.Tick
+			st.panicUntil = now + panicTicks*s.Tick()
 		}
 		if now < st.panicUntil {
 			if 2*cur > desired {
@@ -813,7 +551,7 @@ func (s *Serverless) autoscale(st *fnState, lambda, demand float64, warmN int, n
 				desired = 1
 			}
 		}
-		if cur == 0 && st.target == 0 && desired > 0 {
+		if cur == 0 && f.Target == 0 && desired > 0 {
 			st.activations++ // scale-from-zero transition, once per episode
 		}
 	} else if cur > 0 {
@@ -831,7 +569,7 @@ func (s *Serverless) autoscale(st *fnState, lambda, demand float64, warmN int, n
 	if st.cap > 0 && desired > st.cap {
 		desired = st.cap
 	}
-	s.retarget(st, desired)
+	s.retarget(f, desired)
 }
 
 // SetInstanceCap clamps a function's autoscaler below the contracted
@@ -839,92 +577,49 @@ func (s *Serverless) autoscale(st *fnState, lambda, demand float64, warmN int, n
 // holds until changed (0 removes it); an over-cap fleet shrinks
 // immediately.
 func (s *Serverless) SetInstanceCap(id string, n int) error {
-	st, ok := s.jobs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
+	f, err := s.Lookup(id)
+	if err != nil {
+		return err
 	}
 	if n < 0 {
 		n = 0
 	}
-	st.cap = n
-	if st.job.State == framework.JobRunning && n > 0 && len(st.insts) > n {
-		s.retarget(st, n)
+	f.X.cap = n
+	if f.Job.State == framework.JobRunning && n > 0 && len(f.Insts) > n {
+		s.retarget(f, n)
 	}
 	return nil
 }
 
 // retarget moves the fleet toward n: shrink releases newest-first
 // immediately, growth goes through the scheduler as free nodes allow.
-func (s *Serverless) retarget(st *fnState, n int) {
-	st.target = n
-	if n < len(st.insts) {
-		s.releaseInstances(st, len(st.insts)-n)
-		s.rebalance(st)
-		if s.cfg.Events.OnScale != nil {
-			s.cfg.Events.OnScale(st.job)
-		}
+func (s *Serverless) retarget(f *fleet, n int) {
+	f.Target = n
+	if n < len(f.Insts) {
+		s.ReleaseNewest(f, len(f.Insts)-n)
+		s.rebalance(f)
+		s.Scaled(f)
 		return
 	}
-	if n > len(st.insts) {
+	if n > len(f.Insts) {
 		s.schedule()
 	}
 }
 
-// accrueLifetime banks the elapsed wall time of the current execution
-// segment into DoneWork.
-func (s *Serverless) accrueLifetime(st *fnState) {
-	j := st.job
-	j.DoneWork += sim.ToSeconds(s.eng.Now() - st.startedAt)
-	if j.DoneWork > j.Work {
-		j.DoneWork = j.Work
-	}
-}
-
-// releaseAll frees every instance of a function.
-func (s *Serverless) releaseAll(st *fnState) {
-	for _, in := range st.insts {
-		s.Release(in.node)
-	}
-	st.insts = nil
-	for _, r := range st.revs {
-		r.instances = 0
-	}
-}
-
-// releaseInstances frees k instances, newest assignment first.
-func (s *Serverless) releaseInstances(st *fnState, k int) {
-	for ; k > 0 && len(st.insts) > 0; k-- {
-		in := st.insts[len(st.insts)-1]
-		st.insts = st.insts[:len(st.insts)-1]
-		st.revs[in.rev].instances--
-		s.Release(in.node)
-	}
-	st.job.Replicas = len(st.insts)
-}
-
-// assignInstances attaches up to k free nodes as booting instances,
-// attach order, and returns how many it got. Every assignment is a cold
-// start: the instance serves nothing until ColdStartS elapses, and the
-// boot delay is charged to the function and its revision.
-func (s *Serverless) assignInstances(st *fnState, k int) int {
-	got := 0
-	now := s.eng.Now()
-	for ; k > 0; k-- {
-		n, ok := s.Take(st.job.ID)
-		if !ok {
-			break
-		}
-		rev := s.neediestRev(st)
-		st.revs[rev].instances++
-		st.revs[rev].coldStarts++
-		st.coldStarts++
-		st.coldDelayS += st.job.ColdStartS
-		st.insts = append(st.insts, instance{node: n.ID, rev: rev, warmAt: now + sim.Seconds(st.job.ColdStartS)})
-		got++
-	}
-	st.job.Replicas = len(st.insts)
-	if st.job.Replicas > st.peakReplicas {
-		st.peakReplicas = st.job.Replicas
+// grow boots up to k instances on free nodes and returns how many it
+// got. Every assignment is a cold start: the instance serves nothing
+// until ColdStartS elapses, and the boot delay is charged to the
+// function and to the revision the instance joins.
+func (s *Serverless) grow(f *fleet, k int) int {
+	from := len(f.Insts)
+	got := s.Grow(f, k)
+	warmAt := s.Now() + sim.Seconds(f.Job.ColdStartS)
+	for i := from; i < len(f.Insts); i++ {
+		rev := f.X.neediestRev(f.Insts[:i])
+		f.Insts[i].Rev, f.Insts[i].WarmAt = rev, warmAt
+		f.X.revs[rev].coldStarts++
+		f.X.coldStarts++
+		f.X.coldDelayS += f.Job.ColdStartS
 	}
 	return got
 }
@@ -974,12 +669,15 @@ func (st *fnState) quotas(n int) []int {
 }
 
 // neediestRev picks the revision with the largest quota deficit for the
-// fleet one instance larger — where the next instance belongs.
-func (s *Serverless) neediestRev(st *fnState) int {
-	q := st.quotas(len(st.insts) + 1)
+// fleet insts plus one instance — where the next instance belongs.
+func (st *fnState) neediestRev(insts []framework.Instance) int {
+	need := st.quotas(len(insts) + 1)
+	for _, in := range insts {
+		need[in.Rev]--
+	}
 	best, bestDeficit := 0, math.MinInt32
-	for i, r := range st.revs {
-		if d := q[i] - r.instances; d > bestDeficit {
+	for i, d := range need {
+		if d > bestDeficit {
 			best, bestDeficit = i, d
 		}
 	}
@@ -990,14 +688,18 @@ func (s *Serverless) neediestRev(st *fnState) int {
 // a traffic-split change or shrink: over-quota revisions yield their
 // newest instances to under-quota ones. A flipped instance re-boots on
 // the new revision's image — a cold start charged like any other.
-func (s *Serverless) rebalance(st *fnState) {
-	q := st.quotas(len(st.insts))
-	now := s.eng.Now()
-	for i := range st.revs {
-		for st.revs[i].instances < q[i] {
+func (s *Serverless) rebalance(f *fleet) {
+	st := &f.X
+	need := st.quotas(len(f.Insts))
+	for _, in := range f.Insts {
+		need[in.Rev]--
+	}
+	now := s.Now()
+	for i := range need {
+		for need[i] > 0 {
 			donor := -1
-			for d := range st.revs {
-				if st.revs[d].instances > q[d] {
+			for d := range need {
+				if need[d] < 0 {
 					donor = d
 					break
 				}
@@ -1006,18 +708,18 @@ func (s *Serverless) rebalance(st *fnState) {
 				return
 			}
 			// Newest instance of the donor revision flips.
-			for k := len(st.insts) - 1; k >= 0; k-- {
-				in := &st.insts[k]
-				if in.rev != donor {
+			for k := len(f.Insts) - 1; k >= 0; k-- {
+				in := &f.Insts[k]
+				if in.Rev != donor {
 					continue
 				}
-				st.revs[donor].instances--
-				in.rev = i
-				in.warmAt = now + sim.Seconds(st.job.ColdStartS)
-				st.revs[i].instances++
+				need[donor]++
+				in.Rev = i
+				in.WarmAt = now + sim.Seconds(f.Job.ColdStartS)
+				need[i]--
 				st.revs[i].coldStarts++
 				st.coldStarts++
-				st.coldDelayS += st.job.ColdStartS
+				st.coldDelayS += f.Job.ColdStartS
 				break
 			}
 		}
@@ -1028,59 +730,25 @@ func (s *Serverless) rebalance(st *fnState) {
 // launch cold), then grows running fleets toward their targets in
 // submission order.
 func (s *Serverless) schedule() {
-	for s.queue.Len() > 0 {
-		st := s.jobs[s.queue.At(0)]
-		s.queue.RemoveAt(0)
-		s.start(st)
+	for s.Queue.Len() > 0 {
+		f := s.Queue.PopFront()
+		f.X.lastActive = s.Now()
+		s.Begin(f, func() { s.finish(f) })
 	}
-	for _, st := range s.states.Values() {
+	for _, f := range s.Active.Values() {
 		if s.FreeLen() == 0 {
 			break
 		}
-		if want := st.target - len(st.insts); want > 0 {
-			if s.assignInstances(st, want) > 0 && s.cfg.Events.OnScale != nil {
-				s.cfg.Events.OnScale(st.job)
+		if want := f.Target - len(f.Insts); want > 0 {
+			if s.grow(f, want) > 0 {
+				s.Scaled(f)
 			}
 		}
 	}
 }
 
-// start registers a function: running, cold, zero instances. The first
-// tick with demand activates it.
-func (s *Serverless) start(st *fnState) {
-	j := st.job
-	now := s.eng.Now()
-	if !j.Started {
-		j.Started = true
-		j.StartedAt = now
-	}
-	j.State = framework.JobRunning
-	st.startedAt = now
-	st.lastActive = now
-	s.running.Insert(st.seq, j)
-	s.states.Insert(st.seq, st)
-	remaining := j.Work - j.DoneWork
-	st.finish = s.eng.After(sim.Seconds(remaining), func() { s.finishFn(st) })
-	if s.cfg.Events.OnStart != nil {
-		s.cfg.Events.OnStart(j)
-	}
-}
-
-// finishFn settles a function whose contracted lifetime elapsed.
-func (s *Serverless) finishFn(st *fnState) {
-	j := st.job
-	j.State = framework.JobDone
-	j.DoneWork = j.Work
-	j.FinishedAt = s.eng.Now()
-	s.releaseAll(st)
-	s.running.Remove(st.seq)
-	s.states.Remove(st.seq)
-	s.unsettled--
-	if s.unsettled == 0 {
-		s.tick.Cancel()
-	}
-	if s.cfg.Events.OnFinish != nil {
-		s.cfg.Events.OnFinish(j)
-	}
+// finish settles a function whose contracted lifetime elapsed.
+func (s *Serverless) finish(f *fleet) {
+	s.End(f)
 	s.schedule()
 }

@@ -242,6 +242,28 @@ func TestCanarySplitQuotasAndPromotion(t *testing.T) {
 	}
 }
 
+// TestGrowthFollowsTrafficSplit boots a whole fleet in one scheduling
+// pass under a 50/50 split: each new instance joins the revision with
+// the largest quota deficit counting the instances booted before it in
+// the same pass, so the fleet splits evenly and each revision pays its
+// own cold starts.
+func TestGrowthFollowsTrafficSplit(t *testing.T) {
+	eng := sim.NewEngine()
+	s := New(eng, Config{Tick: sim.Seconds(10)})
+	addNodes(s, 4, 1.0)
+	must(t, s.Submit(fn("f", 4, 10, 600, 5, 0)))
+	must(t, s.DeployRevision("f", "v2"))
+	must(t, s.SetTrafficSplit("f", map[string]int{"rev-1": 50, "v2": 50}))
+	must(t, s.SetTargetInstances("f", 4))
+	revs, err := s.Revisions("f")
+	must(t, err)
+	for _, r := range revs {
+		if r.Instances != 2 || r.ColdStarts != 2 {
+			t.Fatalf("revisions %+v, want 2 instances and 2 cold starts each", revs)
+		}
+	}
+}
+
 func TestFailNodeNeverRequeues(t *testing.T) {
 	eng := sim.NewEngine()
 	var scales, requeues int
@@ -308,7 +330,7 @@ func TestShrinkPrivateFirstKeepsOne(t *testing.T) {
 	if private != 0 || cloud != 2 {
 		t.Fatalf("kinds after shrink = %d private / %d cloud, want 0/2", private, cloud)
 	}
-	if tgt, _ := s.TargetInstances("f"); tgt != 2 {
+	if tgt, _ := s.TargetOf("f"); tgt != 2 {
 		t.Fatalf("target = %d, want lowered to 2 so the autoscaler cannot re-grab", tgt)
 	}
 	free := s.FreeNodeIDs()
@@ -534,33 +556,166 @@ func TestFreeNodeIndexConsistency(t *testing.T) {
 	check("run to completion")
 }
 
-func TestTickerStopsWhenDrained(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, Config{Tick: sim.Seconds(10)})
-	addNodes(s, 2, 1.0)
-	must(t, s.Submit(fn("f", 2, 10, 100, 5, 5)))
-	eng.RunAll()
-	if s.tick.Active() {
-		t.Fatal("ticker still armed after the last function settled")
+// largestRemainder is an independent statement of the quota rule the
+// framework promises: n instances split by weight, floors first, then
+// one each to the largest remainders, ties to the older revision, and
+// never to a zero-weight revision.
+func largestRemainder(revs []RevisionStats, n int) []int {
+	out := make([]int, len(revs))
+	total := 0
+	for _, r := range revs {
+		total += r.Weight
 	}
-	if eng.Pending() != 0 {
-		t.Fatalf("pending events = %d, want drained queue", eng.Pending())
+	if total <= 0 || n <= 0 {
+		return out
 	}
+	rem := make([]int, len(revs))
+	left := n
+	for i, r := range revs {
+		out[i] = n * r.Weight / total
+		rem[i] = n * r.Weight % total
+		left -= out[i]
+	}
+	for ; left > 0; left-- {
+		best := -1
+		for i, r := range revs {
+			if r.Weight > 0 && rem[i] >= 0 && (best < 0 || rem[i] > rem[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out[best]++
+		rem[best] = -1
+	}
+	return out
 }
 
-func TestRunningListSubmissionOrder(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, Config{})
-	addNodes(s, 3, 1.0)
-	for _, id := range []string{"fn-2", "fn-10", "fn-1"} {
-		must(t, s.Submit(fn(id, 1, 10, 500, 0, 1)))
+// TestPropertyRevisionBookkeeping applies seeded random sequences of
+// fleet, node and revision operations — SetTargetInstances, Shrink,
+// FailNode, AddNode, DeployRevision, SetTrafficSplit, SetInstanceCap
+// and engine steps that run the autoscaler — to two functions sharing
+// one node pool. After every operation the per-revision instance counts
+// must sum to the function's fleet and its node set, and the node
+// indexes must hold; after every traffic split and reclaim the counts
+// must equal the largest-remainder quotas exactly.
+func TestPropertyRevisionBookkeeping(t *testing.T) {
+	seeds, ops := 20, 300
+	if testing.Short() {
+		seeds = 5
 	}
-	got := s.Running()
-	if len(got) != 3 || got[0].ID != "fn-2" || got[1].ID != "fn-10" || got[2].ID != "fn-1" {
-		ids := make([]string, len(got))
-		for i, j := range got {
-			ids[i] = j.ID
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		rng := sim.NewRNG(seed, "serverless/revisions")
+		eng := sim.NewEngine()
+		s := New(eng, Config{Tick: sim.Seconds(10)})
+		var attachOrder []string
+		addNode := func() {
+			id := fmt.Sprintf("n%03d", len(attachOrder))
+			s.AddNode(framework.Node{ID: id, SpeedFactor: 1, Cloud: rng.Intn(3) == 0})
+			attachOrder = append(attachOrder, id)
 		}
-		t.Fatalf("Running() = %v, want submission order [fn-2 fn-10 fn-1]", ids)
+		for i := 0; i < 6; i++ {
+			addNode()
+		}
+		ids := []string{"f0", "f1"}
+		for i, id := range ids {
+			j := fn(id, 6, 10, 1e7, float64(5*i), 0)
+			j.IdleWindowS = 30
+			period := sim.Seconds(float64(80 + 60*i))
+			peak := float64(20 + 15*i)
+			j.Rate = func(t sim.Time) float64 {
+				if (t/period)%2 == 0 {
+					return peak
+				}
+				return 0
+			}
+			must(t, s.Submit(j))
+		}
+		deployed := map[string]int{}
+
+		check := func(op int, what, quotaID string) {
+			t.Helper()
+			fwtest.CheckIndexes(t, s, attachOrder)
+			for _, id := range ids {
+				revs, err := s.Revisions(id)
+				must(t, err)
+				nodes, err := s.JobNodes(id)
+				must(t, err)
+				sum := 0
+				for _, r := range revs {
+					sum += r.Instances
+				}
+				if fleet := stats(t, s, id).Instances; sum != fleet || sum != len(nodes) {
+					t.Fatalf("seed %d op %d (%s): %s revisions hold %d instances, fleet %d, nodes %d",
+						seed, op, what, id, sum, fleet, len(nodes))
+				}
+				if id != quotaID {
+					continue
+				}
+				want := largestRemainder(revs, sum)
+				for i, r := range revs {
+					if r.Instances != want[i] {
+						t.Fatalf("seed %d op %d (%s): %s revisions %+v, want quotas %v",
+							seed, op, what, id, revs, want)
+					}
+				}
+			}
+		}
+
+		for op := 0; op < ops; op++ {
+			id := ids[rng.Intn(len(ids))]
+			what, quotaID := "", ""
+			switch rng.Intn(8) {
+			case 0:
+				n := rng.Intn(8)
+				what = fmt.Sprintf("SetTargetInstances(%s, %d)", id, n)
+				must(t, s.SetTargetInstances(id, n))
+			case 1:
+				k := 1 + rng.Intn(3)
+				what = fmt.Sprintf("Shrink(%s, %d)", id, k)
+				if s.Shrink(id, k) == nil {
+					quotaID = id
+				}
+			case 2:
+				nid := attachOrder[rng.Intn(len(attachOrder))]
+				what = fmt.Sprintf("FailNode(%s)", nid)
+				if _, ok := s.InspectNode(nid); ok {
+					must(t, s.FailNode(nid))
+				}
+			case 3:
+				what = "AddNode"
+				if s.NumNodes() < 12 {
+					addNode()
+				}
+			case 4:
+				deployed[id]++
+				name := fmt.Sprintf("v%d", deployed[id]+1)
+				what = fmt.Sprintf("DeployRevision(%s, %s)", id, name)
+				must(t, s.DeployRevision(id, name))
+			case 5:
+				revs, err := s.Revisions(id)
+				must(t, err)
+				weights := map[string]int{}
+				for _, r := range revs {
+					if rng.Intn(2) == 0 {
+						weights[r.Name] = rng.Intn(4) * 25
+					}
+				}
+				what = fmt.Sprintf("SetTrafficSplit(%s, %v)", id, weights)
+				if s.SetTrafficSplit(id, weights) == nil {
+					quotaID = id
+				}
+			case 6:
+				n := rng.Intn(5)
+				what = fmt.Sprintf("SetInstanceCap(%s, %d)", id, n)
+				must(t, s.SetInstanceCap(id, n))
+			case 7:
+				d := rng.Range(1, 40)
+				what = fmt.Sprintf("Run(+%.1fs)", d)
+				eng.Run(eng.Now() + sim.Seconds(d))
+			}
+			check(op, what, quotaID)
+		}
 	}
 }

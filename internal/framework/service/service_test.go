@@ -130,7 +130,7 @@ func TestShrinkReclaimsAndHoldsTarget(t *testing.T) {
 	if j.Replicas != 2 {
 		t.Fatalf("replicas = %d, want 2 after reclaim", j.Replicas)
 	}
-	tgt, err := s.TargetReplicas("web")
+	tgt, err := s.TargetOf("web")
 	must(t, err)
 	if tgt != 2 {
 		t.Fatalf("target = %d, want 2 (reclaim lowers it)", tgt)
@@ -399,36 +399,5 @@ func TestFreeNodeIndexConsistency(t *testing.T) {
 
 	if got := s.IdleDisabledNodeIDs(); len(got) != 1 || got[0] != "p1" {
 		t.Fatalf("idle-disabled at end = %v, want [p1]", got)
-	}
-}
-
-func TestTickerStopsWhenDrained(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, Config{Tick: sim.Seconds(10)})
-	addNodes(s, 1, 1.0)
-	must(t, s.Submit(svc("web", 1, 10, 100, 5)))
-	eng.RunAll()
-	if s.tick.Active() {
-		t.Fatal("ticker still armed after the last service settled")
-	}
-	if eng.Pending() != 0 {
-		t.Fatalf("pending events = %d, want drained queue", eng.Pending())
-	}
-}
-
-func TestRunningListSubmissionOrder(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, Config{})
-	addNodes(s, 12, 1.0)
-	for _, id := range []string{"app-2", "app-10", "app-1"} {
-		must(t, s.Submit(svc(id, 1, 10, 500, 1)))
-	}
-	got := s.Running()
-	if len(got) != 3 || got[0].ID != "app-2" || got[1].ID != "app-10" || got[2].ID != "app-1" {
-		ids := make([]string, len(got))
-		for i, j := range got {
-			ids[i] = j.ID
-		}
-		t.Fatalf("Running() = %v, want submission order [app-2 app-10 app-1]", ids)
 	}
 }
