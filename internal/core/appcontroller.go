@@ -345,23 +345,7 @@ func (ac *AppController) checkService() {
 		}
 		_ = svc.SetTargetReplicas(id, target)
 	}
-	cur := ac.st.job.Replicas // after any synchronous growth or shrink
-	if cur >= target {
-		ac.sloArmed = false
-		// Scale-in (or an earlier boost overshooting) can strand idle
-		// cloud VMs; release them promptly rather than at the next
-		// completion.
-		cm.gcIdleCloud()
-		return
-	}
-	// Shortfall: the VC's free capacity could not cover the target. Ask
-	// the Enforcer to intervene (e.g. lease cloud VMs) once per episode,
-	// before the burn accrues further.
-	if !ac.sloArmed {
-		ac.sloArmed = true
-		cm.p.Counters.Projected.Inc()
-		cm.p.cfg.Enforcer.OnViolation(cm, id, true)
-	}
+	ac.sloCovered(ac.st.job.Replicas >= target) // after any synchronous growth or shrink
 }
 
 // checkServerless monitors one function. Unlike services, the framework
@@ -400,19 +384,27 @@ func (ac *AppController) checkServerless() {
 		}
 	}
 
-	if stats.Instances >= stats.Target {
+	ac.sloCovered(stats.Instances >= stats.Target)
+}
+
+// sloCovered is the shared tail of the service and function checks.
+// When the fleet covers its target, it re-arms the escalation and
+// releases idle cloud VMs promptly (scale-in, or an earlier boost
+// overshooting, can strand them) rather than at the next completion.
+// On a shortfall — the VC's free capacity could not cover the target —
+// it asks the Enforcer to intervene (e.g. lease cloud VMs) once per
+// pressure episode, before the burn accrues further.
+func (ac *AppController) sloCovered(covered bool) {
+	cm := ac.cm
+	if covered {
 		ac.sloArmed = false
-		// Scale-in can strand idle cloud VMs; release them promptly.
 		cm.gcIdleCloud()
 		return
 	}
-	// Shortfall: the framework wants more instances than the free pool
-	// provided. Escalate once per pressure episode, before the cold
-	// backlog burns further intervals.
 	if !ac.sloArmed {
 		ac.sloArmed = true
 		cm.p.Counters.Projected.Inc()
-		cm.p.cfg.Enforcer.OnViolation(cm, id, true)
+		cm.p.cfg.Enforcer.OnViolation(cm, ac.st.app.ID, true)
 	}
 }
 

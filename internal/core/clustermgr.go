@@ -181,11 +181,11 @@ func newClusterManager(p *Platform, cfg VCConfig) (*ClusterManager, error) {
 			SlotsPerNode:      slots,
 			ScaleOutLimit:     p.cfg.SLAScaleOutLimit,
 		}
-	case workload.TypeService:
-		cm.fw = service.New(p.Eng, service.Config{
+	case workload.TypeService, workload.TypeServerless:
+		fcfg := framework.FleetConfig{
 			Name: cfg.Name, Image: cfg.Name + ".img", Tick: p.cfg.ServiceTick, Events: events,
-		})
-		cm.ad = &ServiceAdapter{
+		}
+		ad := ServiceAdapter{
 			ConservativeSpeed: p.cfg.ConservativeSpeed,
 			Processing:        sim.Seconds(p.cfg.ProcessingEstimate),
 			VMPrice:           p.cfg.UserVMPrice,
@@ -195,19 +195,10 @@ func newClusterManager(p *Platform, cfg VCConfig) (*ClusterManager, error) {
 			Availability:      p.cfg.ServiceAvailability,
 			Interval:          p.cfg.ServiceTick,
 		}
-	case workload.TypeServerless:
-		cm.fw = serverless.New(p.Eng, serverless.Config{
-			Name: cfg.Name, Image: cfg.Name + ".img", Tick: p.cfg.ServiceTick, Events: events,
-		})
-		cm.ad = &ServerlessAdapter{
-			ConservativeSpeed: p.cfg.ConservativeSpeed,
-			Processing:        sim.Seconds(p.cfg.ProcessingEstimate),
-			VMPrice:           p.cfg.UserVMPrice,
-			PenaltyN:          p.cfg.PenaltyN,
-			MaxPenaltyFrac:    p.cfg.MaxPenaltyFrac,
-			ScaleOutLimit:     p.cfg.SLAScaleOutLimit,
-			Availability:      p.cfg.ServiceAvailability,
-			Interval:          p.cfg.ServiceTick,
+		if cfg.Type == workload.TypeService {
+			cm.fw, cm.ad = service.New(p.Eng, fcfg), &ad
+		} else {
+			cm.fw, cm.ad = serverless.New(p.Eng, fcfg), &ServerlessAdapter{ad}
 		}
 	default:
 		return nil, fmt.Errorf("core: unsupported VC type %q", cfg.Type)
@@ -585,7 +576,8 @@ func (cm *ClusterManager) onJobSuspend(j *framework.Job) {
 // onJobRequeue closes the segment of a job that lost its nodes to a
 // crash; the provider still pays for the consumed VM time. A requeued
 // service re-books its contracted footprint: it lost everything and
-// will restart at the contracted replica count from the free pool.
+// will restart at the contracted replica count from the free pool. (A
+// function never requeues: losing its last instance leaves it cold.)
 func (cm *ClusterManager) onJobRequeue(j *framework.Job) {
 	st := cm.apps[j.ID]
 	if st == nil {
@@ -594,12 +586,6 @@ func (cm *ClusterManager) onJobRequeue(j *framework.Job) {
 	cm.closeSegment(st)
 	if st.controller != nil {
 		st.controller.jobInterrupted()
-	}
-	if cm.cfg.Type == workload.TypeServerless {
-		// A requeued function restarts cold at zero instances; nothing
-		// to re-book.
-		st.lastReplicas = 0
-		return
 	}
 	if st.contract.SLO != nil {
 		cm.avail -= st.contract.NumVMs - st.lastReplicas

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"meryn/internal/framework"
 	"meryn/internal/framework/serverless"
@@ -18,22 +17,12 @@ import (
 // boot-delay term), and the price column quotes projected
 // pay-per-vCPU-second spend instead of reserved node-hours. A function
 // that never fires pays only the capacity premium; the agreed quote
-// doubles as the metered cost cap. Reclaim bids price the projected
-// cold-start SLO-burn of yielding warm instances.
+// doubles as the metered cost cap. Sizing, proposal bounds and reclaim
+// bids are the service adapter's: replicas are instances, the
+// negotiated count is the instance ceiling, and the reclaim bid adds
+// the cold-start burn of re-warming yielded instances.
 type ServerlessAdapter struct {
-	ConservativeSpeed float64
-	Processing        sim.Time // startup grace on the completion bound
-	VMPrice           float64
-	PenaltyN          float64
-	MaxPenaltyFrac    float64
-	// ScaleOutLimit bounds both the negotiation proposal set and the
-	// autoscaler's ceiling: instances range from the requested count up
-	// to ScaleOutLimit times it.
-	ScaleOutLimit int
-	// Availability is the clean-interval fraction contracts require.
-	Availability float64
-	// Interval is the SLO evaluation period (the framework tick).
-	Interval sim.Time
+	ServiceAdapter
 }
 
 var _ Adapter = (*ServerlessAdapter)(nil)
@@ -54,25 +43,11 @@ func (a *ServerlessAdapter) Validate(app workload.App) error {
 	if app.ColdStartS < 0 {
 		return fmt.Errorf("core: serverless app %s has negative cold start %g", app.ID, app.ColdStartS)
 	}
-	if min, max := a.minViableInstances(app), a.maxInstances(app); min > max {
+	if min, max := a.minViableReplicas(app), a.maxReplicas(app); min > max {
 		return fmt.Errorf("core: serverless app %s saturates at declared rate %.1f req/s even with %d instances",
 			app.ID, a.sizingRate(app), max)
 	}
 	return nil
-}
-
-// instanceRate is one instance's conservative capacity in requests/s.
-func (a *ServerlessAdapter) instanceRate(app workload.App) float64 {
-	return app.SvcRate * a.ConservativeSpeed
-}
-
-// sizingRate is the rate the provider sizes offers against, over the
-// function's actual window (see ServiceAdapter.sizingRate).
-func (a *ServerlessAdapter) sizingRate(app workload.App) float64 {
-	if app.DeclaredPeak > 0 {
-		return app.DeclaredPeak
-	}
-	return app.Load.PeakIn(app.SubmitAt, app.SubmitAt+sim.Seconds(app.DurationS))
 }
 
 // expectedRate dampens the sizing rate to a lifetime mean for the
@@ -86,38 +61,16 @@ func (a *ServerlessAdapter) expectedRate(app workload.App) float64 {
 	return a.sizingRate(app) * duty
 }
 
-// minViableInstances is the smallest ceiling that does not saturate at
-// the sizing rate. A zero-traffic function still gets a floor of the
-// requested ceiling.
-func (a *ServerlessAdapter) minViableInstances(app workload.App) int {
-	mu := a.instanceRate(app)
-	min := int(a.sizingRate(app)/mu) + 1
-	if min < app.Replicas {
-		min = app.Replicas
-	}
-	return min
-}
-
-// maxInstances bounds the proposal set.
-func (a *ServerlessAdapter) maxInstances(app workload.App) int {
-	max := app.Replicas
-	if a.ScaleOutLimit > 1 {
-		max = app.Replicas * a.ScaleOutLimit
-	}
-	return max
-}
-
 // p95Model maps an instance ceiling to the p95 achievable at the sizing
 // rate: the service framework's M/M/1-PS aggregate plus an amortized
 // boot-delay term — activations boot the fleet in parallel, so the
 // activation queue of a scale-from-zero episode drains n times faster
-// and the residual cold-start charge per offer is ColdStartS / n. This
-// is the boot-delay extension of PR 3's latency model: the target the
-// user buys already prices the cold starts the idle-gap profile will
-// cause.
+// and the residual cold-start charge per offer is ColdStartS / n. The
+// target the user buys already prices the cold starts the idle-gap
+// profile will cause.
 func (a *ServerlessAdapter) p95Model(app workload.App) sla.PerfModel {
 	peak := a.sizingRate(app)
-	mu := a.instanceRate(app)
+	mu := a.replicaRate(app)
 	return func(n int) sim.Time {
 		cold := app.ColdStartS / float64(n)
 		c := float64(n) * mu
@@ -129,114 +82,28 @@ func (a *ServerlessAdapter) p95Model(app workload.App) sla.PerfModel {
 	}
 }
 
-// SLAProvider implements Adapter: per-invocation pricing over the
-// service-contract SLO form.
+// SLAProvider implements Adapter: the service contract around the
+// cold-start-aware p95 model, with per-invocation pricing.
 func (a *ServerlessAdapter) SLAProvider(app workload.App) *sla.Provider {
-	return &sla.Provider{
-		Model:          a.p95Model(app),
-		Processing:     0, // the offer's time column is a pure p95 target
-		VMPrice:        a.VMPrice,
-		PenaltyN:       a.PenaltyN,
-		MaxPenaltyFrac: a.MaxPenaltyFrac,
-		MinVMs:         a.minViableInstances(app),
-		MaxVMs:         a.maxInstances(app),
-		SLO: &sla.SLOTemplate{
-			Lifetime:     sim.Seconds(app.DurationS),
-			Availability: a.Availability,
-			Interval:     a.Interval,
-			StartupGrace: a.Processing * 2,
-			Invocation: &sla.InvocationPricing{
-				ExpectedRate: a.expectedRate(app),
-				// One invocation consumes 1/μ vCPU-seconds by the
-				// definition of the per-instance service rate.
-				VCPUSeconds: 1 / a.instanceRate(app),
-			},
-		},
+	p := a.provider(app, a.p95Model(app))
+	p.SLO.Invocation = &sla.InvocationPricing{
+		ExpectedRate: a.expectedRate(app),
+		// One invocation consumes 1/μ vCPU-seconds by the definition of
+		// the per-instance service rate.
+		VCPUSeconds: 1 / a.replicaRate(app),
 	}
+	return p
 }
 
-// Translate implements Adapter.
+// Translate implements Adapter: the service job plus the function
+// shape.
 func (a *ServerlessAdapter) Translate(app workload.App, c *sla.Contract) *framework.Job {
-	return &framework.Job{
-		ID:          app.ID,
-		VMs:         c.NumVMs,
-		Work:        app.DurationS,
-		SvcRate:     app.SvcRate,
-		TargetP95:   sim.ToSeconds(c.SLO.TargetP95),
-		Rate:        app.Load.Rate,
-		ColdStartS:  app.ColdStartS,
-		ConcTarget:  app.ConcTarget,
-		IdleWindowS: app.IdleWindowS,
-		Revision:    app.Revision,
-	}
-}
-
-// ReclaimBid implements ReclaimBidder for functions. Candidate victims
-// are running functions that can yield n instances while keeping one
-// warm; the bid is the projected cold-start SLO-burn of the reclaim —
-// the saturation loss of serving today's rate on the shrunken fleet
-// (as for services) plus the boot-delay burn of re-warming the yielded
-// instances when demand returns. A function deep in an idle gap bids
-// almost nothing beyond its re-warm cost: scale-to-zero capacity is
-// the cheapest in the platform to borrow.
-func (a *ServerlessAdapter) ReclaimBid(cm *ClusterManager, n int, duration sim.Time) Bid {
-	fw := cm.serverlessFW()
-	if fw == nil {
-		return Bid{}
-	}
-	best := Bid{Cost: math.Inf(1)}
-	for _, job := range cm.fw.Running() {
-		st, ok := cm.apps[job.ID]
-		if !ok || st.contract.SLO == nil || job.Replicas-n < 1 {
-			continue
-		}
-		if private, _, err := fw.ReplicaKinds(job.ID); err != nil || private < n {
-			continue
-		}
-		cost := a.projectedLoss(cm, st, job, n, duration)
-		if cost < best.Cost {
-			best = Bid{OK: true, Cost: cost, VictimID: job.ID, Shrink: true}
-		}
-	}
-	if !best.OK {
-		return Bid{}
-	}
-	return best
-}
-
-// projectedLoss prices reclaiming n instances: the extra SLO penalty of
-// the shrunken fleet at the current rate, plus the cold-start burn of
-// booting replacements — ceil(ColdStartS / interval) intervals burn
-// when the reclaimed capacity has to come back.
-func (a *ServerlessAdapter) projectedLoss(cm *ClusterManager, st *appState, job *framework.Job, n int, duration sim.Time) float64 {
-	slo := st.contract.SLO
-	lambda := 0.0
-	if job.Rate != nil {
-		lambda = job.Rate(cm.p.Eng.Now())
-	}
-	remaining := float64(job.Replicas - n)
-	mu := job.SvcRate * a.ConservativeSpeed
-	c := remaining * mu
-	loss := 0.0
-	p95 := math.Inf(1)
-	if lambda < c {
-		p95 = 3 / mu / (1 - lambda/c)
-	}
-	if p95 > sim.ToSeconds(slo.TargetP95) {
-		loss = math.Ceil(float64(duration)/float64(slo.Interval)) * slo.PenaltyPerInterval
-	}
-	// Re-warm charge: the yielded instances cold start when demand
-	// returns; each boot spans ColdStartS of evaluation window.
-	if job.ColdStartS > 0 {
-		coldIntervals := math.Ceil(job.ColdStartS / sim.ToSeconds(slo.Interval))
-		loss += coldIntervals * slo.PenaltyPerInterval
-	}
-	if st.contract.MaxPenaltyFrac > 0 {
-		if bound := st.contract.MaxPenaltyFrac * st.contract.Price; loss > bound {
-			loss = bound
-		}
-	}
-	return loss
+	j := a.ServiceAdapter.Translate(app, c)
+	j.ColdStartS = app.ColdStartS
+	j.ConcTarget = app.ConcTarget
+	j.IdleWindowS = app.IdleWindowS
+	j.Revision = app.Revision
+	return j
 }
 
 // serverlessFW returns the CM's framework as a serverless framework, or

@@ -20,6 +20,8 @@ import (
 // instead of pricing the suspension of a whole application, it prices
 // reclaiming replicas from the running service with the most SLO
 // headroom — services shrink under bids, they are never suspended.
+// ServerlessAdapter embeds it: sizing, proposal bounds and reclaim bids
+// are one implementation for both fleet frameworks.
 type ServiceAdapter struct {
 	ConservativeSpeed float64
 	Processing        sim.Time // startup grace on the completion bound
@@ -123,8 +125,14 @@ func (a *ServiceAdapter) p95Model(app workload.App) sla.PerfModel {
 // replica count that keeps the declared peak below saturation, so
 // accept-first users get the cheapest viable configuration.
 func (a *ServiceAdapter) SLAProvider(app workload.App) *sla.Provider {
+	return a.provider(app, a.p95Model(app))
+}
+
+// provider builds the service-contract negotiation counterpart around a
+// p95 model.
+func (a *ServiceAdapter) provider(app workload.App, model sla.PerfModel) *sla.Provider {
 	return &sla.Provider{
-		Model:          a.p95Model(app),
+		Model:          model,
 		Processing:     0, // the offer's time column is a pure p95 target
 		VMPrice:        a.VMPrice,
 		PenaltyN:       a.PenaltyN,
@@ -153,23 +161,20 @@ func (a *ServiceAdapter) Translate(app workload.App, c *sla.Contract) *framework
 }
 
 // ReclaimBid implements ReclaimBidder: the Algorithm-2 generalization
-// for services. The candidate victims are running services that can
-// yield n replicas while keeping at least one; each bid is the
-// projected SLO-penalty loss of serving the current offered rate on the
-// shrunken replica set for the requested duration:
-//
-//	p95' over target for duration => ceil(duration/interval) excess
-//	burn intervals * penalty_per_interval, bounded like Eq. 3.
+// for services and functions. The candidate victims are running jobs
+// that can yield n replicas while keeping at least one; each bid is the
+// projected SLO-penalty loss of the shrink (see projectedLoss).
 //
 // A service with latency headroom bids near zero — low-load services
 // lend capacity almost freely, which is the scenario-diversity point of
-// hosting them: elastic donors for deadline work. Victims must hold n
-// private-hosted replicas beyond their one-replica floor: Shrink frees
-// private hosts first, and a promise backed by cloud leases could not
-// be transferred to the requesting VC.
+// hosting them: elastic donors for deadline work — and a function deep
+// in an idle gap bids little beyond its re-warm cost. Victims must hold
+// n private-hosted replicas beyond their one-replica floor: Shrink
+// frees private hosts first, and a promise backed by cloud leases could
+// not be transferred to the requesting VC.
 func (a *ServiceAdapter) ReclaimBid(cm *ClusterManager, n int, duration sim.Time) Bid {
-	svc := cm.serviceFW()
-	if svc == nil {
+	fw, ok := cm.fw.(shrinker)
+	if !ok {
 		return Bid{}
 	}
 	best := Bid{Cost: math.Inf(1)}
@@ -178,7 +183,7 @@ func (a *ServiceAdapter) ReclaimBid(cm *ClusterManager, n int, duration sim.Time
 		if !ok || st.contract.SLO == nil || job.Replicas-n < 1 {
 			continue
 		}
-		if private, _, err := svc.ReplicaKinds(job.ID); err != nil || private < n {
+		if private, _, err := fw.ReplicaKinds(job.ID); err != nil || private < n {
 			continue
 		}
 		cost := a.projectedLoss(cm, st, job, n, duration)
@@ -192,10 +197,19 @@ func (a *ServiceAdapter) ReclaimBid(cm *ClusterManager, n int, duration sim.Time
 	return best
 }
 
-// projectedLoss estimates the extra SLO penalty of running a service on
-// n fewer replicas for the given duration. The comparison stays in
-// float seconds: a saturating shrink has p95 = +Inf, which must read as
-// maximally expensive (sim.Seconds would overflow it to negative).
+// projectedLoss prices reclaiming n replicas for the given duration:
+// the extra SLO penalty of serving the current rate on the shrunken
+// set,
+//
+//	p95' over target for duration => ceil(duration/interval) excess
+//	burn intervals * penalty_per_interval,
+//
+// plus, for a function, the cold-start burn of re-warming the yielded
+// instances when demand returns (ceil(ColdStartS/interval) intervals;
+// services have no boot delay), bounded like Eq. 3. The comparison
+// stays in float seconds: a saturating shrink has p95 = +Inf, which
+// must read as maximally expensive (sim.Seconds would overflow it to
+// negative).
 func (a *ServiceAdapter) projectedLoss(cm *ClusterManager, st *appState, job *framework.Job, n int, duration sim.Time) float64 {
 	slo := st.contract.SLO
 	lambda := 0.0
@@ -205,15 +219,18 @@ func (a *ServiceAdapter) projectedLoss(cm *ClusterManager, st *appState, job *fr
 	remaining := float64(job.Replicas - n)
 	mu := job.SvcRate * a.ConservativeSpeed
 	c := remaining * mu
+	loss := 0.0
 	p95 := math.Inf(1)
 	if lambda < c {
 		p95 = 3 / mu / (1 - lambda/c)
 	}
-	if p95 <= sim.ToSeconds(slo.TargetP95) {
-		return 0 // headroom: shrinking burns nothing
+	if p95 > sim.ToSeconds(slo.TargetP95) {
+		loss = math.Ceil(float64(duration)/float64(slo.Interval)) * slo.PenaltyPerInterval
 	}
-	intervals := math.Ceil(float64(duration) / float64(slo.Interval))
-	loss := intervals * slo.PenaltyPerInterval
+	if job.ColdStartS > 0 {
+		coldIntervals := math.Ceil(job.ColdStartS / sim.ToSeconds(slo.Interval))
+		loss += coldIntervals * slo.PenaltyPerInterval
+	}
 	if st.contract.MaxPenaltyFrac > 0 {
 		if bound := st.contract.MaxPenaltyFrac * st.contract.Price; loss > bound {
 			loss = bound
