@@ -13,19 +13,10 @@
 package batch
 
 import (
-	"errors"
 	"fmt"
 
 	"meryn/internal/framework"
 	"meryn/internal/sim"
-)
-
-// Errors returned by the batch framework.
-var (
-	ErrJobExists  = errors.New("batch: job already submitted")
-	ErrJobUnknown = errors.New("batch: unknown job")
-	ErrJobState   = errors.New("batch: job is not in a valid state for this operation")
-	ErrBadJob     = errors.New("batch: invalid job description")
 )
 
 // jobEntry pairs a job with its submission sequence number, which
@@ -130,10 +121,10 @@ func (b *Batch) FailNode(id string) error {
 // Submit implements framework.Framework.
 func (b *Batch) Submit(j *framework.Job) error {
 	if j.ID == "" || j.VMs <= 0 || j.Work <= 0 {
-		return fmt.Errorf("%w: id=%q vms=%d work=%g", ErrBadJob, j.ID, j.VMs, j.Work)
+		return fmt.Errorf("%w: id=%q vms=%d work=%g", framework.ErrBadJob, j.ID, j.VMs, j.Work)
 	}
 	if _, dup := b.jobs[j.ID]; dup {
-		return fmt.Errorf("%w: %s", ErrJobExists, j.ID)
+		return fmt.Errorf("%w: %s", framework.ErrJobExists, j.ID)
 	}
 	j.State = framework.JobQueued
 	j.SubmittedAt = b.eng.Now()
@@ -149,11 +140,11 @@ func (b *Batch) Submit(j *framework.Job) error {
 func (b *Batch) Suspend(id string) error {
 	je, ok := b.jobs[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
+		return fmt.Errorf("%w: %s", framework.ErrJobUnknown, id)
 	}
 	j := je.job
 	if j.State != framework.JobRunning {
-		return fmt.Errorf("%w: %s is %v", ErrJobState, id, j.State)
+		return fmt.Errorf("%w: %s is %v", framework.ErrJobState, id, j.State)
 	}
 	run := b.runs[id]
 	run.finish.Cancel()
@@ -179,11 +170,11 @@ func (b *Batch) Suspend(id string) error {
 func (b *Batch) Resume(id string) error {
 	je, ok := b.jobs[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
+		return fmt.Errorf("%w: %s", framework.ErrJobUnknown, id)
 	}
 	j := je.job
 	if j.State != framework.JobSuspended {
-		return fmt.Errorf("%w: %s is %v", ErrJobState, id, j.State)
+		return fmt.Errorf("%w: %s is %v", framework.ErrJobState, id, j.State)
 	}
 	j.State = framework.JobQueued
 	b.queue.PushFront(id)
@@ -198,7 +189,7 @@ func (b *Batch) Resume(id string) error {
 func (b *Batch) JobNodes(id string) ([]string, error) {
 	run, ok := b.runs[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s is not running", ErrJobState, id)
+		return nil, fmt.Errorf("%w: %s is not running", framework.ErrJobState, id)
 	}
 	out := make([]string, len(run.nodeIDs))
 	copy(out, run.nodeIDs)
@@ -209,7 +200,7 @@ func (b *Batch) JobNodes(id string) ([]string, error) {
 func (b *Batch) VisitJobNodes(id string, visit func(id string) bool) error {
 	run, ok := b.runs[id]
 	if !ok {
-		return fmt.Errorf("%w: %s is not running", ErrJobState, id)
+		return fmt.Errorf("%w: %s is not running", framework.ErrJobState, id)
 	}
 	for _, nid := range run.nodeIDs {
 		if !visit(nid) {
@@ -232,7 +223,7 @@ func (b *Batch) Progress(id string) (float64, error) {
 func (b *Batch) ProgressAt(id string, at sim.Time) (float64, error) {
 	je, ok := b.jobs[id]
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrJobUnknown, id)
+		return 0, fmt.Errorf("%w: %s", framework.ErrJobUnknown, id)
 	}
 	j := je.job
 	done := j.DoneWork

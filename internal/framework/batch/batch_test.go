@@ -169,17 +169,17 @@ func must(t *testing.T, err error) {
 func TestSubmitValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Config{})
-	if err := b.Submit(job("", 1, 10)); !errors.Is(err, ErrBadJob) {
+	if err := b.Submit(job("", 1, 10)); !errors.Is(err, framework.ErrBadJob) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := b.Submit(job("a", 0, 10)); !errors.Is(err, ErrBadJob) {
+	if err := b.Submit(job("a", 0, 10)); !errors.Is(err, framework.ErrBadJob) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := b.Submit(job("a", 1, 0)); !errors.Is(err, ErrBadJob) {
+	if err := b.Submit(job("a", 1, 0)); !errors.Is(err, framework.ErrBadJob) {
 		t.Fatalf("err = %v", err)
 	}
 	must(t, b.Submit(job("a", 1, 10)))
-	if err := b.Submit(job("a", 1, 10)); !errors.Is(err, ErrJobExists) {
+	if err := b.Submit(job("a", 1, 10)); !errors.Is(err, framework.ErrJobExists) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -262,17 +262,17 @@ func TestSuspendStateErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Config{})
 	addNodes(b, 1, 1.0)
-	if err := b.Suspend("ghost"); !errors.Is(err, ErrJobUnknown) {
+	if err := b.Suspend("ghost"); !errors.Is(err, framework.ErrJobUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 	must(t, b.Submit(job("a", 2, 100))) // queued (needs 2 nodes, has 1)
-	if err := b.Suspend("a"); !errors.Is(err, ErrJobState) {
+	if err := b.Suspend("a"); !errors.Is(err, framework.ErrJobState) {
 		t.Fatalf("suspend queued: err = %v", err)
 	}
-	if err := b.Resume("a"); !errors.Is(err, ErrJobState) {
+	if err := b.Resume("a"); !errors.Is(err, framework.ErrJobState) {
 		t.Fatalf("resume queued: err = %v", err)
 	}
-	if err := b.Resume("ghost"); !errors.Is(err, ErrJobUnknown) {
+	if err := b.Resume("ghost"); !errors.Is(err, framework.ErrJobUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -364,14 +364,14 @@ func TestDrainFlowForVMExchange(t *testing.T) {
 
 func TestJobNodesNotRunning(t *testing.T) {
 	b := New(sim.NewEngine(), Config{})
-	if _, err := b.JobNodes("nope"); !errors.Is(err, ErrJobState) {
+	if _, err := b.JobNodes("nope"); !errors.Is(err, framework.ErrJobState) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestProgressUnknownJob(t *testing.T) {
 	b := New(sim.NewEngine(), Config{})
-	if _, err := b.Progress("nope"); !errors.Is(err, ErrJobUnknown) {
+	if _, err := b.Progress("nope"); !errors.Is(err, framework.ErrJobUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 }

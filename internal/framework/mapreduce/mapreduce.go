@@ -19,23 +19,11 @@
 package mapreduce
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"meryn/internal/framework"
 	"meryn/internal/sim"
-)
-
-// Errors returned by the mapreduce framework.
-var (
-	ErrNodeExists  = errors.New("mapreduce: node already attached")
-	ErrNodeUnknown = errors.New("mapreduce: unknown node")
-	ErrNodeBusy    = errors.New("mapreduce: node has running tasks")
-	ErrJobExists   = errors.New("mapreduce: job already submitted")
-	ErrJobUnknown  = errors.New("mapreduce: unknown job")
-	ErrJobState    = errors.New("mapreduce: job is not in a valid state for this operation")
-	ErrBadJob      = errors.New("mapreduce: invalid job description")
 )
 
 type phase int
@@ -158,7 +146,7 @@ func (m *MapReduce) TotalSlots() int {
 // AddNode implements framework.Framework.
 func (m *MapReduce) AddNode(n framework.Node) {
 	if _, dup := m.nodes[n.ID]; dup {
-		panic(fmt.Sprintf("%v: %s", ErrNodeExists, n.ID))
+		panic(fmt.Sprintf("%v: %s", framework.ErrNodeExists, n.ID))
 	}
 	if n.SpeedFactor <= 0 {
 		n.SpeedFactor = 1.0
@@ -176,7 +164,7 @@ func (m *MapReduce) AddNode(n framework.Node) {
 func (m *MapReduce) DisableNode(id string) error {
 	ns, ok := m.nodes[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
+		return fmt.Errorf("%w: %s", framework.ErrNodeUnknown, id)
 	}
 	if !ns.disabled {
 		ns.disabled = true
@@ -193,10 +181,10 @@ func (m *MapReduce) DisableNode(id string) error {
 func (m *MapReduce) RemoveNode(id string) error {
 	ns, ok := m.nodes[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
+		return fmt.Errorf("%w: %s", framework.ErrNodeUnknown, id)
 	}
 	if ns.usedSlots > 0 {
-		return fmt.Errorf("%w: %s", ErrNodeBusy, id)
+		return fmt.Errorf("%w: %s", framework.ErrNodeBusy, id)
 	}
 	ns.entry.Unlink()
 	if !ns.disabled {
@@ -212,7 +200,7 @@ func (m *MapReduce) RemoveNode(id string) error {
 func (m *MapReduce) FailNode(id string) error {
 	ns, ok := m.nodes[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
+		return fmt.Errorf("%w: %s", framework.ErrNodeUnknown, id)
 	}
 	for _, js := range m.active.Values() {
 		for tid, tr := range js.tasks {
@@ -292,16 +280,16 @@ func (m *MapReduce) IdleDisabledNodeIDs() []string {
 // must carry positive work when present.
 func (m *MapReduce) Submit(j *framework.Job) error {
 	if j.ID == "" || j.MapTasks <= 0 || j.MapWork <= 0 {
-		return fmt.Errorf("%w: id=%q maps=%d mapwork=%g", ErrBadJob, j.ID, j.MapTasks, j.MapWork)
+		return fmt.Errorf("%w: id=%q maps=%d mapwork=%g", framework.ErrBadJob, j.ID, j.MapTasks, j.MapWork)
 	}
 	if j.ReduceTasks > 0 && j.ReduceWork <= 0 {
-		return fmt.Errorf("%w: %d reduces with work %g", ErrBadJob, j.ReduceTasks, j.ReduceWork)
+		return fmt.Errorf("%w: %d reduces with work %g", framework.ErrBadJob, j.ReduceTasks, j.ReduceWork)
 	}
 	if j.ReduceTasks < 0 {
-		return fmt.Errorf("%w: negative reduce count", ErrBadJob)
+		return fmt.Errorf("%w: negative reduce count", framework.ErrBadJob)
 	}
 	if _, dup := m.jobs[j.ID]; dup {
-		return fmt.Errorf("%w: %s", ErrJobExists, j.ID)
+		return fmt.Errorf("%w: %s", framework.ErrJobExists, j.ID)
 	}
 	j.State = framework.JobQueued
 	j.SubmittedAt = m.eng.Now()
@@ -320,11 +308,11 @@ func (m *MapReduce) Submit(j *framework.Job) error {
 func (m *MapReduce) Suspend(id string) error {
 	js, ok := m.jobs[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
+		return fmt.Errorf("%w: %s", framework.ErrJobUnknown, id)
 	}
 	j := js.job
 	if j.State != framework.JobRunning && j.State != framework.JobQueued {
-		return fmt.Errorf("%w: %s is %v", ErrJobState, id, j.State)
+		return fmt.Errorf("%w: %s is %v", framework.ErrJobState, id, j.State)
 	}
 	for tid, tr := range js.tasks {
 		tr.timer.Cancel()
@@ -351,10 +339,10 @@ func (m *MapReduce) Suspend(id string) error {
 func (m *MapReduce) Resume(id string) error {
 	js, ok := m.jobs[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrJobUnknown, id)
+		return fmt.Errorf("%w: %s", framework.ErrJobUnknown, id)
 	}
 	if js.job.State != framework.JobSuspended {
-		return fmt.Errorf("%w: %s is %v", ErrJobState, id, js.job.State)
+		return fmt.Errorf("%w: %s is %v", framework.ErrJobState, id, js.job.State)
 	}
 	js.job.State = framework.JobQueued
 	js.active = true
@@ -391,7 +379,7 @@ func (js *jobState) decNodeUse(nodeID string) {
 func (m *MapReduce) JobNodes(id string) ([]string, error) {
 	js, ok := m.jobs[id]
 	if !ok || js.job.State != framework.JobRunning {
-		return nil, fmt.Errorf("%w: %s is not running", ErrJobState, id)
+		return nil, fmt.Errorf("%w: %s is not running", framework.ErrJobState, id)
 	}
 	out := make([]string, len(js.nodeList))
 	copy(out, js.nodeList)
@@ -404,7 +392,7 @@ func (m *MapReduce) JobNodes(id string) ([]string, error) {
 func (m *MapReduce) VisitJobNodes(id string, visit func(id string) bool) error {
 	js, ok := m.jobs[id]
 	if !ok || js.job.State != framework.JobRunning {
-		return fmt.Errorf("%w: %s is not running", ErrJobState, id)
+		return fmt.Errorf("%w: %s is not running", framework.ErrJobState, id)
 	}
 	for _, nid := range js.nodeList {
 		if !visit(nid) {
@@ -420,7 +408,7 @@ func (m *MapReduce) VisitJobNodes(id string, visit func(id string) bool) error {
 func (m *MapReduce) Progress(id string) (float64, error) {
 	js, ok := m.jobs[id]
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrJobUnknown, id)
+		return 0, fmt.Errorf("%w: %s", framework.ErrJobUnknown, id)
 	}
 	return js.job.DoneWork / js.job.Work, nil
 }

@@ -128,17 +128,17 @@ func TestFIFOSlotAllocation(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	m := New(sim.NewEngine(), Config{})
-	if err := m.Submit(mrJob("", 1, 0, 10, 0)); !errors.Is(err, ErrBadJob) {
+	if err := m.Submit(mrJob("", 1, 0, 10, 0)); !errors.Is(err, framework.ErrBadJob) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := m.Submit(mrJob("a", 0, 0, 10, 0)); !errors.Is(err, ErrBadJob) {
+	if err := m.Submit(mrJob("a", 0, 0, 10, 0)); !errors.Is(err, framework.ErrBadJob) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := m.Submit(mrJob("a", 1, 2, 10, 0)); !errors.Is(err, ErrBadJob) {
+	if err := m.Submit(mrJob("a", 1, 2, 10, 0)); !errors.Is(err, framework.ErrBadJob) {
 		t.Fatalf("reduce without work: err = %v", err)
 	}
 	must(t, m.Submit(mrJob("a", 1, 0, 10, 0)))
-	if err := m.Submit(mrJob("a", 1, 0, 10, 0)); !errors.Is(err, ErrJobExists) {
+	if err := m.Submit(mrJob("a", 1, 0, 10, 0)); !errors.Is(err, framework.ErrJobExists) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -176,19 +176,19 @@ func TestSuspendLosesInFlightKeepsCompleted(t *testing.T) {
 func TestSuspendResumeErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	m := New(eng, Config{})
-	if err := m.Suspend("ghost"); !errors.Is(err, ErrJobUnknown) {
+	if err := m.Suspend("ghost"); !errors.Is(err, framework.ErrJobUnknown) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := m.Resume("ghost"); !errors.Is(err, ErrJobUnknown) {
+	if err := m.Resume("ghost"); !errors.Is(err, framework.ErrJobUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 	addNodes(m, 1, 1.0)
 	must(t, m.Submit(mrJob("a", 1, 0, 10, 0)))
-	if err := m.Resume("a"); !errors.Is(err, ErrJobState) {
+	if err := m.Resume("a"); !errors.Is(err, framework.ErrJobState) {
 		t.Fatalf("resume running: err = %v", err)
 	}
 	eng.RunAll()
-	if err := m.Suspend("a"); !errors.Is(err, ErrJobState) {
+	if err := m.Suspend("a"); !errors.Is(err, framework.ErrJobState) {
 		t.Fatalf("suspend done: err = %v", err)
 	}
 }
@@ -205,7 +205,7 @@ func TestNodeDrainFlow(t *testing.T) {
 		t.Fatalf("JobNodes = %v", nodes)
 	}
 	must(t, m.DisableNode("n01"))
-	if err := m.RemoveNode("n01"); !errors.Is(err, ErrNodeBusy) {
+	if err := m.RemoveNode("n01"); !errors.Is(err, framework.ErrNodeBusy) {
 		t.Fatalf("busy node removed: %v", err)
 	}
 	must(t, m.Suspend("a"))
@@ -288,7 +288,7 @@ func TestAddDuplicateNodePanics(t *testing.T) {
 
 func TestProgressUnknown(t *testing.T) {
 	m := New(sim.NewEngine(), Config{})
-	if _, err := m.Progress("nope"); !errors.Is(err, ErrJobUnknown) {
+	if _, err := m.Progress("nope"); !errors.Is(err, framework.ErrJobUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 	if _, ok := m.Get("nope"); ok {
@@ -376,7 +376,7 @@ func TestFailNodeLosesInFlightTasksOnly(t *testing.T) {
 
 func TestFailNodeUnknown(t *testing.T) {
 	m := New(sim.NewEngine(), Config{})
-	if err := m.FailNode("ghost"); !errors.Is(err, ErrNodeUnknown) {
+	if err := m.FailNode("ghost"); !errors.Is(err, framework.ErrNodeUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 }
