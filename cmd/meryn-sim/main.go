@@ -39,7 +39,6 @@ import (
 	"meryn/internal/metrics"
 	"meryn/internal/report"
 	"meryn/internal/sim"
-	"meryn/internal/vmm"
 	"meryn/internal/workload"
 )
 
@@ -63,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceIn   = fs.String("trace", "", "replay a workload trace CSV instead of the synthetic workload")
 		chart     = fs.Bool("chart", false, "print the VM-usage ASCII chart")
 		csvOut    = fs.String("csv", "", "write the usage series as CSV to this file")
-		hier      = fs.Bool("hierarchy", false, "deploy the Snooze-like hierarchical management plane")
 		services  = fs.Bool("services", false, "run the elastic latency-SLO services demo scenario instead of the batch workload")
 		svcLoad   = fs.Float64("svc-load", 1, "services demo: offered-load multiplier")
 		svcBurst  = fs.Float64("svc-burst", 2.5, "services demo: burst amplitude (1 = no bursts)")
@@ -107,11 +105,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	sweepOnly := []string{"workers", "reps", "json"}
-	singleOnly := []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace", "chart", "csv", "hierarchy", "services", "svc-load", "svc-burst", "svc-policy", "serverless", "fn-gap", "fn-cold", "fn-conc", "chaos", "chaos-intensity", "chaos-policy"}
+	singleOnly := []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace", "chart", "csv", "services", "svc-load", "svc-burst", "svc-policy", "serverless", "fn-gap", "fn-cold", "fn-conc", "chaos", "chaos-intensity", "chaos-policy"}
 	servicesOnly := []string{"svc-load", "svc-burst", "svc-policy"}
 	fnOnly := []string{"fn-gap", "fn-cold", "fn-conc"}
 	chaosOnly := []string{"chaos-intensity", "chaos-policy"}
-	batchOnly := []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace", "hierarchy"}
+	batchOnly := []string{"policy", "vc1-apps", "vc2-apps", "interarrival", "work", "trace"}
 	if *sweepSpec == "" {
 		for _, name := range sweepOnly {
 			if set[name] {
@@ -198,9 +196,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := meryn.DefaultConfig()
 	cfg.Seed = *seed
-	if *hier {
-		cfg.Hierarchy = &vmm.HierarchyConfig{GroupManagers: 2}
-	}
 	switch *policy {
 	case "meryn":
 		cfg.Policy = meryn.PolicyMeryn

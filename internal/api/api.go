@@ -441,43 +441,6 @@ func EventFrom(e core.SessionEvent) Event {
 	}
 }
 
-// Results summarizes a drained session on the wire.
-type Results struct {
-	Policy          string  `json:"policy"`
-	Apps            int     `json:"apps"`
-	DeadlinesMissed int     `json:"deadlines_missed"`
-	CompletionS     float64 `json:"completion_s"`
-	MeanExecS       float64 `json:"mean_exec_s"`
-	MeanTurnaroundS float64 `json:"mean_turnaround_s"`
-	TotalCost       float64 `json:"total_cost"`
-	TotalRevenue    float64 `json:"total_revenue"`
-	TotalProfit     float64 `json:"total_profit"`
-	CloudSpend      float64 `json:"cloud_spend"`
-	SpotSpend       float64 `json:"spot_spend,omitempty"`
-	Revocations     int     `json:"revocations,omitempty"` // cloud nodes lost to preemption/crashes
-	EventsFired     uint64  `json:"events_fired"`
-}
-
-// ResultsFrom condenses a run summary.
-func ResultsFrom(r *core.Results) Results {
-	agg := metrics.AggregateRecords(r.Ledger.All())
-	return Results{
-		Policy:          r.Policy.String(),
-		Apps:            agg.N,
-		DeadlinesMissed: agg.DeadlinesMissed,
-		CompletionS:     agg.CompletionTime,
-		MeanExecS:       agg.MeanExecTime,
-		MeanTurnaroundS: agg.MeanTurnaround,
-		TotalCost:       agg.TotalCost,
-		TotalRevenue:    agg.TotalRevenue,
-		TotalProfit:     agg.TotalProfit,
-		CloudSpend:      r.CloudSpend,
-		SpotSpend:       r.SpotSpend,
-		Revocations:     agg.Revocations,
-		EventsFired:     r.EventsFired,
-	}
-}
-
 // Error is the uniform JSON error object.
 type Error struct {
 	Error string `json:"error"`

@@ -101,24 +101,6 @@ func (s *Site) Nodes() []*Node { return s.nodes }
 // NumNodes returns the node count.
 func (s *Site) NumNodes() int { return len(s.nodes) }
 
-// TotalCores sums core capacity over nodes.
-func (s *Site) TotalCores() int {
-	total := 0
-	for _, n := range s.nodes {
-		total += n.Cores
-	}
-	return total
-}
-
-// FreeCores sums free cores over nodes.
-func (s *Site) FreeCores() int {
-	total := 0
-	for _, n := range s.nodes {
-		total += n.FreeCores()
-	}
-	return total
-}
-
 // VMCapacity returns how many VMs of the given shape the site could host
 // when empty — used to validate configured hosting capacities (the paper
 // fixes 50 VMs on 9 parapluie nodes).
@@ -148,40 +130,4 @@ func (s *Site) FirstFit(cores, memMB int) (*Node, error) {
 		}
 	}
 	return nil, ErrNoCapacity
-}
-
-// WorstFit returns the node with the most free cores that can host the
-// request (spreading load), or ErrNoCapacity.
-func (s *Site) WorstFit(cores, memMB int) (*Node, error) {
-	var best *Node
-	for _, n := range s.nodes {
-		if !n.CanHost(cores, memMB) {
-			continue
-		}
-		if best == nil || n.FreeCores() > best.FreeCores() {
-			best = n
-		}
-	}
-	if best == nil {
-		return nil, ErrNoCapacity
-	}
-	return best, nil
-}
-
-// BestFit returns the feasible node with the fewest free cores
-// (consolidating load), or ErrNoCapacity.
-func (s *Site) BestFit(cores, memMB int) (*Node, error) {
-	var best *Node
-	for _, n := range s.nodes {
-		if !n.CanHost(cores, memMB) {
-			continue
-		}
-		if best == nil || n.FreeCores() < best.FreeCores() {
-			best = n
-		}
-	}
-	if best == nil {
-		return nil, ErrNoCapacity
-	}
-	return best, nil
 }

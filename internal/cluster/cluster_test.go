@@ -15,13 +15,10 @@ func TestNewSite(t *testing.T) {
 	if s.NumNodes() != 9 {
 		t.Fatalf("NumNodes = %d", s.NumNodes())
 	}
-	if s.TotalCores() != 108 {
-		t.Fatalf("TotalCores = %d", s.TotalCores())
-	}
-	if s.FreeCores() != 108 {
-		t.Fatalf("FreeCores = %d", s.FreeCores())
-	}
 	for _, n := range s.Nodes() {
+		if n.Cores != 12 || n.FreeCores() != 12 {
+			t.Fatalf("node cores = %d, free %d; want 12 free of 12", n.Cores, n.FreeCores())
+		}
 		if n.SpeedFactor != 0.928 {
 			t.Fatalf("node speed = %v", n.SpeedFactor)
 		}
@@ -121,38 +118,6 @@ func TestFitPoliciesExhaustion(t *testing.T) {
 	s := New(Config{Name: "s", Nodes: 1, CoresPerNode: 2, MemoryMBPerNode: 100})
 	if _, err := s.FirstFit(3, 50); err != ErrNoCapacity {
 		t.Fatalf("err = %v, want ErrNoCapacity", err)
-	}
-	if _, err := s.WorstFit(3, 50); err != ErrNoCapacity {
-		t.Fatalf("err = %v, want ErrNoCapacity", err)
-	}
-	if _, err := s.BestFit(3, 50); err != ErrNoCapacity {
-		t.Fatalf("err = %v, want ErrNoCapacity", err)
-	}
-}
-
-func TestWorstAndBestFit(t *testing.T) {
-	s := New(Config{Name: "s", Nodes: 3, CoresPerNode: 8, MemoryMBPerNode: 8000})
-	// Make node loads uneven: n0 has 2 free, n1 has 8 free, n2 has 4 free.
-	if err := s.Nodes()[0].Reserve(6, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Nodes()[2].Reserve(4, 100); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := s.WorstFit(2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.ID != "s-n01" {
-		t.Fatalf("WorstFit = %s, want s-n01 (most free)", w.ID)
-	}
-	b, err := s.BestFit(2, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.ID != "s-n00" {
-		t.Fatalf("BestFit = %s, want s-n00 (least free that fits)", b.ID)
 	}
 }
 

@@ -214,10 +214,6 @@ type Config struct {
 	SLAScaleOutLimit int
 	// DisableSuspension removes options 3 and 4 of Algorithm 1 (ablation).
 	DisableSuspension bool
-	// Hierarchy, when non-nil, deploys a Snooze-like hierarchical
-	// management plane (group leader / group managers / one local
-	// controller per physical node) with heartbeat failure detection.
-	Hierarchy *vmm.HierarchyConfig
 	// MonitorInterval is the Application Controller check period
 	// (default 30 s).
 	MonitorInterval sim.Time
@@ -228,11 +224,6 @@ type Config struct {
 	// ServiceAvailability is the clean-interval fraction service SLO
 	// contracts require (default 0.95).
 	ServiceAvailability float64
-	// MetricsMaxPoints, when non-zero, caps each usage series
-	// (private-used, cloud-used) via downsampling — useful for long
-	// sweeps where exact per-event series would dominate memory. 0 (the
-	// default) keeps series exact. Must be 0 or >= 4.
-	MetricsMaxPoints int
 	// Enforcer handles SLA violations detected by Application
 	// Controllers (default: record only).
 	Enforcer Enforcer
@@ -410,9 +401,6 @@ func (c *Config) fillDefaults() error {
 				return err
 			}
 		}
-	}
-	if c.MetricsMaxPoints != 0 && c.MetricsMaxPoints < 4 {
-		return fmt.Errorf("core: MetricsMaxPoints %d must be 0 (exact) or >= 4", c.MetricsMaxPoints)
 	}
 	if c.Audit == nil {
 		c.Audit = &AuditConfig{}

@@ -584,37 +584,6 @@ func TestClientManagerRoutesByType(t *testing.T) {
 	}
 }
 
-func TestHierarchyEnabledPlatform(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Hierarchy = &vmm.HierarchyConfig{GroupManagers: 3}
-	p := newPlatform(t, cfg)
-	if p.Hierarchy == nil {
-		t.Fatal("hierarchy not deployed")
-	}
-	if p.Hierarchy.Leader() == "" {
-		t.Fatal("no group leader")
-	}
-	// Kill a group manager mid-run; the workload must be unaffected
-	// (the management plane heals independently of VM operations).
-	p.Eng.At(sim.Seconds(100), func() {
-		gms := p.Hierarchy.AliveGroupManagers()
-		if len(gms) == 0 {
-			t.Fatal("no GMs to kill")
-		}
-		if err := p.Hierarchy.Kill(gms[0]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	res := run(t, p, workload.Paper(workload.DefaultPaperConfig()))
-	agg := metrics.AggregateRecords(res.Ledger.All())
-	if agg.N != 65 || agg.DeadlinesMissed != 0 {
-		t.Fatalf("workload disturbed: %+v", agg)
-	}
-	if p.Hierarchy.Reassignments == 0 {
-		t.Fatal("GM failover did not reassign local controllers")
-	}
-}
-
 func TestDeadlineBoundUserBuysExtraVMs(t *testing.T) {
 	// A 1-VM request with a tight user deadline: the negotiation's
 	// scale-out offers let the user buy 2 dedicated VMs end-to-end.

@@ -62,10 +62,6 @@ type Platform struct {
 	cmOrder    []string
 	cloudTypes map[string][]string // provider name -> instance type names
 
-	// Hierarchy is the optional Snooze-like management plane
-	// (nil unless Config.Hierarchy was set).
-	Hierarchy *vmm.Hierarchy
-
 	Ledger      *metrics.Ledger
 	PrivateUsed *metrics.Gauge // private VMs executing applications
 	CloudUsed   *metrics.Gauge // cloud VMs executing applications
@@ -167,10 +163,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		PrivateUsed: metrics.NewGauge("private-used"),
 		CloudUsed:   metrics.NewGauge("cloud-used"),
 	}
-	if cfg.MetricsMaxPoints != 0 {
-		p.PrivateUsed.SetMaxPoints(cfg.MetricsMaxPoints)
-		p.CloudUsed.SetMaxPoints(cfg.MetricsMaxPoints)
-	}
 
 	site := cluster.New(cfg.Site)
 	m, err := vmm.New(eng, vmm.Config{
@@ -214,15 +206,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		p.cloudTypes[prov.Name()] = names
 	}
 	p.RM = NewResourceManager(eng, m, p.Clouds)
-
-	if cfg.Hierarchy != nil {
-		var nodeIDs []string
-		for _, n := range site.Nodes() {
-			nodeIDs = append(nodeIDs, n.ID)
-		}
-		p.Hierarchy = vmm.NewHierarchy(eng, nodeIDs, *cfg.Hierarchy)
-		p.Hierarchy.Start()
-	}
 
 	for _, vcCfg := range cfg.VCs {
 		cm, err := newClusterManager(p, vcCfg)

@@ -37,24 +37,3 @@ func BenchmarkVMLifecycle(b *testing.B) {
 		eng.RunAll()
 	}
 }
-
-// BenchmarkHierarchyFailover measures GM failure detection and LC
-// redistribution over a 64-node site.
-func BenchmarkHierarchyFailover(b *testing.B) {
-	b.ReportAllocs()
-	ids := make([]string, 64)
-	for i := range ids {
-		ids[i] = string(rune('a'+i%26)) + string(rune('0'+i/26))
-	}
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		h := NewHierarchy(eng, ids, HierarchyConfig{GroupManagers: 4})
-		h.Start()
-		gms := h.AliveGroupManagers()
-		if err := h.Kill(gms[0]); err != nil {
-			b.Fatal(err)
-		}
-		eng.Run(sim.Seconds(15))
-		h.Stop()
-	}
-}

@@ -177,9 +177,6 @@ func New(eng *sim.Engine, cfg Config) (*Manager, error) {
 // each framework there is a customized VM disk image").
 func (m *Manager) RegisterImage(name string) { m.images[name] = true }
 
-// HasImage reports whether an image is registered.
-func (m *Manager) HasImage(name string) bool { return m.images[name] }
-
 // Capacity returns the hosting-capacity cap.
 func (m *Manager) Capacity() int { return m.cfg.MaxVMs }
 

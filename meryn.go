@@ -28,7 +28,6 @@ import (
 	"meryn/internal/metrics"
 	"meryn/internal/sim"
 	"meryn/internal/sla"
-	"meryn/internal/vmm"
 	"meryn/internal/workload"
 )
 
@@ -60,8 +59,6 @@ type (
 	ScaleOutEnforcer = core.ScaleOutEnforcer
 	// ClusterManager manages one VC (exposed for enforcers).
 	ClusterManager = core.ClusterManager
-	// HierarchyConfig tunes the optional Snooze-like management plane.
-	HierarchyConfig = vmm.HierarchyConfig
 )
 
 // Policies.
