@@ -13,11 +13,14 @@
 //
 // With -state-dir the control plane is crash-safe: every state-changing
 // request is journaled (fsync'd, write-ahead) under the directory, and
-// a restart on the same directory replays snapshot + journal through
-// the session API, rebuilding the pre-crash platform state — a kill -9
-// mid-negotiation is invisible to a retrying client. While the replay
-// runs, /healthz reports "recovering" (503) and every other route is
-// refused with Retry-After.
+// a restart on the same directory replays the journal through the
+// session API, rebuilding the pre-crash platform state — a kill -9
+// mid-negotiation is invisible to a retrying client. The daemon seals
+// the state every 64 records, after recovery and at shutdown; replay
+// must reproduce the last seal's digest, or merynd reports the
+// divergence and exits 1 without serving. While the replay runs,
+// /healthz reports "recovering" (503) and every other route is refused
+// with Retry-After.
 //
 // Usage:
 //
@@ -25,7 +28,7 @@
 //	merynd -addr 127.0.0.1:0 -addr-file a   # random port, written to file a
 //	merynd -mode wall -speed 60             # scaled wall-clock time
 //	merynd -policy static -seed 7
-//	merynd -state-dir /var/lib/meryn        # durable journal + snapshots
+//	merynd -state-dir /var/lib/meryn        # durable journal + seal
 //	merynd -vcs "fn1:serverless:12,vc1:batch:25"   # custom virtual clusters
 package main
 
@@ -96,8 +99,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		policy   = fs.String("policy", "meryn", "resource policy: meryn or static")
 		vcSpec   = fs.String("vcs", "", "virtual clusters as name:type:vms[,...] (types: batch, mapreduce, service, serverless; empty keeps the paper's two batch VCs)")
 		seed     = fs.Int64("seed", 1, "RNG seed")
-		stateDir = fs.String("state-dir", "", "durable state directory (journal + snapshots); empty disables persistence")
-		snapN    = fs.Int("snapshot-every", 64, "checkpoint the state dir after this many journal records")
+		stateDir = fs.String("state-dir", "", "durable state directory (append-only journal + seal checked at boot); empty disables persistence")
 		maxInfl  = fs.Int("max-inflight", 256, "max concurrent state-changing requests before shedding with 429 (0 = unbounded)")
 		httpTO   = fs.Duration("http-timeout", 10*time.Second, "HTTP read and read-header timeout (Slowloris guard)")
 		drainTO  = fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget for in-flight requests")
@@ -173,13 +175,12 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	srvCfg := server.Config{
-		OnMutate:      onMutate,
-		Store:         store,
-		SnapshotEvery: *snapN,
-		MaxInFlight:   *maxInfl,
-		Logf:          func(format string, args ...any) { fmt.Fprintf(stderr, "merynd: "+format+"\n", args...) },
-		Logger:        logger,
-		Registry:      reg,
+		OnMutate:    onMutate,
+		Store:       store,
+		MaxInFlight: *maxInfl,
+		Logf:        func(format string, args ...any) { fmt.Fprintf(stderr, "merynd: "+format+"\n", args...) },
+		Logger:      logger,
+		Registry:    reg,
 	}
 	srv := server.New(sess, srvCfg)
 
@@ -214,10 +215,10 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	// Replay the durable history (snapshot + journal) through the
-	// session API; the same deterministic engine rebuilds the pre-crash
-	// state. The wall ticker starts only afterwards, so recovery is
-	// deterministic in both modes.
+	// Replay the journal through the session API; the same
+	// deterministic engine rebuilds the pre-crash state, and the last
+	// seal's digest must match it. The wall ticker starts only
+	// afterwards, so recovery is deterministic in both modes.
 	replayRecords := reg.Gauge("meryn_replay_records", "Journal records replayed at the last boot.")
 	replaySeconds := reg.Gauge("meryn_replay_seconds", "Wall time the last boot spent replaying the journal.")
 	replayRate := reg.Gauge("meryn_replay_records_per_second", "Replay throughput at the last boot.")
@@ -226,12 +227,23 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintln(stdout, "merynd: dropped a torn final journal record (crash mid-write)")
 			logger.Warn("journal tail torn", "action", "dropped final record")
 		}
-		if recs := store.Records(); len(recs) > 0 {
+		recs, seal := store.Records(), store.LastCheckpoint()
+		if len(recs) > 0 || seal != nil {
 			span := telemetry.StartSpan(context.Background(), logger, "replay")
-			stats := durable.Replay(sess, recs, onMutate)
+			stats, err := durable.Recover(sess, recs, seal, onMutate)
 			elapsed := span.Finish(slog.Int("records", len(recs)), slog.Int("applied", stats.Applied))
-			if snap := store.LastCheckpoint(); snap != nil {
-				srv.SeedIDs(snap.NextID)
+			if err != nil {
+				// Serving a state the journal cannot reproduce would
+				// make the next crash lose it: refuse, still recovering.
+				fmt.Fprintln(stderr, "merynd:", err)
+				logger.Error("recovery refused", "err", err)
+				_ = httpSrv.Close() // exiting anyway; nothing was served
+				return 1
+			}
+			verified := "no seal to verify"
+			if seal != nil {
+				srv.SeedIDs(seal.NextID)
+				verified = fmt.Sprintf("verified the seal after seq %d", seal.LastSeq)
 			}
 			rate := 0.0
 			if secs := elapsed.Seconds(); secs > 0 {
@@ -240,13 +252,14 @@ func run(args []string, stdout, stderr *os.File) int {
 			replayRecords.Set(float64(len(recs)))
 			replaySeconds.Set(elapsed.Seconds())
 			replayRate.Set(rate)
-			fmt.Fprintf(stdout, "merynd: recovered %d records (%d applied, %d no-ops) to t=%.0fs, state digest %016x\n",
-				len(recs), stats.Applied, stats.Failed, sess.Now().Seconds(), sess.Digest())
+			fmt.Fprintf(stdout, "merynd: recovered %d records (%d applied, %d no-ops) to t=%.0fs, state digest %016x, %s\n",
+				len(recs), stats.Applied, stats.Failed, sess.Now().Seconds(), sess.Digest(), verified)
 			logger.Info("replay complete",
 				"records", len(recs), "applied", stats.Applied, "noops", stats.Failed,
-				"elapsed", elapsed, "records_per_sec", rate, "virtual_t_s", sess.Now().Seconds())
-			// Compact the recovered history right away: the next crash
-			// replays one snapshot instead of snapshot + long journal.
+				"elapsed", elapsed, "records_per_sec", rate, "virtual_t_s", sess.Now().Seconds(),
+				"seal", verified)
+			// Seal the recovered state right away, so the next boot
+			// checks all of this history, not just a prefix of it.
 			if err := srv.Checkpoint(); err != nil {
 				fmt.Fprintln(stderr, "merynd: post-recovery checkpoint:", err)
 			}
@@ -270,7 +283,7 @@ func run(args []string, stdout, stderr *os.File) int {
 				case <-ticker.C:
 					target := base + meryn.Seconds(time.Since(start).Seconds()**speed)
 					if target > sess.Now() {
-						sess.Step(target)
+						srv.Step(target)
 					}
 				}
 			}
@@ -290,8 +303,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	close(stop)
 	// Graceful shutdown ladder: refuse new mutations, let in-flight
-	// negotiations finish, then seal the state dir with a final
-	// snapshot so the next boot replays nothing.
+	// negotiations finish, then seal the final state so the next boot
+	// checks the whole history against it.
 	srv.SetState(server.StateDraining)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()

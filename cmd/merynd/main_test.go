@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -203,38 +205,126 @@ func TestCrashRestartRecovers(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdownSealsState: SIGTERM drains and writes a final
-// snapshot, so the next boot replays a snapshot and an empty journal.
+// sealAndStop drives one submit + accept on a fresh daemon over
+// stateDir, then stops it with SIGINT, which seals the final state. It
+// returns /v1/apps as the daemon served it before the signal.
+func sealAndStop(t *testing.T, bin, stateDir string) []byte {
+	t.Helper()
+	d := startDaemon(t, bin, "-state-dir", stateDir)
+	if code, raw := d.post(t, "/v1/apps", map[string]any{"id": "seal-1", "type": "batch", "vms": 1, "work_s": 600}); code != http.StatusCreated {
+		t.Fatalf("submit: %d %s", code, raw)
+	}
+	d.post(t, "/v1/apps/seal-1/accept", nil)
+	apps := d.get(t, "/v1/apps")
+	if err := d.cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Fatalf("merynd exit after SIGINT: %v\n%s", err, d.out.String())
+	}
+	if !strings.Contains(d.out.String(), "final snapshot written") {
+		t.Errorf("no final seal on shutdown; output:\n%s", d.out.String())
+	}
+	return apps
+}
+
+// TestGracefulShutdownSealsState: SIGTERM drains and seals the final
+// state after every journaled record, and the next boot replays the
+// journal, which keeps every record, and verifies that seal.
 func TestGracefulShutdownSealsState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the daemon; skipped with -short")
 	}
 	bin := buildMerynd(t)
 	stateDir := t.TempDir()
+	before := sealAndStop(t, bin, stateDir)
 
-	d1 := startDaemon(t, bin, "-state-dir", stateDir)
-	if code, raw := d1.post(t, "/v1/apps", map[string]any{"id": "seal-1", "type": "batch", "vms": 1, "work_s": 600}); code != http.StatusCreated {
-		t.Fatalf("submit: %d %s", code, raw)
-	}
-	d1.post(t, "/v1/apps/seal-1/accept", nil)
-	before := d1.get(t, "/v1/apps")
-
-	if err := d1.cmd.Process.Signal(os.Interrupt); err != nil {
+	journal, err := os.ReadFile(filepath.Join(stateDir, "journal.ndjson"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d1.cmd.Wait(); err != nil {
-		t.Fatalf("merynd exit after SIGINT: %v\n%s", err, d1.out.String())
+	var seal struct {
+		LastSeq int64 `json:"last_seq"`
 	}
-	if !strings.Contains(d1.out.String(), "final snapshot written") {
-		t.Errorf("no final snapshot on shutdown; output:\n%s", d1.out.String())
+	raw, err := os.ReadFile(filepath.Join(stateDir, "snapshot.json"))
+	if err == nil {
+		err = json.Unmarshal(raw, &seal)
 	}
-	if fi, err := os.Stat(filepath.Join(stateDir, "journal.ndjson")); err != nil || fi.Size() != 0 {
-		t.Errorf("journal not sealed empty: %v, size %d", err, fi.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := int64(bytes.Count(journal, []byte("\n"))); n != 2 || seal.LastSeq != n {
+		t.Errorf("journal holds %d records and the seal covers %d; want both 2", n, seal.LastSeq)
 	}
 
 	d2 := startDaemon(t, bin, "-state-dir", stateDir)
+	if !strings.Contains(d2.out.String(), "verified the seal after seq 2") {
+		t.Errorf("restart did not verify the seal; output:\n%s", d2.out.String())
+	}
 	if got := d2.get(t, "/v1/apps"); !bytes.Equal(got, before) {
-		t.Errorf("/v1/apps after snapshot-only recovery:\n got: %s\nwant: %s", got, before)
+		t.Errorf("/v1/apps after recovery:\n got: %s\nwant: %s", got, before)
+	}
+}
+
+// TestTamperedSealRefusesToServe: a daemon whose replay does not
+// reproduce the sealed digest names the divergence and exits 1, and
+// /healthz never answers 200 on the way.
+func TestTamperedSealRefusesToServe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the daemon; skipped with -short")
+	}
+	bin := buildMerynd(t)
+	stateDir := t.TempDir()
+	sealAndStop(t, bin, stateDir)
+	path := filepath.Join(stateDir, "snapshot.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := regexp.MustCompile(`"digest":"[0-9a-f]*"`).ReplaceAll(raw, []byte(`"digest":"0000000000000000"`))
+	if bytes.Equal(tampered, raw) {
+		t.Fatalf("no digest in the seal: %s", raw)
+	}
+	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	var out bytes.Buffer
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-state-dir", stateDir)
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	timeout := time.After(20 * time.Second)
+	for {
+		select {
+		case err := <-exited:
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+				t.Fatalf("merynd on a tampered seal: exit %v, want status 1; output:\n%s", err, out.String())
+			}
+			if !strings.Contains(out.String(), "diverges at the seal after seq 2") ||
+				!strings.Contains(out.String(), "sealed 0000000000000000") {
+				t.Fatalf("the refusal does not name the seal; output:\n%s", out.String())
+			}
+			return
+		case <-timeout:
+			cmd.Process.Kill()
+			t.Fatalf("merynd kept running on a tampered seal; output:\n%s", out.String())
+		default:
+		}
+		if addr, err := os.ReadFile(addrFile); err == nil && len(addr) > 0 {
+			if resp, err := http.Get("http://" + string(addr) + "/healthz"); err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					t.Errorf("/healthz answered 200 on a tampered seal")
+				}
+			}
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

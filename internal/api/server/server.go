@@ -9,8 +9,10 @@
 // Crash safety and graceful degradation live at this layer:
 //
 //   - when Config.Store is set, every state-changing request is
-//     journaled (write-ahead, fsync'd) before it is applied, and the
-//     store is checkpointed every SnapshotEvery records;
+//     journaled (write-ahead, fsync'd) before it is applied, and once
+//     64 records have been journaled since the last seal, the state
+//     after the apply is sealed (clock, ID counter, digest) so that
+//     recovery can check its replay against it;
 //   - MaxInFlight bounds concurrent state-changing requests; excess
 //     load is shed with 429 + Retry-After instead of queueing without
 //     bound;
@@ -60,10 +62,6 @@ type Config struct {
 	// replay.
 	Store *durable.Store
 
-	// SnapshotEvery checkpoints the store after this many journal
-	// records (default 64; negative disables periodic checkpoints).
-	SnapshotEvery int
-
 	// MaxInFlight bounds concurrent state-changing requests; the
 	// excess is shed with 429 + Retry-After. Zero means unbounded.
 	MaxInFlight int
@@ -71,7 +69,7 @@ type Config struct {
 	// RetryAfter is the hint sent with 429/503 responses (default 1s).
 	RetryAfter time.Duration
 
-	// Logf receives operational warnings (checkpoint failures). Nil
+	// Logf receives operational warnings (seal failures). Nil
 	// discards them.
 	Logf func(format string, args ...any)
 
@@ -124,7 +122,9 @@ type Server struct {
 
 	// wmu serializes journal-then-apply for state-changing requests,
 	// so the journal order is exactly the apply order — the property
-	// replay depends on.
+	// replay depends on. Seals and clock steps take it too, so a seal
+	// describes one state and the clock never moves between a record's
+	// append and its apply.
 	wmu      sync.Mutex
 	inflight chan struct{} // nil when MaxInFlight is 0
 
@@ -136,9 +136,6 @@ type Server struct {
 func New(sess *core.Session, cfg Config) *Server {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 100 * time.Millisecond
-	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = 64
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -257,28 +254,30 @@ func (s *Server) retryAfterHeader(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
+// sealEvery is how many records may be journaled before the state
+// after an apply is sealed.
+const sealEvery = 64
+
 // journal makes one record durable ahead of its apply; callers hold
-// s.wmu. A full checkpoint follows every SnapshotEvery records.
+// s.wmu.
 func (s *Server) journal(rec durable.Record) error {
 	if s.cfg.Store == nil {
 		return nil
 	}
-	if _, err := s.cfg.Store.Append(rec); err != nil {
-		return err
-	}
-	if s.cfg.SnapshotEvery > 0 && s.cfg.Store.TailLen() >= s.cfg.SnapshotEvery {
-		if err := s.Checkpoint(); err != nil && s.cfg.Logf != nil {
-			// The records are journaled; a failed compaction costs
-			// replay time, not correctness.
-			s.cfg.Logf("server: checkpoint failed: %v", err)
-		}
-	}
-	return nil
+	_, err := s.cfg.Store.Append(rec)
+	return err
 }
 
-// Checkpoint compacts the store's journal into a snapshot stamped with
-// the session's current clock, ID counter and state digest.
+// Checkpoint seals the store with the session's current clock, ID
+// counter and state digest. It holds the write lock, so every
+// journaled record is applied and the three describe one state.
 func (s *Server) Checkpoint() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.checkpointLocked()
+}
+
+func (s *Server) checkpointLocked() error {
 	if s.cfg.Store == nil {
 		return nil
 	}
@@ -287,6 +286,17 @@ func (s *Server) Checkpoint() error {
 		s.nextID.Load(),
 		fmt.Sprintf("%016x", s.sess.Digest()),
 	)
+}
+
+// Step advances the session clock to until under the write lock. A
+// clock that moved between a record's append (stamped with the clock)
+// and its apply would apply it later than replay does, so whatever
+// drives the clock besides the requests themselves must step through
+// here.
+func (s *Server) Step(until sim.Time) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.sess.Step(until)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -299,9 +309,22 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, api.Error{Error: fmt.Sprintf(format, args...)})
 }
 
+// mutated runs after every apply that succeeded, under s.wmu: the
+// OnMutate hook, then a seal once sealEvery records have been journaled
+// since the last one. Records whose apply failed are covered by the
+// next seal; replay fails them the same way and, like the handlers,
+// skips OnMutate for them.
 func (s *Server) mutated() {
 	if s.cfg.OnMutate != nil {
 		s.cfg.OnMutate()
+	}
+	if s.cfg.Store == nil || s.cfg.Store.TailLen() < sealEvery {
+		return
+	}
+	if err := s.checkpointLocked(); err != nil && s.cfg.Logf != nil {
+		// The records are journaled; a failed seal costs the boot
+		// check of this stretch of history, not the history itself.
+		s.cfg.Logf("server: checkpoint failed: %v", err)
 	}
 }
 
@@ -507,12 +530,14 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := neg.Reject(); err != nil {
 		// A retried reject that already landed converges, like accept.
+		// Its apply failed, so, as on replay, mutated does not run.
 		if neg.State() != core.NegotiationRejected {
 			writeErr(w, http.StatusConflict, "%v", err)
 			return
 		}
+	} else {
+		s.mutated()
 	}
-	s.mutated()
 	st, _ := s.sess.Status(id)
 	writeJSON(w, http.StatusOK, api.StatusFrom(st))
 }

@@ -206,7 +206,7 @@ func (a *Auditor) check() []error {
 	}
 
 	// Gauge sanity: non-negative, and the last series point carries the
-	// current value (compaction preserves the most recent sample).
+	// current value.
 	a.checkGauge(p.PrivateUsed, fail)
 	a.checkGauge(p.CloudUsed, fail)
 	a.checkGauge(p.VMM.UsedGauge, fail)

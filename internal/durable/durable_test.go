@@ -138,23 +138,38 @@ func TestTornTailCompleteLine(t *testing.T) {
 	}
 }
 
-// TestCheckpointCompacts snapshots the history, truncates the journal,
-// and still recovers the full record sequence afterwards.
+// TestCheckpointCompacts: a checkpoint writes a seal of the state after
+// the last journaled record and leaves the journal whole; records
+// appended afterwards count towards the next seal, and a reopened store
+// reads the whole history and the seal back.
 func TestCheckpointCompacts(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
 	s.Append(submitRec("a", 0))
 	s.Append(Record{TimeS: 1, Kind: KindAccept, AppID: "a"})
+	if s.TailLen() != 2 {
+		t.Fatalf("TailLen before the first seal = %d, want 2", s.TailLen())
+	}
 	if err := s.Checkpoint(1, 1, "deadbeef"); err != nil {
 		t.Fatal(err)
 	}
 	if s.TailLen() != 0 {
 		t.Fatalf("TailLen after checkpoint = %d", s.TailLen())
 	}
-	if fi, err := os.Stat(filepath.Join(dir, journalName)); err != nil || fi.Size() != 0 {
-		t.Fatalf("journal not truncated: %v, size %d", err, fi.Size())
+	if recs, _, _, err := readJournal(filepath.Join(dir, journalName)); err != nil || len(recs) != 2 {
+		t.Fatalf("journal after checkpoint: %d records, err %v; want both kept", len(recs), err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"records"`)) || bytes.Contains(raw, []byte(`"kind"`)) {
+		t.Fatalf("the seal carries records: %s", raw)
 	}
 	s.Append(submitRec("b", 2))
+	if s.TailLen() != 1 {
+		t.Fatalf("TailLen after one more append = %d, want 1", s.TailLen())
+	}
 	s.Close()
 
 	s2 := openStore(t, dir)
@@ -163,36 +178,39 @@ func TestCheckpointCompacts(t *testing.T) {
 		t.Fatalf("after checkpoint + append, recovered %d records", len(got))
 	}
 	snap := s2.LastCheckpoint()
-	if snap == nil || snap.LastSeq != 2 || snap.Digest != "deadbeef" || snap.NextID != 1 {
-		t.Fatalf("snapshot = %+v", snap)
+	if snap == nil || snap.LastSeq != 2 || snap.Digest != "deadbeef" || snap.NextID != 1 || snap.TimeS != 1 {
+		t.Fatalf("seal = %+v", snap)
+	}
+	if s2.TailLen() != 1 {
+		t.Fatalf("TailLen after reopen = %d, want 1", s2.TailLen())
 	}
 }
 
-// TestCrashBetweenSnapshotAndTruncate: if the process dies after the
-// snapshot rename but before the journal truncate, the journal still
-// holds records the snapshot covers. Open must dedupe by sequence.
-func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
+// TestOpenRefusesSealPastJournal: a seal is written only after the
+// records it covers are durable, so a journal that ends before the
+// seal's last_seq lost records, and Open must refuse it.
+func TestOpenRefusesSealPastJournal(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
 	s.Append(submitRec("a", 0))
 	s.Append(submitRec("b", 1))
+	if err := s.Checkpoint(1, 1, "deadbeef"); err != nil {
+		t.Fatal(err)
+	}
 	s.Close()
-	// Write the snapshot by hand, leaving the journal untouched — the
-	// exact on-disk shape of that crash window.
-	recs, _, _, err := readJournal(filepath.Join(dir, journalName))
+
+	jpath := filepath.Join(dir, journalName)
+	data, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSnapshot(dir, &Snapshot{Meta: testMeta, LastSeq: 2, Records: recs}); err != nil {
+	first := data[:bytes.IndexByte(data, '\n')+1]
+	if err := os.WriteFile(jpath, first, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	s2 := openStore(t, dir)
-	if got := s2.Records(); len(got) != 2 {
-		t.Fatalf("recovered %d records, want 2 (journal dupes dropped)", len(got))
-	}
-	if s2.TailLen() != 0 {
-		t.Fatalf("TailLen = %d, want 0", s2.TailLen())
+	_, err = Open(dir, testMeta)
+	if err == nil || !strings.Contains(err.Error(), "through seq 2") || !strings.Contains(err.Error(), "ends at seq 1") {
+		t.Fatalf("seal past the journal's end: err = %v", err)
 	}
 }
 

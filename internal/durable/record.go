@@ -6,14 +6,17 @@
 // therefore never serializes the engine — it records *inputs*:
 //
 //   - a write-ahead Journal appends one typed Record per state-changing
-//     API action (submit, accept, counter, reject), fsync'd before the
-//     handler replies;
-//   - a Snapshot periodically compacts the full record history (plus
-//     the config fingerprint, the virtual clock and a state digest)
-//     into one atomically-replaced file, truncating the journal;
+//     API action (submit, accept, counter, reject, deploy-revision,
+//     set-traffic), fsync'd before the handler replies. It is the only
+//     record history: it is appended to and never rewritten;
+//   - a Snapshot seals the state after the last journaled apply: the
+//     config fingerprint, the seq it covers, the virtual clock, the
+//     next server ID and a state digest, in one atomically replaced
+//     file;
 //   - Replay drives the records back through the ordinary session API
 //     after a restart, stepping the virtual clock to each record's
-//     time before applying it.
+//     time before applying it, and Recover checks the seal on the way:
+//     a replay that does not reproduce the sealed digest is refused.
 //
 // A torn final journal record (the classic crash-mid-write artifact)
 // is detected by CRC framing and dropped; anything torn earlier than

@@ -43,6 +43,39 @@ func Replay(sess *core.Session, recs []Record, onMutate func()) ReplayStats {
 	return stats
 }
 
+// Recover replays a state directory's history and checks its seal on
+// the way. recs is the history Store.Records returns (seq 1, 2, …) and
+// seal the store's last seal, or nil. Once records 1..seal.LastSeq are
+// replayed, Recover steps the clock to the seal's time — only when that
+// is later, because the engine fires events due exactly at its horizon,
+// which the live run may not have fired when it took the digest — and
+// compares the session's digest with the sealed one. A mismatch means
+// replay does not rebuild the state the live run sealed, and Recover
+// returns an error naming the seal's seq and both digests instead of
+// replaying further. Otherwise it replays the remaining records.
+func Recover(sess *core.Session, recs []Record, seal *Snapshot, onMutate func()) (ReplayStats, error) {
+	if seal == nil {
+		return Replay(sess, recs, onMutate), nil
+	}
+	n := int(seal.LastSeq)
+	if n > len(recs) {
+		return ReplayStats{}, fmt.Errorf("durable: the seal covers records through seq %d but only %d were given", n, len(recs))
+	}
+	stats := Replay(sess, recs[:n], onMutate)
+	if at := sim.Seconds(seal.TimeS); at > sess.Now() {
+		sess.Step(at)
+	}
+	if got := fmt.Sprintf("%016x", sess.Digest()); got != seal.Digest {
+		return stats, fmt.Errorf("durable: replay diverges at the seal after seq %d: replayed state digest %s, sealed %s",
+			seal.LastSeq, got, seal.Digest)
+	}
+	rest := Replay(sess, recs[n:], onMutate)
+	stats.Applied += rest.Applied
+	stats.Failed += rest.Failed
+	stats.Errors = append(stats.Errors, rest.Errors...)
+	return stats, nil
+}
+
 // apply re-issues one record through the session API with the same
 // semantics as the live HTTP handler.
 func apply(sess *core.Session, r Record) error {

@@ -24,7 +24,7 @@ type plane struct {
 	srv   *server.Server
 }
 
-func boot(t *testing.T, dir string, snapshotEvery int) *plane {
+func boot(t *testing.T, dir string) *plane {
 	t.Helper()
 	store, err := durable.Open(dir, durable.Meta{Seed: 1, Policy: "meryn"})
 	if err != nil {
@@ -39,9 +39,8 @@ func boot(t *testing.T, dir string, snapshotEvery int) *plane {
 		t.Fatal(err)
 	}
 	srv := server.New(sess, server.Config{
-		OnMutate:      func() { sess.RunToSettle() },
-		Store:         store,
-		SnapshotEvery: snapshotEvery,
+		OnMutate: func() { sess.RunToSettle() },
+		Store:    store,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -84,7 +83,8 @@ func (pl *plane) getBytes(t *testing.T, path string) []byte {
 
 // drive runs a multi-app, multi-round negotiation history: submit,
 // counter, accept; a second app rejected; a third accepted directly.
-func drive(t *testing.T, pl *plane) {
+// mid runs after the first app's three records.
+func drive(t *testing.T, pl *plane, mid func()) {
 	t.Helper()
 	var st api.AppStatus
 	pl.post(t, "/v1/apps", api.App{Type: "batch", VMs: 1, WorkS: 600}, &st)
@@ -94,6 +94,7 @@ func drive(t *testing.T, pl *plane) {
 	var offers []api.Offer
 	pl.post(t, "/v1/apps/"+st.ID+"/counter", map[string]float64{"price": st.Offers[0].Price}, &offers)
 	pl.post(t, "/v1/apps/"+st.ID+"/accept", map[string]int{"offer_index": 0}, nil)
+	mid()
 
 	var st2 api.AppStatus
 	pl.post(t, "/v1/apps", api.App{Type: "batch", VMs: 2, WorkS: 900}, &st2)
@@ -107,12 +108,17 @@ func drive(t *testing.T, pl *plane) {
 // TestReplayRebuildsByteIdenticalState is the tentpole property: kill
 // the control plane at an arbitrary point (here: simply never shut it
 // down — every record is already fsync'd) and a fresh platform that
-// replays the store serves byte-identical /v1/apps, /v1/events and
-// /v1/metrics, and hashes to the same state digest.
+// recovers the store serves byte-identical /v1/apps, /v1/events and
+// /v1/metrics, and hashes to the same state digest. A seal taken
+// mid-history is checked on the way.
 func TestReplayRebuildsByteIdenticalState(t *testing.T) {
 	dir := t.TempDir()
-	live := boot(t, dir, 3) // snapshotEvery 3: recovery crosses a snapshot+journal boundary
-	drive(t, live)
+	live := boot(t, dir)
+	drive(t, live, func() {
+		if err := live.srv.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	apps := live.getBytes(t, "/v1/apps")
 	metricsB := live.getBytes(t, "/v1/metrics")
@@ -132,8 +138,9 @@ func TestReplayRebuildsByteIdenticalState(t *testing.T) {
 	if len(recs) != 7 {
 		t.Fatalf("recovered %d records, want 7", len(recs))
 	}
-	if snap := store2.LastCheckpoint(); snap == nil || len(snap.Records) == 0 {
-		t.Fatal("periodic checkpoint never fired (SnapshotEvery=3, 7 records)")
+	seal := store2.LastCheckpoint()
+	if seal == nil || seal.LastSeq != 3 {
+		t.Fatalf("seal = %+v, want one after seq 3", seal)
 	}
 
 	p2, err := core.NewPlatform(core.Config{Seed: 1})
@@ -144,7 +151,10 @@ func TestReplayRebuildsByteIdenticalState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := durable.Replay(sess2, recs, func() { sess2.RunToSettle() })
+	stats, err := durable.Recover(sess2, recs, seal, func() { sess2.RunToSettle() })
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stats.Failed != 0 || stats.Applied != len(recs) {
 		t.Fatalf("replay stats = %+v\nerrors: %v", stats, stats.Errors)
 	}
@@ -172,7 +182,7 @@ func TestReplayRebuildsByteIdenticalState(t *testing.T) {
 // accept must then complete on the replayed platform.
 func TestReplayMidNegotiation(t *testing.T) {
 	dir := t.TempDir()
-	live := boot(t, dir, 64)
+	live := boot(t, dir)
 	var st api.AppStatus
 	live.post(t, "/v1/apps", api.App{Type: "batch", VMs: 1, WorkS: 600}, &st)
 	var offers []api.Offer
@@ -217,7 +227,7 @@ func TestReplayMidNegotiation(t *testing.T) {
 // replay must fail it identically and keep going.
 func TestReplayToleratesFailedRecords(t *testing.T) {
 	dir := t.TempDir()
-	live := boot(t, dir, 64)
+	live := boot(t, dir)
 	var st api.AppStatus
 	live.post(t, "/v1/apps", api.App{Type: "batch", VMs: 1, WorkS: 600}, &st)
 	var apiErr api.Error

@@ -16,19 +16,18 @@ type Meta struct {
 	Policy string `json:"policy"`
 }
 
-// Snapshot is the compacted record history: because state is a pure
-// function of the record sequence, "snapshotting the session" is
-// snapshotting its inputs. TimeS, Digest and NextID document the state
-// the records rebuild (the digest lets recovery verify byte-identical
-// replay); LastSeq lets the store drop journal records the snapshot
-// already covers after a crash between snapshot and journal truncate.
+// Snapshot is a seal: the state that journal records 1..LastSeq
+// rebuild, taken after the last of them was applied. State is a pure
+// function of the record sequence, so the journal alone recovers it;
+// the seal lets recovery check that replay rebuilt it byte for byte
+// (Digest at virtual time TimeS) and restores the server's ID counter
+// (NextID).
 type Snapshot struct {
-	Meta    Meta     `json:"meta"`
-	TimeS   float64  `json:"time_s"`
-	NextID  int64    `json:"next_id"`
-	Digest  string   `json:"digest,omitempty"`
-	LastSeq int64    `json:"last_seq"`
-	Records []Record `json:"records"`
+	Meta    Meta    `json:"meta"`
+	TimeS   float64 `json:"time_s"`
+	NextID  int64   `json:"next_id"`
+	Digest  string  `json:"digest"`
+	LastSeq int64   `json:"last_seq"`
 }
 
 const (
@@ -36,9 +35,9 @@ const (
 	journalName  = "journal.ndjson"
 )
 
-// writeSnapshot replaces the snapshot atomically: write to a temp file,
-// fsync it, rename over the old snapshot, fsync the directory. A crash
-// at any point leaves either the old snapshot or the new one — never a
+// writeSnapshot replaces the seal atomically: write to a temp file,
+// fsync it, rename over the old seal, fsync the directory. A crash at
+// any point leaves either the old seal or the new one — never a
 // half-written file.
 func writeSnapshot(dir string, s *Snapshot) error {
 	data, err := json.Marshal(s)
@@ -68,7 +67,7 @@ func writeSnapshot(dir string, s *Snapshot) error {
 	return syncDir(dir)
 }
 
-// loadSnapshot reads the snapshot; (nil, nil) when none exists yet.
+// loadSnapshot reads the seal; (nil, nil) when none exists yet.
 func loadSnapshot(dir string) (*Snapshot, error) {
 	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if os.IsNotExist(err) {

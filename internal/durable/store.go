@@ -15,13 +15,14 @@ type Hooks struct {
 	// JournalAppend fires after each durable append with the total
 	// append time and the fsync share of it.
 	JournalAppend func(totalSeconds, fsyncSeconds float64)
-	// SnapshotSeal fires after each checkpoint's snapshot write
+	// SnapshotSeal fires after each seal's snapshot write
 	// (marshal + write + fsync + rename + dir fsync).
 	SnapshotSeal func(seconds float64)
 }
 
-// Store is one state directory: the current snapshot plus the journal
-// tail that accumulated since it was written. All methods are safe for
+// Store is one state directory: the append-only journal, which holds
+// every record since the directory was created, plus the seal of the
+// state after the last sealed record. All methods are safe for
 // concurrent use, though the control plane serializes state-changing
 // requests anyway.
 type Store struct {
@@ -30,43 +31,33 @@ type Store struct {
 	meta Meta
 	j    *Journal
 
-	snap  *Snapshot // last durable checkpoint (nil before the first)
-	tail  []Record  // journal records newer than the snapshot
-	torn  bool      // a damaged final journal record was dropped at Open
-	hooks Hooks
+	recs    []Record  // the history Open read
+	lastSeq int64     // seq of the last durable record
+	seal    *Snapshot // last durable seal (nil before the first)
+	torn    bool      // a damaged final journal record was dropped at Open
+	hooks   Hooks
 }
 
 // Open binds a state directory, creating it when absent. An existing
 // directory must carry the same configuration fingerprint; its journal
 // may end in a torn record (dropped and truncated away), but damage
 // anywhere else refuses to load rather than replay a gapped history.
+// So does a seal that covers records the journal no longer holds.
 func Open(dir string, meta Meta) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	snap, err := loadSnapshot(dir)
+	seal, err := loadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
-	lastSeq := int64(0)
-	if snap != nil {
-		if snap.Meta != meta {
-			return nil, fmt.Errorf("durable: state dir %s was written by seed=%d policy=%s, refusing to recover with seed=%d policy=%s",
-				dir, snap.Meta.Seed, snap.Meta.Policy, meta.Seed, meta.Policy)
-		}
-		for i, r := range snap.Records {
-			if r.Seq != int64(i)+1 {
-				return nil, fmt.Errorf("durable: snapshot record %d carries seq %d", i, r.Seq)
-			}
-		}
-		lastSeq = snap.LastSeq
-		if n := int64(len(snap.Records)); lastSeq != n {
-			return nil, fmt.Errorf("durable: snapshot says last_seq=%d but holds %d records", lastSeq, n)
-		}
+	if seal != nil && seal.Meta != meta {
+		return nil, fmt.Errorf("durable: state dir %s was written by seed=%d policy=%s, refusing to recover with seed=%d policy=%s",
+			dir, seal.Meta.Seed, seal.Meta.Policy, meta.Seed, meta.Policy)
 	}
 
 	jpath := filepath.Join(dir, journalName)
-	tail, clean, torn, err := readJournal(jpath)
+	recs, clean, torn, err := readJournal(jpath)
 	if err != nil {
 		return nil, err
 	}
@@ -77,46 +68,42 @@ func Open(dir string, meta Meta) (*Store, error) {
 			return nil, fmt.Errorf("durable: truncating torn journal tail: %w", err)
 		}
 	}
-	// A crash between writing a snapshot and truncating the journal
-	// leaves records in both; the snapshot wins for everything it
-	// covers.
-	for len(tail) > 0 && tail[0].Seq <= lastSeq {
-		tail = tail[1:]
-	}
-	for _, r := range tail {
-		if r.Seq != lastSeq+1 {
-			return nil, fmt.Errorf("durable: journal gap: record seq %d follows %d", r.Seq, lastSeq)
+	for i, r := range recs {
+		if r.Seq != int64(i)+1 {
+			return nil, fmt.Errorf("durable: journal gap: record seq %d follows %d", r.Seq, i)
 		}
-		lastSeq = r.Seq
 	}
-	// The surviving tail predates a snapshot that never happened; fold
-	// it back into a fresh journal if we truncated (keeps the file's
-	// clean prefix exactly the surviving records).
+	lastSeq := int64(len(recs))
+	// A seal is written only once its records are durable, so a seal
+	// past the journal's end means the journal lost records.
+	if seal != nil && seal.LastSeq > lastSeq {
+		return nil, fmt.Errorf("durable: the seal covers records through seq %d but the journal ends at seq %d",
+			seal.LastSeq, lastSeq)
+	}
 	j, err := openJournal(jpath)
 	if err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, meta: meta, j: j, snap: snap, tail: tail, torn: torn}, nil
+	return &Store{dir: dir, meta: meta, j: j, recs: recs, lastSeq: lastSeq, seal: seal, torn: torn}, nil
 }
 
-// Records returns the full replayable history, snapshot records first.
+// Records returns the history Open read, seq 1 onwards. Records
+// appended since are on disk only. The caller must not modify it.
 func (s *Store) Records() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Record
-	if s.snap != nil {
-		out = append(out, s.snap.Records...)
-	}
-	return append(out, s.tail...)
+	return s.recs
 }
 
-// TailLen is the number of records journaled since the last
-// checkpoint — the "how stale is the snapshot" gauge the server's
-// periodic checkpoint trigger watches.
+// TailLen is the number of records journaled since the last seal —
+// the count the server's periodic seal trigger watches.
 func (s *Store) TailLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.tail)
+	if s.seal == nil {
+		return int(s.lastSeq)
+	}
+	return int(s.lastSeq - s.seal.LastSeq)
 }
 
 // SetHooks installs latency observers. Call before serving traffic;
@@ -125,19 +112,11 @@ func (s *Store) SetHooks(h Hooks) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hooks = h
-	s.armJournalHookLocked()
-}
-
-// armJournalHookLocked (re)wires the append observer onto the current
-// journal — needed again after Checkpoint swaps the journal file.
-func (s *Store) armJournalHookLocked() {
-	if s.hooks.JournalAppend == nil {
-		s.j.onAppend = nil
-		return
-	}
-	fn := s.hooks.JournalAppend
-	s.j.onAppend = func(total, fsync time.Duration) {
-		fn(total.Seconds(), fsync.Seconds())
+	s.j.onAppend = nil
+	if fn := h.JournalAppend; fn != nil {
+		s.j.onAppend = func(total, fsync time.Duration) {
+			fn(total.Seconds(), fsync.Seconds())
+		}
 	}
 }
 
@@ -148,12 +127,12 @@ func (s *Store) TornTail() bool {
 	return s.torn
 }
 
-// LastCheckpoint returns the snapshot Open recovered or Checkpoint last
+// LastCheckpoint returns the seal Open recovered or Checkpoint last
 // wrote (nil before the first). The caller must not mutate it.
 func (s *Store) LastCheckpoint() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snap
+	return s.seal
 }
 
 // Append stamps the record with the next sequence number and makes it
@@ -161,65 +140,36 @@ func (s *Store) LastCheckpoint() *Snapshot {
 func (s *Store) Append(r Record) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r.Seq = s.lastSeqLocked() + 1
+	r.Seq = s.lastSeq + 1
 	if err := s.j.Append(r); err != nil {
 		return Record{}, err
 	}
-	s.tail = append(s.tail, r)
+	s.lastSeq = r.Seq
 	return r, nil
 }
 
-func (s *Store) lastSeqLocked() int64 {
-	if n := len(s.tail); n > 0 {
-		return s.tail[n-1].Seq
-	}
-	if s.snap != nil {
-		return s.snap.LastSeq
-	}
-	return 0
-}
-
-// Checkpoint compacts the full history into a new snapshot and
-// truncates the journal. timeS, nextID and digest document the state
-// the records rebuild (digest: core.Session.Digest at a quiescent
-// moment, used to verify recovery).
+// Checkpoint seals the state after the last journaled record: timeS,
+// nextID and digest (core.Session.Digest) must describe the session
+// once that record was applied, so that recovery can check its replay
+// against them. The journal is left as it is.
 func (s *Store) Checkpoint(timeS float64, nextID int64, digest string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := &Snapshot{
+	seal := &Snapshot{
 		Meta:    s.meta,
 		TimeS:   timeS,
 		NextID:  nextID,
 		Digest:  digest,
-		LastSeq: s.lastSeqLocked(),
+		LastSeq: s.lastSeq,
 	}
-	if s.snap != nil {
-		snap.Records = append(snap.Records, s.snap.Records...)
-	}
-	snap.Records = append(snap.Records, s.tail...)
-	sealStart := time.Now()
-	if err := writeSnapshot(s.dir, snap); err != nil {
+	start := time.Now()
+	if err := writeSnapshot(s.dir, seal); err != nil {
 		return err
 	}
 	if s.hooks.SnapshotSeal != nil {
-		s.hooks.SnapshotSeal(time.Since(sealStart).Seconds())
+		s.hooks.SnapshotSeal(time.Since(start).Seconds())
 	}
-	// The snapshot is durable; the journal's contents are now redundant.
-	// Crash-ordering note: if we die before the truncate lands, Open
-	// dedupes by sequence number.
-	if err := s.j.Close(); err != nil {
-		return err
-	}
-	jpath := filepath.Join(s.dir, journalName)
-	if err := os.Truncate(jpath, 0); err != nil {
-		return err
-	}
-	j, err := openJournal(jpath)
-	if err != nil {
-		return err
-	}
-	s.j, s.snap, s.tail = j, snap, nil
-	s.armJournalHookLocked()
+	s.seal = seal
 	return nil
 }
 
