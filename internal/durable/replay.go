@@ -58,8 +58,8 @@ func Recover(sess *core.Session, recs []Record, seal *Snapshot, onMutate func())
 		return Replay(sess, recs, onMutate), nil
 	}
 	n := int(seal.LastSeq)
-	if n > len(recs) {
-		return ReplayStats{}, fmt.Errorf("durable: the seal covers records through seq %d but only %d were given", n, len(recs))
+	if n < 0 || n > len(recs) {
+		return ReplayStats{}, fmt.Errorf("durable: the seal covers records through seq %d, but %d were given", n, len(recs))
 	}
 	stats := Replay(sess, recs[:n], onMutate)
 	if at := sim.Seconds(seal.TimeS); at > sess.Now() {

@@ -114,6 +114,11 @@ func TestRecoverRefusesTamperedSeal(t *testing.T) {
 	if _, err := durable.Recover(sess, recs[:3], sealed, nil); err == nil || !strings.Contains(err.Error(), "seq 7") {
 		t.Fatalf("a seal past the records given: err = %v", err)
 	}
+	negative := *sealed
+	negative.LastSeq = -1
+	if _, err := durable.Recover(sess, recs, &negative, nil); err == nil {
+		t.Fatal("Recover accepted a seal with last_seq -1")
+	}
 	_, err = durable.Recover(sess, recs, sealed, func() { sess.RunToSettle() })
 	if err == nil {
 		t.Fatal("Recover accepted a tampered seal")
