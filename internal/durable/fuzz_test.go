@@ -32,6 +32,7 @@ func FuzzReadJournal(f *testing.F) {
 	}
 	f.Add(clean)
 	f.Add(append(append([]byte{}, clean...), `{"c":123,"r":{"seq":3,"kind":"sub`...))
+	f.Add(clean[:len(clean)-1]) // a whole final frame whose newline never landed
 	f.Add(bytes.Replace(clean, []byte(`"a"`), []byte(`"x"`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
