@@ -546,19 +546,22 @@ func (p *Provider) Audit() error {
 	if p.TotalSpend < 0 || p.SpotSpend < 0 || p.SpotSpend > p.TotalSpend+1e-9 {
 		return fmt.Errorf("cloud %s: spend aggregates inconsistent (total=%g spot=%g)", p.cfg.Name, p.TotalSpend, p.SpotSpend)
 	}
-	ids := make([]string, 0, len(p.leases))
-	for id := range p.leases {
-		ids = append(ids, id)
+	// Of the leases that violate, report the one with the smallest ID,
+	// so the report is deterministic without sorting the table.
+	tracked := func(inst *Instance) bool {
+		return inst.State == InstancePending || inst.State == InstanceRunning
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		inst := p.leases[id]
-		if inst.State != InstancePending && inst.State != InstanceRunning {
-			return fmt.Errorf("cloud %s: tracked lease %s is %v", p.cfg.Name, id, inst.State)
+	var bad *Instance
+	for id, inst := range p.leases {
+		if (bad == nil || id < bad.ID) && (!tracked(inst) || inst.Charge != 0) {
+			bad = inst
 		}
-		if inst.Charge != 0 {
-			return fmt.Errorf("cloud %s: unsettled lease %s carries charge %g", p.cfg.Name, id, inst.Charge)
+	}
+	if bad != nil {
+		if !tracked(bad) {
+			return fmt.Errorf("cloud %s: tracked lease %s is %v", p.cfg.Name, bad.ID, bad.State)
 		}
+		return fmt.Errorf("cloud %s: unsettled lease %s carries charge %g", p.cfg.Name, bad.ID, bad.Charge)
 	}
 	for _, inst := range p.spotRun {
 		if !inst.Spot || inst.State != InstanceRunning {

@@ -571,3 +571,36 @@ func TestSettledLeasesArePruned(t *testing.T) {
 		t.Fatalf("failed launch not pruned: %d", pf.LeaseCount())
 	}
 }
+
+// TestAuditNamesSmallestViolatingLease: with two bad leases in the
+// table, Audit reports the one with the smaller ID, whatever order the
+// table is walked in.
+func TestAuditNamesSmallestViolatingLease(t *testing.T) {
+	eng := sim.NewEngine()
+	p := newProvider(t, eng, Config{})
+	var ids []string
+	for i := 0; i < 12; i++ {
+		p.Launch("medium", "batch", func(inst *Instance, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, inst.ID)
+		})
+	}
+	eng.RunAll()
+	if err := p.Audit(); err != nil {
+		t.Fatalf("clean provider fails its audit: %v", err)
+	}
+	small, large := ids[4], ids[9]
+	if small >= large {
+		t.Fatalf("lease IDs %s, %s not in launch order", small, large)
+	}
+	p.leases[large].State = InstanceTerminated
+	p.leases[small].Charge = 1
+	want := "cloud ec2: unsettled lease " + small + " carries charge 1"
+	for i := 0; i < 20; i++ {
+		if err := p.Audit(); err == nil || err.Error() != want {
+			t.Fatalf("Audit = %v, want %q", err, want)
+		}
+	}
+}

@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 
 	"meryn/internal/cloud"
 	"meryn/internal/framework"
@@ -44,6 +45,13 @@ const defaultAuditEveryS = 30
 // for golden or worker-invariance comparisons is byte-identical with
 // the auditor on or off.
 //
+// Every barrier re-verifies the state that can still change, and an
+// audit allocates nothing while it holds. Applications are walked
+// through each VC's live set (accepted and unsettled), so an audit's
+// cost follows live state, not history. A ledger record is checked
+// once more as its application settles; nothing writes it after that,
+// and a job event for a settled application panics at the write.
+//
 // The invariant catalogue (see DESIGN.md "Invariant catalogue"):
 //
 //   - Node conservation, per VC: the framework's node count, the CM's
@@ -56,9 +64,12 @@ const defaultAuditEveryS = 30
 //     sum over open accounting segments; provider spend aggregates and
 //     per-app ledger costs are non-negative and non-decreasing.
 //   - Gauge/counter sanity: usage gauges are non-negative and agree
-//     with the last point of their Series; counters never decrease.
+//     with the last point of their Series; counters, resolved once at
+//     construction, never decrease.
 //   - Substrate self-audits: the VM manager's and every provider's
 //     internal recounts (vmm.Manager.Audit, cloud.Provider.Audit).
+//   - The live set itself: every entry sits at its recorded index and
+//     belongs to an unsettled application.
 //
 // Deliberately NOT checked, because they do not hold between events:
 // per-VC avail can be legitimately negative after crashes with
@@ -71,16 +82,28 @@ type Auditor struct {
 	every  sim.Time
 	onFail func(error)
 	armed  bool
+	tickFn func() // tick, bound once so arming allocates nothing
 
 	// Checks counts completed audits; Violations counts invariant
 	// failures reported through OnFail.
 	Checks     int64
 	Violations int64
 
-	// Monotonicity snapshots from the previous audit.
-	lastCounters []int64
-	lastSpend    []float64 // per provider: TotalSpend, SpotSpend
-	lastCost     map[string]float64
+	// counters lists every platform, VMM and provider counter;
+	// lastCounts and lastSpend (per provider: TotalSpend, SpotSpend)
+	// hold their values at the previous audit, for the monotonicity
+	// checks.
+	counters   []*metrics.Counter
+	lastCounts []int64
+	lastSpend  []float64
+
+	// errs collects the violations of the check in progress.
+	errs []error
+
+	// cm and visitFree check that each free node of cm is in its lease
+	// table; the visitor is bound once so the walk allocates nothing.
+	cm        *ClusterManager
+	visitFree func(id string) bool
 }
 
 // newAuditor returns an armed-on-demand auditor, or nil when disabled.
@@ -96,7 +119,35 @@ func newAuditor(p *Platform, cfg *AuditConfig) *Auditor {
 	if onFail == nil {
 		onFail = func(err error) { panic(err) }
 	}
-	return &Auditor{p: p, every: every, onFail: onFail, lastCost: make(map[string]float64)}
+	a := &Auditor{p: p, every: every, onFail: onFail, counters: allCounters(p)}
+	a.tickFn = a.tick
+	a.lastCounts = make([]int64, len(a.counters))
+	a.lastSpend = make([]float64, 2*len(p.Clouds))
+	a.visitFree = func(id string) bool {
+		if _, ok := a.cm.nodes[id]; !ok {
+			a.fail("%s: free node %s not in CM lease table", a.cm.name, id)
+		}
+		return true
+	}
+	return a
+}
+
+// allCounters lists every platform, VMM and provider counter for the
+// monotonicity check. Platform counters are enumerated by reflection so
+// counters added later are covered automatically.
+func allCounters(p *Platform) []*metrics.Counter {
+	var out []*metrics.Counter
+	rv := reflect.ValueOf(&p.Counters).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if c, ok := rv.Field(i).Addr().Interface().(*metrics.Counter); ok {
+			out = append(out, c)
+		}
+	}
+	out = append(out, &p.VMM.Starts, &p.VMM.Stops, &p.VMM.Crashes)
+	for _, prov := range p.Clouds {
+		out = append(out, &prov.Launches, &prov.Failures, &prov.Revocations)
+	}
+	return out
 }
 
 // arm schedules the next audit barrier. The timer is armed when work
@@ -110,7 +161,7 @@ func (a *Auditor) arm() {
 		return
 	}
 	a.armed = true
-	a.p.Eng.Schedule(a.every, a.tick)
+	a.p.Eng.Schedule(a.every, a.tickFn)
 }
 
 func (a *Auditor) tick() {
@@ -121,18 +172,37 @@ func (a *Auditor) tick() {
 	}
 }
 
-// run performs one audit, reporting every violation through OnFail.
+// run performs one audit, reporting every violation through OnFail. The
+// returned slice is reused by the next check.
 func (a *Auditor) run() []error {
 	if a == nil {
 		return nil
 	}
-	errs := a.check()
+	a.check()
 	a.Checks++
-	for _, err := range errs {
+	a.report()
+	return a.errs
+}
+
+// report delivers the violations the check in progress found.
+func (a *Auditor) report() {
+	for _, err := range a.errs {
 		a.Violations++
 		a.onFail(err)
 	}
-	return errs
+}
+
+// freeze gives the ledger record of a settling application its last
+// check; cost is the record's cost at the previous barrier. Violations
+// go through OnFail, but the check adds nothing to Checks, which
+// experiment outputs and /v1/metrics report.
+func (a *Auditor) freeze(rec *metrics.AppRecord, cost float64) {
+	if a == nil {
+		return
+	}
+	a.errs = a.errs[:0]
+	a.checkRecord(rec, cost)
+	a.report()
 }
 
 // AuditNow audits the platform immediately and returns all violations
@@ -146,35 +216,44 @@ func (p *Platform) AuditNow() error {
 	return errors.Join(p.Audit.run()...)
 }
 
-// check evaluates the whole invariant catalogue and returns the
-// violations found.
-func (a *Auditor) check() []error {
-	var errs []error
+// fail records one violation of the check in progress.
+func (a *Auditor) fail(format string, args ...any) {
+	a.errs = append(a.errs, fmt.Errorf("audit[t=%s]: "+format, append([]any{a.p.Eng.Now()}, args...)...))
+}
+
+// check evaluates the invariant catalogue over live state and leaves the
+// violations found in a.errs, sorted so reports are deterministic.
+func (a *Auditor) check() {
+	a.errs = a.errs[:0]
 	p := a.p
 	now := p.Eng.Now()
-	fail := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("audit[t=%s]: "+format, append([]any{now}, args...)...))
-	}
 
 	sumSegPrivate, sumSegCloud, totalOwned := 0, 0, 0
 	for _, name := range p.cmOrder {
 		cm := p.cms[name]
-		a.checkCM(cm, fail)
+		a.checkCM(cm)
 		totalOwned += cm.OwnedPrivate
-		for _, id := range sortedAppIDs(cm) {
-			st := cm.apps[id]
+		for i := range cm.live {
+			e := &cm.live[i]
+			st := e.st
+			if st.live != i {
+				a.fail("%s/%s: live-set entry %d records index %d (-1: settled)", name, st.app.ID, i, st.live)
+			}
+			// Ledger sanity for the records that can still change.
+			a.checkRecord(st.rec, e.cost)
+			e.cost = st.rec.Cost
 			if !st.segOpen {
 				continue
 			}
 			if st.segRate < 0 {
-				fail("%s/%s: open segment with negative rate %g", name, id, st.segRate)
+				a.fail("%s/%s: open segment with negative rate %g", name, st.app.ID, st.segRate)
 			}
 			if st.segStart > now {
-				fail("%s/%s: open segment starts in the future (%s)", name, id, st.segStart)
+				a.fail("%s/%s: open segment starts in the future (%s)", name, st.app.ID, st.segStart)
 			}
 			if st.segPrivateN < 0 || st.segCloudN < 0 {
-				fail("%s/%s: open segment with negative node counts (%d private, %d cloud)",
-					name, id, st.segPrivateN, st.segCloudN)
+				a.fail("%s/%s: open segment with negative node counts (%d private, %d cloud)",
+					name, st.app.ID, st.segPrivateN, st.segCloudN)
 			}
 			sumSegPrivate += st.segPrivateN
 			sumSegCloud += st.segCloudN
@@ -185,217 +264,176 @@ func (a *Auditor) check() []error {
 	// of the open accounting segments (segment and gauge moves are
 	// atomic in openSegment/closeSegment).
 	if v := p.PrivateUsed.Value(); v != sumSegPrivate {
-		fail("PrivateUsed gauge %d != %d private nodes across open segments", v, sumSegPrivate)
+		a.fail("PrivateUsed gauge %d != %d private nodes across open segments", v, sumSegPrivate)
 	}
 	if v := p.CloudUsed.Value(); v != sumSegCloud {
-		fail("CloudUsed gauge %d != %d cloud nodes across open segments", v, sumSegCloud)
+		a.fail("CloudUsed gauge %d != %d cloud nodes across open segments", v, sumSegCloud)
 	}
 
 	// Substrate self-audits.
-	if err := p.VMM.Audit(); err != nil {
-		errs = append(errs, err)
+	vmCounts, err := p.VMM.Audit()
+	if err != nil {
+		a.errs = append(a.errs, err)
 	}
-	vmCounts := p.VMM.StateCounts()
 	if run := vmCounts[vmm.StateRunning]; totalOwned > run {
-		fail("%d private nodes attached across VCs but only %d VMs running", totalOwned, run)
+		a.fail("%d private nodes attached across VCs but only %d VMs running", totalOwned, run)
 	}
 	for _, prov := range p.Clouds {
 		if err := prov.Audit(); err != nil {
-			errs = append(errs, err)
+			a.errs = append(a.errs, err)
 		}
 	}
 
 	// Gauge sanity: non-negative, and the last series point carries the
 	// current value.
-	a.checkGauge(p.PrivateUsed, fail)
-	a.checkGauge(p.CloudUsed, fail)
-	a.checkGauge(p.VMM.UsedGauge, fail)
+	a.checkGauge(p.PrivateUsed)
+	a.checkGauge(p.CloudUsed)
+	a.checkGauge(p.VMM.UsedGauge)
 	for _, prov := range p.Clouds {
-		a.checkGauge(prov.UsedGauge, fail)
+		a.checkGauge(prov.UsedGauge)
 	}
 
-	// Counter and spend monotonicity against the previous audit.
-	cur := a.counterSnapshot()
-	if a.lastCounters != nil && len(a.lastCounters) == len(cur) {
-		for i, v := range cur {
-			if v < a.lastCounters[i] {
-				fail("counter #%d decreased (%d -> %d)", i, a.lastCounters[i], v)
-			}
+	// Counter and spend monotonicity against the previous audit, if
+	// there was one.
+	for i, c := range a.counters {
+		v := c.Count
+		if a.Checks > 0 && v < a.lastCounts[i] {
+			a.fail("counter #%d decreased (%d -> %d)", i, a.lastCounts[i], v)
 		}
-	}
-	for _, v := range cur {
 		if v < 0 {
-			fail("negative counter value %d", v)
+			a.fail("negative counter value %d", v)
 		}
+		a.lastCounts[i] = v
 	}
-	a.lastCounters = cur
-
-	spend := make([]float64, 0, 2*len(p.Clouds))
-	for _, prov := range p.Clouds {
-		spend = append(spend, prov.TotalSpend, prov.SpotSpend)
-	}
-	if a.lastSpend != nil && len(a.lastSpend) == len(spend) {
-		for i, v := range spend {
-			if v < a.lastSpend[i]-1e-9 {
-				fail("provider spend #%d decreased (%g -> %g)", i, a.lastSpend[i], v)
+	for i, prov := range p.Clouds {
+		for j, v := range [2]float64{prov.TotalSpend, prov.SpotSpend} {
+			k := 2*i + j
+			if a.Checks > 0 && v < a.lastSpend[k]-1e-9 {
+				a.fail("provider spend #%d decreased (%g -> %g)", k, a.lastSpend[k], v)
 			}
+			a.lastSpend[k] = v
 		}
-	}
-	a.lastSpend = spend
-
-	// Ledger sanity: prices, penalties and costs are non-negative,
-	// completed records are time-ordered, and per-app cost never
-	// shrinks between audits.
-	for _, rec := range p.Ledger.All() {
-		if rec.Cost < 0 || rec.Penalty < 0 || rec.Price < 0 {
-			fail("app %s: negative money (price=%g penalty=%g cost=%g)", rec.ID, rec.Price, rec.Penalty, rec.Cost)
-		}
-		if rec.EndTime > 0 && rec.StartTime > 0 && rec.EndTime < rec.StartTime {
-			fail("app %s: ends before it starts (%s < %s)", rec.ID, rec.EndTime, rec.StartTime)
-		}
-		if prev, ok := a.lastCost[rec.ID]; ok && rec.Cost < prev-1e-9 {
-			fail("app %s: cost decreased (%g -> %g)", rec.ID, prev, rec.Cost)
-		}
-		a.lastCost[rec.ID] = rec.Cost
 	}
 
-	if p.remaining < 0 {
-		fail("negative remaining-application count %d", p.remaining)
+	if len(a.errs) > 1 {
+		slices.SortFunc(a.errs, func(x, y error) int { return strings.Compare(x.Error(), y.Error()) })
 	}
-	return errs
 }
 
-// checkCM audits one VC: node conservation between the framework, the
-// CM lease table and OwnedPrivate; index recounts via
-// framework.Inspector; and lease-table/ResourceManager agreement for
-// every attached node.
-func (a *Auditor) checkCM(cm *ClusterManager, fail func(string, ...any)) {
+// checkRecord checks one ledger record: prices, penalties and costs are
+// non-negative, a completed record is time-ordered, and the cost has not
+// shrunk below prev, its value at the previous barrier.
+func (a *Auditor) checkRecord(rec *metrics.AppRecord, prev float64) {
+	if rec.Cost < 0 || rec.Penalty < 0 || rec.Price < 0 {
+		a.fail("app %s: negative money (price=%g penalty=%g cost=%g)", rec.ID, rec.Price, rec.Penalty, rec.Cost)
+	}
+	if rec.EndTime > 0 && rec.StartTime > 0 && rec.EndTime < rec.StartTime {
+		a.fail("app %s: ends before it starts (%s < %s)", rec.ID, rec.EndTime, rec.StartTime)
+	}
+	if rec.Cost < prev-1e-9 {
+		a.fail("app %s: cost decreased (%g -> %g)", rec.ID, prev, rec.Cost)
+	}
+}
+
+// checkCM audits one VC in one unsorted pass over its lease table: node
+// conservation between the framework, the CM lease table and
+// OwnedPrivate; index recounts via framework.Inspector; and
+// lease-table/ResourceManager agreement for every attached node.
+func (a *Auditor) checkCM(cm *ClusterManager) {
 	name := cm.name
-	attached, cloudAttached := len(cm.nodes), 0
-	ids := make([]string, 0, attached)
+	insp, inspect := cm.fw.(framework.Inspector)
+	var freeKind [2]int
+	cloudAttached, idleDisabled := 0, 0
 	for id, info := range cm.nodes {
-		ids = append(ids, id)
 		if info.cloud {
 			cloudAttached++
 		}
-	}
-	sort.Strings(ids)
-
-	if n := cm.fw.NumNodes(); n != attached {
-		fail("%s: framework holds %d nodes but CM lease table has %d", name, n, attached)
-	}
-	if own := attached - cloudAttached; cm.OwnedPrivate != own {
-		fail("%s: OwnedPrivate=%d but %d private nodes attached", name, cm.OwnedPrivate, own)
-	}
-
-	if insp, ok := cm.fw.(framework.Inspector); ok {
-		var freeKind [2]int
-		idleDisabled := 0
-		for _, id := range ids {
-			st, ok := insp.InspectNode(id)
-			if !ok {
-				fail("%s: node %s in CM lease table but unknown to framework", name, id)
-				continue
-			}
-			if st.Cloud != cm.nodes[id].cloud {
-				fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, cm.nodes[id].cloud)
-			}
-			if st.Busy {
-				continue
-			}
-			if st.Disabled {
-				idleDisabled++
-			} else if st.Cloud {
-				freeKind[1]++
+		if inspect {
+			if st, ok := insp.InspectNode(id); !ok {
+				a.fail("%s: node %s in CM lease table but unknown to framework", name, id)
 			} else {
-				freeKind[0]++
+				if st.Cloud != info.cloud {
+					a.fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, info.cloud)
+				}
+				switch {
+				case st.Busy:
+				case st.Disabled:
+					idleDisabled++
+				case st.Cloud:
+					freeKind[1]++
+				default:
+					freeKind[0]++
+				}
 			}
 		}
-		for k, cloudKind := range []bool{false, true} {
-			if got := cm.fw.FreeNodeCount(cloudKind); got != freeKind[k] {
-				fail("%s: FreeNodeCount(cloud=%v)=%d but recount is %d", name, cloudKind, got, freeKind[k])
-			}
-		}
-		if got := len(cm.fw.IdleDisabledNodeIDs()); got != idleDisabled {
-			fail("%s: %d idle-disabled nodes indexed but recount is %d", name, got, idleDisabled)
-		}
-		for _, id := range cm.fw.FreeNodeIDs() {
-			if _, ok := cm.nodes[id]; !ok {
-				fail("%s: free node %s not in CM lease table", name, id)
-			}
-		}
+		a.checkNode(cm, id, info)
 	}
 
-	for _, id := range ids {
-		info := cm.nodes[id]
-		if !info.cloud {
-			vm, err := cm.p.VMM.Get(id)
-			if err != nil {
-				fail("%s: attached private node %s unknown to VMM", name, id)
-				continue
-			}
-			if vm.State != vmm.StateRunning {
-				fail("%s: attached private node %s is %v", name, id, vm.State)
-			}
-			continue
+	if n := cm.fw.NumNodes(); n != len(cm.nodes) {
+		a.fail("%s: framework holds %d nodes but CM lease table has %d", name, n, len(cm.nodes))
+	}
+	if own := len(cm.nodes) - cloudAttached; cm.OwnedPrivate != own {
+		a.fail("%s: OwnedPrivate=%d but %d private nodes attached", name, cm.OwnedPrivate, own)
+	}
+	if !inspect {
+		return
+	}
+	for k, cloudKind := range [2]bool{false, true} {
+		if got := cm.fw.FreeNodeCount(cloudKind); got != freeKind[k] {
+			a.fail("%s: FreeNodeCount(cloud=%v)=%d but recount is %d", name, cloudKind, got, freeKind[k])
 		}
-		if info.provider == nil {
-			fail("%s: attached cloud node %s has no provider", name, id)
-			continue
+	}
+	if got := len(cm.fw.IdleDisabledNodeIDs()); got != idleDisabled {
+		a.fail("%s: %d idle-disabled nodes indexed but recount is %d", name, got, idleDisabled)
+	}
+	a.cm = cm
+	cm.fw.VisitFreeNodes(false, a.visitFree)
+	cm.fw.VisitFreeNodes(true, a.visitFree)
+	a.cm = nil
+}
+
+// checkNode checks that an attached node is live at its substrate: a
+// private node is a running VM; a cloud node has a running lease at its
+// provider, billed at the price locked at launch.
+func (a *Auditor) checkNode(cm *ClusterManager, id string, info *nodeInfo) {
+	name := cm.name
+	if !info.cloud {
+		vm, err := cm.p.VMM.Get(id)
+		if err != nil {
+			a.fail("%s: attached private node %s unknown to VMM", name, id)
+			return
 		}
-		inst, ok := info.provider.Lease(info.instID)
-		if !ok {
-			fail("%s: attached cloud node %s has no tracked lease %s at %s", name, id, info.instID, info.provider.Name())
-			continue
+		if vm.State != vmm.StateRunning {
+			a.fail("%s: attached private node %s is %v", name, id, vm.State)
 		}
-		if inst.State != cloud.InstanceRunning {
-			fail("%s: attached cloud node %s lease is %v", name, id, inst.State)
-		}
-		if inst.PriceAtLaunch != info.rate {
-			fail("%s: cloud node %s billed at %g but lease price locked at %g", name, id, info.rate, inst.PriceAtLaunch)
-		}
+		return
+	}
+	if info.provider == nil {
+		a.fail("%s: attached cloud node %s has no provider", name, id)
+		return
+	}
+	inst, ok := info.provider.Lease(info.instID)
+	if !ok {
+		a.fail("%s: attached cloud node %s has no tracked lease %s at %s", name, id, info.instID, info.provider.Name())
+		return
+	}
+	if inst.State != cloud.InstanceRunning {
+		a.fail("%s: attached cloud node %s lease is %v", name, id, inst.State)
+	}
+	if inst.PriceAtLaunch != info.rate {
+		a.fail("%s: cloud node %s billed at %g but lease price locked at %g", name, id, info.rate, inst.PriceAtLaunch)
 	}
 }
 
 // checkGauge verifies non-negativity and that the gauge's series ends
 // at its current value.
-func (a *Auditor) checkGauge(g *metrics.Gauge, fail func(string, ...any)) {
+func (a *Auditor) checkGauge(g *metrics.Gauge) {
 	v := g.Value()
 	if v < 0 {
-		fail("gauge %s negative (%d)", g.Series().Name, v)
+		a.fail("gauge %s negative (%d)", g.Series().Name, v)
 	}
 	pts := g.Series().Points()
 	if n := len(pts); n > 0 && pts[n-1].Value != float64(v) {
-		fail("gauge %s value %d disagrees with last series point %g", g.Series().Name, v, pts[n-1].Value)
+		a.fail("gauge %s value %d disagrees with last series point %g", g.Series().Name, v, pts[n-1].Value)
 	}
-}
-
-// counterSnapshot flattens every platform, VMM and provider counter
-// into one slice for the monotonicity check. Platform counters are
-// enumerated by reflection so counters added later are covered
-// automatically.
-func (a *Auditor) counterSnapshot() []int64 {
-	var vals []int64
-	rv := reflect.ValueOf(&a.p.Counters).Elem()
-	for i := 0; i < rv.NumField(); i++ {
-		if c, ok := rv.Field(i).Addr().Interface().(*metrics.Counter); ok {
-			vals = append(vals, c.Count)
-		}
-	}
-	vals = append(vals, a.p.VMM.Starts.Count, a.p.VMM.Stops.Count, a.p.VMM.Crashes.Count)
-	for _, prov := range a.p.Clouds {
-		vals = append(vals, prov.Launches.Count, prov.Failures.Count, prov.Revocations.Count)
-	}
-	return vals
-}
-
-// sortedAppIDs returns a CM's application IDs in stable order (audit
-// failure messages must be deterministic across runs).
-func sortedAppIDs(cm *ClusterManager) []string {
-	ids := make([]string, 0, len(cm.apps))
-	for id := range cm.apps {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -10,16 +10,22 @@ import (
 
 // benchPlatform builds a single-VC cloudless platform with vms private
 // VMs, submits the workload and steps the engine until every submitted
-// application is running, returning the VC's Cluster Manager.
+// application is running, returning the VC's Cluster Manager. It then
+// closes the session, so the measured loops append no session events.
 func benchPlatform(b *testing.B, vms int, w workload.Workload) (*Platform, *ClusterManager) {
 	b.Helper()
 	p, err := NewPlatform(onevcConfig(vms))
 	if err != nil {
 		b.Fatal(err)
 	}
+	s, err := p.Open()
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := range w {
-		app := w[i]
-		p.Eng.At(app.SubmitAt, func() { p.Client.Submit(app) })
+		if _, err := s.SubmitWith(w[i], nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 	cm, _ := p.CM("vc1")
 	for len(cm.fw.Running()) < len(w) && p.Eng.Step() {
@@ -27,6 +33,7 @@ func benchPlatform(b *testing.B, vms int, w workload.Workload) (*Platform, *Clus
 	if got := len(cm.fw.Running()); got != len(w) {
 		b.Fatalf("running = %d, want %d", got, len(w))
 	}
+	s.close()
 	return p, cm
 }
 
@@ -97,6 +104,46 @@ func benchAuditRun(b *testing.B, disabled bool) {
 
 func BenchmarkPlatformRunAuditOn(b *testing.B)  { benchAuditRun(b, false) }
 func BenchmarkPlatformRunAuditOff(b *testing.B) { benchAuditRun(b, true) }
+
+// BenchmarkAuditNow measures one audit barrier against history: the
+// paper platform (two 25-VM VCs and a cloud) after n single-VM 300 s
+// applications ran on vc1 and settled, each before the next arrived. A
+// barrier walks live state, so its cost should not grow with n
+// (recorded in BENCH_chaos.json).
+func BenchmarkAuditNow(b *testing.B) {
+	for _, n := range []int{100, 1000, 3000} {
+		b.Run(fmt.Sprintf("settled=%d", n), func(b *testing.B) {
+			cfg := DefaultConfig()
+			// No barrier fires while the history builds, so set-up stays
+			// cheap at any n; only the timed AuditNow calls audit.
+			cfg.Audit = &AuditConfig{Every: sim.Seconds(1e9)}
+			p, err := NewPlatform(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := p.Open()
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				app := batchApp(fmt.Sprintf("app-%04d", i), "vc1", sim.ToSeconds(p.Eng.Now()), 300)
+				if _, err := s.SubmitWith(app, nil); err != nil {
+					b.Fatal(err)
+				}
+				if !s.RunToSettle() {
+					b.Fatalf("app %d did not settle", i)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.AuditNow(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkFreePrivateCount measures the idle-private-VM count used by
 // the VM exchange protocol (acquireFromVC, processLoanReturns) on a VC

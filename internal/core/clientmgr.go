@@ -42,7 +42,7 @@ func (c *ClientManager) Submit(app workload.App) {
 	cm := c.route(app)
 	if cm == nil {
 		c.p.Counters.Rejections.Inc()
-		c.p.appSettled()
+		c.p.appSettled(app.ID, 0)
 		if neg := c.p.sessionNeg(app.ID); neg != nil {
 			neg.noteRejected(fmt.Errorf("core: no VC hosts application type %q", app.Type))
 		}

@@ -63,6 +63,19 @@ type appState struct {
 	fellBack    bool
 
 	controller *AppController
+
+	// live is the application's index in its VC's live set while it is
+	// accepted and unsettled, and -1 once it has settled: its record
+	// froze at its finish, and a later job event for it panics.
+	live int
+}
+
+// liveApp is one entry of a VC's live set. cost is the application's
+// ledger cost at the previous audit barrier, the base of the auditor's
+// check that a cost never shrinks.
+type liveApp struct {
+	st   *appState
+	cost float64
 }
 
 // loan records a suspension-backed VM loan between two VCs (paper §4.2.2:
@@ -103,6 +116,11 @@ type ClusterManager struct {
 	avail int
 	nodes map[string]*nodeInfo
 	apps  map[string]*appState
+
+	// live holds the accepted, unsettled applications: acceptContract
+	// appends and onJobFinish swap-removes. An audit walks this set, not
+	// every application the VC has held.
+	live []liveApp
 
 	pending  []*appState // apps waiting for any placement option
 	victims  []victim    // suspended apps awaiting resume, FIFO
@@ -328,7 +346,7 @@ func (cm *ClusterManager) handleSubmission(app workload.App) {
 	st.rec.VC = cm.name
 	neg := cm.p.sessionNeg(app.ID)
 	if err := cm.ad.Validate(app); err != nil {
-		cm.rejectSubmission(neg, err)
+		cm.rejectSubmission(app.ID, neg, err)
 		return
 	}
 	m := sla.NewNegotiation(app.ID, cm.ad.SLAProvider(app))
@@ -344,7 +362,7 @@ func (cm *ClusterManager) handleSubmission(app workload.App) {
 	}
 	contract, err := sla.Drive(m, u)
 	if err != nil {
-		cm.rejectSubmission(neg, err)
+		cm.rejectSubmission(app.ID, neg, err)
 		return
 	}
 	cm.acceptContract(st, contract)
@@ -352,9 +370,9 @@ func (cm *ClusterManager) handleSubmission(app workload.App) {
 
 // rejectSubmission settles a submission that will not run (validation
 // failure or failed negotiation).
-func (cm *ClusterManager) rejectSubmission(neg *Negotiation, err error) {
+func (cm *ClusterManager) rejectSubmission(id string, neg *Negotiation, err error) {
 	cm.p.Counters.Rejections.Inc()
-	cm.p.appSettled()
+	cm.p.appSettled(id, 0)
 	if neg != nil {
 		neg.noteRejected(err)
 	}
@@ -370,6 +388,8 @@ func (cm *ClusterManager) acceptContract(st *appState, contract *sla.Contract) {
 	st.rec.Deadline = contract.AbsoluteDeadline(st.rec.SubmitTime)
 	st.rec.Price = contract.Price
 	cm.apps[st.app.ID] = st
+	st.live = len(cm.live)
+	cm.live = append(cm.live, liveApp{st: st})
 	if neg := cm.p.sessionNeg(st.app.ID); neg != nil {
 		neg.noteAgreed(cm, st, contract)
 	}
@@ -491,7 +511,7 @@ func (cm *ClusterManager) dispatch(st *appState) {
 // cost rates are captured now, and each usage gauge moves once with the
 // whole delta instead of once per node.
 func (cm *ClusterManager) onJobStart(j *framework.Job) {
-	st := cm.apps[j.ID]
+	st := cm.jobApp("start", j)
 	if st == nil {
 		return
 	}
@@ -528,7 +548,7 @@ func (cm *ClusterManager) openSegment(st *appState, j *framework.Job) {
 // avail absorbs the footprint delta — replicas beyond the committed
 // count consume uncommitted capacity, shrinking returns it.
 func (cm *ClusterManager) onJobScale(j *framework.Job) {
-	st := cm.apps[j.ID]
+	st := cm.jobApp("scale", j)
 	if st == nil {
 		return
 	}
@@ -560,7 +580,7 @@ func (cm *ClusterManager) closeSegment(st *appState) {
 
 // onJobSuspend closes the segment of a suspended victim.
 func (cm *ClusterManager) onJobSuspend(j *framework.Job) {
-	st := cm.apps[j.ID]
+	st := cm.jobApp("suspend", j)
 	if st == nil {
 		return
 	}
@@ -579,7 +599,7 @@ func (cm *ClusterManager) onJobSuspend(j *framework.Job) {
 // will restart at the contracted replica count from the free pool. (A
 // function never requeues: losing its last instance leaves it cold.)
 func (cm *ClusterManager) onJobRequeue(j *framework.Job) {
-	st := cm.apps[j.ID]
+	st := cm.jobApp("requeue", j)
 	if st == nil {
 		return
 	}
@@ -735,7 +755,7 @@ func (cm *ClusterManager) appsOnNode(id string) []*appState {
 // onJobFinish settles the application: accounting, SLA penalty, loan
 // return, victim resume, pending retries and idle cloud GC.
 func (cm *ClusterManager) onJobFinish(j *framework.Job) {
-	st := cm.apps[j.ID]
+	st := cm.jobApp("finish", j)
 	if st == nil {
 		return
 	}
@@ -758,7 +778,7 @@ func (cm *ClusterManager) onJobFinish(j *framework.Job) {
 		st.lastReplicas = 0
 	}
 	cm.p.sessionEmit(j.ID, "completed", "")
-	cm.p.appSettled()
+	cm.settle(st)
 
 	// Release idle cloud VMs first so they never masquerade as free
 	// private capacity (paper §3.5: stop cloud VMs when done).
@@ -772,6 +792,32 @@ func (cm *ClusterManager) onJobFinish(j *framework.Job) {
 	// Resume suspended victims now that capacity freed up.
 	cm.tryResumeVictims()
 	cm.retryPending()
+}
+
+// jobApp finds the application a framework job event is for (nil for a
+// job the VC does not track). The five job callbacks are the only
+// writers of the segment and ledger fields the auditor checks, so an
+// event for a settled application, whose record froze at its finish,
+// panics.
+func (cm *ClusterManager) jobApp(event string, j *framework.Job) *appState {
+	st := cm.apps[j.ID]
+	if st != nil && st.live < 0 {
+		panic(fmt.Sprintf("core: %s: %s event for settled application %s", cm.name, event, j.ID))
+	}
+	return st
+}
+
+// settle freezes a finished application: it leaves the live set, its
+// record gets its last audit check, and it counts as settled.
+func (cm *ClusterManager) settle(st *appState) {
+	i, last := st.live, len(cm.live)-1
+	cost := cm.live[i].cost
+	cm.live[i] = cm.live[last]
+	cm.live[i].st.live = i
+	cm.live[last] = liveApp{}
+	cm.live = cm.live[:last]
+	st.live = -1
+	cm.p.appSettled(st.app.ID, cost)
 }
 
 // settleSLO closes a service contract: final burn accounting from the

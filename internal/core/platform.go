@@ -117,10 +117,18 @@ func (p *Platform) sessionEmit(appID, kind, detail string) {
 }
 
 // appSettled marks one application as finished or rejected; Run stops
-// stepping once every submitted application settles.
-func (p *Platform) appSettled() {
-	if p.remaining > 0 {
-		p.remaining--
+// stepping once every submitted application settles. Its ledger record,
+// if it has one, gets its last audit check here: nothing writes a
+// settled record again. cost is the record's cost at the previous audit
+// barrier (0 for an application that never ran). Settling with nothing
+// left unsettled means some application settled twice, and panics.
+func (p *Platform) appSettled(id string, cost float64) {
+	if p.remaining == 0 {
+		panic(fmt.Sprintf("core: application %s settled with no application left unsettled (settled twice?)", id))
+	}
+	p.remaining--
+	if rec := p.Ledger.Get(id); rec != nil {
+		p.Audit.freeze(rec, cost)
 	}
 }
 

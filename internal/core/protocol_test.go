@@ -17,13 +17,14 @@ func bidPlatform(t *testing.T, busy, free int) (*Platform, *ClusterManager) {
 	cfg := onevcConfig(busy + free)
 	cfg.ConservativeSpeed = 1.0
 	p := newPlatform(t, cfg)
-	var wl workload.Workload
-	for i := 0; i < busy; i++ {
-		wl = append(wl, batchApp(appID(i), "vc1", 0, 5000))
+	s, err := p.Open()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range wl {
-		app := wl[i]
-		p.Eng.At(app.SubmitAt, func() { p.Client.Submit(app) })
+	for i := 0; i < busy; i++ {
+		if _, err := s.SubmitWith(batchApp(appID(i), "vc1", 0, 5000), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	p.Eng.Run(sim.Seconds(60)) // all running, none finished
 	cm, _ := p.CM("vc1")

@@ -28,7 +28,13 @@ func TestSegmentGaugeReleasedForMidSegmentDetach(t *testing.T) {
 		ID: "mr", Type: workload.TypeMapReduce, VC: "vc1",
 		SubmitAt: 0, VMs: 2, MapTasks: 3, MapWork: 100,
 	}
-	p.Eng.At(0, func() { p.Client.Submit(app) })
+	s, err := p.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SubmitWith(app, nil); err != nil {
+		t.Fatal(err)
+	}
 	for cm.fw.FreeNodeCount(false) != 1 && p.Eng.Step() {
 	}
 	if cm.fw.FreeNodeCount(false) != 1 {

@@ -679,7 +679,7 @@ func (g *Negotiation) rejectLocked(err error) {
 		return
 	}
 	g.s.p.Counters.Rejections.Inc()
-	g.s.p.appSettled()
+	g.s.p.appSettled(g.appID, 0)
 	g.noteRejected(err)
 }
 

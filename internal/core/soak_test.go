@@ -48,7 +48,7 @@ func TestSoakRandomOpsUnderAudit(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			if got := fmt.Sprintf("%016x", soak(t, seed)); got != pins[seed] {
+			if got := fmt.Sprintf("%016x", soak(t, seed, false)); got != pins[seed] {
 				t.Errorf("seed %d: digest %s, want %s", seed, got, pins[seed])
 			}
 		})
@@ -56,13 +56,18 @@ func TestSoakRandomOpsUnderAudit(t *testing.T) {
 }
 
 // soak runs the randomized campaign and returns the post-drain session
-// digest.
-func soak(t *testing.T, seed int64) uint64 {
+// digest. With oracled set, it drives the engine event by event and
+// compares the auditor against referenceCheck at every barrier.
+func soak(t *testing.T, seed int64, oracled bool) uint64 {
 	var violations []error
 	p := newPlatform(t, soakConfig(seed, &violations))
 	s, err := p.Open()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var o *oracle
+	if oracled {
+		o = newOracle(t, p, &violations)
 	}
 
 	ops := 120
@@ -143,14 +148,15 @@ func soak(t *testing.T, seed int64) uint64 {
 			p.Clouds[0].RevokeOutbid()
 			op = fmt.Sprintf("shock x%.2f", factor)
 		}
-		s.Step(s.Now() + sim.Seconds(30+rng.Float64()*60))
+		o.stepTo(s, s.Now()+sim.Seconds(30+rng.Float64()*60))
 		mustClean(op)
 	}
 
 	if err := p.AuditNow(); err != nil {
 		t.Fatalf("seed %d: final audit before drain: %v", seed, err)
 	}
-	res, err := s.Drain()
+	o.observe()
+	res, err := o.drain(s)
 	if err != nil {
 		t.Fatalf("seed %d: drain: %v", seed, err)
 	}

@@ -31,6 +31,9 @@ const (
 	StateCrashed
 )
 
+// NumStates sizes arrays indexed by State.
+const NumStates = int(StateCrashed) + 1
+
 // String implements fmt.Stringer.
 func (s State) String() string {
 	switch s {
@@ -210,9 +213,10 @@ func (m *Manager) List(s State) []*VM {
 	return out
 }
 
-// StateCounts returns how many tracked VMs are in each lifecycle state.
-func (m *Manager) StateCounts() map[State]int {
-	out := make(map[State]int)
+// StateCounts returns how many tracked VMs are in each lifecycle state,
+// indexed by State.
+func (m *Manager) StateCounts() [NumStates]int {
+	var out [NumStates]int
 	for _, vm := range m.vms {
 		out[vm.State]++
 	}
@@ -222,22 +226,23 @@ func (m *Manager) StateCounts() map[State]int {
 // Audit checks the manager's internal conservation invariants: the
 // active count equals the recount of provisioning+running+stopping VMs,
 // stays within [0, Capacity], and agrees with UsedGauge. It returns the
-// first violation found, or nil. The platform Auditor calls this at
-// every audit barrier.
-func (m *Manager) Audit() error {
+// recount it made, so a caller cross-checking VM states walks the table
+// once, and the first violation found, or nil. The platform Auditor
+// calls this at every audit barrier.
+func (m *Manager) Audit() ([NumStates]int, error) {
 	counts := m.StateCounts()
 	live := counts[StateProvisioning] + counts[StateRunning] + counts[StateStopping]
 	if live != m.active {
-		return fmt.Errorf("vmm: active=%d but state recount=%d (prov=%d run=%d stop=%d)",
+		return counts, fmt.Errorf("vmm: active=%d but state recount=%d (prov=%d run=%d stop=%d)",
 			m.active, live, counts[StateProvisioning], counts[StateRunning], counts[StateStopping])
 	}
 	if m.active < 0 || m.active > m.cfg.MaxVMs {
-		return fmt.Errorf("vmm: active=%d outside [0, %d]", m.active, m.cfg.MaxVMs)
+		return counts, fmt.Errorf("vmm: active=%d outside [0, %d]", m.active, m.cfg.MaxVMs)
 	}
 	if g := m.UsedGauge.Value(); g != m.active {
-		return fmt.Errorf("vmm: used gauge %d disagrees with active %d", g, m.active)
+		return counts, fmt.Errorf("vmm: used gauge %d disagrees with active %d", g, m.active)
 	}
-	return nil
+	return counts, nil
 }
 
 func (m *Manager) vmID(i int) string {
