@@ -158,3 +158,34 @@ func BenchmarkFreePrivateCount(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewPlatform measures building and opening the paper
+// platform: the fixed cost every run pays before its first submission
+// (recorded in BENCH_run.json).
+func BenchmarkNewPlatform(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := NewPlatform(DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Open(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDigest measures one Session.Digest of a drained seed-1 paper
+// session: the fixed cost of every run's fingerprint and of each seal
+// (recorded in BENCH_run.json).
+func BenchmarkDigest(b *testing.B) {
+	s := openPaper(b, PolicyMeryn, 1)
+	if _, err := s.Drain(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Digest()
+	}
+}

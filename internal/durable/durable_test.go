@@ -2,12 +2,14 @@ package durable
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"meryn/internal/api"
+	"meryn/internal/sim"
 )
 
 var testMeta = Meta{Seed: 1, Policy: "meryn"}
@@ -253,7 +255,9 @@ func TestJournalGap(t *testing.T) {
 	}
 }
 
-// TestRecordValidate rejects the shapes that could never replay.
+// TestRecordValidate rejects the shapes that could never replay,
+// including a time sim.Time cannot hold, and accepts the largest whole
+// second it holds.
 func TestRecordValidate(t *testing.T) {
 	bad := []Record{
 		{Kind: KindSubmit},                        // no app
@@ -262,12 +266,20 @@ func TestRecordValidate(t *testing.T) {
 		{Kind: "warp", AppID: "a"},                // unknown kind
 		{Kind: KindReject, AppID: "a", TimeS: -1}, // negative time
 	}
+	for _, ts := range []float64{math.NaN(), math.Inf(1), maxTimeS + 1, 1e12, 9e15} {
+		bad = append(bad, submitRec("a", ts)) // no sim.Time holds it
+	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
 			t.Errorf("record %d validated: %+v", i, r)
 		}
 	}
-	if err := submitRec("a", 0).Validate(); err != nil {
-		t.Errorf("good record rejected: %v", err)
+	for _, ts := range []float64{0, maxTimeS} {
+		if err := submitRec("a", ts).Validate(); err != nil {
+			t.Errorf("good record at %g s rejected: %v", ts, err)
+		}
+	}
+	if got := sim.ToSeconds(sim.Seconds(maxTimeS)); got != maxTimeS {
+		t.Errorf("sim.Seconds(%d) round-trips to %g", maxTimeS, got)
 	}
 }

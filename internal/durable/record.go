@@ -25,6 +25,7 @@ package durable
 
 import (
 	"fmt"
+	"math"
 
 	"meryn/internal/api"
 )
@@ -104,8 +105,18 @@ func (r Record) Validate() error {
 	default:
 		return fmt.Errorf("durable: unknown record kind %q", r.Kind)
 	}
-	if r.TimeS < 0 {
-		return fmt.Errorf("durable: record with negative time %g", r.TimeS)
+	return checkTime("record", r.TimeS)
+}
+
+// maxTimeS is the largest whole second sim.Time holds. sim.Seconds
+// rounds to int64 nanoseconds, which overflow past it.
+const maxTimeS = math.MaxInt64 / 1_000_000_000
+
+// checkTime refuses a virtual time, in seconds, that sim.Time cannot
+// hold: negative, NaN, or past maxTimeS.
+func checkTime(what string, s float64) error {
+	if s >= 0 && s <= maxTimeS {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("durable: %s time %g s is outside [0, %d]", what, s, maxTimeS)
 }

@@ -52,7 +52,9 @@ func Replay(sess *core.Session, recs []Record, onMutate func()) ReplayStats {
 // compares the session's digest with the sealed one. A mismatch means
 // replay does not rebuild the state the live run sealed, and Recover
 // returns an error naming the seal's seq and both digests instead of
-// replaying further. Otherwise it replays the remaining records.
+// replaying further. Otherwise it replays the remaining records. A
+// seal past the records given, or at a time sim.Time cannot hold, is
+// refused before anything replays.
 func Recover(sess *core.Session, recs []Record, seal *Snapshot, onMutate func()) (ReplayStats, error) {
 	if seal == nil {
 		return Replay(sess, recs, onMutate), nil
@@ -60,6 +62,9 @@ func Recover(sess *core.Session, recs []Record, seal *Snapshot, onMutate func())
 	n := int(seal.LastSeq)
 	if n < 0 || n > len(recs) {
 		return ReplayStats{}, fmt.Errorf("durable: the seal covers records through seq %d, but %d were given", n, len(recs))
+	}
+	if err := checkTime("seal", seal.TimeS); err != nil {
+		return ReplayStats{}, err
 	}
 	stats := Replay(sess, recs[:n], onMutate)
 	if at := sim.Seconds(seal.TimeS); at > sess.Now() {

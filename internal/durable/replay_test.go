@@ -24,7 +24,7 @@ type plane struct {
 	srv   *server.Server
 }
 
-func boot(t *testing.T, dir string) *plane {
+func boot(t testing.TB, dir string) *plane {
 	t.Helper()
 	store, err := durable.Open(dir, durable.Meta{Seed: 1, Policy: "meryn"})
 	if err != nil {
@@ -48,7 +48,7 @@ func boot(t *testing.T, dir string) *plane {
 	return &plane{ts: ts, sess: sess, store: store, srv: srv}
 }
 
-func (pl *plane) post(t *testing.T, path string, body, out any) *http.Response {
+func (pl *plane) post(t testing.TB, path string, body, out any) *http.Response {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -84,7 +84,7 @@ func (pl *plane) getBytes(t *testing.T, path string) []byte {
 // drive runs a multi-app, multi-round negotiation history: submit,
 // counter, accept; a second app rejected; a third accepted directly.
 // mid runs after the first app's three records.
-func drive(t *testing.T, pl *plane, mid func()) {
+func drive(t testing.TB, pl *plane, mid func()) {
 	t.Helper()
 	var st api.AppStatus
 	pl.post(t, "/v1/apps", api.App{Type: "batch", VMs: 1, WorkS: 600}, &st)

@@ -3,6 +3,7 @@ package durable_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -74,20 +75,27 @@ func TestPeriodicSealMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesTamperedSeal: a seal whose digest replay does not
-// reproduce is refused, and the error names the seal's seq and both
-// digests.
-func TestRecoverRefusesTamperedSeal(t *testing.T) {
-	dir := t.TempDir()
+// sealedDir builds a state dir with drive's 7 records, sealed after
+// the last, and returns it with the live digest.
+func sealedDir(t testing.TB) (dir, digest string) {
+	t.Helper()
+	dir = t.TempDir()
 	live := boot(t, dir)
 	drive(t, live, func() {})
 	if err := live.srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	digest := fmt.Sprintf("%016x", live.sess.Digest())
+	digest = fmt.Sprintf("%016x", live.sess.Digest())
 	live.ts.Close()
 	live.store.Close()
+	return dir, digest
+}
 
+// TestRecoverRefusesTamperedSeal: a seal whose digest replay does not
+// reproduce is refused, and the error names the seal's seq and both
+// digests.
+func TestRecoverRefusesTamperedSeal(t *testing.T) {
+	dir, digest := sealedDir(t)
 	path := filepath.Join(dir, "snapshot.json")
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -192,4 +200,80 @@ func TestWallClockReplayMatchesLive(t *testing.T) {
 			t.Errorf("trial %d: %v", trial, err)
 		}
 	}
+}
+
+// TestRecoverRefusesSealTimeOutOfRange: a seal at a time sim.Time
+// cannot hold is refused. (sim.Seconds overflows past 9223372036 s and
+// turns negative, so Recover would skip the step to it and verify.)
+func TestRecoverRefusesSealTimeOutOfRange(t *testing.T) {
+	dir, _ := sealedDir(t)
+	store := reopen(t, dir)
+	for _, ts := range []float64{-1, 1e12, 9e15, math.NaN()} {
+		seal := *store.LastCheckpoint()
+		seal.TimeS = ts
+		sess := freshSession(t)
+		_, err := durable.Recover(sess, store.Records(), &seal, func() { sess.RunToSettle() })
+		if err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("seal time_s %g: err = %v, want out of range", ts, err)
+		}
+	}
+}
+
+// FuzzRecoverSeal: for any bytes as snapshot.json beside drive's 7
+// records, Open refuses them, or Recover refuses or verifies the seal;
+// nothing panics, and after a verified seal the recovered clock is at
+// or past the seal's time.
+func FuzzRecoverSeal(f *testing.F) {
+	dir, _ := sealedDir(f)
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.ndjson"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	clean, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seal map[string]any
+	if err := json.Unmarshal(clean, &seal); err != nil {
+		f.Fatal(err)
+	}
+	edit := func(key string, v any) []byte {
+		old := seal[key]
+		defer func() { seal[key] = old }()
+		seal[key] = v
+		raw, err := json.Marshal(seal)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return raw
+	}
+	f.Add(clean)
+	f.Add(edit("digest", "0000000000000000"))
+	f.Add(edit("last_seq", -1))
+	f.Add(edit("last_seq", 8))
+	f.Add(clean[:len(clean)/2])
+	f.Add(edit("time_s", 1e12))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "journal.ndjson"), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := durable.Open(dir, durable.Meta{Seed: 1, Policy: "meryn"})
+		if err != nil {
+			return
+		}
+		defer store.Close()
+		sess := freshSession(t)
+		sealed := store.LastCheckpoint()
+		if _, err := durable.Recover(sess, store.Records(), sealed, func() { sess.RunToSettle() }); err != nil {
+			return
+		}
+		if at := sim.Seconds(sealed.TimeS); !(sealed.TimeS >= 0 && at >= 0 && sess.Now() >= at) {
+			t.Fatalf("verified the seal at time_s %g, but the recovered clock is at %v", sealed.TimeS, sess.Now())
+		}
+	})
 }
