@@ -255,6 +255,61 @@ func TestJournalGap(t *testing.T) {
 	}
 }
 
+// TestFailedAppendKeepsJournalLoadable: after a write or fsync fails,
+// whatever part of the frame reached the file must stay the journal's
+// last line, so every later append fails too rather than land after
+// it. Open then replays the frame when it is whole and drops it as a
+// torn tail when it is not, and the reopened store appends again. A
+// record that fails validation writes nothing and breaks nothing.
+func TestFailedAppendKeepsJournalLoadable(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		keep     int // bytes of the failed frame that reach the file; -1 for all
+		wantRecs int
+		wantTorn bool
+	}{
+		{"whole frame", -1, 3, false},
+		{"half a frame", 60, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := openStore(t, dir)
+			if _, err := s.Append(Record{Kind: KindAccept}); err == nil {
+				t.Fatal("a record without an app ID appended")
+			}
+			for i, id := range []string{"a", "b"} {
+				if _, err := s.Append(submitRec(id, float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			land := FailNextAppend(t, s)
+			if _, err := s.Append(submitRec("c", 2)); err == nil {
+				t.Fatal("an append whose fsync failed succeeded")
+			}
+			land(tc.keep)
+			for i, id := range []string{"d", "e"} {
+				if _, err := s.Append(submitRec(id, float64(3+i))); err == nil {
+					t.Errorf("append %q after a failed append succeeded", id)
+				}
+			}
+			s.Close()
+
+			s2, err := Open(dir, testMeta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			recs := s2.Records()
+			if len(recs) != tc.wantRecs || s2.TornTail() != tc.wantTorn {
+				t.Fatalf("reopened: %d records, torn %v; want %d, %v", len(recs), s2.TornTail(), tc.wantRecs, tc.wantTorn)
+			}
+			if r, err := s2.Append(submitRec("f", 5)); err != nil || r.Seq != int64(tc.wantRecs)+1 {
+				t.Fatalf("append after reopening: seq %d, err %v", r.Seq, err)
+			}
+		})
+	}
+}
+
 // TestRecordValidate rejects the shapes that could never replay,
 // including a time sim.Time cannot hold, and accepts the largest whole
 // second it holds.

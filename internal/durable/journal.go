@@ -30,6 +30,14 @@ type Journal struct {
 	f    *os.File
 	path string
 
+	// broken is the write or fsync error that ended the journal. Part
+	// or all of the failed frame may be in the file, and a later frame
+	// written after it would make the journal unloadable: a torn line
+	// mid-file, or a seq the file already holds. So every append after
+	// one returns broken and leaves the file as it is; Open then drops
+	// the frame as a torn tail or replays it whole.
+	broken error
+
 	// onAppend, when non-nil, observes each append's total and fsync
 	// wall time — the durability tax, surfaced on /metrics.
 	onAppend func(total, fsync time.Duration)
@@ -45,8 +53,12 @@ func openJournal(path string) (*Journal, error) {
 }
 
 // Append frames, writes and fsyncs one record. The record is durable
-// when Append returns.
+// when Append returns nil. A record that fails validation writes
+// nothing; a failed write or fsync breaks the journal for good.
 func (j *Journal) Append(r Record) error {
+	if j.broken != nil {
+		return j.broken
+	}
 	if err := r.Validate(); err != nil {
 		return err
 	}
@@ -61,11 +73,13 @@ func (j *Journal) Append(r Record) error {
 	line = append(line, '\n')
 	start := time.Now()
 	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("durable: journal write: %w", err)
+		j.broken = fmt.Errorf("durable: journal write: %w", err)
+		return j.broken
 	}
 	syncStart := time.Now()
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("durable: journal fsync: %w", err)
+		j.broken = fmt.Errorf("durable: journal fsync: %w", err)
+		return j.broken
 	}
 	if j.onAppend != nil {
 		now := time.Now()

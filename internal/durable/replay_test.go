@@ -254,3 +254,52 @@ func TestReplayToleratesFailedRecords(t *testing.T) {
 		t.Fatalf("digest = %016x, want %016x", got, digest)
 	}
 }
+
+// TestJournalFailureRefusesEveryMutation: after one failed append every
+// mutating route answers 503, since a later record would land after
+// the failed frame's bytes. The state dir still recovers: the frame the
+// failed submit's write left behind is whole, so replay applies it, as
+// it would after a crash between fsync and reply.
+func TestJournalFailureRefusesEveryMutation(t *testing.T) {
+	dir := t.TempDir()
+	live := boot(t, dir)
+	var st api.AppStatus
+	live.post(t, "/v1/apps", api.App{ID: "a", Type: "batch", VMs: 1, WorkS: 600}, &st)
+	land := durable.FailNextAppend(t, live.store)
+	if resp := live.post(t, "/v1/apps", api.App{ID: "b", Type: "batch", VMs: 1, WorkS: 600}, nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit whose fsync failed: %d, want 503", resp.StatusCode)
+	}
+	land(-1)
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/apps", api.App{ID: "c", Type: "batch", VMs: 1, WorkS: 600}},
+		{"/v1/apps/a/counter", map[string]float64{"price": st.Offers[0].Price}},
+		{"/v1/apps/a/accept", nil},
+		{"/v1/apps/a/reject", nil},
+		{"/v1/apps/a/revisions", api.DeployRevisionRequest{Name: "v2"}},
+		{"/v1/apps/a/traffic", api.TrafficSplitRequest{Weights: map[string]int{"rev-1": 100}}},
+	} {
+		if resp := live.post(t, c.path, c.body, nil); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("POST %s after a failed append: %d, want 503", c.path, resp.StatusCode)
+		}
+	}
+	live.ts.Close()
+	live.store.Close()
+
+	store, err := durable.Open(dir, durable.Meta{Seed: 1, Policy: "meryn"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	p, _ := core.NewPlatform(core.Config{Seed: 1})
+	sess, _ := p.Open()
+	stats, err := durable.Recover(sess, store.Records(), store.LastCheckpoint(), func() { sess.RunToSettle() })
+	if err != nil || stats.Applied != 2 || stats.Failed != 0 {
+		t.Fatalf("recovery: %+v, err %v; want a and b applied", stats, err)
+	}
+	if _, err := sess.Status("b"); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -136,7 +136,9 @@ func (s *Store) LastCheckpoint() *Snapshot {
 }
 
 // Append stamps the record with the next sequence number and makes it
-// durable. The returned record carries the assigned Seq.
+// durable. The returned record carries the assigned Seq. Once a write
+// or fsync has failed, every Append fails with that error: the store
+// must be reopened.
 func (s *Store) Append(r Record) (Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
