@@ -27,20 +27,7 @@ func contractPlane(t *testing.T) (*httptest.Server, *durable.Store) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	p, err := core.NewPlatform(core.Config{
-		Seed: 1,
-		VCs: []core.VCConfig{
-			{Name: "vc1", Type: workload.TypeBatch, InitialVMs: 10},
-			{Name: "fn1", Type: workload.TypeServerless, InitialVMs: 10},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := p.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := mixedSession(t)
 	srv := New(sess, Config{
 		OnMutate: func() { sess.Step(sess.Now() + sim.Seconds(60)) },
 		Store:    store,
@@ -57,6 +44,26 @@ func contractPlane(t *testing.T) (*httptest.Server, *durable.Store) {
 		}
 	}
 	return ts, store
+}
+
+// mixedSession opens a session on a batch VC and a serverless VC.
+func mixedSession(t testing.TB) *core.Session {
+	t.Helper()
+	p, err := core.NewPlatform(core.Config{
+		Seed: 1,
+		VCs: []core.VCConfig{
+			{Name: "vc1", Type: workload.TypeBatch, InitialVMs: 10},
+			{Name: "fn1", Type: workload.TypeServerless, InitialVMs: 10},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := p.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
 }
 
 const (
