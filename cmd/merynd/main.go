@@ -174,15 +174,13 @@ func run(args []string, stdout, stderr *os.File) int {
 		defer store.Close()
 	}
 
-	srvCfg := server.Config{
+	srv := server.New(sess, server.Config{
 		OnMutate:    onMutate,
 		Store:       store,
 		MaxInFlight: *maxInfl,
-		Logf:        func(format string, args ...any) { fmt.Fprintf(stderr, "merynd: "+format+"\n", args...) },
 		Logger:      logger,
 		Registry:    reg,
-	}
-	srv := server.New(sess, srvCfg)
+	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

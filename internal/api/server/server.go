@@ -4,15 +4,19 @@
 // /accept, /counter and /reject, and observers follow the platform
 // through /v1/vcs, /v1/metrics and the NDJSON event stream at
 // /v1/events. Handlers translate between wire DTOs (internal/api) and
-// the session API.
+// the session API. A state-changing handler decodes and checks its
+// request, then turns it into a durable.Record and applies that with
+// durable.Apply: the one function that turns a control-plane action
+// into session calls, which replay uses too.
 //
 // Crash safety and graceful degradation live at this layer:
 //
-//   - when Config.Store is set, every state-changing request is
-//     journaled (write-ahead, fsync'd) before it is applied, and once
-//     64 records have been journaled since the last seal, the state
-//     after the apply is sealed (clock, ID counter, digest) so that
-//     recovery can check its replay against it;
+//   - when Config.Store is set, every record is journaled (write-ahead,
+//     fsync'd) before it is applied, and once 64 records have been
+//     journaled since the last seal, the state after the apply is
+//     sealed (clock, ID counter, digest) so that recovery can check its
+//     replay against it. After a failed journal write every
+//     state-changing request answers 503 until the daemon restarts;
 //   - MaxInFlight bounds concurrent state-changing requests; excess
 //     load is shed with 429 + Retry-After instead of queueing without
 //     bound;
@@ -47,14 +51,11 @@ import (
 // Config tunes a Server.
 type Config struct {
 	// OnMutate, when non-nil, runs after every state-changing request
-	// (submit, accept, counter, reject). The merynd virtual-time mode
-	// injects its fast-forward here; wall-clock mode leaves it nil and
-	// lets the ticker drive the session.
+	// whose apply succeeded, as Replay runs it after every such record.
+	// The merynd virtual-time mode injects its fast-forward here;
+	// wall-clock mode leaves it nil and lets the ticker drive the
+	// session.
 	OnMutate func()
-
-	// PollInterval is the event-stream poll period (default 100 ms of
-	// wall time).
-	PollInterval time.Duration
 
 	// Store, when non-nil, is the durable write-ahead journal: every
 	// state-changing request is appended (and fsync'd) before it is
@@ -66,15 +67,9 @@ type Config struct {
 	// excess is shed with 429 + Retry-After. Zero means unbounded.
 	MaxInFlight int
 
-	// RetryAfter is the hint sent with 429/503 responses (default 1s).
-	RetryAfter time.Duration
-
-	// Logf receives operational warnings (seal failures). Nil
-	// discards them.
-	Logf func(format string, args ...any)
-
 	// Logger, when non-nil, emits one structured access-log line per
-	// request (request ID, method, route, status, latency, bytes).
+	// request (request ID, method, route, status, latency, bytes) and
+	// a warning when a seal fails.
 	Logger *slog.Logger
 
 	// Registry, when non-nil, instruments the whole request path
@@ -134,12 +129,6 @@ type Server struct {
 
 // New builds a server around an open session.
 func New(sess *core.Session, cfg Config) *Server {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 100 * time.Millisecond
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	s := &Server{sess: sess, cfg: cfg, started: time.Now()}
 	if cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
@@ -209,7 +198,7 @@ func (s *Server) Handler() http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.State() == StateRecovering && r.URL.Path != "/healthz" && r.URL.Path != "/metrics" {
-			s.retryAfterHeader(w)
+			retryAfter(w)
 			writeErr(w, http.StatusServiceUnavailable, "control plane is recovering")
 			return
 		}
@@ -224,7 +213,7 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if st := s.State(); st != StateServing {
-			s.retryAfterHeader(w)
+			retryAfter(w)
 			writeErr(w, http.StatusServiceUnavailable, "control plane is %s", st)
 			return
 		}
@@ -236,7 +225,7 @@ func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
 				if s.tel != nil {
 					s.tel.shed.Inc()
 				}
-				s.retryAfterHeader(w)
+				retryAfter(w)
 				writeErr(w, http.StatusTooManyRequests,
 					"control plane at capacity (%d state-changing requests in flight)", s.cfg.MaxInFlight)
 				return
@@ -246,27 +235,17 @@ func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) retryAfterHeader(w http.ResponseWriter) {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
+// retryAfter sets the hint sent with 429 and 503 answers: one second.
+func retryAfter(w http.ResponseWriter) { w.Header().Set("Retry-After", "1") }
 
-// sealEvery is how many records may be journaled before the state
-// after an apply is sealed.
-const sealEvery = 64
-
-// journal makes one record durable ahead of its apply; callers hold
-// s.wmu.
-func (s *Server) journal(rec durable.Record) error {
-	if s.cfg.Store == nil {
-		return nil
-	}
-	_, err := s.cfg.Store.Append(rec)
-	return err
-}
+const (
+	// sealEvery is how many records may be journaled before the state
+	// after an apply is sealed.
+	sealEvery = 64
+	// pollInterval is the wall-time period at which a followed event
+	// stream checks for new events.
+	pollInterval = 100 * time.Millisecond
+)
 
 // Checkpoint seals the store with the session's current clock, ID
 // counter and state digest. It holds the write lock, so every
@@ -309,11 +288,32 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, api.Error{Error: fmt.Sprintf(format, args...)})
 }
 
+// commit makes one state-changing request take effect: it stamps rec
+// with the session clock, journals it ahead of the apply, and applies
+// it with durable.Apply, the function replay uses. Only when the apply
+// succeeded does mutated run, as Replay runs onMutate. A journal
+// failure is answered with 503 here, and commit returns false;
+// otherwise it returns true and the apply's error, which the handler
+// answers. Callers hold s.wmu.
+func (s *Server) commit(w http.ResponseWriter, rec durable.Record) (bool, error) {
+	rec.TimeS = sim.ToSeconds(s.sess.Now())
+	if s.cfg.Store != nil {
+		if _, err := s.cfg.Store.Append(rec); err != nil {
+			writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
+			return false, nil
+		}
+	}
+	if err := durable.Apply(s.sess, rec); err != nil {
+		return true, err
+	}
+	s.mutated()
+	return true, nil
+}
+
 // mutated runs after every apply that succeeded, under s.wmu: the
 // OnMutate hook, then a seal once sealEvery records have been journaled
 // since the last one. Records whose apply failed are covered by the
-// next seal; replay fails them the same way and, like the handlers,
-// skips OnMutate for them.
+// next seal.
 func (s *Server) mutated() {
 	if s.cfg.OnMutate != nil {
 		s.cfg.OnMutate()
@@ -321,10 +321,10 @@ func (s *Server) mutated() {
 	if s.cfg.Store == nil || s.cfg.Store.TailLen() < sealEvery {
 		return
 	}
-	if err := s.checkpointLocked(); err != nil && s.cfg.Logf != nil {
+	if err := s.checkpointLocked(); err != nil && s.cfg.Logger != nil {
 		// The records are journaled; a failed seal costs the boot
 		// check of this stretch of history, not the history itself.
-		s.cfg.Logf("server: checkpoint failed: %v", err)
+		s.cfg.Logger.Warn("checkpoint failed", "err", err)
 	}
 }
 
@@ -342,17 +342,17 @@ func (s *Server) health(w http.ResponseWriter, _ *http.Request) {
 	st := s.State()
 	code := http.StatusOK
 	if st != StateServing {
-		s.retryAfterHeader(w)
+		retryAfter(w)
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, healthBody{Status: st.String(), UptimeS: time.Since(s.started).Seconds()})
 }
 
-// submit receives one application, journals it, schedules it, waits
-// for the proposal set and returns the submission snapshot (offers
-// included). Resubmitting an ID the platform already knows returns the
-// submission's current status — the idempotency that makes client
-// retries after a lost reply safe.
+// submit receives one application and commits it: a submission due now
+// is answered with its proposal set (offers included), a future one
+// with its scheduled status. Resubmitting an ID the platform already
+// knows returns the submission's current status — the idempotency that
+// makes client retries after a lost reply safe.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var dto api.App
 	if err := json.NewDecoder(r.Body).Decode(&dto); err != nil {
@@ -375,41 +375,23 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, api.StatusFrom(st))
 		return
 	}
-	app, err := dto.ToWorkload()
-	if err != nil {
+	if _, err := dto.ToWorkload(); err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	at := s.sess.Now()
-	if err := s.journal(durable.Record{TimeS: sim.ToSeconds(at), Kind: durable.KindSubmit, App: &dto}); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
-		return
-	}
-	// Snapshot the clock before scheduling: a future submit_at_s stays
-	// scheduled rather than awaited, so one client cannot fast-forward
-	// the shared virtual clock through everyone else's events (wall
-	// mode delivers the offers when the arrival time comes around).
-	dueNow := app.SubmitAt <= at
-	neg, err := s.sess.Submit(app)
-	if err != nil {
+	journaled, err := s.commit(w, durable.Record{Kind: durable.KindSubmit, App: &dto})
+	switch {
+	case !journaled:
+	case err != nil:
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if dueNow {
-		// Drive the engine to the offer stage so the response carries
-		// the proposal set (§4.2.1's first round answers the request).
-		if err := neg.Await(); err != nil {
+	default:
+		st, err := s.sess.Status(dto.ID)
+		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
+		writeJSON(w, http.StatusCreated, api.StatusFrom(st))
 	}
-	s.mutated()
-	st, err := s.sess.Status(app.ID)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, api.StatusFrom(st))
 }
 
 func (s *Server) listApps(w http.ResponseWriter, _ *http.Request) {
@@ -451,26 +433,16 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown app %q", id)
 		return
 	}
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindAccept,
-		AppID: id, OfferIndex: req.OfferIndex,
-	}); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
-		return
-	}
-	c, err := neg.Accept(req.OfferIndex)
-	if err != nil {
-		// A retried accept whose first try landed (the reply was lost)
-		// finds the contract already agreed: return it.
-		if neg.State() == core.NegotiationAccepted && neg.Contract() != nil {
-			writeJSON(w, http.StatusOK, api.ContractFromSLA(neg.Contract()))
-			return
-		}
+	journaled, err := s.commit(w, durable.Record{Kind: durable.KindAccept, AppID: id, OfferIndex: req.OfferIndex})
+	switch {
+	case !journaled:
+	// A retried accept whose first try landed (the reply was lost)
+	// finds the contract already agreed: return it.
+	case err == nil, neg.State() == core.NegotiationAccepted && neg.Contract() != nil:
+		writeJSON(w, http.StatusOK, api.ContractFromSLA(neg.Contract()))
+	default:
 		writeErr(w, http.StatusConflict, "%v", err)
-		return
 	}
-	s.mutated()
-	writeJSON(w, http.StatusOK, api.ContractFromSLA(c))
 }
 
 // counterRequest imposes one metric for the next negotiation round.
@@ -497,20 +469,16 @@ func (s *Server) counter(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown app %q", id)
 		return
 	}
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindCounter,
-		AppID: id, DeadlineS: req.DeadlineS, Price: req.Price,
-	}); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
-		return
-	}
-	offers, err := neg.Counter(sim.Seconds(req.DeadlineS), req.Price)
-	if err != nil {
+	journaled, err := s.commit(w, durable.Record{
+		Kind: durable.KindCounter, AppID: id, DeadlineS: req.DeadlineS, Price: req.Price,
+	})
+	switch {
+	case !journaled:
+	case err != nil:
 		writeErr(w, http.StatusConflict, "%v", err)
-		return
+	default:
+		writeJSON(w, http.StatusOK, api.OffersFromSLA(neg.Offers()))
 	}
-	s.mutated()
-	writeJSON(w, http.StatusOK, api.OffersFromSLA(offers))
 }
 
 func (s *Server) reject(w http.ResponseWriter, r *http.Request) {
@@ -522,30 +490,22 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown app %q", id)
 		return
 	}
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindReject, AppID: id,
-	}); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
-		return
+	journaled, err := s.commit(w, durable.Record{Kind: durable.KindReject, AppID: id})
+	switch {
+	case !journaled:
+	// A retried reject that already landed converges, like accept.
+	case err != nil && neg.State() != core.NegotiationRejected:
+		writeErr(w, http.StatusConflict, "%v", err)
+	default:
+		st, _ := s.sess.Status(id)
+		writeJSON(w, http.StatusOK, api.StatusFrom(st))
 	}
-	if err := neg.Reject(); err != nil {
-		// A retried reject that already landed converges, like accept.
-		// Its apply failed, so, as on replay, mutated does not run.
-		if neg.State() != core.NegotiationRejected {
-			writeErr(w, http.StatusConflict, "%v", err)
-			return
-		}
-	} else {
-		s.mutated()
-	}
-	st, _ := s.sess.Status(id)
-	writeJSON(w, http.StatusOK, api.StatusFrom(st))
 }
 
 // deployRevision registers a new immutable revision (at traffic weight
-// zero) for a serverless application, journaled ahead of the apply like
-// every mutation. A retried deploy whose first try landed finds the
-// revision already present and converges on the current revision set.
+// zero) for a serverless application. A retried deploy whose first try
+// landed finds the revision already present and converges on the
+// current revision set without journaling again.
 func (s *Server) deployRevision(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req api.DeployRevisionRequest
@@ -567,20 +527,15 @@ func (s *Server) deployRevision(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindDeployRevision,
-		AppID: id, Revision: req.Name,
-	}); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
-		return
-	}
-	if err := s.sess.DeployRevision(id, req.Name); err != nil {
+	journaled, err := s.commit(w, durable.Record{Kind: durable.KindDeployRevision, AppID: id, Revision: req.Name})
+	switch {
+	case !journaled:
+	case err != nil:
 		writeErr(w, http.StatusConflict, "%v", err)
-		return
+	default:
+		revs, _ := s.sess.Revisions(id)
+		writeJSON(w, http.StatusCreated, api.RevisionsFrom(revs))
 	}
-	s.mutated()
-	revs, _ := s.sess.Revisions(id)
-	writeJSON(w, http.StatusCreated, api.RevisionsFrom(revs))
 }
 
 // setTraffic reassigns traffic weights across a serverless
@@ -599,20 +554,15 @@ func (s *Server) setTraffic(w http.ResponseWriter, r *http.Request) {
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if err := s.journal(durable.Record{
-		TimeS: sim.ToSeconds(s.sess.Now()), Kind: durable.KindSetTraffic,
-		AppID: id, Weights: req.Weights,
-	}); err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "journal write failed: %v", err)
-		return
-	}
-	if err := s.sess.SetTrafficSplit(id, req.Weights); err != nil {
+	journaled, err := s.commit(w, durable.Record{Kind: durable.KindSetTraffic, AppID: id, Weights: req.Weights})
+	switch {
+	case !journaled:
+	case err != nil:
 		writeErr(w, http.StatusConflict, "%v", err)
-		return
+	default:
+		revs, _ := s.sess.Revisions(id)
+		writeJSON(w, http.StatusOK, api.RevisionsFrom(revs))
 	}
-	s.mutated()
-	revs, _ := s.sess.Revisions(id)
-	writeJSON(w, http.StatusOK, api.RevisionsFrom(revs))
 }
 
 // revisions returns a serverless application's revision set: traffic
@@ -670,7 +620,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	if !follow {
 		return
 	}
-	ticker := time.NewTicker(s.cfg.PollInterval)
+	ticker := time.NewTicker(pollInterval)
 	defer ticker.Stop()
 	for {
 		select {

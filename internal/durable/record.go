@@ -9,18 +9,24 @@
 //     API action (submit, accept, counter, reject, deploy-revision,
 //     set-traffic), fsync'd before the handler replies. It is the only
 //     record history: it is appended to and never rewritten;
+//   - Apply turns one Record into session calls. It is the only code
+//     that does: the HTTP server applies each request it journals with
+//     it, and Replay re-applies the journal with it;
 //   - a Snapshot seals the state after the last journaled apply: the
 //     config fingerprint, the seq it covers, the virtual clock, the
 //     next server ID and a state digest, in one atomically replaced
 //     file;
-//   - Replay drives the records back through the ordinary session API
-//     after a restart, stepping the virtual clock to each record's
-//     time before applying it, and Recover checks the seal on the way:
-//     a replay that does not reproduce the sealed digest is refused.
+//   - Replay drives the records back through Apply after a restart,
+//     stepping the virtual clock to each record's time before applying
+//     it, and Recover checks the seal on the way: a replay that does
+//     not reproduce the sealed digest is refused.
 //
 // A torn final journal record (the classic crash-mid-write artifact)
 // is detected by CRC framing and dropped; anything torn earlier than
-// the tail is corruption and refuses to load.
+// the tail is corruption and refuses to load. A failed write or fsync
+// ends the journal: every later append fails and leaves the file
+// alone, so the failed frame stays the last line, where the next Open
+// drops it when torn and replays it when whole.
 package durable
 
 import (

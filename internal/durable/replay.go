@@ -15,14 +15,14 @@ type ReplayStats struct {
 }
 
 // Replay rebuilds session state by re-applying journaled actions in
-// order. Before each record it steps the virtual clock to the record's
+// order with Apply, as the server applied them live. Before each record it steps the virtual clock to the record's
 // time, so every submission, offer computation and contract lands at
 // exactly the instant it did live — the determinism the sweep harness
 // proves is what makes the rebuilt state byte-identical.
 //
 // onMutate mirrors the server's post-mutation hook (merynd's
 // virtual-time mode fast-forwards there); it runs after every record
-// that applied cleanly, exactly as the live handler did. Records whose
+// that applied cleanly, exactly as the server ran it. Records whose
 // action errors are counted and skipped, not fatal: the journal is
 // written ahead of the apply, so a request that failed validation live
 // fails identically here and leaves the same state behind.
@@ -30,7 +30,7 @@ func Replay(sess *core.Session, recs []Record, onMutate func()) ReplayStats {
 	var stats ReplayStats
 	for _, r := range recs {
 		sess.Step(sim.Seconds(r.TimeS))
-		if err := apply(sess, r); err != nil {
+		if err := Apply(sess, r); err != nil {
 			stats.Failed++
 			stats.Errors = append(stats.Errors, fmt.Sprintf("seq %d (%s): %v", r.Seq, r.Kind, err))
 			continue
@@ -81,15 +81,23 @@ func Recover(sess *core.Session, recs []Record, seal *Snapshot, onMutate func())
 	return stats, nil
 }
 
-// apply re-issues one record through the session API with the same
-// semantics as the live HTTP handler.
-func apply(sess *core.Session, r Record) error {
+// Apply turns one control-plane action into session calls, at the
+// session's current time. It is the only code that does: the server
+// applies each request it journals with it, and Replay re-applies the
+// journal with it, so replay rebuilds what the live run built.
+func Apply(sess *core.Session, r Record) error {
 	switch r.Kind {
 	case KindSubmit:
 		app, err := r.App.ToWorkload()
 		if err != nil {
 			return err
 		}
+		// A submission due now is driven to its offers, so the reply
+		// carries the proposal set (§4.2.1's first round answers the
+		// request). A future submit_at_s stays scheduled rather than
+		// awaited, so one client cannot fast-forward the shared virtual
+		// clock through everyone else's events (wall mode delivers the
+		// offers when the arrival time comes around).
 		dueNow := app.SubmitAt <= sess.Now()
 		neg, err := sess.Submit(app)
 		if err != nil {
