@@ -124,17 +124,12 @@ func (cm *ClusterManager) ComputeBid(n int, duration sim.Time) Bid {
 	if cm.avail >= n {
 		return Bid{OK: true, Cost: 0}
 	}
-	if cm.p.cfg.DisableSuspension {
-		return Bid{}
-	}
-	if rb, ok := cm.ad.(ReclaimBidder); ok {
-		return rb.ReclaimBid(cm, n, duration)
-	}
-	return cm.suspensionBid(n, duration)
+	return cm.localBid(n, duration)
 }
 
-// localBid is the requesting CM's own bid (option 3); free local VMs
-// were already ruled out, so only a yield remains.
+// localBid is the cost of making a local victim yield n VMs: a peer's
+// bid once it has too few free VMs, and the requesting CM's own bid
+// (option 3), whose free local VMs were already ruled out.
 func (cm *ClusterManager) localBid(n int, duration sim.Time) Bid {
 	if cm.p.cfg.DisableSuspension {
 		return Bid{}
@@ -191,23 +186,7 @@ func (cm *ClusterManager) suspensionBid(n int, duration sim.Time) Bid {
 // would actually be preemptible: the application inside its revocation
 // budget and the provider's prices actually moving.
 func (cm *ClusterManager) cheapestCloud(n int, duration sim.Time, st *appState) (*cloud.Provider, string, float64) {
-	var (
-		bestP    *cloud.Provider
-		bestType string
-		bestCost = math.Inf(1)
-	)
-	for _, p := range cm.p.RM.Clouds() {
-		for _, typeName := range cm.p.cloudTypes[p.Name()] {
-			c, err := p.CostIfRunFor(typeName, duration)
-			if err != nil {
-				continue
-			}
-			total := c * float64(n)
-			if total < bestCost {
-				bestP, bestType, bestCost = p, typeName, total
-			}
-		}
-	}
+	bestP, bestType, bestCost := cm.cheapestProvider(nil, n, duration)
 	if sp := cm.cfg.Spot; sp != nil && bestP != nil && bestP.MarketPriced(bestType) &&
 		(st == nil || st.revocations < sp.MaxRevocations) {
 		bestCost *= sp.CostDiscount
@@ -259,7 +238,7 @@ func (cm *ClusterManager) leaseVia(p *cloud.Provider, typeName string, n int, du
 				cm.leaseVia(p, typeName, n, duration, false, attached, exhausted)
 				return
 			}
-			if next, nextType := cm.nextProvider(p, n, duration); next != nil {
+			if next, nextType, _ := cm.cheapestProvider(p, n, duration); next != nil {
 				cm.leaseVia(next, nextType, n, duration, spotOK, attached, exhausted)
 				return
 			}
@@ -531,16 +510,17 @@ func (cm *ClusterManager) leaseReplacement(st *appState) {
 		})
 }
 
-// nextProvider returns the cheapest provider other than the one that
-// just failed.
-func (cm *ClusterManager) nextProvider(failed *cloud.Provider, n int, duration sim.Time) (*cloud.Provider, string) {
+// cheapestProvider returns the provider and instance type with the
+// lowest posted cost of n VMs for the duration, and that cost, passing
+// over skip (a provider whose lease just failed, or nil).
+func (cm *ClusterManager) cheapestProvider(skip *cloud.Provider, n int, duration sim.Time) (*cloud.Provider, string, float64) {
 	var (
 		bestP    *cloud.Provider
 		bestType string
 		bestCost = math.Inf(1)
 	)
 	for _, p := range cm.p.RM.Clouds() {
-		if p == failed {
+		if p == skip {
 			continue
 		}
 		for _, typeName := range cm.p.cloudTypes[p.Name()] {
@@ -553,7 +533,7 @@ func (cm *ClusterManager) nextProvider(failed *cloud.Provider, n int, duration s
 			}
 		}
 	}
-	return bestP, bestType
+	return bestP, bestType, bestCost
 }
 
 // processLoanReturns transfers borrowed VM counts back to lenders when
