@@ -20,13 +20,17 @@ import (
 var modelMeta = durable.Meta{Seed: 1, Policy: "meryn"}
 
 // modelMutator is the OnMutate hook of a model run, and of every replay
-// of it: merynd's virtual mode (run to settle) or a 60 s step, which
-// leaves applications mid-flight for the revision routes.
-func modelMutator(sess *core.Session, settle bool) func() {
-	if settle {
+// of it, by mode: merynd's virtual mode (run to settle), a 60 s step,
+// which leaves applications mid-flight for the revision routes, or
+// none, as in merynd's wall mode, where only the clock steps move time.
+func modelMutator(sess *core.Session, mode byte) func() {
+	switch mode % 3 {
+	case 0:
 		return func() { sess.RunToSettle() }
+	case 1:
+		return func() { sess.Step(sess.Now() + sim.Seconds(60)) }
 	}
-	return func() { sess.Step(sess.Now() + sim.Seconds(60)) }
+	return nil
 }
 
 // modelSeal is a copy of the state dir taken right after a seal, with
@@ -58,7 +62,7 @@ func runModel(t testing.TB, data []byte) modelResult {
 	if len(data) == 0 {
 		return res
 	}
-	settle := data[0]%2 == 0
+	mode := data[0]
 	data = data[1:]
 	dir := t.TempDir()
 	store, err := durable.Open(dir, modelMeta)
@@ -67,7 +71,7 @@ func runModel(t testing.TB, data []byte) modelResult {
 	}
 	defer store.Close()
 	sess := mixedSession(t)
-	srv := New(sess, Config{OnMutate: modelMutator(sess, settle), Store: store})
+	srv := New(sess, Config{OnMutate: modelMutator(sess, mode), Store: store})
 	h := srv.Handler()
 
 	var (
@@ -160,7 +164,7 @@ func runModel(t testing.TB, data []byte) modelResult {
 	recs := again.Records()
 	again.Close()
 	replayed := mixedSession(t)
-	stats := durable.Replay(replayed, recs, modelMutator(replayed, settle))
+	stats := durable.Replay(replayed, recs, modelMutator(replayed, mode))
 	if now > replayed.Now() {
 		replayed.Step(now)
 	}
@@ -181,7 +185,7 @@ func runModel(t testing.TB, data []byte) modelResult {
 			t.Fatalf("seal %d: %v", i, err)
 		}
 		recovered := mixedSession(t)
-		_, err = durable.Recover(recovered, st.Records(), st.LastCheckpoint(), modelMutator(recovered, settle))
+		_, err = durable.Recover(recovered, st.Records(), st.LastCheckpoint(), modelMutator(recovered, mode))
 		st.Close()
 		if err != nil {
 			t.Fatalf("seal %d: %v", i, err)
