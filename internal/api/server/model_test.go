@@ -254,7 +254,7 @@ func FuzzControlPlane(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1+64*4 {
-			data = data[:1+64*4] // keeps an execution near 10 ms
+			data = data[:1+64*4] // at most 64 operations per execution
 		}
 		runModel(t, data)
 	})

@@ -30,12 +30,10 @@ type Journal struct {
 	f    *os.File
 	path string
 
-	// broken is the write or fsync error that ended the journal. Part
-	// or all of the failed frame may be in the file, and a later frame
-	// written after it would make the journal unloadable: a torn line
-	// mid-file, or a seq the file already holds. So every append after
-	// one returns broken and leaves the file as it is; Open then drops
-	// the frame as a torn tail or replays it whole.
+	// broken is the write or fsync error that ended the journal. The
+	// failed frame may be in the file, whole or in part, and a frame
+	// written after it would leave a torn line mid-file or a repeated
+	// seq, which Open refuses; so every later append returns broken.
 	broken error
 
 	// onAppend, when non-nil, observes each append's total and fsync

@@ -15,10 +15,11 @@ type ReplayStats struct {
 }
 
 // Replay rebuilds session state by re-applying journaled actions in
-// order with Apply, as the server applied them live. Before each record it steps the virtual clock to the record's
-// time, so every submission, offer computation and contract lands at
-// exactly the instant it did live — the determinism the sweep harness
-// proves is what makes the rebuilt state byte-identical.
+// order with Apply, as the server applied them live. Before each
+// record it steps the virtual clock to the record's time, so every
+// submission, offer computation and contract lands at exactly the
+// instant it did live — the determinism the sweep harness proves is
+// what makes the rebuilt state byte-identical.
 //
 // onMutate mirrors the server's post-mutation hook (merynd's
 // virtual-time mode fast-forwards there); it runs after every record
