@@ -381,7 +381,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	journaled, err := s.commit(w, durable.Record{Kind: durable.KindSubmit, App: &dto})
 	switch {
-	case !journaled:
+	case !journaled: // commit answered 503
 	case err != nil:
 		writeErr(w, http.StatusBadRequest, "%v", err)
 	default:
@@ -435,7 +435,7 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request) {
 	}
 	journaled, err := s.commit(w, durable.Record{Kind: durable.KindAccept, AppID: id, OfferIndex: req.OfferIndex})
 	switch {
-	case !journaled:
+	case !journaled: // commit answered 503
 	// A retried accept whose first try landed (the reply was lost)
 	// finds the contract already agreed: return it.
 	case err == nil, neg.State() == core.NegotiationAccepted && neg.Contract() != nil:
@@ -473,7 +473,7 @@ func (s *Server) counter(w http.ResponseWriter, r *http.Request) {
 		Kind: durable.KindCounter, AppID: id, DeadlineS: req.DeadlineS, Price: req.Price,
 	})
 	switch {
-	case !journaled:
+	case !journaled: // commit answered 503
 	case err != nil:
 		writeErr(w, http.StatusConflict, "%v", err)
 	default:
@@ -492,7 +492,7 @@ func (s *Server) reject(w http.ResponseWriter, r *http.Request) {
 	}
 	journaled, err := s.commit(w, durable.Record{Kind: durable.KindReject, AppID: id})
 	switch {
-	case !journaled:
+	case !journaled: // commit answered 503
 	// A retried reject that already landed converges, like accept.
 	case err != nil && neg.State() != core.NegotiationRejected:
 		writeErr(w, http.StatusConflict, "%v", err)
@@ -529,7 +529,7 @@ func (s *Server) deployRevision(w http.ResponseWriter, r *http.Request) {
 	}
 	journaled, err := s.commit(w, durable.Record{Kind: durable.KindDeployRevision, AppID: id, Revision: req.Name})
 	switch {
-	case !journaled:
+	case !journaled: // commit answered 503
 	case err != nil:
 		writeErr(w, http.StatusConflict, "%v", err)
 	default:
@@ -556,7 +556,7 @@ func (s *Server) setTraffic(w http.ResponseWriter, r *http.Request) {
 	defer s.wmu.Unlock()
 	journaled, err := s.commit(w, durable.Record{Kind: durable.KindSetTraffic, AppID: id, Weights: req.Weights})
 	switch {
-	case !journaled:
+	case !journaled: // commit answered 503
 	case err != nil:
 		writeErr(w, http.StatusConflict, "%v", err)
 	default:
