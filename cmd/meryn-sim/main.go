@@ -246,24 +246,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *chart {
+	if err := writeUsage(stdout, res, fmt.Sprintf("%s policy", res.Policy), *chart, *csvOut); err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// writeUsage prints the VM-usage chart, titled after what ran, and
+// writes the usage series as CSV, each when asked for.
+func writeUsage(out io.Writer, res *meryn.Results, what string, chart bool, csvOut string) error {
+	if chart {
 		c := report.Chart{
-			Title:  fmt.Sprintf("Used VMs over time (%s policy)", res.Policy),
+			Title:  fmt.Sprintf("Used VMs over time (%s)", what),
 			Series: []*metrics.Series{res.PrivateSeries, res.CloudSeries},
 			YLabel: "used VMs",
 		}
-		fmt.Fprintln(stdout)
-		if err := c.Render(stdout); err != nil {
-			return fail(err)
+		fmt.Fprintln(out)
+		if err := c.Render(out); err != nil {
+			return err
 		}
 	}
-	if *csvOut != "" {
-		if err := writeCSV(*csvOut, res); err != nil {
-			return fail(err)
+	if csvOut != "" {
+		if err := writeCSV(csvOut, res); err != nil {
+			return err
 		}
-		fmt.Fprintf(stdout, "\nusage series written to %s\n", *csvOut)
+		fmt.Fprintf(out, "\nusage series written to %s\n", csvOut)
 	}
-	return 0
+	return nil
 }
 
 func writeCSV(path string, res *meryn.Results) error {
@@ -329,24 +338,7 @@ func runServicesDemo(out io.Writer, seed int64, policy string, load, burst float
 	fmt.Fprintf(out, "service elasticity: scale-outs=%d scale-ins=%d bid-reclaims=%d\n",
 		res.Counters.ReplicaScaleOuts.Count, res.Counters.ReplicaScaleIns.Count,
 		res.Counters.ReplicaReclaims.Count)
-	if chart {
-		c := report.Chart{
-			Title:  "Used VMs over time (services demo)",
-			Series: []*metrics.Series{res.PrivateSeries, res.CloudSeries},
-			YLabel: "used VMs",
-		}
-		fmt.Fprintln(out)
-		if err := c.Render(out); err != nil {
-			return err
-		}
-	}
-	if csvOut != "" {
-		if err := writeCSV(csvOut, res); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nusage series written to %s\n", csvOut)
-	}
-	return nil
+	return writeUsage(out, res, "services demo", chart, csvOut)
 }
 
 // runServerlessDemo executes one cell of the serverless scenario — four
@@ -399,24 +391,7 @@ func runServerlessDemo(out io.Writer, seed int64, gap, cold, conc float64, chart
 			}
 		}
 	}
-	if chart {
-		c := report.Chart{
-			Title:  "Used VMs over time (serverless demo)",
-			Series: []*metrics.Series{res.PrivateSeries, res.CloudSeries},
-			YLabel: "used VMs",
-		}
-		fmt.Fprintln(out)
-		if err := c.Render(out); err != nil {
-			return err
-		}
-	}
-	if csvOut != "" {
-		if err := writeCSV(csvOut, res); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nusage series written to %s\n", csvOut)
-	}
-	return nil
+	return writeUsage(out, res, "serverless demo", chart, csvOut)
 }
 
 // runChaosDemo runs one chaos campaign cell — the spot-style bursting
@@ -453,24 +428,7 @@ func runChaosDemo(out io.Writer, seed int64, intensity, policy string, chart boo
 			inj.Revocations, inj.Shocks, inj.Skipped)
 	}
 	fmt.Fprintf(out, "audit: %d invariant checks passed (violations would have panicked the run)\n", res.AuditChecks)
-	if chart {
-		c := report.Chart{
-			Title:  "Used VMs over time (chaos demo)",
-			Series: []*metrics.Series{res.PrivateSeries, res.CloudSeries},
-			YLabel: "used VMs",
-		}
-		fmt.Fprintln(out)
-		if err := c.Render(out); err != nil {
-			return err
-		}
-	}
-	if csvOut != "" {
-		if err := writeCSV(csvOut, res); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\nusage series written to %s\n", csvOut)
-	}
-	return nil
+	return writeUsage(out, res, "chaos demo", chart, csvOut)
 }
 
 // runSweep expands, executes and reports a scenario matrix.

@@ -26,21 +26,35 @@ type Adapter interface {
 	Translate(app workload.App, c *sla.Contract) *framework.Job
 }
 
+// slaProvider builds a negotiation counterpart offering minVMs to
+// maxVMs VMs under the platform's SLA terms: Eq. 1's processing
+// allowance, the user-facing VM price and the penalty terms.
+func (c *Config) slaProvider(model sla.PerfModel, minVMs, maxVMs int) *sla.Provider {
+	return &sla.Provider{
+		Model:          model,
+		Processing:     sim.Seconds(c.ProcessingEstimate),
+		VMPrice:        c.UserVMPrice,
+		PenaltyN:       c.PenaltyN,
+		MaxPenaltyFrac: c.MaxPenaltyFrac,
+		MinVMs:         minVMs,
+		MaxVMs:         maxVMs,
+	}
+}
+
+// maxVMs bounds a proposal set that starts at n VMs: offers cover n up
+// to SLAScaleOutLimit times it ("a set of pairs", §4.2.1). Limits below
+// 2 offer only n. The service controller's elastic growth stops at the
+// same bound.
+func (c *Config) maxVMs(n int) int {
+	if c.SLAScaleOutLimit > 1 {
+		return n * c.SLAScaleOutLimit
+	}
+	return n
+}
+
 // BatchAdapter implements Adapter for batch applications (paper §4.2).
 type BatchAdapter struct {
-	// ConservativeSpeed is the node speed assumed for estimates; the
-	// paper uses the slowest (cloud) execution time.
-	ConservativeSpeed float64
-	// Processing is Eq. 1's processing-time allowance.
-	Processing sim.Time
-	// VMPrice, PenaltyN, MaxPenaltyFrac parameterize the SLA terms.
-	VMPrice        float64
-	PenaltyN       float64
-	MaxPenaltyFrac float64
-	// ScaleOutLimit bounds the (deadline, price) proposal set: offers
-	// cover the requested VM count up to ScaleOutLimit times it ("a set
-	// of pairs", §4.2.1). Values below 2 offer only the requested count.
-	ScaleOutLimit int
+	cfg *Config // the platform's normalized configuration
 }
 
 var _ Adapter = (*BatchAdapter)(nil)
@@ -60,28 +74,16 @@ func (a *BatchAdapter) Validate(app workload.App) error {
 // VMs at the conservative node speed.
 func (a *BatchAdapter) execEst(app workload.App) sla.PerfModel {
 	return func(n int) sim.Time {
-		return sim.Seconds(app.Work / a.ConservativeSpeed / float64(n))
+		return sim.Seconds(app.Work / a.cfg.ConservativeSpeed / float64(n))
 	}
 }
 
 // SLAProvider implements Adapter. The first offer carries exactly the VM
 // count the application requested (so accept-first users get the paper's
-// behaviour); further offers scale the count up to ScaleOutLimit times
-// for deadline-constrained users to buy speed.
+// behaviour); further offers scale the count up to SLAScaleOutLimit
+// times for deadline-constrained users to buy speed.
 func (a *BatchAdapter) SLAProvider(app workload.App) *sla.Provider {
-	maxVMs := app.VMs
-	if a.ScaleOutLimit > 1 {
-		maxVMs = app.VMs * a.ScaleOutLimit
-	}
-	return &sla.Provider{
-		Model:          a.execEst(app),
-		Processing:     a.Processing,
-		VMPrice:        a.VMPrice,
-		PenaltyN:       a.PenaltyN,
-		MaxPenaltyFrac: a.MaxPenaltyFrac,
-		MinVMs:         app.VMs,
-		MaxVMs:         maxVMs,
-	}
+	return a.cfg.slaProvider(a.execEst(app), app.VMs, a.cfg.maxVMs(app.VMs))
 }
 
 // Translate implements Adapter.
@@ -93,14 +95,8 @@ func (a *BatchAdapter) Translate(app workload.App, c *sla.Contract) *framework.J
 // paper's stated future work ("propose a bid computation model and an
 // SLA function for MapReduce applications"), realized here.
 type MapReduceAdapter struct {
-	ConservativeSpeed float64
-	Processing        sim.Time
-	VMPrice           float64
-	PenaltyN          float64
-	MaxPenaltyFrac    float64
-	SlotsPerNode      int
-	// ScaleOutLimit mirrors BatchAdapter.ScaleOutLimit.
-	ScaleOutLimit int
+	cfg   *Config // the platform's normalized configuration
+	slots int     // task slots per node
 }
 
 var _ Adapter = (*MapReduceAdapter)(nil)
@@ -124,34 +120,18 @@ func (a *MapReduceAdapter) Validate(app workload.App) error {
 // conservative speed. This is the SLA function for MapReduce the paper
 // leaves as future work.
 func (a *MapReduceAdapter) execEst(app workload.App) sla.PerfModel {
-	slots := a.SlotsPerNode
-	if slots <= 0 {
-		slots = 2
-	}
 	return func(n int) sim.Time {
-		total := float64(n * slots)
+		total := float64(n * a.slots)
 		mapWaves := math.Ceil(float64(app.MapTasks) / total)
 		redWaves := math.Ceil(float64(app.ReduceTasks) / total)
-		secs := (mapWaves*app.MapWork + redWaves*app.ReduceWork) / a.ConservativeSpeed
+		secs := (mapWaves*app.MapWork + redWaves*app.ReduceWork) / a.cfg.ConservativeSpeed
 		return sim.Seconds(secs)
 	}
 }
 
 // SLAProvider implements Adapter.
 func (a *MapReduceAdapter) SLAProvider(app workload.App) *sla.Provider {
-	maxVMs := app.VMs
-	if a.ScaleOutLimit > 1 {
-		maxVMs = app.VMs * a.ScaleOutLimit
-	}
-	return &sla.Provider{
-		Model:          a.execEst(app),
-		Processing:     a.Processing,
-		VMPrice:        a.VMPrice,
-		PenaltyN:       a.PenaltyN,
-		MaxPenaltyFrac: a.MaxPenaltyFrac,
-		MinVMs:         app.VMs,
-		MaxVMs:         maxVMs,
-	}
+	return a.cfg.slaProvider(a.execEst(app), app.VMs, a.cfg.maxVMs(app.VMs))
 }
 
 // Translate implements Adapter.

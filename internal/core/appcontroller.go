@@ -425,14 +425,7 @@ func (ac *AppController) desiredReplicas(stats service.Stats) int {
 	if n < 1 {
 		n = 1
 	}
-	limit := ac.cm.p.cfg.SLAScaleOutLimit
-	if limit < 1 {
-		limit = 1
-	}
-	if bound := st.contract.NumVMs * limit; n > bound {
-		n = bound
-	}
-	return n
+	return min(n, ac.cm.p.cfg.maxVMs(st.contract.NumVMs))
 }
 
 // stop cancels the monitor. The controller outlives its application in

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"meryn/internal/cloud"
-	"meryn/internal/framework"
 	"meryn/internal/metrics"
 	"meryn/internal/sim"
 	"meryn/internal/vmm"
@@ -56,7 +55,7 @@ const defaultAuditEveryS = 30
 //
 //   - Node conservation, per VC: the framework's node count, the CM's
 //     lease table, and OwnedPrivate agree; free/idle-disabled index
-//     recounts (via framework.Inspector) match the maintained indexes.
+//     recounts (via InspectNode) match the maintained indexes.
 //   - Lease-table/ResourceManager agreement: every attached private
 //     node is a running VM; every attached cloud node has a running
 //     lease at its provider, billed at the price locked at launch.
@@ -107,19 +106,16 @@ type Auditor struct {
 }
 
 // newAuditor returns an armed-on-demand auditor, or nil when disabled.
+// cfg is the normalized Config.Audit: non-nil, with a positive Every.
 func newAuditor(p *Platform, cfg *AuditConfig) *Auditor {
-	if cfg == nil || cfg.Disabled {
+	if cfg.Disabled {
 		return nil
-	}
-	every := cfg.Every
-	if every <= 0 {
-		every = sim.Seconds(defaultAuditEveryS)
 	}
 	onFail := cfg.OnFail
 	if onFail == nil {
 		onFail = func(err error) { panic(err) }
 	}
-	a := &Auditor{p: p, every: every, onFail: onFail, counters: allCounters(p)}
+	a := &Auditor{p: p, every: cfg.Every, onFail: onFail, counters: allCounters(p)}
 	a.tickFn = a.tick
 	a.lastCounts = make([]int64, len(a.counters))
 	a.lastSpend = make([]float64, 2*len(p.Clouds))
@@ -337,33 +333,30 @@ func (a *Auditor) checkRecord(rec *metrics.AppRecord, prev float64) {
 
 // checkCM audits one VC in one unsorted pass over its lease table: node
 // conservation between the framework, the CM lease table and
-// OwnedPrivate; index recounts via framework.Inspector; and
+// OwnedPrivate; index recounts via the framework's InspectNode; and
 // lease-table/ResourceManager agreement for every attached node.
 func (a *Auditor) checkCM(cm *ClusterManager) {
 	name := cm.name
-	insp, inspect := cm.fw.(framework.Inspector)
 	var freeKind [2]int
 	cloudAttached, idleDisabled := 0, 0
 	for id, info := range cm.nodes {
 		if info.cloud {
 			cloudAttached++
 		}
-		if inspect {
-			if st, ok := insp.InspectNode(id); !ok {
-				a.fail("%s: node %s in CM lease table but unknown to framework", name, id)
-			} else {
-				if st.Cloud != info.cloud {
-					a.fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, info.cloud)
-				}
-				switch {
-				case st.Busy:
-				case st.Disabled:
-					idleDisabled++
-				case st.Cloud:
-					freeKind[1]++
-				default:
-					freeKind[0]++
-				}
+		if st, ok := cm.fw.InspectNode(id); !ok {
+			a.fail("%s: node %s in CM lease table but unknown to framework", name, id)
+		} else {
+			if st.Cloud != info.cloud {
+				a.fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, info.cloud)
+			}
+			switch {
+			case st.Busy:
+			case st.Disabled:
+				idleDisabled++
+			case st.Cloud:
+				freeKind[1]++
+			default:
+				freeKind[0]++
 			}
 		}
 		a.checkNode(cm, id, info)
@@ -374,9 +367,6 @@ func (a *Auditor) checkCM(cm *ClusterManager) {
 	}
 	if own := len(cm.nodes) - cloudAttached; cm.OwnedPrivate != own {
 		a.fail("%s: OwnedPrivate=%d but %d private nodes attached", name, cm.OwnedPrivate, own)
-	}
-	if !inspect {
-		return
 	}
 	for k, cloudKind := range [2]bool{false, true} {
 		if got := cm.fw.FreeNodeCount(cloudKind); got != freeKind[k] {

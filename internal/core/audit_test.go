@@ -683,41 +683,39 @@ func referenceCheckCM(cm *ClusterManager, fail func(string, ...any)) {
 		fail("%s: OwnedPrivate=%d but %d private nodes attached", name, cm.OwnedPrivate, own)
 	}
 
-	if insp, ok := cm.fw.(framework.Inspector); ok {
-		var freeKind [2]int
-		idleDisabled := 0
-		for _, id := range ids {
-			st, ok := insp.InspectNode(id)
-			if !ok {
-				fail("%s: node %s in CM lease table but unknown to framework", name, id)
-				continue
-			}
-			if st.Cloud != cm.nodes[id].cloud {
-				fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, cm.nodes[id].cloud)
-			}
-			if st.Busy {
-				continue
-			}
-			if st.Disabled {
-				idleDisabled++
-			} else if st.Cloud {
-				freeKind[1]++
-			} else {
-				freeKind[0]++
-			}
+	var freeKind [2]int
+	idleDisabled := 0
+	for _, id := range ids {
+		st, ok := cm.fw.InspectNode(id)
+		if !ok {
+			fail("%s: node %s in CM lease table but unknown to framework", name, id)
+			continue
 		}
-		for k, cloudKind := range []bool{false, true} {
-			if got := cm.fw.FreeNodeCount(cloudKind); got != freeKind[k] {
-				fail("%s: FreeNodeCount(cloud=%v)=%d but recount is %d", name, cloudKind, got, freeKind[k])
-			}
+		if st.Cloud != cm.nodes[id].cloud {
+			fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, cm.nodes[id].cloud)
 		}
-		if got := len(cm.fw.IdleDisabledNodeIDs()); got != idleDisabled {
-			fail("%s: %d idle-disabled nodes indexed but recount is %d", name, got, idleDisabled)
+		if st.Busy {
+			continue
 		}
-		for _, id := range cm.fw.FreeNodeIDs() {
-			if _, ok := cm.nodes[id]; !ok {
-				fail("%s: free node %s not in CM lease table", name, id)
-			}
+		if st.Disabled {
+			idleDisabled++
+		} else if st.Cloud {
+			freeKind[1]++
+		} else {
+			freeKind[0]++
+		}
+	}
+	for k, cloudKind := range []bool{false, true} {
+		if got := cm.fw.FreeNodeCount(cloudKind); got != freeKind[k] {
+			fail("%s: FreeNodeCount(cloud=%v)=%d but recount is %d", name, cloudKind, got, freeKind[k])
+		}
+	}
+	if got := len(cm.fw.IdleDisabledNodeIDs()); got != idleDisabled {
+		fail("%s: %d idle-disabled nodes indexed but recount is %d", name, got, idleDisabled)
+	}
+	for _, id := range cm.fw.FreeNodeIDs() {
+		if _, ok := cm.nodes[id]; !ok {
+			fail("%s: free node %s not in CM lease table", name, id)
 		}
 	}
 

@@ -171,17 +171,8 @@ func newClusterManager(p *Platform, cfg VCConfig) (*ClusterManager, error) {
 	}
 	switch cfg.Type {
 	case workload.TypeBatch:
-		cm.fw = batch.New(p.Eng, batch.Config{
-			Name: cfg.Name, Image: cfg.Name + ".img", Events: events, Backfill: cfg.Backfill,
-		})
-		cm.ad = &BatchAdapter{
-			ConservativeSpeed: p.cfg.ConservativeSpeed,
-			Processing:        sim.Seconds(p.cfg.ProcessingEstimate),
-			VMPrice:           p.cfg.UserVMPrice,
-			PenaltyN:          p.cfg.PenaltyN,
-			MaxPenaltyFrac:    p.cfg.MaxPenaltyFrac,
-			ScaleOutLimit:     p.cfg.SLAScaleOutLimit,
-		}
+		cm.fw = batch.New(p.Eng, batch.Config{Name: cfg.Name, Image: cfg.Name + ".img", Events: events})
+		cm.ad = &BatchAdapter{cfg: &p.cfg}
 	case workload.TypeMapReduce:
 		slots := cfg.SlotsPerNode
 		if slots <= 0 {
@@ -190,29 +181,12 @@ func newClusterManager(p *Platform, cfg VCConfig) (*ClusterManager, error) {
 		cm.fw = mapreduce.New(p.Eng, mapreduce.Config{
 			Name: cfg.Name, Image: cfg.Name + ".img", SlotsPerNode: slots, Events: events,
 		})
-		cm.ad = &MapReduceAdapter{
-			ConservativeSpeed: p.cfg.ConservativeSpeed,
-			Processing:        sim.Seconds(p.cfg.ProcessingEstimate),
-			VMPrice:           p.cfg.UserVMPrice,
-			PenaltyN:          p.cfg.PenaltyN,
-			MaxPenaltyFrac:    p.cfg.MaxPenaltyFrac,
-			SlotsPerNode:      slots,
-			ScaleOutLimit:     p.cfg.SLAScaleOutLimit,
-		}
+		cm.ad = &MapReduceAdapter{cfg: &p.cfg, slots: slots}
 	case workload.TypeService, workload.TypeServerless:
 		fcfg := framework.FleetConfig{
-			Name: cfg.Name, Image: cfg.Name + ".img", Tick: p.cfg.ServiceTick, Events: events,
+			Name: cfg.Name, Image: cfg.Name + ".img", Tick: serviceTick, Events: events,
 		}
-		ad := ServiceAdapter{
-			ConservativeSpeed: p.cfg.ConservativeSpeed,
-			Processing:        sim.Seconds(p.cfg.ProcessingEstimate),
-			VMPrice:           p.cfg.UserVMPrice,
-			PenaltyN:          p.cfg.PenaltyN,
-			MaxPenaltyFrac:    p.cfg.MaxPenaltyFrac,
-			ScaleOutLimit:     p.cfg.SLAScaleOutLimit,
-			Availability:      p.cfg.ServiceAvailability,
-			Interval:          p.cfg.ServiceTick,
-		}
+		ad := ServiceAdapter{cfg: &p.cfg}
 		if cfg.Type == workload.TypeService {
 			cm.fw, cm.ad = service.New(p.Eng, fcfg), &ad
 		} else {
@@ -258,7 +232,7 @@ func (cm *ClusterManager) attachPrivate(id string, speed float64) bool {
 	if vm, err := cm.p.VMM.Get(id); err != nil || vm.State != vmm.StateRunning {
 		return false
 	}
-	cm.nodes[id] = &nodeInfo{rate: cm.p.cfg.PrivateVMCost}
+	cm.nodes[id] = &nodeInfo{rate: privateVMCost}
 	cm.indexNode(id, true)
 	cm.avail++
 	cm.OwnedPrivate++
@@ -399,8 +373,9 @@ func (cm *ClusterManager) acceptContract(st *appState, contract *sla.Contract) {
 	})
 }
 
-// latKind names one Meryn pipeline latency (see Config.Latencies); each
-// (CM, kind) pair samples from its own RNG stream.
+// latKind names one Meryn pipeline latency, the costs layered on top
+// of the VM and cloud substrate latencies; each (CM, kind) pair samples
+// from its own RNG stream.
 type latKind int
 
 const (
@@ -420,34 +395,24 @@ var latNames = [numLatKinds]string{
 	"configure", "cloud-configure", "suspend-local", "suspend-remote",
 }
 
-// latDist resolves a latency kind to its configured distribution.
-func (cm *ClusterManager) latDist(k latKind) stats.Dist {
-	l := &cm.p.cfg.Latencies
-	switch k {
-	case latClientTransfer:
-		return l.ClientTransfer
-	case latNegotiate:
-		return l.Negotiate
-	case latDispatch:
-		return l.Dispatch
-	case latBidRound:
-		return l.BidRound
-	case latConfigure:
-		return l.Configure
-	case latCloudConfigure:
-		return l.CloudConfigure
-	case latSuspendLocal:
-		return l.SuspendLocal
-	case latSuspendRemote:
-		return l.SuspendRemote
-	}
-	panic(fmt.Sprintf("core: unknown latency kind %d", k))
+// latDists is each latency kind's distribution in seconds, calibrated
+// so that the end-to-end processing times reproduce paper Table 1 (see
+// DESIGN.md).
+var latDists = [numLatKinds]stats.Dist{
+	stats.Uniform{Lo: 1, Hi: 3},   // user -> Client Manager -> Cluster Manager
+	stats.Uniform{Lo: 3, Hi: 6},   // SLA negotiation + executable/data upload
+	stats.Uniform{Lo: 3, Hi: 6},   // template translation + App Controller spawn + framework submit
+	stats.Uniform{Lo: 1, Hi: 2},   // CM <-> CM bid collection + cloud quotes
+	stats.Uniform{Lo: 9, Hi: 11},  // joining a transferred private VM to the framework
+	stats.Uniform{Lo: 13, Hi: 17}, // joining a leased cloud VM (WAN) to the framework
+	stats.Uniform{Lo: 3, Hi: 4},   // checkpointing a local victim application
+	stats.Uniform{Lo: 15, Hi: 18}, // checkpointing a victim in another VC
 }
 
 // lat samples a pipeline latency into virtual time, from the (CM, kind)
 // stream.
 func (cm *ClusterManager) lat(k latKind) sim.Time {
-	return sim.Seconds(cm.latDist(k).Sample(cm.latRN[k]))
+	return sim.Seconds(latDists[k].Sample(cm.latRN[k]))
 }
 
 // gaugeAdd moves the cloud or private usage gauge by delta.
@@ -720,35 +685,16 @@ func (cm *ClusterManager) handleCloudLoss(id string, settleLease bool) {
 }
 
 // appsOnNode returns the applications occupying a node, in running
-// order — the work a revocation or crash is about to hit. Frameworks
-// expose the inverse node→jobs index (NodeJobVisitor), so the lookup
-// no longer walks every running job's node set per crash.
+// order — the work a revocation or crash is about to hit — through the
+// framework's inverse node→jobs index.
 func (cm *ClusterManager) appsOnNode(id string) []*appState {
 	var out []*appState
-	if v, ok := cm.fw.(framework.NodeJobVisitor); ok {
-		v.VisitNodeJobs(id, func(jobID string) bool {
-			if st := cm.apps[jobID]; st != nil {
-				out = append(out, st)
-			}
-			return true
-		})
-		return out
-	}
-	for _, j := range cm.fw.Running() {
-		found := false
-		_ = cm.fw.VisitJobNodes(j.ID, func(nid string) bool {
-			if nid == id {
-				found = true
-				return false
-			}
-			return true
-		})
-		if found {
-			if st := cm.apps[j.ID]; st != nil {
-				out = append(out, st)
-			}
+	cm.fw.VisitNodeJobs(id, func(jobID string) bool {
+		if st := cm.apps[jobID]; st != nil {
+			out = append(out, st)
 		}
-	}
+		return true
+	})
 	return out
 }
 

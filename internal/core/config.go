@@ -40,62 +40,6 @@ func (p Policy) String() string {
 	return "meryn"
 }
 
-// Latencies are the Meryn pipeline costs layered on top of the VM and
-// cloud substrate latencies. Their defaults are calibrated so that the
-// end-to-end processing times reproduce paper Table 1 (see DESIGN.md).
-type Latencies struct {
-	ClientTransfer stats.Dist // user -> Client Manager -> Cluster Manager
-	Negotiate      stats.Dist // SLA negotiation + executable/data upload
-	Dispatch       stats.Dist // template translation + App Controller spawn + framework submit
-	BidRound       stats.Dist // CM <-> CM bid collection + cloud quotes
-	Configure      stats.Dist // joining a transferred private VM to the framework
-	CloudConfigure stats.Dist // joining a leased cloud VM (WAN) to the framework
-	SuspendLocal   stats.Dist // checkpointing a local victim application
-	SuspendRemote  stats.Dist // checkpointing a victim in another VC
-}
-
-// DefaultLatencies returns the Table 1 calibration.
-func DefaultLatencies() Latencies {
-	return Latencies{
-		ClientTransfer: stats.Uniform{Lo: 1, Hi: 3},
-		Negotiate:      stats.Uniform{Lo: 3, Hi: 6},
-		Dispatch:       stats.Uniform{Lo: 3, Hi: 6},
-		BidRound:       stats.Uniform{Lo: 1, Hi: 2},
-		Configure:      stats.Uniform{Lo: 9, Hi: 11},
-		CloudConfigure: stats.Uniform{Lo: 13, Hi: 17},
-		SuspendLocal:   stats.Uniform{Lo: 3, Hi: 4},
-		SuspendRemote:  stats.Uniform{Lo: 15, Hi: 18},
-	}
-}
-
-func (l *Latencies) fillDefaults() {
-	d := DefaultLatencies()
-	if l.ClientTransfer == nil {
-		l.ClientTransfer = d.ClientTransfer
-	}
-	if l.Negotiate == nil {
-		l.Negotiate = d.Negotiate
-	}
-	if l.Dispatch == nil {
-		l.Dispatch = d.Dispatch
-	}
-	if l.BidRound == nil {
-		l.BidRound = d.BidRound
-	}
-	if l.Configure == nil {
-		l.Configure = d.Configure
-	}
-	if l.CloudConfigure == nil {
-		l.CloudConfigure = d.CloudConfigure
-	}
-	if l.SuspendLocal == nil {
-		l.SuspendLocal = d.SuspendLocal
-	}
-	if l.SuspendRemote == nil {
-		l.SuspendRemote = d.SuspendRemote
-	}
-}
-
 // VCConfig describes one virtual cluster.
 type VCConfig struct {
 	Name       string
@@ -104,8 +48,6 @@ type VCConfig struct {
 
 	// SlotsPerNode applies to MapReduce VCs (default 2).
 	SlotsPerNode int
-	// Backfill applies to batch VCs.
-	Backfill bool
 
 	// Spot, when non-nil, lets this VC lease preemptible (spot) cloud
 	// capacity: bursts bid BidMultiplier x the current quote, Algorithm
@@ -157,10 +99,23 @@ func (sp *SpotPolicy) withDefaults(vc string) error {
 	return nil
 }
 
-// Fallback service-framework parameters.
+// Fixed platform economics and service-framework parameters. No
+// experiment varies them, so they are constants rather than Config
+// fields.
 const (
-	defaultServiceTickS        = 10.0
-	defaultServiceAvailability = 0.95
+	// privateVMCost is the provider-side cost of a private VM in units
+	// per VM-second (paper §5.3).
+	privateVMCost = 2.0
+	// minSuspensionCost is Algorithm 2's minimal suspension cost in
+	// units: checkpoint storage plus restart overhead.
+	minSuspensionCost = 1000.0
+	// serviceTick is the service frameworks' SLO evaluation interval:
+	// how often offered load is sampled, p95 recomputed and burn
+	// accounted.
+	serviceTick = sim.Time(10 * 1e9)
+	// serviceAvailability is the clean-interval fraction service SLO
+	// contracts require.
+	serviceAvailability = 0.95
 )
 
 // Config assembles a Meryn platform.
@@ -169,14 +124,11 @@ type Config struct {
 	Policy Policy
 
 	// Site is the private physical site. Zero value defaults to the
-	// paper's 9-node parapluie slice.
+	// paper's 9-node parapluie slice. Private VMs have vmm.DefaultShape
+	// and vmm.DefaultLatencies.
 	Site cluster.Config
-	// Shape is the VM instance shape (default EC2-medium-like).
-	Shape vmm.Shape
 	// PrivateVMCap caps private hosting capacity (paper: 50).
 	PrivateVMCap int
-	// VMM configures VM operation latencies (default vmm.DefaultLatencies).
-	VMM vmm.Latencies
 	// CrashMTBF enables private-VM crash injection when non-nil.
 	CrashMTBF stats.Dist
 
@@ -187,17 +139,13 @@ type Config struct {
 	// provisioning).
 	Clouds []cloud.Config
 
-	// Economics (paper §5.3): private VM cost 2 units/VM-s, cloud VM cost
-	// 4 units/VM-s, user-facing VM price >= cloud cost.
-	PrivateVMCost float64 // default 2
-	UserVMPrice   float64 // default 4
+	// Economics (paper §5.3): cloud VM cost 4 units/VM-s, user-facing
+	// VM price >= cloud cost. Private VMs cost privateVMCost.
+	UserVMPrice float64 // default 4
 	// PenaltyN is Eq. 3's divisor (default 1: full-rate refund).
 	PenaltyN float64
 	// MaxPenaltyFrac bounds penalties to a fraction of the price (0 = none).
 	MaxPenaltyFrac float64
-	// MinSuspensionCost is Algorithm 2's minimal suspension cost in units
-	// (checkpoint storage + restart overhead). Default 1000.
-	MinSuspensionCost float64
 
 	// ProcessingEstimate is Eq. 1's processing-time term in seconds; the
 	// paper uses the worst measured case (84 s).
@@ -217,13 +165,6 @@ type Config struct {
 	// MonitorInterval is the Application Controller check period
 	// (default 30 s).
 	MonitorInterval sim.Time
-	// ServiceTick is the service frameworks' SLO evaluation interval:
-	// how often offered load is sampled, p95 recomputed and burn
-	// accounted (default 10 s).
-	ServiceTick sim.Time
-	// ServiceAvailability is the clean-interval fraction service SLO
-	// contracts require (default 0.95).
-	ServiceAvailability float64
 	// Enforcer handles SLA violations detected by Application
 	// Controllers (default: record only).
 	Enforcer Enforcer
@@ -236,9 +177,6 @@ type Config struct {
 	// The auditor is read-only and draws no randomness, so enabling it
 	// changes no simulation outcome (see Auditor).
 	Audit *AuditConfig
-
-	// Latencies configures the Meryn pipeline (default Table 1 calibration).
-	Latencies Latencies
 }
 
 // paperCloudSpeed is the cloud/private speed ratio implied by the paper's
@@ -288,9 +226,7 @@ func DefaultConfig() Config {
 			MemoryMBPerNode: 49152,
 			SpeedFactor:     1.0,
 		},
-		Shape:        vmm.DefaultShape,
 		PrivateVMCap: 50,
-		VMM:          vmm.DefaultLatencies(),
 		VCs: []VCConfig{
 			{Name: "vc1", Type: workload.TypeBatch, InitialVMs: 25},
 			{Name: "vc2", Type: workload.TypeBatch, InitialVMs: 25},
@@ -306,11 +242,9 @@ func DefaultConfig() Config {
 			ProvisionLatency: stats.Uniform{Lo: 38, Hi: 50},
 			TerminateLatency: stats.Uniform{Lo: 1, Hi: 3},
 		}},
-		PrivateVMCost:      2,
 		UserVMPrice:        4,
 		PenaltyN:           1,
 		SLAScaleOutLimit:   4,
-		MinSuspensionCost:  1000,
 		ProcessingEstimate: 84,
 		MonitorInterval:    sim.Seconds(30),
 	}
@@ -325,14 +259,8 @@ func (c *Config) fillDefaults() error {
 	if c.Site.Nodes <= 0 {
 		return &SiteError{Msg: fmt.Sprintf("site %q has %d nodes (a private pool needs at least one)", c.Site.Name, c.Site.Nodes)}
 	}
-	if c.Shape == (vmm.Shape{}) {
-		c.Shape = d.Shape
-	}
 	if c.PrivateVMCap == 0 {
 		c.PrivateVMCap = d.PrivateVMCap
-	}
-	if c.VMM.Boot == nil && c.VMM.Shutdown == nil {
-		c.VMM = d.VMM
 	}
 	if len(c.VCs) == 0 {
 		c.VCs = d.VCs
@@ -340,17 +268,14 @@ func (c *Config) fillDefaults() error {
 	if c.Clouds == nil {
 		c.Clouds = d.Clouds
 	}
-	if c.PrivateVMCost == 0 {
-		c.PrivateVMCost = d.PrivateVMCost
-	}
 	if c.UserVMPrice == 0 {
 		c.UserVMPrice = d.UserVMPrice
 	}
 	if c.PenaltyN == 0 {
 		c.PenaltyN = d.PenaltyN
 	}
-	if c.MinSuspensionCost == 0 {
-		c.MinSuspensionCost = d.MinSuspensionCost
+	if c.PenaltyN < 0 {
+		return fmt.Errorf("core: negative PenaltyN %g", c.PenaltyN)
 	}
 	if c.SLAScaleOutLimit == 0 {
 		c.SLAScaleOutLimit = d.SLAScaleOutLimit
@@ -358,17 +283,14 @@ func (c *Config) fillDefaults() error {
 	if c.ProcessingEstimate == 0 {
 		c.ProcessingEstimate = d.ProcessingEstimate
 	}
+	if c.ProcessingEstimate < 0 {
+		return fmt.Errorf("core: negative ProcessingEstimate %g s", c.ProcessingEstimate)
+	}
 	if c.MonitorInterval == 0 {
 		c.MonitorInterval = d.MonitorInterval
 	}
-	if c.ServiceTick == 0 {
-		c.ServiceTick = sim.Seconds(defaultServiceTickS)
-	}
-	if c.ServiceAvailability == 0 {
-		c.ServiceAvailability = defaultServiceAvailability
-	}
-	if c.ServiceAvailability < 0 || c.ServiceAvailability > 1 {
-		return fmt.Errorf("core: ServiceAvailability %g outside (0,1]", c.ServiceAvailability)
+	if c.MonitorInterval < 0 {
+		return fmt.Errorf("core: negative MonitorInterval %s", c.MonitorInterval)
 	}
 	if c.Enforcer == nil {
 		c.Enforcer = NoopEnforcer{}
@@ -376,9 +298,11 @@ func (c *Config) fillDefaults() error {
 	if c.UserStrategy == nil {
 		c.UserStrategy = func(workload.App) sla.User { return sla.AcceptFirst{} }
 	}
-	c.Latencies.fillDefaults()
 	if c.ConservativeSpeed == 0 {
 		c.ConservativeSpeed = c.slowestSpeed()
+	}
+	if c.ConservativeSpeed < 0 {
+		return fmt.Errorf("core: negative ConservativeSpeed %g", c.ConservativeSpeed)
 	}
 	seen := map[string]bool{}
 	for _, vc := range c.VCs {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"meryn/internal/cluster"
+	"meryn/internal/sim"
 	"meryn/internal/workload"
 )
 
@@ -71,5 +73,32 @@ func TestConfigRejectsBadVCs(t *testing.T) {
 	cfg.VCs = []VCConfig{{Name: "vc1", Type: workload.TypeBatch, InitialVMs: -1}}
 	if _, err := NewPlatform(cfg); !errors.As(err, &vcErr) {
 		t.Fatalf("negative VMs: err = %v, want *VCError", err)
+	}
+}
+
+// TestConfigRejectsNegativeKnobs: each of these values used to be
+// accepted. A negative monitor interval hangs Run (the controller
+// re-arms at the same instant forever), a negative conservative speed
+// prices every offer below zero and fails the first audit, and a
+// negative penalty divisor or processing estimate silently rewrites
+// every contract.
+func TestConfigRejectsNegativeKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"MonitorInterval", func(c *Config) { c.MonitorInterval = -sim.Seconds(30) }},
+		{"ConservativeSpeed", func(c *Config) { c.ConservativeSpeed = -1 }},
+		{"PenaltyN", func(c *Config) { c.PenaltyN = -1 }},
+		{"ProcessingEstimate", func(c *Config) { c.ProcessingEstimate = -84 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.set(&cfg)
+			_, err := NewPlatform(cfg)
+			if err == nil || !strings.HasPrefix(err.Error(), "core: ") || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("err = %v, want a core: error naming %s", err, tc.field)
+			}
+		})
 	}
 }

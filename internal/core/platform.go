@@ -175,9 +175,8 @@ func NewPlatform(cfg Config) (*Platform, error) {
 	site := cluster.New(cfg.Site)
 	m, err := vmm.New(eng, vmm.Config{
 		Site:      site,
-		Shape:     cfg.Shape,
 		MaxVMs:    cfg.PrivateVMCap,
-		Latencies: cfg.VMM,
+		Latencies: vmm.DefaultLatencies(),
 		Seed:      cfg.Seed,
 		CrashMTBF: cfg.CrashMTBF,
 		OnCrash:   p.handleCrash,

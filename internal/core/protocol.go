@@ -163,7 +163,7 @@ func (cm *ClusterManager) suspensionBid(n int, duration sim.Time) Bid {
 			finish = 0
 		}
 		free := st.contract.Deadline - (spent + finish)
-		cost := cm.p.cfg.MinSuspensionCost
+		cost := minSuspensionCost
 		if free <= duration {
 			cost += st.contract.PenaltyFor(duration - free)
 		}

@@ -55,16 +55,16 @@ func TestComputeBidSuspensionCost(t *testing.T) {
 	if !bid.OK {
 		t.Fatal("no bid despite suspendable victims")
 	}
-	if bid.Cost != cm.p.cfg.MinSuspensionCost {
-		t.Fatalf("cost = %v, want min suspension cost %v", bid.Cost, cm.p.cfg.MinSuspensionCost)
+	if bid.Cost != minSuspensionCost {
+		t.Fatalf("cost = %v, want min suspension cost %v", bid.Cost, minSuspensionCost)
 	}
 	if bid.VictimID == "" {
 		t.Fatal("no victim selected")
 	}
 	// Long duration beyond slack: minimal cost plus a positive penalty.
 	long := cm.ComputeBid(1, sim.Seconds(5000))
-	if !long.OK || long.Cost <= cm.p.cfg.MinSuspensionCost {
-		t.Fatalf("long bid = %+v, want penalty on top of %v", long, cm.p.cfg.MinSuspensionCost)
+	if !long.OK || long.Cost <= minSuspensionCost {
+		t.Fatalf("long bid = %+v, want penalty on top of %v", long, minSuspensionCost)
 	}
 }
 

@@ -43,7 +43,7 @@ func (a *ServerlessAdapter) Validate(app workload.App) error {
 	if app.ColdStartS < 0 {
 		return fmt.Errorf("core: serverless app %s has negative cold start %g", app.ID, app.ColdStartS)
 	}
-	if min, max := a.minViableReplicas(app), a.maxReplicas(app); min > max {
+	if min, max := a.minViableReplicas(app), a.cfg.maxVMs(app.Replicas); min > max {
 		return fmt.Errorf("core: serverless app %s saturates at declared rate %.1f req/s even with %d instances",
 			app.ID, a.sizingRate(app), max)
 	}

@@ -23,19 +23,7 @@ import (
 // ServerlessAdapter embeds it: sizing, proposal bounds and reclaim bids
 // are one implementation for both fleet frameworks.
 type ServiceAdapter struct {
-	ConservativeSpeed float64
-	Processing        sim.Time // startup grace on the completion bound
-	VMPrice           float64
-	PenaltyN          float64
-	MaxPenaltyFrac    float64
-	// ScaleOutLimit bounds both the negotiation proposal set and the
-	// controller's elastic growth: replicas range from the requested
-	// count up to ScaleOutLimit times it.
-	ScaleOutLimit int
-	// Availability is the clean-interval fraction contracts require.
-	Availability float64
-	// Interval is the SLO evaluation period (the framework tick).
-	Interval sim.Time
+	cfg *Config // the platform's normalized configuration
 }
 
 var _ Adapter = (*ServiceAdapter)(nil)
@@ -55,7 +43,7 @@ func (a *ServiceAdapter) Validate(app workload.App) error {
 	if app.DurationS <= 0 {
 		return fmt.Errorf("core: service app %s has no lifetime", app.ID)
 	}
-	if min, max := a.minViableReplicas(app), a.maxReplicas(app); min > max {
+	if min, max := a.minViableReplicas(app), a.cfg.maxVMs(app.Replicas); min > max {
 		return fmt.Errorf("core: service app %s saturates at declared rate %.1f req/s even with %d replicas",
 			app.ID, a.sizingRate(app), max)
 	}
@@ -64,7 +52,7 @@ func (a *ServiceAdapter) Validate(app workload.App) error {
 
 // replicaRate is one replica's conservative capacity in requests/s.
 func (a *ServiceAdapter) replicaRate(app workload.App) float64 {
-	return app.SvcRate * a.ConservativeSpeed
+	return app.SvcRate * a.cfg.ConservativeSpeed
 }
 
 // sizingRate is the rate the provider sizes offers against: the user's
@@ -90,15 +78,6 @@ func (a *ServiceAdapter) minViableReplicas(app workload.App) int {
 		min = app.Replicas
 	}
 	return min
-}
-
-// maxReplicas bounds the proposal set.
-func (a *ServiceAdapter) maxReplicas(app workload.App) int {
-	max := app.Replicas
-	if a.ScaleOutLimit > 1 {
-		max = app.Replicas * a.ScaleOutLimit
-	}
-	return max
 }
 
 // p95Model maps a replica count to the p95 response time achievable at
@@ -129,23 +108,18 @@ func (a *ServiceAdapter) SLAProvider(app workload.App) *sla.Provider {
 }
 
 // provider builds the service-contract negotiation counterpart around a
-// p95 model.
+// p95 model. The processing allowance becomes the startup grace on the
+// completion bound: the offer's time column is a pure p95 target.
 func (a *ServiceAdapter) provider(app workload.App, model sla.PerfModel) *sla.Provider {
-	return &sla.Provider{
-		Model:          model,
-		Processing:     0, // the offer's time column is a pure p95 target
-		VMPrice:        a.VMPrice,
-		PenaltyN:       a.PenaltyN,
-		MaxPenaltyFrac: a.MaxPenaltyFrac,
-		MinVMs:         a.minViableReplicas(app),
-		MaxVMs:         a.maxReplicas(app),
-		SLO: &sla.SLOTemplate{
-			Lifetime:     sim.Seconds(app.DurationS),
-			Availability: a.Availability,
-			Interval:     a.Interval,
-			StartupGrace: a.Processing * 2,
-		},
+	p := a.cfg.slaProvider(model, a.minViableReplicas(app), a.cfg.maxVMs(app.Replicas))
+	p.SLO = &sla.SLOTemplate{
+		Lifetime:     sim.Seconds(app.DurationS),
+		Availability: serviceAvailability,
+		Interval:     serviceTick,
+		StartupGrace: p.Processing * 2,
 	}
+	p.Processing = 0
+	return p
 }
 
 // Translate implements Adapter.
@@ -217,7 +191,7 @@ func (a *ServiceAdapter) projectedLoss(cm *ClusterManager, st *appState, job *fr
 		lambda = job.Rate(cm.p.Eng.Now())
 	}
 	remaining := float64(job.Replicas - n)
-	mu := job.SvcRate * a.ConservativeSpeed
+	mu := job.SvcRate * a.cfg.ConservativeSpeed
 	c := remaining * mu
 	loss := 0.0
 	p95 := math.Inf(1)

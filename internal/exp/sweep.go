@@ -13,6 +13,7 @@ import (
 	"meryn/internal/report"
 	"meryn/internal/sim"
 	"meryn/internal/stats"
+	"meryn/internal/vmm"
 	"meryn/internal/workload"
 )
 
@@ -261,8 +262,8 @@ func (m Matrix) scenario(cell Cell, rep int, seed int64) Scenario {
 				cfg.VCs[1].InitialVMs = cell.ClusterSize - half
 				// Scale the physical site with the requested pool: the
 				// paper's 9 nodes cap out at 54 default-shape VMs.
-				perNode := min(cfg.Site.CoresPerNode/cfg.Shape.Cores,
-					cfg.Site.MemoryMBPerNode/cfg.Shape.MemoryMB)
+				perNode := min(cfg.Site.CoresPerNode/vmm.DefaultShape.Cores,
+					cfg.Site.MemoryMBPerNode/vmm.DefaultShape.MemoryMB)
 				if perNode < 1 {
 					perNode = 1
 				}

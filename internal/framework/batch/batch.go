@@ -1,8 +1,8 @@
-// Package batch implements an OGE/Torque-like batch framework: a FIFO
-// job queue (with optional backfill), dedicated-node assignment — the
-// paper configures the scheduler so each application owns a fixed number
-// of VMs — and checkpoint-based job suspension, which is what makes the
-// bid computation of paper Algorithm 2 possible.
+// Package batch implements an OGE/Torque-like batch framework: a strict
+// FIFO job queue, dedicated-node assignment — the paper configures the
+// scheduler so each application owns a fixed number of VMs — and
+// checkpoint-based job suspension, which is what makes the bid
+// computation of paper Algorithm 2 possible.
 //
 // Scheduler state is indexed, not rescanned: the node table is the
 // shared dedicated-node table (framework.Nodes), whose free and
@@ -39,12 +39,6 @@ type Config struct {
 	Name   string
 	Image  string
 	Events framework.Events
-
-	// Backfill lets jobs behind a blocked queue head start when enough
-	// nodes are free (EASY-style without reservations). The paper's
-	// single-VM workload is insensitive to this; it defaults to off to
-	// match plain FIFO.
-	Backfill bool
 }
 
 // Batch is an OGE-like framework. It implements framework.Framework.
@@ -262,32 +256,18 @@ func (b *Batch) QueuedJobs() []*framework.Job {
 	return out
 }
 
-// schedule assigns queued jobs to free nodes: strict FIFO, or FIFO with
-// backfill when configured. The free set is indexed, so each round costs
-// O(queue scan + nodes started) instead of O(all nodes).
+// schedule starts queued jobs in strict FIFO order while the head's
+// nodes are free: a blocked head blocks everyone. The free set is
+// indexed, so each round costs O(nodes started) instead of O(all
+// nodes).
 func (b *Batch) schedule() {
-	for {
-		nfree := b.FreeLen()
-		if nfree == 0 || b.queue.Len() == 0 {
+	for b.queue.Len() > 0 {
+		je := b.jobs[b.queue.At(0)]
+		if je.job.VMs > b.FreeLen() {
 			return
 		}
-		started := false
-		for qi := 0; qi < b.queue.Len(); qi++ {
-			je := b.jobs[b.queue.At(qi)]
-			if je.job.VMs > nfree {
-				if !b.cfg.Backfill {
-					return // FIFO: blocked head blocks everyone
-				}
-				continue
-			}
-			b.queue.RemoveAt(qi)
-			b.start(je)
-			started = true
-			break
-		}
-		if !started {
-			return
-		}
+		b.queue.PopFront()
+		b.start(je)
 	}
 }
 

@@ -143,22 +143,6 @@ func TestFIFOHeadBlocks(t *testing.T) {
 	}
 }
 
-func TestBackfillSkipsBlockedHead(t *testing.T) {
-	eng := sim.NewEngine()
-	var order []string
-	b := New(eng, Config{Backfill: true, Events: framework.Events{
-		OnStart: func(j *framework.Job) { order = append(order, j.ID) },
-	}})
-	addNodes(b, 2, 1.0)
-	must(t, b.Submit(job("big", 2, 100)))
-	must(t, b.Submit(job("huge", 3, 100)))
-	must(t, b.Submit(job("small", 1, 100)))
-	eng.Run(sim.Seconds(500))
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Fatalf("order = %v, want [big small]", order)
-	}
-}
-
 func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {
@@ -551,34 +535,7 @@ func TestFailIdleAndUnknownNode(t *testing.T) {
 	}
 }
 
-// --- Backfill edge cases and index consistency (PR 2) ---
-
-// TestBackfillHeadStartsWhenCapacityFrees: a blocked head must not
-// starve — small jobs backfill while it waits, and it starts the moment
-// enough nodes free up.
-func TestBackfillHeadStartsWhenCapacityFrees(t *testing.T) {
-	eng := sim.NewEngine()
-	var order []string
-	b := New(eng, Config{Backfill: true, Events: framework.Events{
-		OnStart: func(j *framework.Job) { order = append(order, j.ID) },
-	}})
-	addNodes(b, 2, 1.0)
-	must(t, b.Submit(job("long", 1, 100)))
-	big := job("big", 2, 100) // queue head, needs the whole cluster
-	must(t, b.Submit(big))
-	must(t, b.Submit(job("small", 1, 50))) // fits on the second node now
-	eng.RunAll()
-	want := []string{"long", "small", "big"}
-	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
-		t.Fatalf("start order = %v, want %v", order, want)
-	}
-	if big.StartedAt != sim.Seconds(100) {
-		t.Fatalf("big started at %v, want 100s (when long freed its node)", big.StartedAt)
-	}
-	if big.State != framework.JobDone {
-		t.Fatalf("big state = %v", big.State)
-	}
-}
+// --- Requeue order and index consistency ---
 
 // TestCrashRequeueRestartsFirst: a job that lost its nodes to a crash
 // requeues at the queue front and restarts before older queued work.

@@ -49,31 +49,6 @@ func BenchmarkRunningSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkBackfillSchedule measures scheduling with a permanently
-// blocked queue head and a deep queue of small jobs: every completion
-// rescans the queue past the blocked head.
-func BenchmarkBackfillSchedule(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		fw := New(eng, Config{Backfill: true})
-		for n := 0; n < 8; n++ {
-			fw.AddNode(framework.Node{ID: fmt.Sprintf("n%03d", n), SpeedFactor: 1.0})
-		}
-		// Head wants more VMs than the cluster has; everything behind it
-		// backfills.
-		if err := fw.Submit(&framework.Job{ID: "blocked-head", VMs: 9, Work: 1}); err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < 256; j++ {
-			if err := fw.Submit(&framework.Job{ID: fmt.Sprintf("j%04d", j), VMs: 1, Work: 100}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		eng.RunAll()
-	}
-}
-
 // BenchmarkSuspendResume measures the checkpoint/restart path.
 func BenchmarkSuspendResume(b *testing.B) {
 	b.ReportAllocs()

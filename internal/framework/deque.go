@@ -51,28 +51,10 @@ func (d *Deque[T]) At(i int) T {
 
 // PopFront removes and returns the front element.
 func (d *Deque[T]) PopFront() T {
-	return d.RemoveAt(0)
-}
-
-// RemoveAt removes and returns the i-th element, shifting the shorter
-// side of the ring.
-func (d *Deque[T]) RemoveAt(i int) T {
-	v := d.At(i)
+	v := d.At(0)
 	var zero T
-	if i < d.n-i-1 {
-		// Shift the front segment right.
-		for k := i; k > 0; k-- {
-			d.buf[(d.head+k)%len(d.buf)] = d.buf[(d.head+k-1)%len(d.buf)]
-		}
-		d.buf[d.head] = zero
-		d.head = (d.head + 1) % len(d.buf)
-	} else {
-		// Shift the back segment left.
-		for k := i; k < d.n-1; k++ {
-			d.buf[(d.head+k)%len(d.buf)] = d.buf[(d.head+k+1)%len(d.buf)]
-		}
-		d.buf[(d.head+d.n-1)%len(d.buf)] = zero
-	}
+	d.buf[d.head] = zero
+	d.head = (d.head + 1) % len(d.buf)
 	d.n--
 	return v
 }

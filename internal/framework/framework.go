@@ -146,21 +146,17 @@ type NodeStatus struct {
 	Cloud    bool
 }
 
-// Inspector is implemented by frameworks that expose per-node status
-// for auditing. All framework implementations in this repository do;
-// the Auditor degrades gracefully (skips index recounts) for ones that
-// do not.
+// Inspector exposes per-node status for auditing.
 type Inspector interface {
 	// InspectNode reports the status of an attached node, or false if
 	// the node is not attached.
 	InspectNode(id string) (NodeStatus, bool)
 }
 
-// NodeJobVisitor is implemented by frameworks that can enumerate the
-// running jobs occupying one node without scanning unrelated jobs —
-// the inverse of VisitJobNodes. The platform uses it on node loss
-// (crash, revocation) to find the hit applications directly; without
-// it, the caller falls back to visiting every running job's node set.
+// NodeJobVisitor enumerates the running jobs occupying one node
+// without scanning unrelated jobs — the inverse of VisitJobNodes. The
+// platform uses it on node loss (crash, revocation) to find the hit
+// applications directly.
 type NodeJobVisitor interface {
 	// VisitNodeJobs calls visit for each distinct running job occupying
 	// the node, in a deterministic order (submission order in this
@@ -173,6 +169,9 @@ type NodeJobVisitor interface {
 // methods are synchronous in simulated time; real-world latencies (VM
 // boot, daemon configuration) are charged by the callers that wrap them.
 type Framework interface {
+	Inspector
+	NodeJobVisitor
+
 	// Name identifies the framework instance (e.g. "batch-vc1").
 	Name() string
 	// Image is the VM disk image slaves of this framework boot from.

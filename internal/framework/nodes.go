@@ -26,8 +26,8 @@ type nodeState struct {
 // visits never rescan the table.
 //
 // A framework embeds Nodes to get the node half of Framework
-// (DisableNode, RemoveNode, NumNodes and the free/idle-disabled
-// listings) plus Inspector and NodeJobVisitor. It implements AddNode
+// (DisableNode, RemoveNode, NumNodes, the free/idle-disabled listings,
+// InspectNode and VisitNodeJobs). It implements AddNode
 // with Attach and FailNode with Detach, and moves nodes between free
 // and busy with Take and Release. The zero value is an empty table.
 type Nodes struct {

@@ -141,7 +141,6 @@ type Serverless struct {
 }
 
 var _ framework.Framework = (*Serverless)(nil)
-var _ framework.Inspector = (*Serverless)(nil)
 
 // New returns an empty serverless framework.
 func New(eng *sim.Engine, cfg Config) *Serverless {

@@ -41,8 +41,6 @@ type (
 	SpotPolicy = core.SpotPolicy
 	// AuditConfig configures the always-on invariant auditor.
 	AuditConfig = core.AuditConfig
-	// Latencies configures the Meryn pipeline latencies.
-	Latencies = core.Latencies
 	// Policy selects Meryn bidding or static partitioning.
 	Policy = core.Policy
 	// Platform is an assembled deployment.
