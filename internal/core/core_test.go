@@ -352,7 +352,7 @@ func TestDelayedAttachCrashIsReplaced(t *testing.T) {
 					continue
 				}
 				for _, vm := range p.VMM.List(vmm.StateRunning) {
-					if p.nodeCM[vm.ID] != nil || seen[vm.ID] {
+					if p.nodes[vm.ID] != nil || seen[vm.ID] {
 						continue
 					}
 					seen[vm.ID] = true

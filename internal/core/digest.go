@@ -35,7 +35,7 @@ func (s *Session) Digest() uint64 {
 		w.d("|", int64(cm.cfg.InitialVMs))
 		w.d("|", int64(cm.avail))
 		w.d("|", int64(cm.OwnedPrivate))
-		w.d("|", int64(len(cm.nodes)))
+		w.d("|", int64(len(cm.attached)))
 		w.d("|", int64(len(cm.apps)))
 		w.end()
 	}

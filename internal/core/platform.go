@@ -79,10 +79,11 @@ type Platform struct {
 	sessMu  sync.Mutex
 	session *Session
 
-	// nodeCM maps every attached node (private VM or cloud instance) to
-	// the Cluster Manager holding it, replacing the former per-crash
-	// scan over all VCs' node tables.
-	nodeCM map[string]*ClusterManager
+	// nodes indexes every attached node (private VM or cloud instance)
+	// by ID; its record names the Cluster Manager holding it. Crashes
+	// and revocations are routed through it, and each CM walks its own
+	// attached slice.
+	nodes map[string]*nodeInfo
 
 	// pollControllers puts batch Application Controllers on the
 	// per-interval poll: the reference the event-driven discipline is
@@ -138,8 +139,8 @@ func (p *Platform) appSettled(id string, cost float64) {
 // mid-transfer (owned by no CM) need no handling: the transfer
 // protocol's completions deal with them.
 func (p *Platform) handleCrash(vm *vmm.VM) {
-	if cm := p.nodeCM[vm.ID]; cm != nil {
-		cm.handleNodeCrash(vm.ID)
+	if info := p.nodes[vm.ID]; info != nil {
+		info.cm.handleNodeCrash(info)
 	}
 }
 
@@ -148,8 +149,8 @@ func (p *Platform) handleCrash(vm *vmm.VM) {
 // (mid-configure) need no routing: the lease completions observe the
 // terminated state.
 func (p *Platform) handleRevocation(inst *cloud.Instance) {
-	if cm := p.nodeCM[inst.ID]; cm != nil {
-		cm.handleCloudRevocation(inst.ID)
+	if info := p.nodes[inst.ID]; info != nil {
+		info.cm.handleCloudRevocation(info)
 	}
 }
 
@@ -166,7 +167,7 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		cfg:         cfg,
 		cms:         make(map[string]*ClusterManager),
 		cloudTypes:  make(map[string][]string),
-		nodeCM:      make(map[string]*ClusterManager),
+		nodes:       make(map[string]*nodeInfo),
 		Ledger:      metrics.NewLedger(),
 		PrivateUsed: metrics.NewGauge("private-used"),
 		CloudUsed:   metrics.NewGauge("cloud-used"),

@@ -375,7 +375,7 @@ func (s *Session) VCs() []VCStatus {
 			InitialVMs:   cm.cfg.InitialVMs,
 			Avail:        cm.avail,
 			OwnedPrivate: cm.OwnedPrivate,
-			Nodes:        len(cm.nodes),
+			Nodes:        len(cm.attached),
 			Apps:         len(cm.apps),
 		})
 	}

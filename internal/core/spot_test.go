@@ -12,9 +12,9 @@ import (
 // cloudNodeIDs lists the VC's attached cloud nodes in stable order.
 func cloudNodeIDs(cm *ClusterManager) []string {
 	var out []string
-	for id, info := range cm.nodes {
+	for _, info := range cm.attached {
 		if info.cloud {
-			out = append(out, id)
+			out = append(out, info.id)
 		}
 	}
 	sort.Strings(out)
@@ -32,8 +32,8 @@ func revokeFirstCloudNode(t *testing.T, p *Platform, vc string, at sim.Time) {
 		if len(ids) == 0 {
 			t.Fatalf("no cloud node attached to %s at %v", vc, at)
 		}
-		info := cm.nodes[ids[0]]
-		if err := info.provider.Revoke(info.instID); err != nil {
+		info := cm.node(ids[0])
+		if err := info.provider.Revoke(info.id); err != nil {
 			t.Fatalf("Revoke: %v", err)
 		}
 	})
@@ -49,7 +49,7 @@ func crashFirstCloudNode(t *testing.T, p *Platform, vc string, at sim.Time) {
 		if len(ids) == 0 {
 			t.Fatalf("no cloud node attached to %s at %v", vc, at)
 		}
-		cm.handleNodeCrash(ids[0])
+		cm.handleNodeCrash(cm.node(ids[0]))
 	})
 }
 

@@ -134,8 +134,11 @@ type Manager struct {
 	rng    *sim.RNG
 	images map[string]bool
 	vms    map[string]*VM
-	nextID int
-	active int // provisioning + running + stopping
+	// started holds every VM ever started, in start order: VM number i
+	// sits at index i. No VM is ever removed, so a walk over it sees
+	// each VM once, without hashing or formatting an ID.
+	started []*VM
+	active  int // provisioning + running + stopping
 
 	// UsedGauge tracks VMs that are provisioning or running.
 	UsedGauge *metrics.Gauge
@@ -201,12 +204,11 @@ func (m *Manager) Get(id string) (*VM, error) {
 	return vm, nil
 }
 
-// List returns all VMs in a given state.
+// List returns all VMs in a given state, in start order.
 func (m *Manager) List(s State) []*VM {
 	var out []*VM
-	for i := 0; i < m.nextID; i++ {
-		id := m.vmID(i)
-		if vm, ok := m.vms[id]; ok && vm.State == s {
+	for _, vm := range m.started {
+		if vm.State == s {
 			out = append(out, vm)
 		}
 	}
@@ -217,7 +219,7 @@ func (m *Manager) List(s State) []*VM {
 // indexed by State.
 func (m *Manager) StateCounts() [NumStates]int {
 	var out [NumStates]int
-	for _, vm := range m.vms {
+	for _, vm := range m.started {
 		out[vm.State]++
 	}
 	return out
@@ -275,7 +277,7 @@ func (m *Manager) Start(image string, done func(*VM, error)) {
 		return
 	}
 	vm := &VM{
-		ID:          m.vmID(m.nextID),
+		ID:          m.vmID(len(m.started)),
 		Image:       image,
 		Shape:       m.cfg.Shape,
 		State:       StateProvisioning,
@@ -283,8 +285,8 @@ func (m *Manager) Start(image string, done func(*VM, error)) {
 		SpeedFactor: node.SpeedFactor,
 		node:        node,
 	}
-	m.nextID++
 	m.vms[vm.ID] = vm
+	m.started = append(m.started, vm)
 	m.active++
 	m.UsedGauge.Add(m.eng.Now(), 1)
 
@@ -319,7 +321,7 @@ func (m *Manager) StartDeployed(image string) (*VM, error) {
 		return nil, err
 	}
 	vm := &VM{
-		ID:          m.vmID(m.nextID),
+		ID:          m.vmID(len(m.started)),
 		Image:       image,
 		Shape:       m.cfg.Shape,
 		State:       StateRunning,
@@ -327,8 +329,8 @@ func (m *Manager) StartDeployed(image string) (*VM, error) {
 		SpeedFactor: node.SpeedFactor,
 		node:        node,
 	}
-	m.nextID++
 	m.vms[vm.ID] = vm
+	m.started = append(m.started, vm)
 	m.active++
 	m.UsedGauge.Add(m.eng.Now(), 1)
 	m.Starts.Inc()

@@ -2,6 +2,8 @@ package vmm
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +213,47 @@ func TestGetAndList(t *testing.T) {
 	}
 	if lst := m.List(StateRunning); len(lst) != 1 || lst[0] != vm {
 		t.Fatalf("List = %v", lst)
+	}
+}
+
+// TestListStartOrder: List returns VMs in start order, which is
+// VM-number order, not ID order: "priv-vm999" comes before
+// "priv-vm1000". Chaos crash bursts sample from this order.
+func TestListStartOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	m := newManager(t, eng, Config{Site: cluster.New(cluster.Config{
+		Name: "priv", Nodes: 200, CoresPerNode: 12, MemoryMBPerNode: 49152, SpeedFactor: 1,
+	})})
+	const n = 1100
+	var want []*VM
+	for i := 0; i < n; i++ {
+		vm, err := m.StartDeployed("batch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vm.ID != fmt.Sprintf("priv-vm%03d", i) {
+			t.Fatalf("VM %d has ID %s", i, vm.ID)
+		}
+		if i%3 == 2 {
+			if err := m.Crash(vm.ID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want = append(want, vm)
+	}
+	got := m.List(StateRunning)
+	if !slices.Equal(got, want) {
+		t.Fatalf("List(StateRunning) holds %d VMs, want the %d running in start order", len(got), len(want))
+	}
+	at := func(id string) int {
+		return slices.IndexFunc(got, func(vm *VM) bool { return vm.ID == id })
+	}
+	if i, j := at("priv-vm999"), at("priv-vm1000"); i < 0 || j < 0 || i > j {
+		t.Fatalf("priv-vm999 at %d, priv-vm1000 at %d: want both listed, in start order", i, j)
+	}
+	if c := m.StateCounts(); c[StateRunning] != len(want) || c[StateCrashed] != n-len(want) {
+		t.Fatalf("StateCounts = %v, want %d running and %d crashed", c, len(want), n-len(want))
 	}
 }
 
