@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"meryn/internal/metrics"
 	"meryn/internal/sim"
@@ -81,6 +82,8 @@ type Instance struct {
 	PriceAtLaunch float64  // units per VM-second locked at launch completion
 	TerminatedAt  sim.Time
 	Charge        float64 // final bill, set at termination or revocation
+
+	slot int // index in the provider's live slice while tracked
 }
 
 // MarketConfig enables spot-like price movement around each type's base
@@ -132,8 +135,11 @@ type Provider struct {
 	// leases holds pending and running instances only: settled leases
 	// (terminated, revoked, failed) are pruned so long-running wall-mode
 	// deployments do not grow without bound. Aggregates (TotalSpend,
-	// counters) survive the pruning.
+	// counters) survive the pruning. live holds the same leases in
+	// launch order, except that pruning swap-removes a lease through
+	// the slot it records; Audit walks it instead of the map.
 	leases  map[string]*Instance
+	live    []*Instance
 	nextID  int
 	active  int
 	spotRun []*Instance // running spot leases in launch order
@@ -339,7 +345,7 @@ func (p *Provider) launch(typeName, image string, spot bool, bid float64, done f
 		}
 	}
 	inst := &Instance{
-		ID:          fmt.Sprintf("%s-i%04d", p.cfg.Name, p.nextID),
+		ID:          leaseID(p.cfg.Name, p.nextID),
 		Provider:    p.cfg.Name,
 		Type:        typeName,
 		Image:       image,
@@ -350,6 +356,8 @@ func (p *Provider) launch(typeName, image string, spot bool, bid float64, done f
 		Bid:         bid,
 	}
 	p.nextID++
+	inst.slot = len(p.live)
+	p.live = append(p.live, inst)
 	p.leases[inst.ID] = inst
 	p.active++
 	p.UsedGauge.Add(p.eng.Now(), 1)
@@ -388,13 +396,36 @@ func (p *Provider) launch(typeName, image string, spot bool, bid float64, done f
 	})
 }
 
+// leaseID names a provider's n-th lease: the bytes of fmt's
+// "%s-i%04d", built without fmt.
+func leaseID(provider string, n int) string {
+	var buf [32]byte
+	b := append(buf[:0], provider...)
+	b = append(b, "-i"...)
+	for lim := 1000; lim > 1 && n < lim; lim /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(n), 10))
+}
+
 // drop removes a never-ran lease (failed or outbid during provisioning)
 // and releases its capacity.
 func (p *Provider) drop(inst *Instance) {
 	inst.State = InstanceTerminated
 	p.active--
 	p.UsedGauge.Add(p.eng.Now(), -1)
+	p.prune(inst)
+}
+
+// prune stops tracking a settled lease: it leaves the lease table, and
+// the last lease of the live slice moves into its slot.
+func (p *Provider) prune(inst *Instance) {
 	delete(p.leases, inst.ID)
+	i, last := inst.slot, len(p.live)-1
+	p.live[i] = p.live[last]
+	p.live[i].slot = i
+	p.live[last] = nil
+	p.live = p.live[:last]
 }
 
 // Terminate stops a lease. The completion receives the final charge. If
@@ -439,7 +470,7 @@ func (p *Provider) settle(inst *Instance) {
 	}
 	p.active--
 	p.UsedGauge.Add(now, -1)
-	delete(p.leases, inst.ID)
+	p.prune(inst)
 }
 
 // dropSpotRun removes a lease from the running-spot order.
@@ -529,13 +560,16 @@ func (p *Provider) RunningSpotIDs() []string {
 }
 
 // Audit checks the provider's internal conservation invariants: the
-// active count, used gauge, quota, lease-table states, the running-spot
-// order, and spend aggregates must agree. It returns the first
-// violation found, or nil. The platform Auditor calls this at every
-// audit barrier.
+// active count, used gauge, quota, lease-table states and slots, the
+// running-spot order, and spend aggregates must agree. It returns the
+// first violation found, or nil. The platform Auditor calls this at
+// every audit barrier; it walks the live slice, not the lease table.
 func (p *Provider) Audit() error {
 	if p.active != len(p.leases) {
 		return fmt.Errorf("cloud %s: active=%d but %d tracked leases", p.cfg.Name, p.active, len(p.leases))
+	}
+	if len(p.live) != len(p.leases) {
+		return fmt.Errorf("cloud %s: %d leases in the live slice but %d in the lease table", p.cfg.Name, len(p.live), len(p.leases))
 	}
 	if g := p.UsedGauge.Value(); g != p.active {
 		return fmt.Errorf("cloud %s: used gauge %d disagrees with active %d", p.cfg.Name, g, p.active)
@@ -552,8 +586,11 @@ func (p *Provider) Audit() error {
 		return inst.State == InstancePending || inst.State == InstanceRunning
 	}
 	var bad *Instance
-	for id, inst := range p.leases {
-		if (bad == nil || id < bad.ID) && (!tracked(inst) || inst.Charge != 0) {
+	for i, inst := range p.live {
+		if inst.slot != i {
+			return fmt.Errorf("cloud %s: lease %s sits at slot %d but records slot %d", p.cfg.Name, inst.ID, i, inst.slot)
+		}
+		if (bad == nil || inst.ID < bad.ID) && (!tracked(inst) || inst.Charge != 0) {
 			bad = inst
 		}
 	}

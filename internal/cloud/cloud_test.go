@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -601,6 +602,50 @@ func TestAuditNamesSmallestViolatingLease(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		if err := p.Audit(); err == nil || err.Error() != want {
 			t.Fatalf("Audit = %v, want %q", err, want)
+		}
+	}
+}
+
+// TestAuditChecksLiveSlice: the audit walks the live slice, so it
+// checks that every lease sits at the slot it records, across the swap
+// a prune makes, and that the slice and the lease table hold as many
+// leases.
+func TestAuditChecksLiveSlice(t *testing.T) {
+	eng := sim.NewEngine()
+	p := newProvider(t, eng, Config{})
+	var ids []string
+	for i := 0; i < 4; i++ {
+		ids = append(ids, mustLaunch(t, eng, p).ID)
+	}
+	p.Terminate(ids[1], func(float64, error) {})
+	eng.RunAll()
+	if err := p.Audit(); err != nil {
+		t.Fatalf("clean provider fails its audit: %v", err)
+	}
+	if len(p.live) != 3 || p.live[0].ID != ids[0] || p.live[1].ID != ids[3] || p.live[2].ID != ids[2] {
+		t.Fatalf("pruning %s did not move the last lease into its slot", ids[1])
+	}
+
+	p.live[1].slot = 2
+	want := "cloud ec2: lease " + ids[3] + " sits at slot 1 but records slot 2"
+	if err := p.Audit(); err == nil || err.Error() != want {
+		t.Fatalf("Audit = %v, want %q", err, want)
+	}
+	p.live[1].slot = 1
+
+	p.live = p.live[:2]
+	want = "cloud ec2: 2 leases in the live slice but 3 in the lease table"
+	if err := p.Audit(); err == nil || err.Error() != want {
+		t.Fatalf("Audit = %v, want %q", err, want)
+	}
+}
+
+// TestLeaseIDMatchesFmt: lease IDs are built without fmt but keep the
+// bytes of its "%s-i%04d", past the padding width too.
+func TestLeaseIDMatchesFmt(t *testing.T) {
+	for _, n := range []int{0, 7, 10, 99, 100, 999, 1000, 9999, 10000, 123456} {
+		if got, want := leaseID("ec2", n), fmt.Sprintf("%s-i%04d", "ec2", n); got != want {
+			t.Errorf("leaseID(ec2, %d) = %q, want %q", n, got, want)
 		}
 	}
 }

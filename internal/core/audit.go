@@ -50,14 +50,17 @@ const defaultAuditEveryS = 30
 // cost follows live state, not history. A ledger record is checked
 // once more as its application settles; nothing writes it after that,
 // and a job event for a settled application panics at the write.
-// Nodes are walked through each VC's attached slice, and VMs through
-// the VM manager's start-order slice, so a barrier iterates no map.
+// Nodes are walked through each VC's attached slice, VMs through the VM
+// manager's start-order slice and leases through each provider's lease
+// slice, so a barrier iterates no map; a node's framework status is read
+// through the record AddNode returned, not looked up by ID.
 //
 // The invariant catalogue (see DESIGN.md "Invariant catalogue"):
 //
 //   - Node conservation, per VC: the framework's node count, the CM's
 //     lease table, and OwnedPrivate agree; free/idle-disabled index
-//     recounts (via InspectNode) match the maintained indexes.
+//     recounts (each node's status read through the record the
+//     framework's AddNode returned) match the maintained indexes.
 //   - Lease-table/ResourceManager agreement: every attached private
 //     node is a running VM; every attached cloud node has a running
 //     lease at its provider, billed at the price locked at launch.
@@ -342,9 +345,9 @@ func (a *Auditor) checkRecord(rec *metrics.AppRecord, prev float64) {
 
 // checkCM audits one VC in one pass over its lease table: each node
 // sits at the slot it records; node conservation between the
-// framework, the CM lease table and OwnedPrivate; index recounts via
-// the framework's InspectNode; and lease-table/ResourceManager
-// agreement for every attached node.
+// framework, the CM lease table and OwnedPrivate; index recounts from
+// the status each node's framework record reports; and
+// lease-table/ResourceManager agreement for every attached node.
 func (a *Auditor) checkCM(cm *ClusterManager) {
 	name := cm.name
 	var freeKind [2]int
@@ -357,7 +360,7 @@ func (a *Auditor) checkCM(cm *ClusterManager) {
 		if info.cloud {
 			cloudAttached++
 		}
-		if st, ok := cm.fw.InspectNode(id); !ok {
+		if st, ok := info.ref.Status(); !ok {
 			a.fail("%s: node %s in CM lease table but unknown to framework", name, id)
 		} else {
 			if st.Cloud != info.cloud {

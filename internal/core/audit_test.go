@@ -199,6 +199,20 @@ func TestAuditorDetectsCorruption(t *testing.T) {
 			a[0], a[1] = a[1], a[0]
 			return func() { a[0], a[1] = a[1], a[0] }
 		}},
+		{"framework-dropped-node", "unknown to framework", func(t *testing.T, p *Platform) func() {
+			// The framework drops the node behind the CM's back: the
+			// auditor sees it through the record AddNode returned, the
+			// reference through InspectNode. The undo attaches it again,
+			// and the job it requeued restarts on it.
+			cm, id := firstNode(p, false)
+			info := cm.node(id)
+			if err := cm.fw.FailNode(id); err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				info.ref = cm.fw.AddNode(framework.Node{ID: id, SpeedFactor: info.vm.SpeedFactor})
+			}
+		}},
 		{"unindexed-node", "node index holds", func(t *testing.T, p *Platform) func() {
 			cm, id := firstNode(p, false)
 			info := cm.node(id)

@@ -19,15 +19,17 @@ import (
 
 // nodeInfo is the platform's record of one attached node (a private VM
 // or a cloud lease): the Cluster Manager holding it, its slot in that
-// CM's attached slice, its substrate handle and its cost.
+// CM's attached slice, the framework's record of it, its substrate
+// handle and its cost.
 type nodeInfo struct {
 	id       string // the VM ID, or the cloud lease ID
 	cm       *ClusterManager
 	slot     int // index in cm.attached
 	cloud    bool
-	rate     float64         // provider-side cost, units per VM-second
-	vm       *vmm.VM         // the private VM (nil for cloud)
-	provider *cloud.Provider // the cloud node's provider (nil for private)
+	ref      framework.NodeRef // what the framework's AddNode returned
+	rate     float64           // provider-side cost, units per VM-second
+	vm       *vmm.VM           // the private VM (nil for cloud)
+	provider *cloud.Provider   // the cloud node's provider (nil for private)
 }
 
 // appState tracks one application through its life in a VC.
@@ -243,18 +245,20 @@ func (cm *ClusterManager) attachPrivate(id string, speed float64) bool {
 	if err != nil || vm.State != vmm.StateRunning {
 		return false
 	}
-	cm.attach(&nodeInfo{id: id, rate: privateVMCost, vm: vm})
+	info := &nodeInfo{id: id, rate: privateVMCost, vm: vm}
+	cm.attach(info)
 	cm.avail++
 	cm.OwnedPrivate++
-	cm.fw.AddNode(framework.Node{ID: id, SpeedFactor: speed})
+	info.ref = cm.fw.AddNode(framework.Node{ID: id, SpeedFactor: speed})
 	return true
 }
 
 // attachCloud joins a leased cloud instance to the framework.
 func (cm *ClusterManager) attachCloud(inst *cloud.Instance, p *cloud.Provider) {
-	cm.attach(&nodeInfo{id: inst.ID, cloud: true, rate: inst.PriceAtLaunch, provider: p})
+	info := &nodeInfo{id: inst.ID, cloud: true, rate: inst.PriceAtLaunch, provider: p}
+	cm.attach(info)
 	cm.avail++
-	cm.fw.AddNode(framework.Node{ID: inst.ID, SpeedFactor: inst.SpeedFactor, Cloud: true})
+	info.ref = cm.fw.AddNode(framework.Node{ID: inst.ID, SpeedFactor: inst.SpeedFactor, Cloud: true})
 }
 
 // detachFreeNodes removes up to n idle nodes of the requested kind

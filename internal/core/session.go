@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"meryn/internal/framework"
@@ -696,7 +697,17 @@ func (g *Negotiation) offersReady(cm *ClusterManager, st *appState, m *sla.Negot
 func (g *Negotiation) noteAgreed(cm *ClusterManager, st *appState, c *sla.Contract) {
 	g.cm, g.st, g.contract = cm, st, c
 	g.state = NegotiationAccepted
-	g.s.emitLocked(g.appID, "agreed", fmt.Sprintf("%d VMs for %.0f units", c.NumVMs, c.Price))
+	g.s.emitLocked(g.appID, "agreed", agreedDetail(c.NumVMs, c.Price))
+}
+
+// agreedDetail is the detail of an "agreed" event: the bytes of fmt's
+// "%d VMs for %.0f units", built without fmt.
+func agreedDetail(vms int, price float64) string {
+	var buf [64]byte
+	b := strconv.AppendInt(buf[:0], int64(vms), 10)
+	b = append(b, " VMs for "...)
+	b = strconv.AppendFloat(b, price, 'f', 0, 64)
+	return string(append(b, " units"...))
 }
 
 // noteRejected records a rejection (validation failure, routing

@@ -410,3 +410,16 @@ func TestRunMatchesSessionComposition(t *testing.T) {
 		}
 	}
 }
+
+// TestAgreedDetailMatchesFmt: the "agreed" event detail is built
+// without fmt but keeps the bytes of its "%d VMs for %.0f units",
+// including %.0f's round-half-to-even (0.5 and 2.5 round down, 1.5 up).
+func TestAgreedDetailMatchesFmt(t *testing.T) {
+	for _, vms := range []int{0, 1, 10, 1000} {
+		for _, price := range []float64{0, 0.5, 1.5, 2.5, 0.49999999, 1551.5, 12345.678, 1e21} {
+			if got, want := agreedDetail(vms, price), fmt.Sprintf("%d VMs for %.0f units", vms, price); got != want {
+				t.Errorf("agreedDetail(%d, %g) = %q, want %q", vms, price, got, want)
+			}
+		}
+	}
+}

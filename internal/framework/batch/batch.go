@@ -83,9 +83,10 @@ func (b *Batch) Image() string { return b.cfg.Image }
 
 // AddNode implements framework.Framework. Adding a node immediately
 // triggers scheduling.
-func (b *Batch) AddNode(n framework.Node) {
-	b.Attach(n)
+func (b *Batch) AddNode(n framework.Node) framework.NodeRef {
+	ref := b.Attach(n)
 	b.schedule()
+	return ref
 }
 
 // FailNode implements framework.Framework. A crashed node kills the job

@@ -19,12 +19,13 @@ type FleetConfig struct {
 }
 
 // Instance is one member of a job's fleet: the node hosting a service
-// replica or a function instance. Rev (the revision the instance runs)
-// and WarmAt (when its boot finishes) are serverless state; keeping
-// them here lets every removal path drop an instance without
+// replica or a function instance, as Take returned it, so capacity and
+// kind are read without a lookup by ID. Rev (the revision the instance
+// runs) and WarmAt (when its boot finishes) are serverless state;
+// keeping them here lets every removal path drop an instance without
 // per-framework bookkeeping.
 type Instance struct {
-	Node   string
+	Node   Node
 	Rev    int
 	WarmAt sim.Time
 }
@@ -122,12 +123,13 @@ type Fleets[X any] struct {
 	Queue  Deque[*Fleet[X]]
 	Active SeqSet[*Fleet[X]]
 
-	eng     *sim.Engine
-	cfg     FleetConfig
-	onTick  func()
-	jobs    map[string]*Fleet[X]
-	jobSeq  uint64
-	running SeqSet[*Job] // Active's jobs, the Running() listing
+	eng       *sim.Engine
+	cfg       FleetConfig
+	onTick    func()
+	jobs      map[string]*Fleet[X]
+	jobSeq    uint64
+	running   SeqSet[*Job]      // Active's jobs, the Running() listing
+	suspended SeqSet[*Fleet[X]] // suspended jobs in submission order
 
 	// unsettled counts jobs not yet done: the ticker runs while any
 	// exist (queued and suspended jobs burn SLO intervals too).
@@ -231,6 +233,7 @@ func (t *Fleets[X]) Suspend(id string) error {
 	f.Target = f.initial
 	f.Job.State = JobSuspended
 	f.Job.Suspensions++
+	t.suspended.Insert(f.seq, f)
 	fire(t.cfg.Events.OnSuspend, f.Job)
 	return nil
 }
@@ -248,6 +251,7 @@ func (t *Fleets[X]) Resume(id string) error {
 	}
 	j.State = JobQueued
 	f.Target = f.initial
+	t.suspended.Remove(f.seq)
 	t.Queue.PushFront(f)
 	fire(t.cfg.Events.OnResume, j)
 	return nil
@@ -276,7 +280,7 @@ func (t *Fleets[X]) Grow(f *Fleet[X], k int) int {
 		if !ok {
 			break
 		}
-		f.Insts = append(f.Insts, Instance{Node: n.ID})
+		f.Insts = append(f.Insts, Instance{Node: n})
 		got++
 	}
 	f.Job.Replicas = len(f.Insts)
@@ -293,7 +297,7 @@ func (t *Fleets[X]) ReleaseNewest(f *Fleet[X], k int) {
 	for ; k > 0 && len(f.Insts) > 0; k-- {
 		in := f.Insts[len(f.Insts)-1]
 		f.Insts = f.Insts[:len(f.Insts)-1]
-		t.Release(in.Node)
+		t.Release(in.Node.ID)
 	}
 	f.Job.Replicas = len(f.Insts)
 }
@@ -308,7 +312,7 @@ func (t *Fleets[X]) DetachInstance(id string) (*Fleet[X], error) {
 	}
 	f := t.jobs[jobID]
 	for i, in := range f.Insts {
-		if in.Node == id {
+		if in.Node.ID == id {
 			f.Insts = append(f.Insts[:i], f.Insts[i+1:]...)
 			break
 		}
@@ -334,11 +338,11 @@ func (t *Fleets[X]) Shrink(id string, k int) (*Fleet[X], error) {
 		wantCloud := pass == 1
 		for i := len(f.Insts) - 1; i >= 0 && k > 0; i-- {
 			in := f.Insts[i]
-			if t.Node(in.Node).Cloud != wantCloud {
+			if in.Node.Cloud != wantCloud {
 				continue
 			}
 			f.Insts = append(f.Insts[:i], f.Insts[i+1:]...)
-			t.Release(in.Node)
+			t.Release(in.Node.ID)
 			k--
 		}
 	}
@@ -355,7 +359,7 @@ func (t *Fleets[X]) ReplicaKinds(id string) (private, cloud int, err error) {
 		return 0, 0, err
 	}
 	for _, in := range f.Insts {
-		if t.Node(in.Node).Cloud {
+		if in.Node.Cloud {
 			cloud++
 		} else {
 			private++
@@ -395,15 +399,12 @@ func (t *Fleets[X]) TargetOf(id string) (int, error) {
 	return f.Target, nil
 }
 
-// VisitSuspended calls visit for each suspended job. Suspension is rare
-// (reclaim shrinks fleets instead), so this scans the job table in map
-// order: visit may only advance per-job counters, so that the order
-// cannot leak into results.
+// VisitSuspended calls visit for each suspended job in submission
+// order. It walks only the suspended jobs, so a tick's cost does not
+// grow with the jobs ever submitted.
 func (t *Fleets[X]) VisitSuspended(visit func(*Fleet[X])) {
-	for _, f := range t.jobs {
-		if f.Job.State == JobSuspended {
-			visit(f)
-		}
+	for _, f := range t.suspended.Values() {
+		visit(f)
 	}
 }
 
@@ -425,7 +426,7 @@ func (t *Fleets[X]) JobNodes(id string) ([]string, error) {
 	}
 	out := make([]string, len(f.Insts))
 	for i, in := range f.Insts {
-		out[i] = in.Node
+		out[i] = in.Node.ID
 	}
 	return out, nil
 }
@@ -439,7 +440,7 @@ func (t *Fleets[X]) VisitJobNodes(id string, visit func(id string) bool) error {
 		return err
 	}
 	for _, in := range f.Insts {
-		if !visit(in.Node) {
+		if !visit(in.Node.ID) {
 			return nil
 		}
 	}
@@ -525,7 +526,7 @@ func fire(ev func(*Job), j *Job) {
 // alone: a finished job reports its last fleet size.
 func (t *Fleets[X]) releaseAll(f *Fleet[X]) {
 	for _, in := range f.Insts {
-		t.Release(in.Node)
+		t.Release(in.Node.ID)
 	}
 	f.Insts = nil
 }

@@ -10,6 +10,12 @@
 // serverless dedicate each node to one job and share the node table
 // Nodes; mapreduce keeps its own slot-bucket table. Service and
 // serverless also share the job table Fleets.
+//
+// A node is named by ID at the boundary, but AddNode hands back the
+// framework's own record of it (NodeRef), so a caller that reads a
+// node's status repeatedly, such as the platform auditor at every
+// barrier, holds that record instead of looking the ID up each time.
+// InspectNode is the by-ID read of the same status.
 package framework
 
 import (
@@ -146,10 +152,21 @@ type NodeStatus struct {
 	Cloud    bool
 }
 
-// Inspector exposes per-node status for auditing.
+// NodeRef is a framework's own record of one attached node, returned
+// by AddNode. It reads the node's status without a lookup by ID.
+type NodeRef interface {
+	// Status reports the node's status, or false once FailNode or
+	// RemoveNode has dropped the node.
+	Status() (NodeStatus, bool)
+}
+
+// Inspector exposes per-node status by ID for auditing: the read for a
+// caller that holds no NodeRef (the reference audit, the fwtest
+// recounts).
 type Inspector interface {
 	// InspectNode reports the status of an attached node, or false if
-	// the node is not attached.
+	// the node is not attached. It looks the node up and reads the same
+	// status as the NodeRef AddNode returned.
 	InspectNode(id string) (NodeStatus, bool)
 }
 
@@ -177,8 +194,9 @@ type Framework interface {
 	// Image is the VM disk image slaves of this framework boot from.
 	Image() string
 
-	// AddNode attaches a slave node.
-	AddNode(Node)
+	// AddNode attaches a slave node and returns the framework's record
+	// of it.
+	AddNode(Node) NodeRef
 	// DisableNode drains a node: running work continues, but the
 	// scheduler stops assigning new work to it. Used before removal.
 	DisableNode(id string) error

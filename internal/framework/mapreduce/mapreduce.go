@@ -33,11 +33,27 @@ const (
 	phaseReduce
 )
 
+// nodeState is the table's record of one node, and the NodeRef
+// AddNode returns for it.
 type nodeState struct {
 	node      framework.Node
 	disabled  bool
+	dropped   bool // removed from the table (RemoveNode, FailNode)
 	usedSlots int
 	entry     framework.IndexEntry
+}
+
+// Status implements framework.NodeRef: a MapReduce node is busy while
+// any of its task slots are in use.
+func (ns *nodeState) Status() (framework.NodeStatus, bool) {
+	if ns.dropped {
+		return framework.NodeStatus{}, false
+	}
+	return framework.NodeStatus{
+		Busy:     ns.usedSlots > 0,
+		Disabled: ns.disabled,
+		Cloud:    ns.node.Cloud,
+	}, true
 }
 
 type taskRun struct {
@@ -144,7 +160,7 @@ func (m *MapReduce) TotalSlots() int {
 }
 
 // AddNode implements framework.Framework.
-func (m *MapReduce) AddNode(n framework.Node) {
+func (m *MapReduce) AddNode(n framework.Node) framework.NodeRef {
 	if _, dup := m.nodes[n.ID]; dup {
 		panic(fmt.Sprintf("%v: %s", framework.ErrNodeExists, n.ID))
 	}
@@ -158,6 +174,7 @@ func (m *MapReduce) AddNode(n framework.Node) {
 	m.buckets[0].Insert(&ns.entry)
 	m.enabled++
 	m.schedule()
+	return ns
 }
 
 // DisableNode implements framework.Framework.
@@ -190,6 +207,7 @@ func (m *MapReduce) RemoveNode(id string) error {
 	if !ns.disabled {
 		m.enabled--
 	}
+	ns.dropped = true
 	delete(m.nodes, id)
 	return nil
 }
@@ -221,6 +239,7 @@ func (m *MapReduce) FailNode(id string) error {
 	if !ns.disabled {
 		m.enabled--
 	}
+	ns.dropped = true
 	delete(m.nodes, id)
 	m.schedule()
 	return nil
@@ -229,18 +248,13 @@ func (m *MapReduce) FailNode(id string) error {
 // NumNodes implements framework.Framework.
 func (m *MapReduce) NumNodes() int { return len(m.nodes) }
 
-// InspectNode implements framework.Inspector: a MapReduce node is busy
-// while any of its task slots are in use.
+// InspectNode implements framework.Inspector.
 func (m *MapReduce) InspectNode(id string) (framework.NodeStatus, bool) {
 	ns, ok := m.nodes[id]
 	if !ok {
 		return framework.NodeStatus{}, false
 	}
-	return framework.NodeStatus{
-		Busy:     ns.usedSlots > 0,
-		Disabled: ns.disabled,
-		Cloud:    ns.node.Cloud,
-	}, true
+	return ns.Status()
 }
 
 // VisitNodeJobs implements framework.NodeJobVisitor: MapReduce nodes

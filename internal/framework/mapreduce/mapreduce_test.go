@@ -374,6 +374,46 @@ func TestFailNodeLosesInFlightTasksOnly(t *testing.T) {
 	}
 }
 
+// TestNodeRefStatus: the record AddNode returns reads what InspectNode
+// reads while the node is attached, busy with task slots or drained,
+// and reports false once RemoveNode or FailNode has dropped it.
+func TestNodeRefStatus(t *testing.T) {
+	eng := sim.NewEngine()
+	m := New(eng, Config{SlotsPerNode: 1})
+	ids := []string{"n00", "n01", "c00"}
+	refs := make([]framework.NodeRef, len(ids))
+	for i, id := range ids {
+		refs[i] = m.AddNode(framework.Node{ID: id, SpeedFactor: 1, Cloud: id[0] == 'c'})
+	}
+	agree := func(what string) {
+		t.Helper()
+		for i, id := range ids {
+			st, ok := refs[i].Status()
+			want, wantOK := m.InspectNode(id)
+			if st != want || ok != wantOK {
+				t.Fatalf("after %s: %s ref reads %+v, %v; InspectNode reads %+v, %v", what, id, st, ok, want, wantOK)
+			}
+		}
+	}
+	must(t, m.Submit(mrJob("a", 2, 0, 20, 0))) // one map on n00, one on n01
+	must(t, m.DisableNode("c00"))
+	agree("submit and disable")
+	if st, ok := refs[0].Status(); !ok || !st.Busy {
+		t.Fatalf("n00 reads %+v, %v; want busy", st, ok)
+	}
+	if st, ok := refs[2].Status(); !ok || st.Busy || !st.Disabled || !st.Cloud {
+		t.Fatalf("c00 reads %+v, %v; want idle disabled cloud", st, ok)
+	}
+	must(t, m.RemoveNode("c00"))
+	must(t, m.FailNode("n00"))
+	agree("remove and fail")
+	for i, id := range ids {
+		if _, ok := refs[i].Status(); ok != (id == "n01") {
+			t.Fatalf("%s ref reports attached=%v, want %v", id, ok, id == "n01")
+		}
+	}
+}
+
 func TestFailNodeUnknown(t *testing.T) {
 	m := New(sim.NewEngine(), Config{})
 	if err := m.FailNode("ghost"); !errors.Is(err, framework.ErrNodeUnknown) {

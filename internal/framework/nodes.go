@@ -12,11 +12,22 @@ var (
 	ErrNodeBusy    = errors.New("framework: node hosts a job")
 )
 
+// nodeState is the table's record of one node, and the NodeRef Attach
+// returns for it.
 type nodeState struct {
 	node     Node
 	disabled bool
+	dropped  bool   // removed from the table (Detach, RemoveNode)
 	jobID    string // "" when idle
 	entry    IndexEntry
+}
+
+// Status implements NodeRef: a node is busy while it hosts a job.
+func (ns *nodeState) Status() (NodeStatus, bool) {
+	if ns.dropped {
+		return NodeStatus{}, false
+	}
+	return NodeStatus{Busy: ns.jobID != "", Disabled: ns.disabled, Cloud: ns.node.Cloud}, true
 }
 
 // Nodes is the node table of a framework that dedicates each node to at
@@ -40,10 +51,10 @@ type Nodes struct {
 	idleDis   NodeIndex // disabled nodes hosting no job
 }
 
-// Attach adds a free node. A non-positive SpeedFactor becomes 1.
-// Attaching a duplicate ID panics: it indicates a Cluster Manager
-// bookkeeping bug.
-func (t *Nodes) Attach(n Node) {
+// Attach adds a free node and returns the table's record of it. A
+// non-positive SpeedFactor becomes 1. Attaching a duplicate ID panics:
+// it indicates a Cluster Manager bookkeeping bug.
+func (t *Nodes) Attach(n Node) NodeRef {
 	if _, dup := t.nodes[n.ID]; dup {
 		panic(fmt.Sprintf("%v: %s", ErrNodeExists, n.ID))
 	}
@@ -58,6 +69,7 @@ func (t *Nodes) Attach(n Node) {
 	t.attachSeq++
 	t.nodes[n.ID] = ns
 	t.free.Insert(&ns.entry)
+	return ns
 }
 
 // Detach forcibly removes a node, busy or not, and returns the job it
@@ -69,12 +81,15 @@ func (t *Nodes) Detach(id string) (jobID string, err error) {
 		return "", fmt.Errorf("%w: %s", ErrNodeUnknown, id)
 	}
 	ns.entry.Unlink()
+	ns.dropped = true
 	delete(t.nodes, id)
 	return ns.jobID, nil
 }
 
 // Take assigns the first free node in attach order, across both kinds,
-// to jobID and returns it, or false when no node is free.
+// to jobID and returns it, or false when no node is free. The Node is
+// the attached value (SpeedFactor normalized), so a job that keeps it
+// reads its node's speed and kind without a lookup.
 func (t *Nodes) Take(jobID string) (Node, bool) {
 	e := t.free.First()
 	if e == nil {
@@ -101,14 +116,6 @@ func (t *Nodes) Release(ids ...string) {
 			t.free.Insert(&ns.entry)
 		}
 	}
-}
-
-// Node returns an attached node, or the zero Node for an unknown ID.
-func (t *Nodes) Node(id string) Node {
-	if ns, ok := t.nodes[id]; ok {
-		return ns.node
-	}
-	return Node{}
 }
 
 // FreeLen returns the number of free nodes of both kinds.
@@ -141,6 +148,7 @@ func (t *Nodes) RemoveNode(id string) error {
 		return fmt.Errorf("%w: %s hosts %s", ErrNodeBusy, id, ns.jobID)
 	}
 	ns.entry.Unlink()
+	ns.dropped = true
 	delete(t.nodes, id)
 	return nil
 }
@@ -162,13 +170,13 @@ func (t *Nodes) VisitFreeNodes(cloud bool, visit func(id string) bool) {
 // IdleDisabledNodeIDs implements Framework.
 func (t *Nodes) IdleDisabledNodeIDs() []string { return t.idleDis.CollectN(nil, -1) }
 
-// InspectNode implements Inspector: a node is busy while it hosts a job.
+// InspectNode implements Inspector.
 func (t *Nodes) InspectNode(id string) (NodeStatus, bool) {
 	ns, ok := t.nodes[id]
 	if !ok {
 		return NodeStatus{}, false
 	}
-	return NodeStatus{Busy: ns.jobID != "", Disabled: ns.disabled, Cloud: ns.node.Cloud}, true
+	return ns.Status()
 }
 
 // VisitNodeJobs implements NodeJobVisitor: a node hosts at most one job.

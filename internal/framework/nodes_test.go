@@ -29,6 +29,9 @@ func TestNodesTakeOrder(t *testing.T) {
 		if !ok || n.ID != want {
 			t.Fatalf("Take = %q, %v; want %q", n.ID, ok, want)
 		}
+		if n.SpeedFactor != 1 || n.Cloud != (want[0] == 'c') {
+			t.Fatalf("Take = %+v; want %s attached with SpeedFactor 0 read as 1", n, want)
+		}
 		fwtest.CheckIndexes(t, &nodes, order)
 	}
 	nodes.Release("c0")
@@ -41,8 +44,54 @@ func TestNodesTakeOrder(t *testing.T) {
 	if n, ok := nodes.Take("k"); ok {
 		t.Fatalf("Take on a full table = %q", n.ID)
 	}
-	if got := nodes.Node("p0").SpeedFactor; got != 1 {
-		t.Fatalf("zero SpeedFactor attached as %g, want 1", got)
+}
+
+// TestNodeRefStatus: the record Attach returns reads what InspectNode
+// reads while the node is attached, through take, disable and release,
+// and reports false once Detach or RemoveNode has dropped the node.
+func TestNodeRefStatus(t *testing.T) {
+	var nodes framework.Nodes
+	ids := []string{"p0", "c0", "p1", "c1"}
+	refs := make([]framework.NodeRef, len(ids))
+	for i, id := range ids {
+		refs[i] = nodes.Attach(framework.Node{ID: id, Cloud: id[0] == 'c'})
+	}
+	agree := func(what string) {
+		t.Helper()
+		for i, id := range ids {
+			st, ok := refs[i].Status()
+			want, wantOK := nodes.InspectNode(id)
+			if st != want || ok != wantOK {
+				t.Fatalf("after %s: %s ref reads %+v, %v; InspectNode reads %+v, %v", what, id, st, ok, want, wantOK)
+			}
+		}
+	}
+	agree("attach")
+	busy, _ := nodes.Take("job") // p0
+	if err := nodes.DisableNode("c0"); err != nil {
+		t.Fatal(err)
+	}
+	agree("take and disable")
+	if st, ok := refs[0].Status(); !ok || !st.Busy || st.Cloud {
+		t.Fatalf("taken p0 reads %+v, %v; want busy private", st, ok)
+	}
+	if st, ok := refs[1].Status(); !ok || st.Busy || !st.Disabled || !st.Cloud {
+		t.Fatalf("disabled c0 reads %+v, %v; want idle disabled cloud", st, ok)
+	}
+	nodes.Release(busy.ID)
+	agree("release")
+
+	if _, err := nodes.Detach("p0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes.RemoveNode("c0"); err != nil {
+		t.Fatal(err)
+	}
+	agree("detach and remove")
+	for i, id := range ids {
+		if _, ok := refs[i].Status(); ok != (i >= 2) {
+			t.Fatalf("%s ref reports attached=%v, want %v", id, ok, i >= 2)
+		}
 	}
 }
 

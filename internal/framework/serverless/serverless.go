@@ -154,9 +154,10 @@ func New(eng *sim.Engine, cfg Config) *Serverless {
 
 // AddNode implements framework.Framework. New capacity immediately
 // feeds under-target growth (cold starts waiting on nodes).
-func (s *Serverless) AddNode(n framework.Node) {
-	s.Attach(n)
+func (s *Serverless) AddNode(n framework.Node) framework.NodeRef {
+	ref := s.Attach(n)
 	s.schedule()
+	return ref
 }
 
 // FailNode implements framework.Framework. Losing an instance — warm or
@@ -397,7 +398,7 @@ func (s *Serverless) warmCapacity(f *fleet, now sim.Time) (int, float64) {
 	for _, in := range f.Insts {
 		if in.WarmAt <= now {
 			n++
-			c += f.Job.SvcRate * s.Node(in.Node).SpeedFactor
+			c += f.Job.SvcRate * in.Node.SpeedFactor
 		}
 	}
 	return n, c

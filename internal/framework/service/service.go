@@ -78,9 +78,10 @@ func New(eng *sim.Engine, cfg Config) *Service {
 
 // AddNode implements framework.Framework. New capacity immediately
 // feeds waiting services and under-target growth.
-func (s *Service) AddNode(n framework.Node) {
-	s.Attach(n)
+func (s *Service) AddNode(n framework.Node) framework.NodeRef {
+	ref := s.Attach(n)
 	s.schedule()
+	return ref
 }
 
 // FailNode implements framework.Framework. Losing one replica of many is
@@ -205,7 +206,7 @@ func (s *Service) ServiceStats(id string) (Stats, error) {
 func (s *Service) capacity(f *fleet) float64 {
 	c := 0.0
 	for _, in := range f.Insts {
-		c += f.Job.SvcRate * s.Node(in.Node).SpeedFactor
+		c += f.Job.SvcRate * in.Node.SpeedFactor
 	}
 	return c
 }

@@ -12,6 +12,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"meryn/internal/cluster"
 	"meryn/internal/metrics"
@@ -247,8 +248,16 @@ func (m *Manager) Audit() ([NumStates]int, error) {
 	return counts, nil
 }
 
+// vmID names the i-th VM started: the bytes of fmt's "%s-vm%03d",
+// built without fmt.
 func (m *Manager) vmID(i int) string {
-	return fmt.Sprintf("%s-vm%03d", m.cfg.Site.Name, i)
+	var buf [32]byte
+	b := append(buf[:0], m.cfg.Site.Name...)
+	b = append(b, "-vm"...)
+	for lim := 100; lim > 1 && i < lim; lim /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // Start provisions a VM with the given framework image and calls done

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"meryn/internal/sim"
 	"meryn/internal/stats"
 )
@@ -126,7 +124,7 @@ func Functions(cfg FunctionConfig) Workload {
 		// bursts. VMs mirrors it for routing and negotiation.
 		ceiling := atLeast1(base / svcRate / 0.7)
 		w = append(w, App{
-			ID:          fmt.Sprintf("%s-%03d", cfg.VC, i),
+			ID:          indexedID(cfg.VC, "-", i),
 			Type:        TypeServerless,
 			VC:          cfg.VC,
 			SubmitAt:    at,

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"meryn/internal/sim"
 	"meryn/internal/stats"
 )
@@ -212,7 +210,7 @@ func Services(cfg ServiceConfig) Workload {
 			replicas = atLeast1(base / svcRate / 0.7)
 		}
 		w = append(w, App{
-			ID:        fmt.Sprintf("%s-%03d", cfg.VC, i),
+			ID:        indexedID(cfg.VC, "-", i),
 			Type:      TypeService,
 			VC:        cfg.VC,
 			SubmitAt:  at,
