@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"meryn/internal/metrics"
 	"meryn/internal/sim"
@@ -345,7 +344,7 @@ func (p *Provider) launch(typeName, image string, spot bool, bid float64, done f
 		}
 	}
 	inst := &Instance{
-		ID:          leaseID(p.cfg.Name, p.nextID),
+		ID:          string(sim.AppendPadded([]byte(p.cfg.Name+"-i"), p.nextID, 4)),
 		Provider:    p.cfg.Name,
 		Type:        typeName,
 		Image:       image,
@@ -394,18 +393,6 @@ func (p *Provider) launch(typeName, image string, spot bool, bid float64, done f
 		}
 		done(inst, nil)
 	})
-}
-
-// leaseID names a provider's n-th lease: the bytes of fmt's
-// "%s-i%04d", built without fmt.
-func leaseID(provider string, n int) string {
-	var buf [32]byte
-	b := append(buf[:0], provider...)
-	b = append(b, "-i"...)
-	for lim := 1000; lim > 1 && n < lim; lim /= 10 {
-		b = append(b, '0')
-	}
-	return string(strconv.AppendInt(b, int64(n), 10))
 }
 
 // drop removes a never-ran lease (failed or outbid during provisioning)

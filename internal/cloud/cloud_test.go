@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -637,15 +636,5 @@ func TestAuditChecksLiveSlice(t *testing.T) {
 	want = "cloud ec2: 2 leases in the live slice but 3 in the lease table"
 	if err := p.Audit(); err == nil || err.Error() != want {
 		t.Fatalf("Audit = %v, want %q", err, want)
-	}
-}
-
-// TestLeaseIDMatchesFmt: lease IDs are built without fmt but keep the
-// bytes of its "%s-i%04d", past the padding width too.
-func TestLeaseIDMatchesFmt(t *testing.T) {
-	for _, n := range []int{0, 7, 10, 99, 100, 999, 1000, 9999, 10000, 123456} {
-		if got, want := leaseID("ec2", n), fmt.Sprintf("%s-i%04d", "ec2", n); got != want {
-			t.Errorf("leaseID(ec2, %d) = %q, want %q", n, got, want)
-		}
 	}
 }

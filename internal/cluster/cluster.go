@@ -9,7 +9,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"strconv"
 )
 
 // Node is one physical machine.
@@ -87,7 +86,7 @@ func New(cfg Config) *Site {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		s.nodes = append(s.nodes, &Node{
-			ID:          nodeID(cfg.Name, i),
+			ID:          fmt.Sprintf("%s-n%02d", cfg.Name, i),
 			Cores:       cfg.CoresPerNode,
 			MemoryMB:    cfg.MemoryMBPerNode,
 			SpeedFactor: speed,
@@ -131,16 +130,4 @@ func (s *Site) FirstFit(cores, memMB int) (*Node, error) {
 		}
 	}
 	return nil, ErrNoCapacity
-}
-
-// nodeID names a site's i-th node: the bytes of fmt's "%s-n%02d", built
-// without fmt.
-func nodeID(site string, i int) string {
-	var buf [32]byte
-	b := append(buf[:0], site...)
-	b = append(b, "-n"...)
-	for lim := 10; lim > 1 && i < lim; lim /= 10 {
-		b = append(b, '0')
-	}
-	return string(strconv.AppendInt(b, int64(i), 10))
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -177,15 +176,5 @@ func TestPropertyVMCapacityMatchesFirstFit(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNodeIDMatchesFmt: node IDs are built without fmt but keep the
-// bytes of its "%s-n%02d", past the padding width too.
-func TestNodeIDMatchesFmt(t *testing.T) {
-	for _, i := range []int{0, 7, 10, 99, 100, 1234} {
-		if got, want := nodeID("parapluie", i), fmt.Sprintf("%s-n%02d", "parapluie", i); got != want {
-			t.Errorf("nodeID(parapluie, %d) = %q, want %q", i, got, want)
-		}
 	}
 }

@@ -123,13 +123,12 @@ type Fleets[X any] struct {
 	Queue  Deque[*Fleet[X]]
 	Active SeqSet[*Fleet[X]]
 
-	eng       *sim.Engine
-	cfg       FleetConfig
-	onTick    func()
-	jobs      map[string]*Fleet[X]
-	jobSeq    uint64
-	running   SeqSet[*Job]      // Active's jobs, the Running() listing
-	suspended SeqSet[*Fleet[X]] // suspended jobs in submission order
+	eng     *sim.Engine
+	cfg     FleetConfig
+	onTick  func()
+	jobs    map[string]*Fleet[X]
+	jobSeq  uint64
+	running SeqSet[*Job] // Active's jobs, the Running() listing
 
 	// unsettled counts jobs not yet done: the ticker runs while any
 	// exist (queued and suspended jobs burn SLO intervals too).
@@ -233,7 +232,6 @@ func (t *Fleets[X]) Suspend(id string) error {
 	f.Target = f.initial
 	f.Job.State = JobSuspended
 	f.Job.Suspensions++
-	t.suspended.Insert(f.seq, f)
 	fire(t.cfg.Events.OnSuspend, f.Job)
 	return nil
 }
@@ -251,7 +249,6 @@ func (t *Fleets[X]) Resume(id string) error {
 	}
 	j.State = JobQueued
 	f.Target = f.initial
-	t.suspended.Remove(f.seq)
 	t.Queue.PushFront(f)
 	fire(t.cfg.Events.OnResume, j)
 	return nil
@@ -399,12 +396,15 @@ func (t *Fleets[X]) TargetOf(id string) (int, error) {
 	return f.Target, nil
 }
 
-// VisitSuspended calls visit for each suspended job in submission
-// order. It walks only the suspended jobs, so a tick's cost does not
-// grow with the jobs ever submitted.
+// VisitSuspended calls visit for each suspended job. Suspension is rare
+// (reclaim shrinks fleets instead), so this scans the job table in map
+// order: visit may only advance per-job counters, so that the order
+// cannot leak into results.
 func (t *Fleets[X]) VisitSuspended(visit func(*Fleet[X])) {
-	for _, f := range t.suspended.Values() {
-		visit(f)
+	for _, f := range t.jobs {
+		if f.Job.State == JobSuspended {
+			visit(f)
+		}
 	}
 }
 

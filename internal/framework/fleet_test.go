@@ -251,64 +251,6 @@ func TestFleetSuspendResumeRestoreStartTarget(t *testing.T) {
 	}
 }
 
-// TestFleetVisitSuspendedOrder: VisitSuspended visits exactly the
-// suspended fleets, in submission order whatever the order they were
-// suspended in, as jobs suspend, resume, requeue and end.
-func TestFleetVisitSuspendedOrder(t *testing.T) {
-	eng := sim.NewEngine()
-	tb := newTable(eng)
-	tb.attach(t, "p0", "p1", "p2", "p3")
-	a := tb.start(t, "a", 1, 100)
-	tb.start(t, "b", 1, 100)
-	tb.start(t, "c", 1, 100)
-	d := tb.start(t, "d", 1, 50)
-	suspended := func() string {
-		var ids []string
-		tb.VisitSuspended(func(f *framework.Fleet[int]) {
-			if f.Job.State != framework.JobSuspended {
-				t.Fatalf("visited %s in state %v", f.Job.ID, f.Job.State)
-			}
-			ids = append(ids, f.Job.ID)
-		})
-		return fmt.Sprint(ids)
-	}
-	step := func(what, want string) {
-		t.Helper()
-		if got := suspended(); got != want {
-			t.Fatalf("after %s: VisitSuspended visits %s, want %s", what, got, want)
-		}
-	}
-
-	step("starting four jobs", "[]")
-	must(t, tb.Suspend("c"))
-	must(t, tb.Suspend("a"))
-	step("suspending c, then a", "[a c]")
-	must(t, tb.Suspend("b"))
-	step("suspending b", "[a b c]")
-	must(t, tb.Resume("a"))
-	step("resuming a", "[b c]")
-
-	// a starts again, loses its only instance and requeues.
-	if tb.Queue.PopFront() != a || tb.Grow(a, 1) != 1 {
-		t.Fatal("a did not restart on a free node")
-	}
-	tb.Begin(a, func() { tb.End(a) })
-	if _, err := tb.DetachInstance(a.Insts[0].Node.ID); err != nil {
-		t.Fatal(err)
-	}
-	tb.Requeue(a)
-	step("requeuing a", "[b c]")
-
-	eng.Run(sim.Seconds(60))
-	if d.Job.State != framework.JobDone {
-		t.Fatalf("d is %v at 60 s, want done", d.Job.State)
-	}
-	step("d ending", "[b c]")
-	must(t, tb.Resume("c"))
-	step("resuming c", "[b]")
-	tb.check(t)
-}
-
 func TestFleetSLOAccounting(t *testing.T) {
 	f := &framework.Fleet[int]{Job: &framework.Job{TargetP95: 1}}
 	f.Record(0.5)

@@ -12,7 +12,6 @@ package vmm
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"meryn/internal/cluster"
 	"meryn/internal/metrics"
@@ -248,16 +247,9 @@ func (m *Manager) Audit() ([NumStates]int, error) {
 	return counts, nil
 }
 
-// vmID names the i-th VM started: the bytes of fmt's "%s-vm%03d",
-// built without fmt.
+// vmID names the i-th VM started: "%s-vm%03d".
 func (m *Manager) vmID(i int) string {
-	var buf [32]byte
-	b := append(buf[:0], m.cfg.Site.Name...)
-	b = append(b, "-vm"...)
-	for lim := 100; lim > 1 && i < lim; lim /= 10 {
-		b = append(b, '0')
-	}
-	return string(strconv.AppendInt(b, int64(i), 10))
+	return string(sim.AppendPadded([]byte(m.cfg.Site.Name+"-vm"), i, 3))
 }
 
 // Start provisions a VM with the given framework image and calls done

@@ -404,14 +404,3 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestVMIDMatchesFmt: VM IDs are built without fmt but keep the bytes
-// of its "%s-vm%03d", past the padding width too.
-func TestVMIDMatchesFmt(t *testing.T) {
-	m := &Manager{cfg: Config{Site: cluster.New(cluster.Config{Name: "parapluie"})}}
-	for _, i := range []int{0, 7, 10, 99, 100, 999, 1000, 12345} {
-		if got, want := m.vmID(i), fmt.Sprintf("%s-vm%03d", "parapluie", i); got != want {
-			t.Errorf("vmID(%d) = %q, want %q", i, got, want)
-		}
-	}
-}

@@ -8,7 +8,6 @@ package workload
 
 import (
 	"sort"
-	"strconv"
 
 	"meryn/internal/sim"
 	"meryn/internal/stats"
@@ -131,7 +130,7 @@ func Paper(cfg PaperConfig) Workload {
 	var w Workload
 	for i := 0; i < cfg.VC1Apps; i++ {
 		w = append(w, App{
-			ID:       indexedID(cfg.VC1, "-app-", i),
+			ID:       string(sim.AppendPadded([]byte(cfg.VC1+"-app-"), i, 3)),
 			Type:     TypeBatch,
 			VC:       cfg.VC1,
 			SubmitAt: sim.Time(i) * cfg.Interarrival,
@@ -141,7 +140,7 @@ func Paper(cfg PaperConfig) Workload {
 	}
 	for i := 0; i < cfg.Apps-cfg.VC1Apps; i++ {
 		w = append(w, App{
-			ID:       indexedID(cfg.VC2, "-app-", i),
+			ID:       string(sim.AppendPadded([]byte(cfg.VC2+"-app-"), i, 3)),
 			Type:     TypeBatch,
 			VC:       cfg.VC2,
 			SubmitAt: sim.Time(i) * cfg.Interarrival,
@@ -222,7 +221,7 @@ func Generate(cfg GenConfig) Workload {
 	at := sim.Time(0)
 	for i := 0; i < cfg.Apps; i++ {
 		app := App{
-			ID:       indexedID(cfg.VC, "-", i),
+			ID:       string(sim.AppendPadded([]byte(cfg.VC+"-"), i, 3)),
 			Type:     cfg.Type,
 			VC:       cfg.VC,
 			SubmitAt: at,
@@ -311,9 +310,10 @@ func Waves(cfg WaveConfig) Workload {
 	var w Workload
 	for wave := 0; wave < cfg.Waves; wave++ {
 		at := sim.Time(wave) * cfg.Gap
+		prefix := append(sim.AppendPadded([]byte(cfg.VC+"-w"), wave, 2), '-')
 		for i := 0; i < cfg.PerWave; i++ {
 			w = append(w, App{
-				ID:       waveID(cfg.VC, wave, i),
+				ID:       string(sim.AppendPadded(prefix, i, 2)),
 				Type:     TypeBatch,
 				VC:       cfg.VC,
 				SubmitAt: at + sim.Seconds(positive(cfg.Jitter.Sample(rng))),
@@ -347,34 +347,4 @@ func positive(v float64) float64 {
 		return 0.001
 	}
 	return v
-}
-
-// indexedID names the i-th application of a stream: the bytes of fmt's
-// "%s%s%03d" (vc, sep, i), built without fmt.
-func indexedID(vc, sep string, i int) string {
-	var buf [48]byte
-	b := append(append(buf[:0], vc...), sep...)
-	return string(appendPadded(b, i, 3))
-}
-
-// waveID names application i of a wave: the bytes of fmt's
-// "%s-w%02d-%02d", built without fmt.
-func waveID(vc string, wave, i int) string {
-	var buf [48]byte
-	b := append(append(buf[:0], vc...), "-w"...)
-	b = append(appendPadded(b, wave, 2), '-')
-	return string(appendPadded(b, i, 2))
-}
-
-// appendPadded appends a non-negative v in decimal, zero-padded to
-// width digits, as fmt's %0*d does.
-func appendPadded(b []byte, v, width int) []byte {
-	digits := 1
-	for x := v; x >= 10; x /= 10 {
-		digits++
-	}
-	for ; digits < width; digits++ {
-		b = append(b, '0')
-	}
-	return strconv.AppendInt(b, int64(v), 10)
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -274,24 +273,6 @@ func TestWavesGenerator(t *testing.T) {
 	for i := range w {
 		if w[i] != w2[i] {
 			t.Fatal("Waves not deterministic for a fixed seed")
-		}
-	}
-}
-
-// TestIDsMatchFmt: application IDs are built without fmt but keep the
-// bytes of its formats, past the padding widths too.
-func TestIDsMatchFmt(t *testing.T) {
-	for _, i := range []int{0, 7, 10, 99, 100, 999, 1000, 12345} {
-		if got, want := indexedID("vc1", "-app-", i), fmt.Sprintf("%s-app-%03d", "vc1", i); got != want {
-			t.Errorf("indexedID(vc1, -app-, %d) = %q, want %q", i, got, want)
-		}
-		if got, want := indexedID("svc", "-", i), fmt.Sprintf("%s-%03d", "svc", i); got != want {
-			t.Errorf("indexedID(svc, -, %d) = %q, want %q", i, got, want)
-		}
-		for _, wave := range []int{0, 9, 10, 100} {
-			if got, want := waveID("scale", wave, i), fmt.Sprintf("%s-w%02d-%02d", "scale", wave, i); got != want {
-				t.Errorf("waveID(scale, %d, %d) = %q, want %q", wave, i, got, want)
-			}
 		}
 	}
 }
