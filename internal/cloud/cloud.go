@@ -344,7 +344,7 @@ func (p *Provider) launch(typeName, image string, spot bool, bid float64, done f
 		}
 	}
 	inst := &Instance{
-		ID:          string(sim.AppendPadded([]byte(p.cfg.Name+"-i"), p.nextID, 4)),
+		ID:          sim.PaddedID(p.cfg.Name+"-i", p.nextID, 4),
 		Provider:    p.cfg.Name,
 		Type:        typeName,
 		Image:       image,

@@ -249,7 +249,7 @@ func (m *Manager) Audit() ([NumStates]int, error) {
 
 // vmID names the i-th VM started: "%s-vm%03d".
 func (m *Manager) vmID(i int) string {
-	return string(sim.AppendPadded([]byte(m.cfg.Site.Name+"-vm"), i, 3))
+	return sim.PaddedID(m.cfg.Site.Name+"-vm", i, 3)
 }
 
 // Start provisions a VM with the given framework image and calls done

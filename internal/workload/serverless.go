@@ -124,7 +124,7 @@ func Functions(cfg FunctionConfig) Workload {
 		// bursts. VMs mirrors it for routing and negotiation.
 		ceiling := atLeast1(base / svcRate / 0.7)
 		w = append(w, App{
-			ID:          string(sim.AppendPadded([]byte(cfg.VC+"-"), i, 3)),
+			ID:          sim.PaddedID(cfg.VC+"-", i, 3),
 			Type:        TypeServerless,
 			VC:          cfg.VC,
 			SubmitAt:    at,

@@ -210,7 +210,7 @@ func Services(cfg ServiceConfig) Workload {
 			replicas = atLeast1(base / svcRate / 0.7)
 		}
 		w = append(w, App{
-			ID:        string(sim.AppendPadded([]byte(cfg.VC+"-"), i, 3)),
+			ID:        sim.PaddedID(cfg.VC+"-", i, 3),
 			Type:      TypeService,
 			VC:        cfg.VC,
 			SubmitAt:  at,

@@ -130,7 +130,7 @@ func Paper(cfg PaperConfig) Workload {
 	var w Workload
 	for i := 0; i < cfg.VC1Apps; i++ {
 		w = append(w, App{
-			ID:       string(sim.AppendPadded([]byte(cfg.VC1+"-app-"), i, 3)),
+			ID:       sim.PaddedID(cfg.VC1+"-app-", i, 3),
 			Type:     TypeBatch,
 			VC:       cfg.VC1,
 			SubmitAt: sim.Time(i) * cfg.Interarrival,
@@ -140,7 +140,7 @@ func Paper(cfg PaperConfig) Workload {
 	}
 	for i := 0; i < cfg.Apps-cfg.VC1Apps; i++ {
 		w = append(w, App{
-			ID:       string(sim.AppendPadded([]byte(cfg.VC2+"-app-"), i, 3)),
+			ID:       sim.PaddedID(cfg.VC2+"-app-", i, 3),
 			Type:     TypeBatch,
 			VC:       cfg.VC2,
 			SubmitAt: sim.Time(i) * cfg.Interarrival,
@@ -221,7 +221,7 @@ func Generate(cfg GenConfig) Workload {
 	at := sim.Time(0)
 	for i := 0; i < cfg.Apps; i++ {
 		app := App{
-			ID:       string(sim.AppendPadded([]byte(cfg.VC+"-"), i, 3)),
+			ID:       sim.PaddedID(cfg.VC+"-", i, 3),
 			Type:     cfg.Type,
 			VC:       cfg.VC,
 			SubmitAt: at,
@@ -310,10 +310,10 @@ func Waves(cfg WaveConfig) Workload {
 	var w Workload
 	for wave := 0; wave < cfg.Waves; wave++ {
 		at := sim.Time(wave) * cfg.Gap
-		prefix := append(sim.AppendPadded([]byte(cfg.VC+"-w"), wave, 2), '-')
+		prefix := sim.PaddedID(cfg.VC+"-w", wave, 2) + "-"
 		for i := 0; i < cfg.PerWave; i++ {
 			w = append(w, App{
-				ID:       string(sim.AppendPadded(prefix, i, 2)),
+				ID:       sim.PaddedID(prefix, i, 2),
 				Type:     TypeBatch,
 				VC:       cfg.VC,
 				SubmitAt: at + sim.Seconds(positive(cfg.Jitter.Sample(rng))),
