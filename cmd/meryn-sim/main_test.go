@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,5 +95,30 @@ func TestSmallRunSucceeds(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "applications: 3") {
 		t.Fatalf("summary = %q", stdout.String())
+	}
+}
+
+// TestRenderedOutputPinned runs the paper scenario under both policies
+// and the services, serverless and chaos demos at seed 1, and pins the
+// SHA-256 of each run's stdout. A change to any simulated outcome or to
+// the rendering moves a pin; a refactor must leave them all in place.
+func TestRenderedOutputPinned(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		pin  string
+	}{
+		{nil, "e5b44898be65688a3634638190dca4ea26f797b34385aef55bbf87c21b0fd0fd"},
+		{[]string{"-services"}, "c7ade5fa035d5f830c406989bf54f1e95f2f98694939336b65dd370bfbd647d8"},
+		{[]string{"-serverless"}, "c99be602f694e6b2934ba1198972497e962a4cb82366446e774788b55d4c0332"},
+		{[]string{"-chaos"}, "4e43f0eab8803886604e0a6651a5a8e9c8130189ec82b8f04c2bf7f17eae4ace"},
+		{[]string{"-policy", "static"}, "72b41c0c960e8ea9160eb27ee01d179138137140bfe42410b42a46e15c596a46"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-seed", "1"}, c.args...), &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v) exit = %d, stderr %q", c.args, code, stderr.String())
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(stdout.Bytes())); got != c.pin {
+			t.Errorf("run(%v): stdout sha256 %s, pinned %s", c.args, got, c.pin)
+		}
 	}
 }

@@ -70,27 +70,23 @@ func (e *ScaleOutEnforcer) OnViolation(cm *ClusterManager, _ string, projected b
 type AppController struct {
 	cm *ClusterManager
 	st *appState
-	// timer is the poll's periodic series, or the event-driven
-	// controller's next wake-up (due at nextAt).
+	// timer is the next wake-up, due at nextAt.
 	timer sim.Timer
 
-	// Event-driven scheduling (batch-framework apps without an SLO, on
-	// every engine). The per-interval poll evaluates monotone conditions
-	// against a linear progress model, so between job transitions the
-	// first grid instant at which a check could act is computable in
-	// closed form — the controller sleeps until exactly that instant
-	// instead of ticking. Check instants stay on the poll's grid
-	// (created + k·MonitorInterval), so every counter the poll would
-	// have produced is produced here, at the same virtual time. Any
-	// transition that breaks progress linearity (suspension, crash
-	// requeue) drops the app to grid polling for its remaining lifetime
-	// — exactly the poll's cadence.
+	// Checks land on the grid created + k·monitorInterval. A polling
+	// controller wakes at every grid instant. A batch app without an
+	// SLO evaluates monotone conditions against a linear progress
+	// model, so between job transitions the first grid instant at which
+	// a check could act is computable in closed form — the controller
+	// sleeps until exactly that instant, and every counter a poll would
+	// produce is produced at the same virtual time. Any transition that
+	// breaks progress linearity (suspension, crash requeue) sets poll
+	// for the app's remaining lifetime.
 	created    sim.Time
 	nextAt     sim.Time
 	wake       func() // onWake, bound once so re-arming allocates nothing
-	evDriven   bool
-	poll       bool // suspended/requeued at least once: poll every grid instant
-	segChecked bool // current execution segment's projection already decided
+	poll       bool   // check at every grid instant
+	segChecked bool   // current execution segment's projection already decided
 	stopped    bool
 
 	reportedProjected bool
@@ -108,31 +104,27 @@ type AppController struct {
 }
 
 // newAppController starts monitoring; the controller lives until the
-// application finishes. Batch applications without an SLO get the
-// event-driven discipline; every other controller polls.
+// application finishes. Batch applications without an SLO sleep until
+// their next effect (unless the pollControllers oracle is set); every
+// other controller polls.
 func newAppController(cm *ClusterManager, st *appState) *AppController {
-	ac := &AppController{cm: cm, st: st}
-	if _, batch := cm.ad.(*BatchAdapter); batch && st.contract.SLO == nil && !cm.p.pollControllers {
-		ac.evDriven = true
-		ac.created = cm.p.Eng.Now()
-		ac.wake = ac.onWake
-		ac.resync()
-		return ac
-	}
-	ac.timer = cm.p.Eng.Every(cm.p.cfg.MonitorInterval, ac.check)
+	_, batch := cm.ad.(*BatchAdapter)
+	ac := &AppController{cm: cm, st: st, created: cm.p.Eng.Now(),
+		poll: !batch || st.contract.SLO != nil || cm.p.pollControllers}
+	ac.wake = ac.onWake
+	ac.resync()
 	return ac
 }
 
-// gridAfter returns the first poll instant (created + k·I, k ≥ 1)
-// strictly after t — "strictly" because both poll conditions
+// gridAfter returns the first check instant (created + k·I, k ≥ 1)
+// strictly after t — "strictly" because both check conditions
 // (now > deadline; now + est > deadline) are strict comparisons.
 func (ac *AppController) gridAfter(t sim.Time) sim.Time {
-	interval := ac.cm.p.cfg.MonitorInterval
 	if t < ac.created {
-		return ac.created + interval
+		return ac.created + monitorInterval
 	}
-	k := (t - ac.created) / interval
-	return ac.created + (k+1)*interval
+	k := (t - ac.created) / monitorInterval
+	return ac.created + (k+1)*monitorInterval
 }
 
 // nextEffectAt computes the earliest grid instant at which check()
@@ -197,10 +189,11 @@ func (ac *AppController) nextEffectAt() sim.Time {
 	return 0
 }
 
-// resync (re)schedules the next event-driven check. Called after every
-// fired check and from the job-transition hooks.
+// resync (re)schedules the next check. It is the only way a controller
+// is armed: at creation, after every fired check, and from the
+// job-transition hooks.
 func (ac *AppController) resync() {
-	if !ac.evDriven || ac.stopped {
+	if ac.stopped {
 		return
 	}
 	ac.timer.Cancel()
@@ -212,7 +205,7 @@ func (ac *AppController) resync() {
 	ac.timer = ac.cm.p.Eng.After(at-ac.cm.p.Eng.Now(), ac.wake)
 }
 
-// onWake runs one event-driven check and schedules the next.
+// onWake runs one check and schedules the next.
 func (ac *AppController) onWake() {
 	ac.check()
 	// A check that observed an execution segment in flight (elapsed > 0,
@@ -225,10 +218,9 @@ func (ac *AppController) onWake() {
 	ac.resync()
 }
 
-// dueNow reports whether an event-driven wake-up is pending at the
-// current instant.
+// dueNow reports whether a wake-up is pending at the current instant.
 func (ac *AppController) dueNow() bool {
-	return ac.evDriven && ac.timer.Active() && ac.nextAt == ac.cm.p.Eng.Now()
+	return ac.timer.Active() && ac.nextAt == ac.cm.p.Eng.Now()
 }
 
 // jobStarted is the transition hook for a (re)started job: a fresh

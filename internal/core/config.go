@@ -57,19 +57,15 @@ type VCConfig struct {
 }
 
 // SpotPolicy is a VC's preemptible-capacity strategy: how aggressively
-// it bids, how it values revocation risk in Algorithm 1's comparison,
-// and when it gives up on the market for an application.
+// it bids and when it gives up on the market for an application.
+// Algorithm 1 values the VC's spot capacity at 0.85 times the on-demand
+// quote, an expected-revocation discount.
 type SpotPolicy struct {
 	// BidMultiplier scales the current market quote into the per-launch
 	// bid (default 1.25). Higher bids survive larger upward price
 	// swings before revocation; a multiplier of 1 is revoked by the
 	// first uptick.
 	BidMultiplier float64
-	// CostDiscount is the expected-revocation discount applied to the
-	// cloud cost estimate in Algorithm 1's comparison (default 0.85):
-	// the VC values spot capacity below the on-demand quote because the
-	// market is expected to spend most of the lease below it.
-	CostDiscount float64
 	// MaxRevocations is how many cloud-node losses one application
 	// absorbs before its replacement capacity falls back to on-demand
 	// leases (default 2).
@@ -83,12 +79,6 @@ func (sp *SpotPolicy) withDefaults(vc string) error {
 	}
 	if sp.BidMultiplier < 0 {
 		return &VCError{Name: vc, Msg: fmt.Sprintf("negative spot bid multiplier %g", sp.BidMultiplier)}
-	}
-	if sp.CostDiscount == 0 {
-		sp.CostDiscount = 0.85
-	}
-	if sp.CostDiscount < 0 || sp.CostDiscount > 1 {
-		return &VCError{Name: vc, Msg: fmt.Sprintf("spot cost discount %g outside (0,1]", sp.CostDiscount)}
 	}
 	if sp.MaxRevocations == 0 {
 		sp.MaxRevocations = 2
@@ -116,6 +106,14 @@ const (
 	// serviceAvailability is the clean-interval fraction service SLO
 	// contracts require.
 	serviceAvailability = 0.95
+	// monitorInterval is the Application Controller check period.
+	monitorInterval = sim.Time(30 * 1e9)
+	// spotCostDiscount is the expected-revocation discount applied to
+	// the cloud cost estimate in Algorithm 1's comparison for a VC with
+	// a spot policy: the VC values spot capacity below the on-demand
+	// quote because the market is expected to spend most of the lease
+	// below it.
+	spotCostDiscount = 0.85
 )
 
 // Config assembles a Meryn platform.
@@ -162,9 +160,6 @@ type Config struct {
 	SLAScaleOutLimit int
 	// DisableSuspension removes options 3 and 4 of Algorithm 1 (ablation).
 	DisableSuspension bool
-	// MonitorInterval is the Application Controller check period
-	// (default 30 s).
-	MonitorInterval sim.Time
 	// Enforcer handles SLA violations detected by Application
 	// Controllers (default: record only).
 	Enforcer Enforcer
@@ -246,7 +241,6 @@ func DefaultConfig() Config {
 		PenaltyN:           1,
 		SLAScaleOutLimit:   4,
 		ProcessingEstimate: 84,
-		MonitorInterval:    sim.Seconds(30),
 	}
 }
 
@@ -285,12 +279,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.ProcessingEstimate < 0 {
 		return fmt.Errorf("core: negative ProcessingEstimate %g s", c.ProcessingEstimate)
-	}
-	if c.MonitorInterval == 0 {
-		c.MonitorInterval = d.MonitorInterval
-	}
-	if c.MonitorInterval < 0 {
-		return fmt.Errorf("core: negative MonitorInterval %s", c.MonitorInterval)
 	}
 	if c.Enforcer == nil {
 		c.Enforcer = NoopEnforcer{}

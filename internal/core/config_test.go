@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"meryn/internal/cluster"
-	"meryn/internal/sim"
 	"meryn/internal/workload"
 )
 
@@ -77,17 +76,14 @@ func TestConfigRejectsBadVCs(t *testing.T) {
 }
 
 // TestConfigRejectsNegativeKnobs: each of these values used to be
-// accepted. A negative monitor interval hangs Run (the controller
-// re-arms at the same instant forever), a negative conservative speed
-// prices every offer below zero and fails the first audit, and a
-// negative penalty divisor or processing estimate silently rewrites
-// every contract.
+// accepted. A negative conservative speed prices every offer below zero
+// and fails the first audit, and a negative penalty divisor or
+// processing estimate silently rewrites every contract.
 func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	for _, tc := range []struct {
 		field string
 		set   func(*Config)
 	}{
-		{"MonitorInterval", func(c *Config) { c.MonitorInterval = -sim.Seconds(30) }},
 		{"ConservativeSpeed", func(c *Config) { c.ConservativeSpeed = -1 }},
 		{"PenaltyN", func(c *Config) { c.PenaltyN = -1 }},
 		{"ProcessingEstimate", func(c *Config) { c.ProcessingEstimate = -84 }},

@@ -181,15 +181,15 @@ func (cm *ClusterManager) suspensionBid(n int, duration sim.Time) Bid {
 // VMs for the duration (Algorithm 1's "cheapest cloud VM price") for an
 // application (st nil for VC-level boosts). A VC with a spot policy
 // values the market below the posted quote — the cost estimate carries
-// the policy's expected-revocation discount, extending Algorithm 1's
-// comparison without touching the other bids — but only when the lease
-// would actually be preemptible: the application inside its revocation
-// budget and the provider's prices actually moving.
+// the expected-revocation discount spotCostDiscount, extending
+// Algorithm 1's comparison without touching the other bids — but only
+// when the lease would actually be preemptible: the application inside
+// its revocation budget and the provider's prices actually moving.
 func (cm *ClusterManager) cheapestCloud(n int, duration sim.Time, st *appState) (*cloud.Provider, string, float64) {
 	bestP, bestType, bestCost := cm.cheapestProvider(nil, n, duration)
 	if sp := cm.cfg.Spot; sp != nil && bestP != nil && bestP.MarketPriced(bestType) &&
 		(st == nil || st.revocations < sp.MaxRevocations) {
-		bestCost *= sp.CostDiscount
+		bestCost *= spotCostDiscount
 	}
 	return bestP, bestType, bestCost
 }

@@ -143,7 +143,6 @@ func TestScaleOutEnforcerRescuesMapReduceJob(t *testing.T) {
 		cfg.Site.SpeedFactor = 0.5
 		cfg.ConservativeSpeed = 1.0
 		cfg.Enforcer = enf
-		cfg.MonitorInterval = sim.Seconds(20)
 		p := newPlatform(t, cfg)
 		res := run(t, p, workload.Workload{{
 			ID: "job", Type: workload.TypeMapReduce, VC: "mr",

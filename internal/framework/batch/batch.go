@@ -173,9 +173,6 @@ func (b *Batch) Resume(id string) error {
 	}
 	j.State = framework.JobQueued
 	b.queue.PushFront(id)
-	if b.cfg.Events.OnResume != nil {
-		b.cfg.Events.OnResume(j)
-	}
 	b.schedule()
 	return nil
 }

@@ -125,7 +125,6 @@ type Fleets[X any] struct {
 
 	eng     *sim.Engine
 	cfg     FleetConfig
-	onTick  func()
 	jobs    map[string]*Fleet[X]
 	jobSeq  uint64
 	running SeqSet[*Job] // Active's jobs, the Running() listing
@@ -134,6 +133,7 @@ type Fleets[X any] struct {
 	// exist (queued and suspended jobs burn SLO intervals too).
 	unsettled int
 	tick      sim.Timer
+	tickOnce  func() // Init's onTick, then armTick; bound once, so re-arming allocates nothing
 }
 
 // Init prepares an empty table on eng. The image defaults to the name
@@ -146,8 +146,20 @@ func (t *Fleets[X]) Init(eng *sim.Engine, cfg FleetConfig, onTick func()) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = sim.Seconds(10)
 	}
-	t.eng, t.cfg, t.onTick = eng, cfg, onTick
+	t.eng, t.cfg = eng, cfg
+	t.tickOnce = func() {
+		onTick()
+		t.armTick()
+	}
 	t.jobs = make(map[string]*Fleet[X])
+}
+
+// armTick arms the next tick one interval from now, unless no job is
+// unsettled or a tick is already armed.
+func (t *Fleets[X]) armTick() {
+	if t.unsettled > 0 && !t.tick.Active() {
+		t.tick = t.eng.After(t.cfg.Tick, t.tickOnce)
+	}
 }
 
 // Name implements Framework.
@@ -177,9 +189,7 @@ func (t *Fleets[X]) Add(j *Job, target int) (*Fleet[X], error) {
 	t.jobs[j.ID] = f
 	t.Queue.PushBack(f)
 	t.unsettled++
-	if !t.tick.Active() {
-		t.tick = t.eng.Every(t.cfg.Tick, t.onTick)
-	}
+	t.armTick()
 	return f, nil
 }
 
@@ -237,7 +247,7 @@ func (t *Fleets[X]) Suspend(id string) error {
 }
 
 // Resume puts a suspended job at the front of the queue at its start
-// target, then OnResume.
+// target.
 func (t *Fleets[X]) Resume(id string) error {
 	f, err := t.Lookup(id)
 	if err != nil {
@@ -250,7 +260,6 @@ func (t *Fleets[X]) Resume(id string) error {
 	j.State = JobQueued
 	f.Target = f.initial
 	t.Queue.PushFront(f)
-	fire(t.cfg.Events.OnResume, j)
 	return nil
 }
 
@@ -399,23 +408,18 @@ func (t *Fleets[X]) TargetOf(id string) (int, error) {
 // VisitSuspended calls visit for each suspended job. Suspension is rare
 // (reclaim shrinks fleets instead), so this scans the job table in map
 // order: visit may only advance per-job counters, so that the order
-// cannot leak into results.
+// cannot leak into results. Every unsettled job is running, queued or
+// suspended, so when the first two account for all of them the scan is
+// skipped.
 func (t *Fleets[X]) VisitSuspended(visit func(*Fleet[X])) {
+	if t.unsettled == t.Active.Len()+t.Queue.Len() {
+		return
+	}
 	for _, f := range t.jobs {
 		if f.Job.State == JobSuspended {
 			visit(f)
 		}
 	}
-}
-
-// Settled reports whether every job is done, and disarms the ticker if
-// so. A tick function calls it first.
-func (t *Fleets[X]) Settled() bool {
-	if t.unsettled == 0 {
-		t.tick.Cancel()
-		return true
-	}
-	return false
 }
 
 // JobNodes implements Framework.

@@ -31,7 +31,7 @@ func newTable(eng *sim.Engine) *table {
 	tb := &table{}
 	tb.Init(eng, framework.FleetConfig{Name: "t", Events: framework.Events{
 		OnRequeue: func(*framework.Job) { tb.requeues++ },
-	}}, func() { tb.Settled() })
+	}}, func() {})
 	return tb
 }
 
@@ -288,6 +288,8 @@ var fleetCases = []struct {
 	name string
 	new  func(*sim.Engine) fleetFramework
 	job  func(id string, n int, lifetime float64) *framework.Job
+	// slo reads a job's evaluated and burned SLO intervals.
+	slo func(fw fleetFramework, id string) (intervals, burned int, err error)
 }{
 	{
 		name: "service",
@@ -297,6 +299,10 @@ var fleetCases = []struct {
 		job: func(id string, n int, lifetime float64) *framework.Job {
 			return &framework.Job{ID: id, VMs: n, SvcRate: 10, Work: lifetime,
 				Rate: func(sim.Time) float64 { return 5 }}
+		},
+		slo: func(fw fleetFramework, id string) (int, int, error) {
+			st, err := fw.(*service.Service).ServiceStats(id)
+			return st.Intervals, st.Burned, err
 		},
 	},
 	{
@@ -308,6 +314,10 @@ var fleetCases = []struct {
 			return &framework.Job{ID: id, VMs: n, SvcRate: 10, Work: lifetime, ColdStartS: 5,
 				Rate: func(sim.Time) float64 { return 5 }}
 		},
+		slo: func(fw fleetFramework, id string) (int, int, error) {
+			st, err := fw.(*serverless.Serverless).FunctionStats(id)
+			return st.Intervals, st.Burned, err
+		},
 	},
 }
 
@@ -317,6 +327,10 @@ func addNodes(fw framework.Framework, n int) {
 	}
 }
 
+// TestTickerStopsWhenDrained: once the last job settles, the engine has
+// nothing pending. A job added later re-arms the ticker one tick after
+// its Add, and a job added while the ticker runs shares it: one tick per
+// interval.
 func TestTickerStopsWhenDrained(t *testing.T) {
 	for _, tc := range fleetCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -331,6 +345,50 @@ func TestTickerStopsWhenDrained(t *testing.T) {
 			}
 			if eng.Pending() != 0 {
 				t.Fatalf("pending events = %d, want drained queue", eng.Pending())
+			}
+
+			eng.Run(sim.Seconds(103))
+			must(t, fw.Submit(tc.job("b", 1, 95)))
+			eng.Run(sim.Seconds(108))
+			must(t, fw.Submit(tc.job("c", 1, 50)))
+			for _, c := range []struct {
+				at    float64
+				ticks int
+			}{{112.5, 0}, {113, 1}, {143, 4}} {
+				eng.Run(sim.Seconds(c.at))
+				for _, id := range []string{"b", "c"} {
+					if n, _, err := tc.slo(fw, id); err != nil || n != c.ticks {
+						t.Fatalf("%s at %g s: %d intervals (%v), want %d", id, c.at, n, err, c.ticks)
+					}
+				}
+			}
+			// b settles last, between ticks: no tick outlives it.
+			if end := eng.RunAll(); sim.ToSeconds(end) != 198 || eng.Pending() != 0 {
+				t.Fatalf("drained at %v with %d pending, want 198 s and none", end, eng.Pending())
+			}
+		})
+	}
+}
+
+// TestSuspendedJobBurnsEveryTick: beside a running job, a suspended job
+// is down, so it burns an interval on every tick.
+func TestSuspendedJobBurnsEveryTick(t *testing.T) {
+	for _, tc := range fleetCases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			fw := tc.new(eng)
+			addNodes(fw, 2)
+			a, b := tc.job("a", 1, 1000), tc.job("b", 1, 1000)
+			must(t, fw.Submit(a))
+			must(t, fw.Submit(b))
+			eng.Run(sim.Seconds(5))
+			must(t, fw.Suspend("b"))
+			eng.Run(sim.Seconds(45)) // ticks at 10, 20, 30 and 40 s
+			if a.State != framework.JobRunning || b.State != framework.JobSuspended {
+				t.Fatalf("a %v, b %v, want a running and b suspended", a.State, b.State)
+			}
+			if n, burned, err := tc.slo(fw, "b"); err != nil || n != 4 || burned != 4 {
+				t.Fatalf("b: %d intervals, %d burned (%v), want 4 and 4", n, burned, err)
 			}
 		})
 	}

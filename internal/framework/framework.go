@@ -131,7 +131,6 @@ type Events struct {
 	OnStart   func(*Job) // job began (or re-began after resume) executing
 	OnFinish  func(*Job)
 	OnSuspend func(*Job)
-	OnResume  func(*Job) // job re-entered the queue after Resume
 	OnRequeue func(*Job) // job lost its nodes involuntarily (node failure)
 	// OnScale fires when a running job's node set changes without a
 	// lifecycle transition (elastic replica growth or shrink, or losing

@@ -361,9 +361,6 @@ func (m *MapReduce) Resume(id string) error {
 	js.job.State = framework.JobQueued
 	js.active = true
 	m.active.Insert(js.seq, js)
-	if m.cfg.Events.OnResume != nil {
-		m.cfg.Events.OnResume(js.job)
-	}
 	m.schedule()
 	return nil
 }

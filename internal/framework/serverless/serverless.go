@@ -448,9 +448,6 @@ func (s *Serverless) p95(f *fleet, lambda float64, warmN int, warmCap float64, n
 // autoscaler for every running function, in submission order. Suspended
 // functions with demand burn outright (they are down).
 func (s *Serverless) onTick() {
-	if s.Settled() {
-		return
-	}
 	now := s.Now()
 	tickS := sim.ToSeconds(s.Tick())
 	for _, f := range s.Active.Values() {

@@ -236,9 +236,6 @@ func (s *Service) p95(f *fleet) float64 {
 // services evaluate the latency model, queued and suspended services
 // burn outright (they are down).
 func (s *Service) onTick() {
-	if s.Settled() {
-		return
-	}
 	for _, f := range s.Active.Values() {
 		f.Record(s.p95(f))
 	}

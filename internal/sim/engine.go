@@ -9,7 +9,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 	"time"
 )
@@ -28,10 +27,6 @@ type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among events at the same instant; 0 once recycled
 	fn  func()
-	// period > 0 marks a periodic series (Every): the record re-arms in
-	// place after each firing and is never recycled, so its Timer
-	// handle stays valid for the series' whole life.
-	period Time
 }
 
 // before reports whether ev dispatches ahead of o: by time, then by
@@ -94,7 +89,6 @@ type Engine struct {
 	free    []*event // recycled event records
 	seq     uint64
 	running bool
-	stopped bool
 	fired   uint64
 }
 
@@ -114,16 +108,11 @@ func (e *Engine) alloc(at Time, fn func()) *event {
 	return ev
 }
 
-// recycle returns a dispatched (or cancelled) one-shot event to the free
-// list, dropping its callback so closures are not retained and zeroing
-// its seq so stale Timer handles no longer match it. Series records are
-// only disarmed: their handles keep pointing at them.
+// recycle returns a dispatched (or cancelled) event to the free list,
+// dropping its callback so closures are not retained and zeroing its seq
+// so stale Timer handles no longer match it.
 func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	if ev.period > 0 {
-		return
-	}
-	ev.seq = 0
+	ev.fn, ev.seq = nil, 0
 	e.free = append(e.free, ev)
 }
 
@@ -218,27 +207,18 @@ func (e *Engine) popNext(until Time) *event {
 }
 
 // fire dispatches one popped event and reports whether its callback ran
-// (false: it was cancelled, and is dropped). A periodic series re-arms
-// after its callback returns, unless the callback cancelled it.
+// (false: it was cancelled, and is dropped). The record is recycled
+// before the callback runs, so an event the callback schedules, such as
+// its own timer re-armed, can reuse it.
 func (e *Engine) fire(ev *event) bool {
 	fn := ev.fn
+	e.recycle(ev)
 	if fn == nil {
-		e.recycle(ev)
 		return false
 	}
 	e.now = ev.at
 	e.fired++
-	if ev.period == 0 {
-		e.recycle(ev)
-		fn()
-		return true
-	}
 	fn()
-	if ev.fn != nil {
-		e.seq++
-		ev.at, ev.seq = e.now+ev.period, e.seq
-		e.enqueue(ev)
-	}
 	return true
 }
 
@@ -272,24 +252,28 @@ func (e *Engine) Schedule(delay Time, fn func()) {
 // the present. A nil fn panics.
 func (e *Engine) At(t Time, fn func()) { e.add(t, fn) }
 
-// Timer is a handle on a callback scheduled by After or Every. It is a
-// small value — arming and cancelling one allocate nothing — and it
-// names a one-shot event by record and sequence number, so a handle that
-// outlives its event (fired, or cancelled and recycled into a later
-// event) is inert. The zero Timer is valid and inactive.
+// Timer is a handle on a callback scheduled by After. It is a small
+// value — arming and cancelling one allocate nothing — and it names an
+// event by record and sequence number, so a handle that outlives its
+// event (fired, or cancelled and recycled into a later event) is inert.
+// The zero Timer is valid and inactive.
+//
+// A timer fires once. A periodic owner re-arms it with After as its
+// callback's last step, so each occurrence dispatches after everything
+// the previous one scheduled for the same instant.
 type Timer struct {
 	ev  *event
-	seq uint64 // the armed event's seq; 0 for a series, which re-arms under fresh seqs
+	seq uint64 // the armed event's seq
 }
 
-// Active reports whether the timer's callback is still due: a one-shot
-// timer not yet fired or cancelled, or a series not yet cancelled.
+// Active reports whether the timer's callback is still due: armed, and
+// neither fired nor cancelled.
 func (t *Timer) Active() bool {
-	return t != nil && t.ev != nil && t.ev.fn != nil && (t.seq == 0 || t.ev.seq == t.seq)
+	return t != nil && t.ev != nil && t.ev.fn != nil && t.ev.seq == t.seq
 }
 
-// Cancel prevents the timer's callback from firing (a series stops).
-// Cancelling a fired, cancelled or zero timer is a no-op.
+// Cancel prevents the timer's callback from firing. Cancelling a fired,
+// cancelled or zero timer is a no-op.
 func (t *Timer) Cancel() {
 	if t.Active() {
 		t.ev.fn = nil
@@ -305,41 +289,21 @@ func (e *Engine) After(delay Time, fn func()) Timer {
 	return Timer{ev: ev, seq: ev.seq}
 }
 
-// Every schedules fn to run periodically with the given period, starting
-// after one period. The returned Timer cancels the series. A non-positive
-// period panics: it would live-lock the simulation.
-func (e *Engine) Every(period Time, fn func()) Timer {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: Every with non-positive period %v", period))
-	}
-	ev := e.add(e.now+period, fn)
-	ev.period = period
-	return Timer{ev: ev}
-}
-
-// Stop aborts Run after the current event handler returns.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run dispatches events in time order until the queue is empty, the
-// horizon is passed, or Stop is called. It returns the time of the last
-// dispatched event (or the current time if none fired). Events scheduled
-// exactly at the horizon still fire.
+// Run dispatches events in time order until the queue is empty or the
+// horizon is passed. It returns the time of the last dispatched event
+// (or the current time if none fired). Events scheduled exactly at the
+// horizon still fire.
 func (e *Engine) Run(until Time) Time {
 	if e.running {
 		panic("sim: Run re-entered")
 	}
 	e.running = true
-	e.stopped = false
 	defer func() { e.running = false }()
 
-	for !e.stopped {
-		ev := e.popNext(until)
-		if ev == nil {
-			break
-		}
+	for ev := e.popNext(until); ev != nil; ev = e.popNext(until) {
 		e.fire(ev)
 	}
-	if !e.stopped && until != Forever && e.now < until {
+	if until != Forever && e.now < until {
 		// Advance the clock to the horizon (standard DES semantics):
 		// callers that intervene between Run calls — e.g. suspending a
 		// job "at time t" — must observe Now() == t even when the next

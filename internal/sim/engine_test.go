@@ -108,26 +108,6 @@ func TestRunAdvancesToHorizonWhenIdle(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		e.Schedule(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 2 {
-				e.Stop()
-			}
-		})
-	}
-	e.RunAll()
-	if count != 2 {
-		t.Fatalf("count = %d after Stop, want 2", count)
-	}
-	if e.Pending() != 3 {
-		t.Fatalf("Pending() = %d, want 3", e.Pending())
-	}
-}
-
 func TestTimerCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
@@ -141,37 +121,6 @@ func TestTimerCancel(t *testing.T) {
 	tm.Cancel()
 	var nilTimer *Timer
 	nilTimer.Cancel() // must not panic
-}
-
-func TestEvery(t *testing.T) {
-	e := NewEngine()
-	var ticks []Time
-	var tm Timer
-	tm = e.Every(10*time.Second, func() {
-		ticks = append(ticks, e.Now())
-		if len(ticks) == 3 {
-			tm.Cancel()
-		}
-	})
-	e.Run(5 * time.Minute)
-	if len(ticks) != 3 {
-		t.Fatalf("got %d ticks, want 3", len(ticks))
-	}
-	for i, at := range ticks {
-		want := time.Duration(i+1) * 10 * time.Second
-		if at != want {
-			t.Fatalf("tick %d at %v, want %v", i, at, want)
-		}
-	}
-}
-
-func TestEveryZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Every(0) did not panic")
-		}
-	}()
-	NewEngine().Every(0, func() {})
 }
 
 func TestAtNilFuncPanics(t *testing.T) {
@@ -316,8 +265,9 @@ func TestLaneReusesConsumedPrefix(t *testing.T) {
 }
 
 // TestPropertyQueueOrder drives random handlers through every scheduling
-// entry point — At, Schedule, After, Cancel and Every — on top of a
-// sorted bulk pre-schedule (the lane), with same-instant ties, past
+// entry point — At, Schedule, After and Cancel, and periodic owners whose
+// timer re-arms itself — on top of a sorted bulk pre-schedule (the
+// lane), with same-instant ties, past
 // times, and times on both sides of the latest time scheduled so far,
 // alternating Run horizons with single Steps. Every event that is not
 // cancelled must fire exactly once, and dispatch must follow (time,
@@ -340,10 +290,10 @@ type occurrence struct {
 
 // modelTimer pairs a Timer with the occurrence it would fire next.
 type modelTimer struct {
-	tm     Timer
-	next   int
-	series bool
-	done   bool // series stopped
+	tm       Timer
+	next     int
+	periodic bool
+	done     bool // periodic owner stopped
 }
 
 func checkQueueOrder(seed int64) string {
@@ -427,12 +377,16 @@ func checkQueueOrder(seed int64) string {
 			if !mt.done && occ[mt.next].fired == 0 {
 				occ[mt.next].cancelled = true
 			}
-			mt.done = mt.series
+			mt.done = mt.periodic
 		default:
+			// A periodic owner re-arms its one-shot timer as the
+			// callback's last step, so the next occurrence is scheduled
+			// after everything the callback scheduled.
 			period := Time(1+rng.Intn(40)) * time.Millisecond
 			ticks := 1 + rng.Intn(4)
-			mt := &modelTimer{series: true, next: newOcc(e.Now() + period)}
-			mt.tm = e.Every(period, func() {
+			mt := &modelTimer{periodic: true, next: newOcc(e.Now() + period)}
+			var tick func()
+			tick = func() {
 				fired(mt.next)
 				for k := rng.Intn(3); k > 0; k-- {
 					act()
@@ -441,14 +395,13 @@ func checkQueueOrder(seed int64) string {
 					return
 				}
 				if ticks--; ticks == 0 {
-					mt.tm.Cancel()
 					mt.done = true
 					return
 				}
-				// The engine re-arms after the callback returns: the next
-				// occurrence is scheduled last.
 				mt.next = newOcc(e.Now() + period)
-			})
+				mt.tm = e.After(period, tick)
+			}
+			mt.tm = e.After(period, tick)
 			timers = append(timers, mt)
 		}
 	}
