@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -30,7 +31,26 @@ func buildMerynd(t *testing.T) string {
 type daemon struct {
 	cmd  *exec.Cmd
 	base string // http://host:port
-	out  *bytes.Buffer
+	out  *syncBuffer
+}
+
+// syncBuffer is the child's stdout and stderr. os/exec's copier
+// goroutine writes it while the test reads it, so both take the lock.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // startDaemon boots merynd on a random port with the given extra flags
@@ -39,10 +59,10 @@ func startDaemon(t *testing.T, bin string, extra ...string) *daemon {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	args := append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile}, extra...)
-	var out bytes.Buffer
+	out := &syncBuffer{}
 	cmd := exec.Command(bin, args...)
-	cmd.Stdout = &out
-	cmd.Stderr = &out
+	cmd.Stdout = out
+	cmd.Stderr = out
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +72,7 @@ func startDaemon(t *testing.T, bin string, extra ...string) *daemon {
 			cmd.Wait()
 		}
 	})
-	d := &daemon{cmd: cmd, out: &out}
+	d := &daemon{cmd: cmd, out: out}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if addr, err := os.ReadFile(addrFile); err == nil && len(addr) > 0 {

@@ -279,11 +279,11 @@ func (a *Auditor) check() {
 	}
 
 	// Substrate self-audits.
-	vmCounts, err := p.VMM.Audit()
+	run, err := p.VMM.Audit()
 	if err != nil {
 		a.errs = append(a.errs, err)
 	}
-	if run := vmCounts[vmm.StateRunning]; totalOwned > run {
+	if totalOwned > run {
 		a.fail("%d private nodes attached across VCs but only %d VMs running", totalOwned, run)
 	}
 	for _, prov := range p.Clouds {

@@ -317,10 +317,11 @@ func TestAuditCostFollowsLiveState(t *testing.T) {
 			}
 			checks = p.Audit.Checks
 			want := 0
-			if st := cm.apps[id]; st != nil && st.live >= 0 {
+			st := s.negs[id].st // set once the contract is agreed
+			if st != nil && st.live >= 0 {
 				want = 1
 			}
-			if len(cm.live) != want || want == 1 && cm.live[0].st != cm.apps[id] {
+			if len(cm.live) != want || want == 1 && cm.live[0].st != st {
 				t.Fatalf("barrier %d (%s): live set holds %d apps, want %d", checks, id, len(cm.live), want)
 			}
 			peak = max(peak, len(cm.live))
@@ -329,8 +330,8 @@ func TestAuditCostFollowsLiveState(t *testing.T) {
 	if checks < n || peak != 1 {
 		t.Fatalf("%d barriers, live-set peak %d: want >= %d barriers and a peak of 1", checks, peak, n)
 	}
-	if len(cm.apps) != n || len(cm.live) != 0 || p.remaining != 0 {
-		t.Fatalf("%d apps held, %d live, %d unsettled after settling %d", len(cm.apps), len(cm.live), p.remaining, n)
+	if cm.accepted != n || len(cm.live) != 0 || p.remaining != 0 {
+		t.Fatalf("%d apps accepted, %d live, %d unsettled after settling %d", cm.accepted, len(cm.live), p.remaining, n)
 	}
 }
 
@@ -348,7 +349,7 @@ func TestAppSettledTwicePanics(t *testing.T) {
 	if !s.RunToSettle() {
 		t.Fatal("workload did not settle")
 	}
-	expectPanic(t, "a1", func() { p.appSettled("a1", 0) })
+	expectPanic(t, "a1", func() { p.appSettled("a1", nil, 0) })
 }
 
 // TestSettledAppJobEventsPanic: once an application settles its record
@@ -368,7 +369,7 @@ func TestSettledAppJobEventsPanic(t *testing.T) {
 		t.Fatal("workload did not settle")
 	}
 	cm, _ := p.CM("vc1")
-	j := cm.apps["a1"].job
+	j := s.negs["a1"].st.job
 	for _, ev := range []struct {
 		name string
 		fn   func(*framework.Job)
@@ -557,6 +558,21 @@ type referenceState struct {
 // VC's lease table in sorted order, recounts counters by reflection and
 // rechecks the whole ledger against each record's cost at the previous
 // barrier. It returns the violations found.
+// dispatchedApps indexes by ID the applications cm has dispatched to
+// its framework, resolving each ledger record through the framework's
+// job table: the by-ID view of a VC the reference check walks.
+func dispatchedApps(cm *ClusterManager) map[string]*appState {
+	out := make(map[string]*appState)
+	for _, rec := range cm.p.Ledger.All() {
+		if j, ok := cm.fw.Get(rec.ID); ok {
+			if st := cm.owned(j); st != nil {
+				out[rec.ID] = st
+			}
+		}
+	}
+	return out
+}
+
 func referenceCheck(p *Platform, ref *referenceState) []error {
 	var errs []error
 	now := p.Eng.Now()
@@ -569,13 +585,14 @@ func referenceCheck(p *Platform, ref *referenceState) []error {
 		cm := p.cms[name]
 		referenceCheckCM(cm, fail)
 		totalOwned += cm.OwnedPrivate
-		ids := make([]string, 0, len(cm.apps))
-		for id := range cm.apps {
+		apps := dispatchedApps(cm)
+		ids := make([]string, 0, len(apps))
+		for id := range apps {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			st := cm.apps[id]
+			st := apps[id]
 			if !st.segOpen {
 				continue
 			}

@@ -66,7 +66,7 @@ func BenchmarkSegmentCycle(b *testing.B) {
 		SubmitAt: 0, VMs: 8, Work: 1e7,
 	}
 	_, cm := benchPlatform(b, 8, workload.Workload{app})
-	st := cm.apps["big"]
+	st := dispatchedApps(cm)["big"]
 	if st == nil || st.job == nil {
 		b.Fatal("app not dispatched")
 	}

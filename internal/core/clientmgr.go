@@ -30,11 +30,12 @@ func NewClientManager(p *Platform) *ClientManager {
 	return &ClientManager{p: p, Submissions: make([]metrics.Counter, NumClientManagers)}
 }
 
-// Submit receives a user submission: it opens the accounting record and
-// transfers the description to the Cluster Manager of the application's
-// VC. Routing falls back to the first VC whose framework type matches
-// when the application names no VC.
-func (c *ClientManager) Submit(app workload.App) {
+// Submit receives a user submission and the session's negotiation
+// handle for it: it opens the accounting record and transfers the
+// description, the record and the handle to the Cluster Manager of the
+// application's VC. Routing falls back to the first VC whose framework
+// type matches when the application names no VC.
+func (c *ClientManager) Submit(app workload.App, neg *Negotiation) {
 	entry := c.next % NumClientManagers
 	c.next++
 	c.Submissions[entry].Inc()
@@ -42,10 +43,8 @@ func (c *ClientManager) Submit(app workload.App) {
 	cm := c.route(app)
 	if cm == nil {
 		c.p.Counters.Rejections.Inc()
-		c.p.appSettled(app.ID, 0)
-		if neg := c.p.sessionNeg(app.ID); neg != nil {
-			neg.noteRejected(fmt.Errorf("core: no VC hosts application type %q", app.Type))
-		}
+		c.p.appSettled(app.ID, nil, 0)
+		neg.noteRejected(fmt.Errorf("core: no VC hosts application type %q", app.Type))
 		return
 	}
 	rec := c.p.Ledger.Open(app.ID)
@@ -53,7 +52,7 @@ func (c *ClientManager) Submit(app workload.App) {
 	rec.VC = cm.Name()
 	rec.Type = string(cm.cfg.Type)
 	c.p.Eng.Schedule(cm.lat(latClientTransfer), func() {
-		cm.handleSubmission(app)
+		cm.handleSubmission(app, rec, neg)
 	})
 }
 

@@ -32,9 +32,14 @@ type nodeInfo struct {
 	provider *cloud.Provider   // the cloud node's provider (nil for private)
 }
 
-// appState tracks one application through its life in a VC.
+// appState tracks one application through its life in a VC. It is
+// resolved once, when the submission reaches its Cluster Manager, and
+// every later step reaches it by pointer: the framework job carries it
+// as its Owner, a bid and a resume queue entry name it directly.
 type appState struct {
 	app      workload.App
+	cm       *ClusterManager
+	neg      *Negotiation // the session's handle on the submission
 	contract *sla.Contract
 	rec      *metrics.AppRecord
 	job      *framework.Job
@@ -97,8 +102,8 @@ type loan struct {
 
 // victim is a suspended application awaiting enough free VMs to resume.
 type victim struct {
-	appID string
-	vms   int
+	st  *appState
+	vms int
 }
 
 // ClusterManager manages one elastic virtual cluster: its framework, its
@@ -121,7 +126,9 @@ type ClusterManager struct {
 	// the CM's admission-control view of "available VMs" in Algorithms
 	// 1 and 2.
 	avail int
-	apps  map[string]*appState
+
+	// accepted counts the applications whose contract this VC agreed.
+	accepted int
 
 	// attached is the CM's lease table: its attached nodes, each at the
 	// slot it records. attach appends and detach swap-removes, so an
@@ -157,7 +164,6 @@ func newClusterManager(p *Platform, cfg VCConfig) (*ClusterManager, error) {
 		name:     cfg.Name,
 		p:        p,
 		cfg:      cfg,
-		apps:     make(map[string]*appState),
 		attached: make([]*nodeInfo, 0, cfg.InitialVMs),
 	}
 	for k := latKind(0); k < numLatKinds; k++ {
@@ -327,28 +333,29 @@ func (cm *ClusterManager) BoostWithCloud(n int) {
 // (paper §3.3): open the SLA negotiation, then — depending on the
 // submission mode — park it for the session's interactive caller or
 // resolve it in place with the user strategy, and select resources.
-func (cm *ClusterManager) handleSubmission(app workload.App) {
-	st := &appState{app: app, rec: cm.p.Ledger.Get(app.ID)}
-	st.rec.VC = cm.name
-	neg := cm.p.sessionNeg(app.ID)
+// rec is the accounting record the Client Manager opened and neg the
+// session's handle; the application's state keeps both.
+func (cm *ClusterManager) handleSubmission(app workload.App, rec *metrics.AppRecord, neg *Negotiation) {
+	st := &appState{app: app, cm: cm, neg: neg, rec: rec}
+	rec.VC = cm.name
 	if err := cm.ad.Validate(app); err != nil {
-		cm.rejectSubmission(app.ID, neg, err)
+		cm.rejectSubmission(st, err)
 		return
 	}
 	m := sla.NewNegotiation(app.ID, cm.ad.SLAProvider(app))
-	if neg != nil && neg.interactive {
+	if neg.interactive {
 		// Interactive open-platform path: the proposal set waits for the
 		// session caller's Accept/Counter/Reject.
 		neg.offersReady(cm, st, m)
 		return
 	}
 	u := cm.p.cfg.UserStrategy(app)
-	if neg != nil && neg.user != nil {
+	if neg.user != nil {
 		u = neg.user
 	}
 	contract, err := sla.Drive(m, u)
 	if err != nil {
-		cm.rejectSubmission(app.ID, neg, err)
+		cm.rejectSubmission(st, err)
 		return
 	}
 	cm.acceptContract(st, contract)
@@ -356,12 +363,10 @@ func (cm *ClusterManager) handleSubmission(app workload.App) {
 
 // rejectSubmission settles a submission that will not run (validation
 // failure or failed negotiation).
-func (cm *ClusterManager) rejectSubmission(id string, neg *Negotiation, err error) {
+func (cm *ClusterManager) rejectSubmission(st *appState, err error) {
 	cm.p.Counters.Rejections.Inc()
-	cm.p.appSettled(id, 0)
-	if neg != nil {
-		neg.noteRejected(err)
-	}
+	cm.p.appSettled(st.app.ID, st.rec, 0)
+	st.neg.noteRejected(err)
 }
 
 // acceptContract finalizes an agreed contract: accounting fields, app
@@ -373,12 +378,10 @@ func (cm *ClusterManager) acceptContract(st *appState, contract *sla.Contract) {
 	st.rec.NumVMs = contract.NumVMs
 	st.rec.Deadline = contract.AbsoluteDeadline(st.rec.SubmitTime)
 	st.rec.Price = contract.Price
-	cm.apps[st.app.ID] = st
+	cm.accepted++
 	st.live = len(cm.live)
 	cm.live = append(cm.live, liveApp{st: st})
-	if neg := cm.p.sessionNeg(st.app.ID); neg != nil {
-		neg.noteAgreed(cm, st, contract)
-	}
+	st.neg.noteAgreed(cm, st, contract)
 	// SLA agreement + executable/input upload latency, then selection.
 	cm.p.Eng.Schedule(cm.lat(latNegotiate), func() {
 		cm.selectResources(st)
@@ -493,9 +496,11 @@ func (cm *ClusterManager) commit(st *appState, placement metrics.Placement) {
 }
 
 // dispatch translates and submits the job, and spawns the Application
-// Controller (paper §3.3).
+// Controller (paper §3.3). The job carries the application's state as
+// its Owner, which is how every job event finds it.
 func (cm *ClusterManager) dispatch(st *appState) {
 	st.job = cm.ad.Translate(st.app, st.contract)
+	st.job.Owner = st
 	if err := cm.fw.Submit(st.job); err != nil {
 		panic(fmt.Sprintf("core: framework rejected translated job %s: %v", st.app.ID, err))
 	}
@@ -516,7 +521,7 @@ func (cm *ClusterManager) onJobStart(j *framework.Job) {
 		st.rec.PeakReplicas = j.Replicas
 	}
 	cm.openSegment(st, j)
-	cm.p.sessionEmit(j.ID, "started", "")
+	st.neg.s.emitLocked(j.ID, "started", "")
 	if st.controller != nil {
 		st.controller.jobStarted()
 	}
@@ -582,7 +587,7 @@ func (cm *ClusterManager) onJobSuspend(j *framework.Job) {
 	st.rec.Suspended = true
 	cm.closeSegment(st)
 	st.lastReplicas = 0 // a suspended service holds no replicas
-	cm.p.sessionEmit(j.ID, "suspended", "")
+	st.neg.s.emitLocked(j.ID, "suspended", "")
 	if st.controller != nil {
 		st.controller.jobInterrupted()
 	}
@@ -701,12 +706,15 @@ func (cm *ClusterManager) handleCloudLoss(info *nodeInfo, settleLease bool) {
 
 // appsOnNode returns the applications occupying a node, in running
 // order — the work a revocation or crash is about to hit — through the
-// framework's inverse node→jobs index.
+// framework's inverse node→jobs index. It runs only on node loss, so
+// it resolves each job ID through the framework.
 func (cm *ClusterManager) appsOnNode(id string) []*appState {
 	var out []*appState
 	cm.fw.VisitNodeJobs(id, func(jobID string) bool {
-		if st := cm.apps[jobID]; st != nil {
-			out = append(out, st)
+		if j, ok := cm.fw.Get(jobID); ok {
+			if st := cm.owned(j); st != nil {
+				out = append(out, st)
+			}
 		}
 		return true
 	})
@@ -738,7 +746,7 @@ func (cm *ClusterManager) onJobFinish(j *framework.Job) {
 		cm.avail += st.lastReplicas - st.contract.NumVMs
 		st.lastReplicas = 0
 	}
-	cm.p.sessionEmit(j.ID, "completed", "")
+	st.neg.s.emitLocked(j.ID, "completed", "")
 	cm.settle(st)
 
 	// Release idle cloud VMs first so they never masquerade as free
@@ -756,16 +764,26 @@ func (cm *ClusterManager) onJobFinish(j *framework.Job) {
 }
 
 // jobApp finds the application a framework job event is for (nil for a
-// job the VC does not track). The five job callbacks are the only
+// job this VC did not dispatch). The five job callbacks are the only
 // writers of the segment and ledger fields the auditor checks, so an
 // event for a settled application, whose record froze at its finish,
 // panics.
 func (cm *ClusterManager) jobApp(event string, j *framework.Job) *appState {
-	st := cm.apps[j.ID]
+	st := cm.owned(j)
 	if st != nil && st.live < 0 {
 		panic(fmt.Sprintf("core: %s: %s event for settled application %s", cm.name, event, j.ID))
 	}
 	return st
+}
+
+// owned returns the application this VC dispatched as job j, or nil
+// for a job without such an owner (one submitted straight to the
+// framework).
+func (cm *ClusterManager) owned(j *framework.Job) *appState {
+	if st, ok := j.Owner.(*appState); ok && st.cm == cm {
+		return st
+	}
+	return nil
 }
 
 // settle freezes a finished application: it leaves the live set, its
@@ -778,7 +796,7 @@ func (cm *ClusterManager) settle(st *appState) {
 	cm.live[last] = liveApp{}
 	cm.live = cm.live[:last]
 	st.live = -1
-	cm.p.appSettled(st.app.ID, cost)
+	cm.p.appSettled(st.app.ID, st.rec, cost)
 }
 
 // settleSLO closes a service contract: final burn accounting from the
@@ -857,8 +875,7 @@ func (cm *ClusterManager) gcIdleCloud() {
 func (cm *ClusterManager) tryResumeVictims() {
 	for len(cm.victims) > 0 {
 		v := cm.victims[0]
-		vs, ok := cm.apps[v.appID]
-		if !ok || vs.job == nil || vs.job.State != framework.JobSuspended {
+		if v.st.job.State != framework.JobSuspended {
 			cm.victims = cm.victims[1:]
 			continue
 		}
@@ -867,8 +884,8 @@ func (cm *ClusterManager) tryResumeVictims() {
 		}
 		cm.victims = cm.victims[1:]
 		cm.avail -= v.vms
-		if err := cm.fw.Resume(v.appID); err != nil {
-			panic(fmt.Sprintf("core: resuming %s: %v", v.appID, err))
+		if err := cm.fw.Resume(v.st.app.ID); err != nil {
+			panic(fmt.Sprintf("core: resuming %s: %v", v.st.app.ID, err))
 		}
 		cm.p.Counters.Resumes.Inc()
 	}

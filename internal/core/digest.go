@@ -36,7 +36,7 @@ func (s *Session) Digest() uint64 {
 		w.d("|", int64(cm.avail))
 		w.d("|", int64(cm.OwnedPrivate))
 		w.d("|", int64(len(cm.attached)))
-		w.d("|", int64(len(cm.apps)))
+		w.d("|", int64(cm.accepted))
 		w.end()
 	}
 	// Fired-event counts stay out: they count engine bookkeeping (audit

@@ -30,7 +30,7 @@ func referenceDigest(s *Session) uint64 {
 	for _, name := range s.p.cmOrder {
 		cm := s.p.cms[name]
 		w("vc=%s|%s|%d|%d|%d|%d|%d;", cm.name, cm.cfg.Type, cm.cfg.InitialVMs,
-			cm.avail, cm.OwnedPrivate, len(cm.attached), len(cm.apps))
+			cm.avail, cm.OwnedPrivate, len(cm.attached), cm.accepted)
 	}
 	w("m=%d|%d|%d|%d;", s.p.PrivateUsed.Value(), s.p.CloudUsed.Value(),
 		s.submitted, s.submitted-s.p.remaining)

@@ -73,9 +73,8 @@ type Platform struct {
 
 	remaining int // unsettled applications in the open session
 
-	// sessMu guards the open/close transitions of session. Engine
-	// callbacks read it while holding the driving session's own mutex;
-	// lock order is always session.mu before sessMu.
+	// sessMu guards the open/close transitions of session. Lock order
+	// is always session.mu before sessMu.
 	sessMu  sync.Mutex
 	session *Session
 
@@ -92,43 +91,18 @@ type Platform struct {
 	pollControllers bool
 }
 
-// currentSession returns the open session (nil when none is).
-func (p *Platform) currentSession() *Session {
-	p.sessMu.Lock()
-	defer p.sessMu.Unlock()
-	return p.session
-}
-
-// sessionNeg returns the open session's negotiation handle for an
-// application (nil without a session, or for apps the session does not
-// track).
-func (p *Platform) sessionNeg(appID string) *Negotiation {
-	s := p.currentSession()
-	if s == nil {
-		return nil
-	}
-	return s.negs[appID]
-}
-
-// sessionEmit appends to the open session's event log, if any.
-func (p *Platform) sessionEmit(appID, kind, detail string) {
-	if s := p.currentSession(); s != nil {
-		s.emitLocked(appID, kind, detail)
-	}
-}
-
 // appSettled marks one application as finished or rejected; Run stops
-// stepping once every submitted application settles. Its ledger record,
-// if it has one, gets its last audit check here: nothing writes a
+// stepping once every submitted application settles. Its ledger record
+// rec, if it has one, gets its last audit check here: nothing writes a
 // settled record again. cost is the record's cost at the previous audit
 // barrier (0 for an application that never ran). Settling with nothing
 // left unsettled means some application settled twice, and panics.
-func (p *Platform) appSettled(id string, cost float64) {
+func (p *Platform) appSettled(id string, rec *metrics.AppRecord, cost float64) {
 	if p.remaining == 0 {
 		panic(fmt.Sprintf("core: application %s settled with no application left unsettled (settled twice?)", id))
 	}
 	p.remaining--
-	if rec := p.Ledger.Get(id); rec != nil {
+	if rec != nil {
 		p.Audit.freeze(rec, cost)
 	}
 }

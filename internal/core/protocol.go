@@ -18,6 +18,8 @@ type Bid struct {
 	Cost     float64 // estimated revenue loss (0 = free VMs, or free-to-shrink service)
 	VictimID string  // application to suspend or shrink ("" = VMs already free)
 	Shrink   bool    // the victim yields replicas by shrinking, not by suspending
+
+	victim *appState // the application VictimID names
 }
 
 // ReclaimBidder is the bid computation of VCs that yield resources by
@@ -152,8 +154,8 @@ func (cm *ClusterManager) suspensionBid(n int, duration sim.Time) Bid {
 	now := cm.p.Eng.Now()
 	best := Bid{Cost: math.Inf(1)}
 	for _, job := range cm.fw.Running() {
-		st, ok := cm.apps[job.ID]
-		if !ok || st.contract.NumVMs < n {
+		st := cm.owned(job)
+		if st == nil || st.contract.NumVMs < n {
 			continue
 		}
 		spent := now - st.rec.SubmitTime
@@ -168,7 +170,7 @@ func (cm *ClusterManager) suspensionBid(n int, duration sim.Time) Bid {
 			cost += st.contract.PenaltyFor(duration - free)
 		}
 		if cost < best.Cost {
-			best = Bid{OK: true, Cost: cost, VictimID: job.ID}
+			best = Bid{OK: true, Cost: cost, VictimID: job.ID, victim: st}
 		}
 	}
 	if !best.OK {
@@ -287,9 +289,9 @@ func (cm *ClusterManager) yieldLocalAndRun(st *appState, bid Bid) {
 // services. It reports false when the victim can no longer yield.
 func (cm *ClusterManager) yieldVictim(owner *ClusterManager, bid Bid, n int) bool {
 	if bid.Shrink {
-		return cm.shrinkVictim(owner, bid.VictimID, n)
+		return cm.shrinkVictim(owner, bid.victim, n)
 	}
-	return cm.suspendVictim(owner, bid.VictimID)
+	return cm.suspendVictim(owner, bid.victim)
 }
 
 // suspendVictim suspends an application on the owner CM and updates the
@@ -297,11 +299,11 @@ func (cm *ClusterManager) yieldVictim(owner *ClusterManager, bid Bid, n int) boo
 // joins the owner's resume queue. It reports false when the victim is no
 // longer running (e.g. it finished, or a concurrent decision already
 // suspended it).
-func (cm *ClusterManager) suspendVictim(owner *ClusterManager, victimID string) bool {
-	vs, ok := owner.apps[victimID]
-	if !ok || vs.job == nil {
+func (cm *ClusterManager) suspendVictim(owner *ClusterManager, vs *appState) bool {
+	if vs.job == nil {
 		return false
 	}
+	victimID := vs.app.ID
 	released := vs.contract.NumVMs
 	if vs.contract.SLO != nil {
 		// An elastic service frees its *current* replica set; it will
@@ -318,7 +320,7 @@ func (cm *ClusterManager) suspendVictim(owner *ClusterManager, victimID string) 
 		// back up through the free pool; its resume needs no head-room.
 		resumeVMs = 0
 	}
-	owner.victims = append(owner.victims, victim{appID: victimID, vms: resumeVMs})
+	owner.victims = append(owner.victims, victim{st: vs, vms: resumeVMs})
 	cm.p.Counters.Suspensions.Inc()
 	return true
 }
@@ -338,11 +340,11 @@ type shrinker interface {
 // freed nodes join the owner's free index, where the requester picks
 // them up (locally, or through the VM-exchange detach). It reports
 // false when the victim can no longer yield n.
-func (cm *ClusterManager) shrinkVictim(owner *ClusterManager, victimID string, n int) bool {
-	vs, ok := owner.apps[victimID]
-	if !ok || vs.job == nil || vs.job.State != framework.JobRunning || vs.job.Replicas-n < 1 {
+func (cm *ClusterManager) shrinkVictim(owner *ClusterManager, vs *appState, n int) bool {
+	if vs.job == nil || vs.job.State != framework.JobRunning || vs.job.Replicas-n < 1 {
 		return false
 	}
+	victimID := vs.app.ID
 	svc, ok := owner.fw.(shrinker)
 	if !ok {
 		return false

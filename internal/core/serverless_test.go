@@ -175,7 +175,7 @@ func TestServerlessCostCapExhaustionMidCanary(t *testing.T) {
 			t.Error("no cluster manager for fn1")
 			return
 		}
-		st, ok := cm.apps["fn-0"]
+		st, ok := dispatchedApps(cm)["fn-0"]
 		if !ok {
 			t.Error("fn-0 not tracked by its CM")
 			return

@@ -153,8 +153,8 @@ func (a *ServiceAdapter) ReclaimBid(cm *ClusterManager, n int, duration sim.Time
 	}
 	best := Bid{Cost: math.Inf(1)}
 	for _, job := range cm.fw.Running() {
-		st, ok := cm.apps[job.ID]
-		if !ok || st.contract.SLO == nil || job.Replicas-n < 1 {
+		st := cm.owned(job)
+		if st == nil || st.contract.SLO == nil || job.Replicas-n < 1 {
 			continue
 		}
 		if private, _, err := fw.ReplicaKinds(job.ID); err != nil || private < n {
@@ -162,7 +162,7 @@ func (a *ServiceAdapter) ReclaimBid(cm *ClusterManager, n int, duration sim.Time
 		}
 		cost := a.projectedLoss(cm, st, job, n, duration)
 		if cost < best.Cost {
-			best = Bid{OK: true, Cost: cost, VictimID: job.ID, Shrink: true}
+			best = Bid{OK: true, Cost: cost, VictimID: job.ID, Shrink: true, victim: st}
 		}
 	}
 	if !best.OK {

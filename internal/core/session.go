@@ -229,7 +229,7 @@ func (s *Session) submit(app workload.App, interactive bool, u sla.User) (*Negot
 	// The timer disarms itself once the platform settles, so drained
 	// engines still run dry.
 	s.p.Audit.arm()
-	s.p.Eng.At(app.SubmitAt, func() { s.p.Client.Submit(app) })
+	s.p.Eng.At(app.SubmitAt, func() { s.p.Client.Submit(app, g) })
 	s.emitLocked(app.ID, "submitted", "")
 	return g, nil
 }
@@ -377,7 +377,7 @@ func (s *Session) VCs() []VCStatus {
 			Avail:        cm.avail,
 			OwnedPrivate: cm.OwnedPrivate,
 			Nodes:        len(cm.attached),
-			Apps:         len(cm.apps),
+			Apps:         cm.accepted,
 		})
 	}
 	return out
@@ -679,8 +679,14 @@ func (g *Negotiation) rejectLocked(err error) {
 	if g.state == NegotiationAccepted || g.state == NegotiationRejected {
 		return
 	}
+	// Without a state the submission never reached its Cluster
+	// Manager, so it has no record to freeze.
+	var rec *metrics.AppRecord
+	if g.st != nil {
+		rec = g.st.rec
+	}
 	g.s.p.Counters.Rejections.Inc()
-	g.s.p.appSettled(g.appID, 0)
+	g.s.p.appSettled(g.appID, rec, 0)
 	g.noteRejected(err)
 }
 

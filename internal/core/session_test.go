@@ -3,9 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"meryn/internal/framework"
+	"meryn/internal/metrics"
 	"meryn/internal/sim"
 	"meryn/internal/sla"
 	"meryn/internal/workload"
@@ -421,5 +425,123 @@ func TestAgreedDetailMatchesFmt(t *testing.T) {
 				t.Errorf("agreedDetail(%d, %g) = %q, want %q", vms, price, got, want)
 			}
 		}
+	}
+}
+
+// A job submitted straight to a VC's framework has no owner: its start
+// and finish events reach the Cluster Manager's callbacks, which must
+// leave every ledger record, counter, gauge and session event as they
+// were.
+func TestUnownedJobTouchesNoApplication(t *testing.T) {
+	p, s := openTestSession(t)
+	if _, err := s.SubmitWith(sessionApp("owned"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !s.RunToSettle() {
+		t.Fatal("did not settle")
+	}
+	cm, _ := p.CM("vc1")
+	var recs []metrics.AppRecord
+	for _, rec := range p.Ledger.All() {
+		recs = append(recs, *rec)
+	}
+	counters, events, avail := p.Counters, len(s.EventsSince(0)), cm.avail
+	private, cloud := p.PrivateUsed.Series().Len(), p.CloudUsed.Series().Len()
+
+	j := &framework.Job{ID: "stray", VMs: 1, Work: 600}
+	if err := cm.Framework().Submit(j); err != nil {
+		t.Fatal(err)
+	}
+	s.Step(p.Eng.Now() + sim.Seconds(3600))
+	if j.State != framework.JobDone || !j.Started {
+		t.Fatalf("stray job is %v (started %v), want it run to the end", j.State, j.Started)
+	}
+
+	for i, rec := range p.Ledger.All() {
+		if i >= len(recs) || *rec != recs[i] {
+			t.Fatalf("ledger record %d changed or appeared: %+v", i, *rec)
+		}
+	}
+	if len(p.Ledger.All()) != len(recs) {
+		t.Fatalf("ledger holds %d records, want %d", len(p.Ledger.All()), len(recs))
+	}
+	if p.Counters != counters {
+		t.Fatalf("counters moved: %+v, want %+v", p.Counters, counters)
+	}
+	if n := len(s.EventsSince(0)); n != events {
+		t.Fatalf("session logged %d events, want %d", n, events)
+	}
+	if cm.avail != avail {
+		t.Fatalf("avail = %d, want %d", cm.avail, avail)
+	}
+	if p.PrivateUsed.Series().Len() != private || p.CloudUsed.Series().Len() != cloud {
+		t.Fatal("a usage gauge moved for a job no application owns")
+	}
+}
+
+// An interactive submission accepted through its handle logs its whole
+// lifecycle in its own session: the job events find the session through
+// the application, not through whichever session is open.
+func TestInteractiveSubmissionLogsLifecycle(t *testing.T) {
+	_, s := openTestSession(t)
+	g := submitOffered(t, s, "app-1")
+	if _, err := g.Accept(0); err != nil {
+		t.Fatal(err)
+	}
+	if !s.RunToSettle() {
+		t.Fatal("did not settle after accept")
+	}
+	var kinds []string
+	for _, ev := range s.EventsSince(0) {
+		if ev.AppID == "app-1" {
+			kinds = append(kinds, ev.Kind)
+		}
+	}
+	want := []string{"submitted", "offers", "agreed", "started", "completed"}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("app-1 logged %v, want %v", kinds, want)
+	}
+}
+
+// After Drain closes a session, a second session on the same platform
+// runs its own applications, and the first session's event log does
+// not change.
+func TestSecondSessionLeavesFirstLogAlone(t *testing.T) {
+	p, s1 := openTestSession(t)
+	for i := 0; i < 3; i++ {
+		if _, err := s1.SubmitWith(sessionApp(fmt.Sprintf("first-%d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	log1 := s1.EventsSince(0)
+	s2, err := p.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s2.SubmitWith(sessionApp(fmt.Sprintf("second-%d", i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s1.EventsSince(0); !slices.Equal(got, log1) {
+		t.Fatalf("the first session's log changed from %d to %d events", len(log1), len(got))
+	}
+	completed := 0
+	for _, ev := range s2.EventsSince(0) {
+		if !strings.HasPrefix(ev.AppID, "second-") {
+			t.Fatalf("the second session logged %s for %s", ev.Kind, ev.AppID)
+		}
+		if ev.Kind == "completed" {
+			completed++
+		}
+	}
+	if completed != 3 {
+		t.Fatalf("the second session logged %d completions, want 3", completed)
 	}
 }

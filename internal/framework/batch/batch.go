@@ -19,20 +19,23 @@ import (
 	"meryn/internal/sim"
 )
 
-// jobEntry pairs a job with its submission sequence number, which
-// orders the maintained running set.
+// jobEntry is the framework's record of one job: the job, its
+// submission sequence number, which orders the maintained running set,
+// and the state of its current run, valid while the job is running.
+// The queue and the finish timer hold the entry itself, so scheduling,
+// starting and finishing a job look nothing up by ID.
 type jobEntry struct {
 	job *framework.Job
 	seq uint64
-}
 
-type runInfo struct {
 	nodeIDs   []string
 	speed     float64 // min speed across assigned nodes
 	startedAt sim.Time
 	finish    sim.Timer
-	seq       uint64 // submission sequence, for running-set removal
 }
+
+// running reports whether the entry's run state is current.
+func (je *jobEntry) running() bool { return je.job.State == framework.JobRunning }
 
 // Config configures a batch framework instance.
 type Config struct {
@@ -48,10 +51,9 @@ type Batch struct {
 	eng *sim.Engine
 	cfg Config
 
-	jobs   map[string]jobEntry
+	jobs   map[string]*jobEntry // by ID, for the by-ID operations
 	jobSeq uint64
-	queue  framework.Deque[string] // job IDs waiting
-	runs   map[string]*runInfo
+	queue  framework.Deque[*jobEntry] // jobs waiting
 
 	// running holds running jobs in submission order.
 	running framework.SeqSet[*framework.Job]
@@ -70,8 +72,7 @@ func New(eng *sim.Engine, cfg Config) *Batch {
 	return &Batch{
 		eng:  eng,
 		cfg:  cfg,
-		jobs: make(map[string]jobEntry),
-		runs: make(map[string]*runInfo),
+		jobs: make(map[string]*jobEntry),
 	}
 }
 
@@ -98,14 +99,14 @@ func (b *Batch) FailNode(id string) error {
 	if err != nil || jobID == "" {
 		return err
 	}
-	j := b.jobs[jobID].job
-	run := b.runs[jobID]
-	run.finish.Cancel()
-	delete(b.runs, jobID)
-	b.running.Remove(run.seq)
-	b.Release(run.nodeIDs...) // survivors become idle
+	je := b.jobs[jobID]
+	je.finish.Cancel()
+	b.running.Remove(je.seq)
+	b.Release(je.nodeIDs...) // survivors become idle
+	je.nodeIDs = nil
+	j := je.job
 	j.State = framework.JobQueued
-	b.queue.PushFront(jobID)
+	b.queue.PushFront(je)
 	if b.cfg.Events.OnRequeue != nil {
 		b.cfg.Events.OnRequeue(j)
 	}
@@ -123,9 +124,10 @@ func (b *Batch) Submit(j *framework.Job) error {
 	}
 	j.State = framework.JobQueued
 	j.SubmittedAt = b.eng.Now()
-	b.jobs[j.ID] = jobEntry{job: j, seq: b.jobSeq}
+	je := &jobEntry{job: j, seq: b.jobSeq}
+	b.jobs[j.ID] = je
 	b.jobSeq++
-	b.queue.PushBack(j.ID)
+	b.queue.PushBack(je)
 	b.schedule()
 	return nil
 }
@@ -141,18 +143,17 @@ func (b *Batch) Suspend(id string) error {
 	if j.State != framework.JobRunning {
 		return fmt.Errorf("%w: %s is %v", framework.ErrJobState, id, j.State)
 	}
-	run := b.runs[id]
-	run.finish.Cancel()
-	elapsed := sim.ToSeconds(b.eng.Now() - run.startedAt)
-	j.DoneWork += elapsed * run.speed * float64(len(run.nodeIDs))
+	je.finish.Cancel()
+	elapsed := sim.ToSeconds(b.eng.Now() - je.startedAt)
+	j.DoneWork += elapsed * je.speed * float64(len(je.nodeIDs))
 	if j.DoneWork > j.Work {
 		j.DoneWork = j.Work
 	}
 	j.State = framework.JobSuspended
 	j.Suspensions++
-	b.Release(run.nodeIDs...)
-	delete(b.runs, id)
-	b.running.Remove(run.seq)
+	b.Release(je.nodeIDs...)
+	je.nodeIDs = nil
+	b.running.Remove(je.seq)
 	if b.cfg.Events.OnSuspend != nil {
 		b.cfg.Events.OnSuspend(j)
 	}
@@ -172,29 +173,29 @@ func (b *Batch) Resume(id string) error {
 		return fmt.Errorf("%w: %s is %v", framework.ErrJobState, id, j.State)
 	}
 	j.State = framework.JobQueued
-	b.queue.PushFront(id)
+	b.queue.PushFront(je)
 	b.schedule()
 	return nil
 }
 
 // JobNodes implements framework.Framework.
 func (b *Batch) JobNodes(id string) ([]string, error) {
-	run, ok := b.runs[id]
-	if !ok {
+	je, ok := b.jobs[id]
+	if !ok || !je.running() {
 		return nil, fmt.Errorf("%w: %s is not running", framework.ErrJobState, id)
 	}
-	out := make([]string, len(run.nodeIDs))
-	copy(out, run.nodeIDs)
+	out := make([]string, len(je.nodeIDs))
+	copy(out, je.nodeIDs)
 	return out, nil
 }
 
 // VisitJobNodes implements framework.Framework.
 func (b *Batch) VisitJobNodes(id string, visit func(id string) bool) error {
-	run, ok := b.runs[id]
-	if !ok {
+	je, ok := b.jobs[id]
+	if !ok || !je.running() {
 		return fmt.Errorf("%w: %s is not running", framework.ErrJobState, id)
 	}
-	for _, nid := range run.nodeIDs {
+	for _, nid := range je.nodeIDs {
 		if !visit(nid) {
 			return nil
 		}
@@ -219,8 +220,8 @@ func (b *Batch) ProgressAt(id string, at sim.Time) (float64, error) {
 	}
 	j := je.job
 	done := j.DoneWork
-	if run, running := b.runs[id]; running {
-		done += sim.ToSeconds(at-run.startedAt) * run.speed * float64(len(run.nodeIDs))
+	if je.running() {
+		done += sim.ToSeconds(at-je.startedAt) * je.speed * float64(len(je.nodeIDs))
 	}
 	p := done / j.Work
 	if p > 1 {
@@ -249,7 +250,7 @@ func (b *Batch) Running() []*framework.Job {
 func (b *Batch) QueuedJobs() []*framework.Job {
 	out := make([]*framework.Job, 0, b.queue.Len())
 	for i := 0; i < b.queue.Len(); i++ {
-		out = append(out, b.jobs[b.queue.At(i)].job)
+		out = append(out, b.queue.At(i).job)
 	}
 	return out
 }
@@ -260,7 +261,7 @@ func (b *Batch) QueuedJobs() []*framework.Job {
 // nodes).
 func (b *Batch) schedule() {
 	for b.queue.Len() > 0 {
-		je := b.jobs[b.queue.At(0)]
+		je := b.queue.At(0)
 		if je.job.VMs > b.FreeLen() {
 			return
 		}
@@ -271,7 +272,7 @@ func (b *Batch) schedule() {
 
 // start runs a job on the first j.VMs free nodes in attach order; the
 // caller checked that enough are free.
-func (b *Batch) start(je jobEntry) {
+func (b *Batch) start(je *jobEntry) {
 	j := je.job
 	nodeIDs := make([]string, 0, j.VMs)
 	speed := 0.0
@@ -292,28 +293,22 @@ func (b *Batch) start(je jobEntry) {
 	// one 1/n slice at its own speed, and the job finishes when the
 	// slowest slice does — Work / (n * min speed).
 	remaining := (j.Work - j.DoneWork) / (speed * float64(len(nodeIDs)))
-	run := &runInfo{
-		nodeIDs:   nodeIDs,
-		speed:     speed,
-		startedAt: now,
-		seq:       je.seq,
-	}
-	b.runs[j.ID] = run
+	je.nodeIDs, je.speed, je.startedAt = nodeIDs, speed, now
 	b.running.Insert(je.seq, j)
-	run.finish = b.eng.After(sim.Seconds(remaining), func() { b.finish(j) })
+	je.finish = b.eng.After(sim.Seconds(remaining), func() { b.finish(je) })
 	if b.cfg.Events.OnStart != nil {
 		b.cfg.Events.OnStart(j)
 	}
 }
 
-func (b *Batch) finish(j *framework.Job) {
+func (b *Batch) finish(je *jobEntry) {
+	j := je.job
 	j.State = framework.JobDone
 	j.DoneWork = j.Work
 	j.FinishedAt = b.eng.Now()
-	run := b.runs[j.ID]
-	b.Release(run.nodeIDs...)
-	delete(b.runs, j.ID)
-	b.running.Remove(run.seq)
+	b.Release(je.nodeIDs...)
+	je.nodeIDs = nil
+	b.running.Remove(je.seq)
 	if b.cfg.Events.OnFinish != nil {
 		b.cfg.Events.OnFinish(j)
 	}

@@ -122,6 +122,10 @@ type Job struct {
 	// across suspensions (batch: whole-job progress; mapreduce: completed
 	// task work).
 	DoneWork float64
+
+	// Owner is the submitter's own record of the job, so a job event
+	// reaches it without a lookup by ID. Frameworks never read it.
+	Owner any
 }
 
 // Events are the notifications a framework emits. All callbacks are

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
 	"time"
 )
@@ -27,6 +26,7 @@ type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among events at the same instant; 0 once recycled
 	fn  func()
+	rec uint32 // the record's index in Engine.recs, fixed for its lifetime
 }
 
 // before reports whether ev dispatches ahead of o: by time, then by
@@ -38,23 +38,22 @@ func (ev *event) before(o *event) bool {
 	return ev.seq < o.seq
 }
 
-type eventQueue []*event
+// heapEntry is one slot of the engine's heap: a pending record's
+// dispatch key and its index in Engine.recs. It holds no pointer, so a
+// comparison reads the key in place and moving an entry takes no GC
+// write barrier.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	rec uint32
+}
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool { return q[i].before(q[j]) }
-
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// before reports whether h dispatches ahead of o.
+func (h heapEntry) before(o heapEntry) bool {
+	if h.at != o.at {
+		return h.at < o.at
+	}
+	return h.seq < o.seq
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe
@@ -69,24 +68,30 @@ func (q *eventQueue) Pop() any {
 //   - the lane, a FIFO of future events scheduled in nondecreasing time
 //     — a time-sorted bulk submission appends its arrivals here in O(1)
 //     each instead of sifting them through the heap;
-//   - the heap, for every other future event.
+//   - the heap, for every other future event. Its entries carry their
+//     record's (time, seq) key and index (heapEntry), so sifting
+//     compares and moves plain values.
 //
 // An event joins the ring when its time is the present, else the lane
 // when its time is at or after the lane's tail, else the heap. Sequence
 // numbers grow with every scheduling call, so each queue is sorted by
 // (time, seq) by construction, and dispatch pops the least of the three
 // heads: the global (time, seq) order, exactly what one heap would give.
-// Fired events are recycled through a free list, so steady-state
-// simulation (handlers scheduling follow-up events, timers armed and
-// cancelled) allocates nothing after warm-up.
+// Every record the engine allocates stays in recs, at the index it
+// carries. Fired events are recycled through a free list, so
+// steady-state simulation (handlers scheduling follow-up events, timers
+// armed and cancelled) allocates nothing after warm-up. A cancelled
+// record is recycled only when its queue entry is popped, so no entry
+// ever names a record that a later event reuses.
 type Engine struct {
 	now     Time
-	queue   eventQueue
-	ring    []*event // FIFO of events at the current instant
-	ringPos int      // consumption cursor into ring
-	lane    []*event // FIFO of future events in nondecreasing time
-	lanePos int      // consumption cursor into lane
-	free    []*event // recycled event records
+	heap    []heapEntry // binary min-heap by (at, seq); a 4-ary one measured slower
+	recs    []*event    // every record, by index
+	ring    []*event    // FIFO of events at the current instant
+	ringPos int         // consumption cursor into ring
+	lane    []*event    // FIFO of future events in nondecreasing time
+	lanePos int         // consumption cursor into lane
+	free    []*event    // recycled event records
 	seq     uint64
 	running bool
 	fired   uint64
@@ -101,10 +106,11 @@ func (e *Engine) alloc(at Time, fn func()) *event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &event{}
+		ev = &event{rec: uint32(len(e.recs))}
+		e.recs = append(e.recs, ev)
 	}
 	e.seq++
-	*ev = event{at: at, seq: e.seq, fn: fn}
+	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	return ev
 }
 
@@ -145,8 +151,52 @@ func (e *Engine) enqueue(ev *event) {
 		}
 		e.lane = append(e.lane, ev)
 	default:
-		heap.Push(&e.queue, ev)
+		e.push(heapEntry{at: ev.at, seq: ev.seq, rec: ev.rec})
 	}
+}
+
+// push adds an entry to the heap and sifts it up.
+func (e *Engine) push(x heapEntry) {
+	h := append(e.heap, x)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !x.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = x
+	e.heap = h
+}
+
+// pop removes the heap's least entry: the last entry fills the root's
+// hole and sifts down.
+func (e *Engine) pop() {
+	h := e.heap
+	n := len(h) - 1
+	x := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(x) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = x
+	}
+	e.heap = h
 }
 
 // Queues, as named by peek.
@@ -169,9 +219,9 @@ func (e *Engine) peek() (*event, int) {
 			best, src = ev, inLane
 		}
 	}
-	if len(e.queue) > 0 {
-		if ev := e.queue[0]; best == nil || ev.before(best) {
-			best, src = ev, inHeap
+	if len(e.heap) > 0 {
+		if top := e.heap[0]; best == nil || top.before(heapEntry{at: best.at, seq: best.seq}) {
+			best, src = e.recs[top.rec], inHeap
 		}
 	}
 	return best, src
@@ -201,7 +251,7 @@ func (e *Engine) popNext(until Time) *event {
 			e.lanePos = 0
 		}
 	default:
-		heap.Pop(&e.queue)
+		e.pop()
 	}
 	return ev
 }
@@ -235,7 +285,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int {
-	return len(e.queue) + len(e.ring) - e.ringPos + len(e.lane) - e.lanePos
+	return len(e.heap) + len(e.ring) - e.ringPos + len(e.lane) - e.lanePos
 }
 
 // Schedule runs fn after delay. A negative delay is an error in the

@@ -228,6 +228,60 @@ func TestTimerStaleHandleIsInert(t *testing.T) {
 	}
 }
 
+// A cancelled timer's record stays with its heap entry until the entry
+// pops: timers armed meanwhile take other records from a warm free
+// list, every pending entry names a record still stamped with the
+// entry's own key, and each timer fires at its own time. Once the
+// cancelled entry pops, its record returns to the free list.
+func TestCancelledHeapRecordNotReused(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 32; i++ {
+		e.Schedule(0, func() {})
+	}
+	e.RunAll() // 32 records on the free list
+	// The lane's tail: every timer below lands before it, in the heap.
+	e.At(time.Hour, func() {})
+	cancelled := e.After(10*time.Second, func() { t.Error("cancelled timer fired") })
+	cancelled.Cancel()
+	checkEntries := func() {
+		t.Helper()
+		for _, h := range e.heap {
+			if ev := e.recs[h.rec]; ev.at != h.at || ev.seq != h.seq {
+				t.Fatalf("heap entry (%v, %d) names record %d, stamped (%v, %d)", h.at, h.seq, h.rec, ev.at, ev.seq)
+			}
+		}
+	}
+	var fired []Time
+	for i := 1; i <= 20; i++ {
+		tm := e.After(Time(i)*time.Second, func() { fired = append(fired, e.Now()) })
+		if tm.ev == cancelled.ev {
+			t.Fatalf("timer %d took the cancelled record while its heap entry is pending", i)
+		}
+		checkEntries()
+	}
+	if len(e.heap) != 21 {
+		t.Fatalf("heap holds %d entries, want the cancelled one and 20 armed", len(e.heap))
+	}
+	e.Run(15 * time.Second)
+	checkEntries()
+	found := false
+	for _, ev := range e.free {
+		found = found || ev == cancelled.ev
+	}
+	if !found {
+		t.Fatal("the cancelled record was not recycled once its entry popped")
+	}
+	e.Run(30 * time.Second)
+	if len(fired) != 20 {
+		t.Fatalf("%d timers fired, want 20", len(fired))
+	}
+	for i, at := range fired {
+		if want := Time(i+1) * time.Second; at != want {
+			t.Fatalf("timer %d fired at %v, want %v", i+1, at, want)
+		}
+	}
+}
+
 // A lane that never drains completely — each firing appends one event
 // past the tail, keeping 1000 pending — reuses its consumed prefix
 // instead of growing with every event ever scheduled.
@@ -652,4 +706,38 @@ func BenchmarkEngineSameInstantBurst(b *testing.B) {
 		})
 		e.RunAll()
 	}
+}
+
+// BenchmarkEngineHeapChurn keeps 256 timers in flight at random future
+// times, each re-arming itself when it fires, behind one far-future
+// event on the lane: every later event lands before the lane's tail, so
+// each arm and each dispatch goes through the heap. One op is one
+// dispatched event; the delays are drawn up front so the loop times the
+// engine alone.
+func BenchmarkEngineHeapChurn(b *testing.B) {
+	const inflight = 256
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]Time, 4096)
+	for i := range delays {
+		delays[i] = Time(1+rng.Intn(1000)) * time.Millisecond
+	}
+	e := NewEngine()
+	const horizon = Time(1) << 60
+	e.At(horizon, func() {})
+	remaining, k := b.N, 0
+	var tick func()
+	tick = func() {
+		if remaining == 0 {
+			return
+		}
+		remaining--
+		k++
+		e.After(delays[k%len(delays)], tick)
+	}
+	for i := 0; i < inflight; i++ {
+		e.After(delays[i], tick)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(horizon - 1)
 }

@@ -74,6 +74,7 @@ type VM struct {
 	Cloud       bool    // true for public-cloud VMs (set by package cloud)
 
 	node *cluster.Node
+	slot int // index in the manager's live slice; -1 once released
 }
 
 // NodeID returns the ID of the physical node hosting the VM. Chaos
@@ -138,7 +139,12 @@ type Manager struct {
 	// sits at index i. No VM is ever removed, so a walk over it sees
 	// each VM once, without hashing or formatting an ID.
 	started []*VM
-	active  int // provisioning + running + stopping
+	// live holds the VMs that are provisioning, running or stopping,
+	// each at the slot it records: a VM joins at start and is
+	// swap-removed when it stops or crashes. Audit walks it, so an
+	// audit costs what the live VMs cost, not every VM ever started.
+	live   []*VM
+	active int // provisioning + running + stopping
 
 	// UsedGauge tracks VMs that are provisioning or running.
 	UsedGauge *metrics.Gauge
@@ -225,26 +231,49 @@ func (m *Manager) StateCounts() [NumStates]int {
 	return out
 }
 
-// Audit checks the manager's internal conservation invariants: the
-// active count equals the recount of provisioning+running+stopping VMs,
-// stays within [0, Capacity], and agrees with UsedGauge. It returns the
-// recount it made, so a caller cross-checking VM states walks the table
-// once, and the first violation found, or nil. The platform Auditor
-// calls this at every audit barrier.
-func (m *Manager) Audit() ([NumStates]int, error) {
-	counts := m.StateCounts()
-	live := counts[StateProvisioning] + counts[StateRunning] + counts[StateStopping]
+// Audit checks the manager's internal conservation invariants: every
+// VM in the live slice is at the slot it records and is provisioning,
+// running or stopping; the active count equals that recount, stays
+// within [0, Capacity], and agrees with UsedGauge. It returns the
+// number of running VMs it counted, which the platform Auditor checks
+// against the private nodes attached, and the first violation found,
+// or nil. The platform Auditor calls this at every audit barrier.
+func (m *Manager) Audit() (running int, err error) {
+	var counts [NumStates]int
+	for i, vm := range m.live {
+		if vm.slot != i {
+			return 0, fmt.Errorf("vmm: live slot %d holds %s, which records slot %d", i, vm.ID, vm.slot)
+		}
+		counts[vm.State]++
+	}
+	running = counts[StateRunning]
+	live := counts[StateProvisioning] + running + counts[StateStopping]
+	if live != len(m.live) {
+		return running, fmt.Errorf("vmm: %d of %d VMs in the live slice are terminated or crashed",
+			len(m.live)-live, len(m.live))
+	}
 	if live != m.active {
-		return counts, fmt.Errorf("vmm: active=%d but state recount=%d (prov=%d run=%d stop=%d)",
-			m.active, live, counts[StateProvisioning], counts[StateRunning], counts[StateStopping])
+		return running, fmt.Errorf("vmm: active=%d but state recount=%d (prov=%d run=%d stop=%d)",
+			m.active, live, counts[StateProvisioning], running, counts[StateStopping])
 	}
 	if m.active < 0 || m.active > m.cfg.MaxVMs {
-		return counts, fmt.Errorf("vmm: active=%d outside [0, %d]", m.active, m.cfg.MaxVMs)
+		return running, fmt.Errorf("vmm: active=%d outside [0, %d]", m.active, m.cfg.MaxVMs)
 	}
 	if g := m.UsedGauge.Value(); g != m.active {
-		return counts, fmt.Errorf("vmm: used gauge %d disagrees with active %d", g, m.active)
+		return running, fmt.Errorf("vmm: used gauge %d disagrees with active %d", g, m.active)
 	}
-	return counts, nil
+	return running, nil
+}
+
+// enlist registers a VM that has just taken capacity: by ID, in start
+// order and in the live slice.
+func (m *Manager) enlist(vm *VM) {
+	m.vms[vm.ID] = vm
+	m.started = append(m.started, vm)
+	vm.slot = len(m.live)
+	m.live = append(m.live, vm)
+	m.active++
+	m.UsedGauge.Add(m.eng.Now(), 1)
 }
 
 // vmID names the i-th VM started: "%s-vm%03d".
@@ -286,10 +315,7 @@ func (m *Manager) Start(image string, done func(*VM, error)) {
 		SpeedFactor: node.SpeedFactor,
 		node:        node,
 	}
-	m.vms[vm.ID] = vm
-	m.started = append(m.started, vm)
-	m.active++
-	m.UsedGauge.Add(m.eng.Now(), 1)
+	m.enlist(vm)
 
 	boot := sim.Seconds(m.cfg.Latencies.Boot.Sample(m.rng))
 	m.eng.Schedule(boot, func() {
@@ -330,10 +356,7 @@ func (m *Manager) StartDeployed(image string) (*VM, error) {
 		SpeedFactor: node.SpeedFactor,
 		node:        node,
 	}
-	m.vms[vm.ID] = vm
-	m.started = append(m.started, vm)
-	m.active++
-	m.UsedGauge.Add(m.eng.Now(), 1)
+	m.enlist(vm)
 	m.Starts.Inc()
 	m.scheduleCrash(vm)
 	return vm, nil
@@ -367,9 +390,17 @@ func (m *Manager) Stop(id string, done func(error)) {
 	})
 }
 
+// release frees a stopped or crashed VM's capacity and swap-removes
+// it from the live slice.
 func (m *Manager) release(vm *VM, final State) {
 	vm.State = final
 	vm.node.Release(vm.Shape.Cores, vm.Shape.MemoryMB)
+	i, last := vm.slot, len(m.live)-1
+	m.live[i] = m.live[last]
+	m.live[i].slot = i
+	m.live[last] = nil
+	m.live = m.live[:last]
+	vm.slot = -1
 	m.active--
 	m.UsedGauge.Add(m.eng.Now(), -1)
 }

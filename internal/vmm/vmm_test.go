@@ -404,3 +404,63 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The live slice holds exactly the VMs that occupy capacity: a VM
+// joins at start, a stopping VM stays until its shutdown completes,
+// and a stopped or crashed VM leaves while the survivors keep the
+// slots they record. Audit recounts the slice, so a corrupted active
+// count or a released VM left in it fails the audit.
+func TestAuditWalksLiveVMs(t *testing.T) {
+	eng := sim.NewEngine()
+	m := newManager(t, eng, Config{Latencies: Latencies{
+		Boot:     stats.Constant{V: 5},
+		Shutdown: stats.Constant{V: 5},
+	}})
+	var vms []*VM
+	for i := 0; i < 6; i++ {
+		vm, err := m.StartDeployed("batch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	m.Start("batch", func(*VM, error) {}) // provisioning until the engine runs
+	if err := m.Crash(vms[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	m.Stop(vms[4].ID, func(error) {})
+	checkLive := func(wantRunning, wantLive int) {
+		t.Helper()
+		running, err := m.Audit()
+		if err != nil || running != wantRunning || len(m.live) != wantLive {
+			t.Fatalf("Audit = %d running, %v; live slice holds %d: want %d running, nil, %d live",
+				running, err, len(m.live), wantRunning, wantLive)
+		}
+		for i, vm := range m.live {
+			if vm.slot != i {
+				t.Fatalf("live slot %d holds %s, which records slot %d", i, vm.ID, vm.slot)
+			}
+		}
+	}
+	checkLive(4, 6) // 4 running, 1 stopping, 1 provisioning
+	eng.RunAll()
+	checkLive(5, 5) // the stop completed and the boot finished
+	for _, gone := range []*VM{vms[1], vms[4]} {
+		if gone.slot != -1 || slices.Contains(m.live, gone) {
+			t.Fatalf("%s is %v but still in the live slice (slot %d)", gone.ID, gone.State, gone.slot)
+		}
+	}
+
+	m.active++
+	want := "vmm: active=6 but state recount=5 (prov=0 run=5 stop=0)"
+	if _, err := m.Audit(); err == nil || err.Error() != want {
+		t.Fatalf("Audit with a corrupted active count = %v, want %q", err, want)
+	}
+	m.active--
+	vms[1].slot = len(m.live)
+	m.live = append(m.live, vms[1])
+	want = "vmm: 1 of 6 VMs in the live slice are terminated or crashed"
+	if _, err := m.Audit(); err == nil || err.Error() != want {
+		t.Fatalf("Audit with a crashed VM left live = %v, want %q", err, want)
+	}
+}
