@@ -42,15 +42,9 @@ func (c *Config) slaProvider(model sla.PerfModel, minVMs, maxVMs int) *sla.Provi
 }
 
 // maxVMs bounds a proposal set that starts at n VMs: offers cover n up
-// to SLAScaleOutLimit times it ("a set of pairs", §4.2.1). Limits below
-// 2 offer only n. The service controller's elastic growth stops at the
-// same bound.
-func (c *Config) maxVMs(n int) int {
-	if c.SLAScaleOutLimit > 1 {
-		return n * c.SLAScaleOutLimit
-	}
-	return n
-}
+// to slaScaleOutLimit times it ("a set of pairs", §4.2.1). The service
+// controller's elastic growth stops at the same bound.
+func maxVMs(n int) int { return n * slaScaleOutLimit }
 
 // BatchAdapter implements Adapter for batch applications (paper §4.2).
 type BatchAdapter struct {
@@ -80,10 +74,10 @@ func (a *BatchAdapter) execEst(app workload.App) sla.PerfModel {
 
 // SLAProvider implements Adapter. The first offer carries exactly the VM
 // count the application requested (so accept-first users get the paper's
-// behaviour); further offers scale the count up to SLAScaleOutLimit
+// behaviour); further offers scale the count up to slaScaleOutLimit
 // times for deadline-constrained users to buy speed.
 func (a *BatchAdapter) SLAProvider(app workload.App) *sla.Provider {
-	return a.cfg.slaProvider(a.execEst(app), app.VMs, a.cfg.maxVMs(app.VMs))
+	return a.cfg.slaProvider(a.execEst(app), app.VMs, maxVMs(app.VMs))
 }
 
 // Translate implements Adapter.
@@ -131,7 +125,7 @@ func (a *MapReduceAdapter) execEst(app workload.App) sla.PerfModel {
 
 // SLAProvider implements Adapter.
 func (a *MapReduceAdapter) SLAProvider(app workload.App) *sla.Provider {
-	return a.cfg.slaProvider(a.execEst(app), app.VMs, a.cfg.maxVMs(app.VMs))
+	return a.cfg.slaProvider(a.execEst(app), app.VMs, maxVMs(app.VMs))
 }
 
 // Translate implements Adapter.

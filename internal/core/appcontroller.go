@@ -417,7 +417,7 @@ func (ac *AppController) desiredReplicas(stats service.Stats) int {
 	if n < 1 {
 		n = 1
 	}
-	return min(n, ac.cm.p.cfg.maxVMs(st.contract.NumVMs))
+	return min(n, maxVMs(st.contract.NumVMs))
 }
 
 // stop cancels the monitor. The controller outlives its application in

@@ -58,9 +58,10 @@ const defaultAuditEveryS = 30
 // The invariant catalogue (see DESIGN.md "Invariant catalogue"):
 //
 //   - Node conservation, per VC: the framework's node count, the CM's
-//     lease table, and OwnedPrivate agree; free/idle-disabled index
-//     recounts (each node's status read through the record the
-//     framework's AddNode returned) match the maintained indexes.
+//     lease table, and OwnedPrivate agree; per-kind free-index recounts
+//     (each node's status read through the record the framework's
+//     AddNode returned) match the maintained index, and every free node
+//     the framework lists is in the CM's lease table.
 //   - Lease-table/ResourceManager agreement: every attached private
 //     node is a running VM; every attached cloud node has a running
 //     lease at its provider, billed at the price locked at launch.
@@ -351,7 +352,7 @@ func (a *Auditor) checkRecord(rec *metrics.AppRecord, prev float64) {
 func (a *Auditor) checkCM(cm *ClusterManager) {
 	name := cm.name
 	var freeKind [2]int
-	cloudAttached, idleDisabled := 0, 0
+	cloudAttached := 0
 	for i, info := range cm.attached {
 		id := info.id
 		if info.slot != i || info.cm != cm {
@@ -368,8 +369,6 @@ func (a *Auditor) checkCM(cm *ClusterManager) {
 			}
 			switch {
 			case st.Busy:
-			case st.Disabled:
-				idleDisabled++
 			case st.Cloud:
 				freeKind[1]++
 			default:
@@ -389,9 +388,6 @@ func (a *Auditor) checkCM(cm *ClusterManager) {
 		if got := cm.fw.FreeNodeCount(cloudKind); got != freeKind[k] {
 			a.fail("%s: FreeNodeCount(cloud=%v)=%d but recount is %d", name, cloudKind, got, freeKind[k])
 		}
-	}
-	if got := len(cm.fw.IdleDisabledNodeIDs()); got != idleDisabled {
-		a.fail("%s: %d idle-disabled nodes indexed but recount is %d", name, got, idleDisabled)
 	}
 	a.cm = cm
 	cm.fw.VisitFreeNodes(false, a.visitFree)

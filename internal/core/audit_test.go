@@ -11,6 +11,7 @@ import (
 
 	"meryn/internal/cloud"
 	"meryn/internal/framework"
+	"meryn/internal/framework/batch"
 	"meryn/internal/metrics"
 	"meryn/internal/sim"
 	"meryn/internal/stats"
@@ -218,6 +219,18 @@ func TestAuditorDetectsCorruption(t *testing.T) {
 			info := cm.node(id)
 			delete(p.nodes, id)
 			return func() { p.nodes[id] = info }
+		}},
+		{"foreign-free-node", "free node stray not in CM lease table", func(t *testing.T, p *Platform) func() {
+			// A node the CM never attached joins vc1's batch table.
+			// Attach schedules nothing, so the node stays free, and only
+			// the free-node walk names it.
+			cm := p.cms["vc1"]
+			cm.fw.(*batch.Batch).Attach(framework.Node{ID: "stray"})
+			return func() {
+				if err := cm.fw.RemoveNode("stray"); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}},
 	}
 	for _, tc := range cases {
@@ -751,7 +764,6 @@ func referenceCheckCM(cm *ClusterManager, fail func(string, ...any)) {
 	}
 
 	var freeKind [2]int
-	idleDisabled := 0
 	for _, id := range ids {
 		st, ok := cm.fw.InspectNode(id)
 		if !ok {
@@ -764,9 +776,7 @@ func referenceCheckCM(cm *ClusterManager, fail func(string, ...any)) {
 		if st.Busy {
 			continue
 		}
-		if st.Disabled {
-			idleDisabled++
-		} else if st.Cloud {
+		if st.Cloud {
 			freeKind[1]++
 		} else {
 			freeKind[0]++
@@ -776,14 +786,12 @@ func referenceCheckCM(cm *ClusterManager, fail func(string, ...any)) {
 		if got := cm.fw.FreeNodeCount(cloudKind); got != freeKind[k] {
 			fail("%s: FreeNodeCount(cloud=%v)=%d but recount is %d", name, cloudKind, got, freeKind[k])
 		}
-	}
-	if got := len(cm.fw.IdleDisabledNodeIDs()); got != idleDisabled {
-		fail("%s: %d idle-disabled nodes indexed but recount is %d", name, got, idleDisabled)
-	}
-	for _, id := range cm.fw.FreeNodeIDs() {
-		if info := cm.p.nodes[id]; info == nil || info.cm != cm {
-			fail("%s: free node %s not in CM lease table", name, id)
-		}
+		cm.fw.VisitFreeNodes(cloudKind, func(id string) bool {
+			if info := cm.p.nodes[id]; info == nil || info.cm != cm {
+				fail("%s: free node %s not in CM lease table", name, id)
+			}
+			return true
+		})
 	}
 
 	for _, id := range ids {

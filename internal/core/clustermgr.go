@@ -189,21 +189,16 @@ func newClusterManager(p *Platform, cfg VCConfig) (*ClusterManager, error) {
 	}
 	switch cfg.Type {
 	case workload.TypeBatch:
-		cm.fw = batch.New(p.Eng, batch.Config{Name: cfg.Name, Image: cfg.Name + ".img", Events: events})
+		cm.fw = batch.New(p.Eng, batch.Config{Name: cfg.Name, Events: events})
 		cm.ad = &BatchAdapter{cfg: &p.cfg}
 	case workload.TypeMapReduce:
-		slots := cfg.SlotsPerNode
-		if slots <= 0 {
-			slots = 2
-		}
-		cm.fw = mapreduce.New(p.Eng, mapreduce.Config{
-			Name: cfg.Name, Image: cfg.Name + ".img", SlotsPerNode: slots, Events: events,
+		mr := mapreduce.New(p.Eng, mapreduce.Config{
+			Name: cfg.Name, SlotsPerNode: cfg.SlotsPerNode, Events: events,
 		})
-		cm.ad = &MapReduceAdapter{cfg: &p.cfg, slots: slots}
+		cm.fw = mr
+		cm.ad = &MapReduceAdapter{cfg: &p.cfg, slots: mr.SlotsPerNode()}
 	case workload.TypeService, workload.TypeServerless:
-		fcfg := framework.FleetConfig{
-			Name: cfg.Name, Image: cfg.Name + ".img", Tick: serviceTick, Events: events,
-		}
+		fcfg := framework.FleetConfig{Name: cfg.Name, Tick: serviceTick, Events: events}
 		ad := ServiceAdapter{cfg: &p.cfg}
 		if cfg.Type == workload.TypeService {
 			cm.fw, cm.ad = service.New(p.Eng, fcfg), &ad
@@ -271,7 +266,9 @@ func (cm *ClusterManager) attachCloud(inst *cloud.Instance, p *cloud.Provider) {
 // (cloud or private) from the framework and returns their IDs with the
 // detached bookkeeping info. Callers adjust avail. The framework's
 // kind-segregated free index makes the selection O(picked) — no full
-// free-list allocation, no per-node kind lookups.
+// free-list allocation, no per-node kind lookups. Every picked node is
+// free and nothing runs between the visit and the removals, so
+// RemoveNode, which refuses a node hosting work, cannot fail here.
 func (cm *ClusterManager) detachFreeNodes(n int, wantCloud bool) ([]string, []*nodeInfo) {
 	if n <= 0 || cm.fw.FreeNodeCount(wantCloud) == 0 {
 		return nil, nil
@@ -283,9 +280,6 @@ func (cm *ClusterManager) detachFreeNodes(n int, wantCloud bool) ([]string, []*n
 	})
 	infos := make([]*nodeInfo, 0, len(picked))
 	for _, id := range picked {
-		if err := cm.fw.DisableNode(id); err != nil {
-			panic(fmt.Sprintf("core: disabling free node %s: %v", id, err))
-		}
 		if err := cm.fw.RemoveNode(id); err != nil {
 			panic(fmt.Sprintf("core: removing free node %s: %v", id, err))
 		}

@@ -114,6 +114,9 @@ const (
 	// quote because the market is expected to spend most of the lease
 	// below it.
 	spotCostDiscount = 0.85
+	// slaScaleOutLimit bounds the negotiation proposal set: offers range
+	// from the requested VM count up to this multiple of it.
+	slaScaleOutLimit = 4
 )
 
 // Config assembles a Meryn platform.
@@ -154,10 +157,6 @@ type Config struct {
 	// class.
 	ConservativeSpeed float64
 
-	// SLAScaleOutLimit bounds the negotiation proposal set: offers range
-	// from the requested VM count up to this multiple of it (default 4;
-	// 1 reproduces single-offer negotiation).
-	SLAScaleOutLimit int
 	// DisableSuspension removes options 3 and 4 of Algorithm 1 (ablation).
 	DisableSuspension bool
 	// Enforcer handles SLA violations detected by Application
@@ -239,7 +238,6 @@ func DefaultConfig() Config {
 		}},
 		UserVMPrice:        4,
 		PenaltyN:           1,
-		SLAScaleOutLimit:   4,
 		ProcessingEstimate: 84,
 	}
 }
@@ -270,9 +268,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.PenaltyN < 0 {
 		return fmt.Errorf("core: negative PenaltyN %g", c.PenaltyN)
-	}
-	if c.SLAScaleOutLimit == 0 {
-		c.SLAScaleOutLimit = d.SLAScaleOutLimit
 	}
 	if c.ProcessingEstimate == 0 {
 		c.ProcessingEstimate = d.ProcessingEstimate

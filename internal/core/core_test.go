@@ -606,19 +606,3 @@ func TestDeadlineBoundUserBuysExtraVMs(t *testing.T) {
 		t.Fatalf("exec = %v s, want 775", got)
 	}
 }
-
-func TestScaleOutLimitOneReproducesSingleOffer(t *testing.T) {
-	cfg := onevcConfig(4)
-	cfg.SLAScaleOutLimit = 1
-	cfg.ConservativeSpeed = 1.0
-	cfg.UserStrategy = func(app workload.App) sla.User {
-		return sla.DeadlineBound{Deadline: sim.Seconds(1000)}
-	}
-	p := newPlatform(t, cfg)
-	res := run(t, p, workload.Workload{batchApp("a", "vc1", 0, 1550)})
-	// Only the 1-VM offer exists (deadline 1634 > 1000): negotiation
-	// fails and the app is rejected.
-	if res.Counters.Rejections.Count != 1 {
-		t.Fatalf("rejections = %d, want 1", res.Counters.Rejections.Count)
-	}
-}

@@ -44,8 +44,8 @@ func (s *Session) Digest() uint64 {
 	// now would move every digest recorded in journals and tests.
 	w.d("m=", int64(s.p.PrivateUsed.Value()))
 	w.d("|", int64(s.p.CloudUsed.Value()))
-	w.d("|", int64(s.submitted))
-	w.d("|", int64(s.submitted-s.p.remaining))
+	w.d("|", int64(len(s.order)))
+	w.d("|", int64(len(s.order)-s.p.remaining))
 	w.end()
 	for _, prov := range s.p.Clouds {
 		w.g("cloud=", prov.TotalSpend)

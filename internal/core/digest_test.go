@@ -33,7 +33,7 @@ func referenceDigest(s *Session) uint64 {
 			cm.avail, cm.OwnedPrivate, len(cm.attached), cm.accepted)
 	}
 	w("m=%d|%d|%d|%d;", s.p.PrivateUsed.Value(), s.p.CloudUsed.Value(),
-		s.submitted, s.submitted-s.p.remaining)
+		len(s.order), len(s.order)-s.p.remaining)
 	for _, prov := range s.p.Clouds {
 		w("cloud=%g|%g;", prov.TotalSpend, prov.SpotSpend)
 	}

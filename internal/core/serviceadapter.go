@@ -43,7 +43,7 @@ func (a *ServiceAdapter) Validate(app workload.App) error {
 	if app.DurationS <= 0 {
 		return fmt.Errorf("core: service app %s has no lifetime", app.ID)
 	}
-	if min, max := a.minViableReplicas(app), a.cfg.maxVMs(app.Replicas); min > max {
+	if min, max := a.minViableReplicas(app), maxVMs(app.Replicas); min > max {
 		return fmt.Errorf("core: service app %s saturates at declared rate %.1f req/s even with %d replicas",
 			app.ID, a.sizingRate(app), max)
 	}
@@ -111,7 +111,7 @@ func (a *ServiceAdapter) SLAProvider(app workload.App) *sla.Provider {
 // p95 model. The processing allowance becomes the startup grace on the
 // completion bound: the offer's time column is a pure p95 target.
 func (a *ServiceAdapter) provider(app workload.App, model sla.PerfModel) *sla.Provider {
-	p := a.cfg.slaProvider(model, a.minViableReplicas(app), a.cfg.maxVMs(app.Replicas))
+	p := a.cfg.slaProvider(model, a.minViableReplicas(app), maxVMs(app.Replicas))
 	p.SLO = &sla.SLOTemplate{
 		Lifetime:     sim.Seconds(app.DurationS),
 		Availability: serviceAvailability,

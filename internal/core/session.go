@@ -158,12 +158,11 @@ type PlatformMetrics struct {
 type Session struct {
 	p *Platform
 
-	mu        sync.Mutex
-	negs      map[string]*Negotiation
-	order     []string // submission order
-	submitted int
-	events    []SessionEvent
-	closed    bool
+	mu     sync.Mutex
+	negs   map[string]*Negotiation
+	order  []string // submission order
+	events []SessionEvent
+	closed bool
 }
 
 // Open starts a session on the platform. One session may be open at a
@@ -223,7 +222,6 @@ func (s *Session) submit(app workload.App, interactive bool, u sla.User) (*Negot
 	g := &Negotiation{s: s, appID: app.ID, interactive: interactive, user: u}
 	s.negs[app.ID] = g
 	s.order = append(s.order, app.ID)
-	s.submitted++
 	s.p.remaining++
 	// Work entered the platform: make sure an audit barrier is armed.
 	// The timer disarms itself once the platform settles, so drained
@@ -392,8 +390,8 @@ func (s *Session) Metrics() PlatformMetrics {
 		PrivateUsed: s.p.PrivateUsed.Value(),
 		CloudUsed:   s.p.CloudUsed.Value(),
 		EventsFired: s.p.Eng.Fired(),
-		Submitted:   s.submitted,
-		Settled:     s.submitted - s.p.remaining,
+		Submitted:   len(s.order),
+		Settled:     len(s.order) - s.p.remaining,
 		Counters:    s.p.Counters,
 	}
 	if s.p.Audit != nil {

@@ -5,11 +5,11 @@
 // computation of paper Algorithm 2 possible.
 //
 // Scheduler state is indexed, not rescanned: the node table is the
-// shared dedicated-node table (framework.Nodes), whose free and
-// idle-disabled sets are maintained on every node/job transition, the
-// job queue is a ring deque with O(1) front pops and requeues, and the
-// running set is kept in submission order so Running() — called once
-// per bid by the core protocol — neither sorts nor allocates.
+// shared dedicated-node table (framework.Nodes), whose free set is
+// maintained on every node/job transition, the job queue is a ring
+// deque with O(1) front pops and requeues, and the running set is kept
+// in submission order so Running() — called once per bid by the core
+// protocol — neither sorts nor allocates.
 package batch
 
 import (
@@ -40,7 +40,6 @@ func (je *jobEntry) running() bool { return je.job.State == framework.JobRunning
 // Config configures a batch framework instance.
 type Config struct {
 	Name   string
-	Image  string
 	Events framework.Events
 }
 
@@ -66,9 +65,6 @@ func New(eng *sim.Engine, cfg Config) *Batch {
 	if cfg.Name == "" {
 		cfg.Name = "batch"
 	}
-	if cfg.Image == "" {
-		cfg.Image = cfg.Name + ".img"
-	}
 	return &Batch{
 		eng:  eng,
 		cfg:  cfg,
@@ -79,8 +75,8 @@ func New(eng *sim.Engine, cfg Config) *Batch {
 // Name implements framework.Framework.
 func (b *Batch) Name() string { return b.cfg.Name }
 
-// Image implements framework.Framework.
-func (b *Batch) Image() string { return b.cfg.Image }
+// Image implements framework.Framework: the name plus ".img".
+func (b *Batch) Image() string { return b.cfg.Name + ".img" }
 
 // AddNode implements framework.Framework. Adding a node immediately
 // triggers scheduling.
@@ -176,17 +172,6 @@ func (b *Batch) Resume(id string) error {
 	b.queue.PushFront(je)
 	b.schedule()
 	return nil
-}
-
-// JobNodes implements framework.Framework.
-func (b *Batch) JobNodes(id string) ([]string, error) {
-	je, ok := b.jobs[id]
-	if !ok || !je.running() {
-		return nil, fmt.Errorf("%w: %s is not running", framework.ErrJobState, id)
-	}
-	out := make([]string, len(je.nodeIDs))
-	copy(out, je.nodeIDs)
-	return out, nil
 }
 
 // VisitJobNodes implements framework.Framework.

@@ -189,7 +189,7 @@ func TestSuspendPreservesProgress(t *testing.T) {
 		t.Fatalf("progress = %v, want 0.4", p)
 	}
 	// Node is free again.
-	if len(b.FreeNodeIDs()) != 1 {
+	if b.FreeLen() != 1 {
 		t.Fatal("suspended job did not free its node")
 	}
 	// Resume: runs the remaining 600s.
@@ -280,9 +280,6 @@ func TestNodeManagement(t *testing.T) {
 	if err := b.RemoveNode("nope"); !errors.Is(err, framework.ErrNodeUnknown) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := b.DisableNode("nope"); !errors.Is(err, framework.ErrNodeUnknown) {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 func TestAddDuplicateNodePanics(t *testing.T) {
@@ -296,27 +293,10 @@ func TestAddDuplicateNodePanics(t *testing.T) {
 	b.AddNode(framework.Node{ID: "x"})
 }
 
-func TestDisabledNodeNotScheduled(t *testing.T) {
-	eng := sim.NewEngine()
-	b := New(eng, Config{})
-	addNodes(b, 2, 1.0)
-	must(t, b.DisableNode("n01"))
-	must(t, b.Submit(job("a", 1, 100)))
-	must(t, b.Submit(job("b", 1, 100)))
-	eng.Run(sim.Seconds(50))
-	// Only n00 is schedulable, so "b" must still be queued.
-	if len(b.QueuedJobs()) != 1 {
-		t.Fatalf("queued = %d, want 1", len(b.QueuedJobs()))
-	}
-	ids := b.IdleDisabledNodeIDs()
-	if len(ids) != 1 || ids[0] != "n01" {
-		t.Fatalf("IdleDisabledNodeIDs = %v", ids)
-	}
-}
-
 func TestDrainFlowForVMExchange(t *testing.T) {
-	// The Cluster Manager flow from paper §3.4: disable the victim's
-	// nodes, suspend the victim, then remove the now-idle nodes.
+	// The Cluster Manager flow from paper §3.4: suspend the victim, then
+	// remove the nodes that are free. The queued waiter takes the first
+	// freed node, and a node hosting work refuses removal.
 	eng := sim.NewEngine()
 	b := New(eng, Config{})
 	addNodes(b, 2, 1.0)
@@ -324,31 +304,34 @@ func TestDrainFlowForVMExchange(t *testing.T) {
 	must(t, b.Submit(job("waiter", 1, 100)))
 	eng.Run(sim.Seconds(10))
 
-	nodes, err := b.JobNodes("victim")
+	nodes, err := fwtest.JobNodes(b, "victim")
 	must(t, err)
-	if len(nodes) != 2 {
-		t.Fatalf("JobNodes = %v", nodes)
-	}
-	for _, id := range nodes {
-		must(t, b.DisableNode(id))
+	if fmt.Sprint(nodes) != "[n00 n01]" {
+		t.Fatalf("victim nodes = %v", nodes)
 	}
 	must(t, b.Suspend("victim"))
-	// Disabled nodes must NOT be grabbed by the queued waiter.
 	w, _ := b.Get("waiter")
-	if w.State != framework.JobQueued {
-		t.Fatalf("waiter state = %v, want queued (nodes drained)", w.State)
+	if w.State != framework.JobRunning {
+		t.Fatalf("waiter state = %v, want running on a freed node", w.State)
 	}
-	for _, id := range b.IdleDisabledNodeIDs() {
+	free := fwtest.FreeNodes(b, false)
+	if fmt.Sprint(free) != "[n01]" {
+		t.Fatalf("free after suspension = %v, want [n01]", free)
+	}
+	for _, id := range free {
 		must(t, b.RemoveNode(id))
 	}
-	if b.NumNodes() != 0 {
-		t.Fatalf("NumNodes = %d, want 0", b.NumNodes())
+	if err := b.RemoveNode("n00"); !errors.Is(err, framework.ErrNodeBusy) {
+		t.Fatalf("RemoveNode of the waiter's node = %v, want ErrNodeBusy", err)
+	}
+	if b.NumNodes() != 1 {
+		t.Fatalf("NumNodes = %d, want 1", b.NumNodes())
 	}
 }
 
 func TestJobNodesNotRunning(t *testing.T) {
 	b := New(sim.NewEngine(), Config{})
-	if _, err := b.JobNodes("nope"); !errors.Is(err, framework.ErrJobState) {
+	if _, err := fwtest.JobNodes(b, "nope"); !errors.Is(err, framework.ErrJobState) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -569,17 +552,17 @@ func TestCrashRequeueRestartsFirst(t *testing.T) {
 	}
 }
 
-// checkNodeIndexes compares the maintained free/idle-disabled indexes
-// against a brute-force recomputation from per-node status (shared
-// helper in fwtest), using the attach order tracked by the test.
+// checkNodeIndexes compares the maintained free index against a
+// brute-force recomputation from per-node status (shared helper in
+// fwtest), using the attach order tracked by the test.
 func checkNodeIndexes(t *testing.T, b *Batch, attachOrder []string) {
 	t.Helper()
 	fwtest.CheckIndexes(t, b, attachOrder)
 }
 
 // TestFreeNodeIndexConsistency drives the index through every node/job
-// transition: add, schedule, disable, suspend, resume, fail, remove,
-// finish — verifying it against a full rescan after each step.
+// transition: add, schedule, suspend, resume, fail, remove, finish —
+// verifying it against a full rescan after each step.
 func TestFreeNodeIndexConsistency(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, Config{})
@@ -607,33 +590,28 @@ func TestFreeNodeIndexConsistency(t *testing.T) {
 	must(t, b.Submit(job("j2", 1, 1000))) // takes p1
 	check("start j1 j2")
 
-	must(t, b.DisableNode("c1")) // idle -> idle-disabled
-	must(t, b.DisableNode("p1")) // busy: stays out of both indexes
-	must(t, b.DisableNode("p1")) // idempotent
-	check("disable idle and busy")
-
-	must(t, b.Suspend("j1")) // frees p0 (enabled) and c0 (enabled)
+	must(t, b.Suspend("j1")) // frees p0 and c0
 	check("suspend j1")
 
 	must(t, b.Resume("j1")) // restarts on p0, c0
 	eng.Run(sim.Seconds(1))
 	check("resume j1")
 
-	must(t, b.FailNode("p0")) // j1 requeues; c0 freed, p0 gone
+	must(t, b.FailNode("p0")) // j1 requeues and restarts on c0, c1
 	attachOrder = []string{"c0", "p1", "c1", "p2"}
 	check("fail p0")
 
-	must(t, b.RemoveNode("c1")) // idle-disabled node drained away
-	attachOrder = []string{"c0", "p1", "p2"}
-	check("remove c1")
+	must(t, b.RemoveNode("p2")) // the one free node left
+	attachOrder = []string{"c0", "p1", "c1"}
+	check("remove p2")
 
-	eng.RunAll() // j1 finishes (c0+p2), then j2's disabled p1 frees
+	eng.RunAll() // j1 finishes (c0+c1), then j2 frees p1
 	check("run to completion")
 
-	if got := b.IdleDisabledNodeIDs(); len(got) != 1 || got[0] != "p1" {
-		t.Fatalf("idle-disabled at end = %v, want [p1]", got)
+	if got := fwtest.FreeNodes(b, false); fmt.Sprint(got) != "[p1]" {
+		t.Fatalf("free private at end = %v, want [p1]", got)
 	}
-	if got := b.FreeNodeIDs(); len(got) != 2 || got[0] != "c0" || got[1] != "p2" {
-		t.Fatalf("free at end = %v, want [c0 p2]", got)
+	if got := fwtest.FreeNodes(b, true); fmt.Sprint(got) != "[c0 c1]" {
+		t.Fatalf("free cloud at end = %v, want [c0 c1]", got)
 	}
 }

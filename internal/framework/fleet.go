@@ -10,7 +10,6 @@ import (
 // serverless).
 type FleetConfig struct {
 	Name   string
-	Image  string
 	Events Events
 
 	// Tick is the evaluation interval: how often offered load is
@@ -105,8 +104,8 @@ func (f *Fleet[X]) OfferedRate(t sim.Time) float64 {
 // of instances on dedicated nodes for a contracted lifetime of wall
 // seconds (Job.Work): service replicas, function instances. It embeds
 // the node table and implements the job half of Framework (Get,
-// Running, QueuedJobs, Progress, JobNodes, VisitJobNodes) plus Name,
-// Image and Tick.
+// Running, QueuedJobs, Progress, VisitJobNodes) plus Name, Image and
+// Tick.
 //
 // Everything else is a primitive that changes the table and returns:
 // the framework validates and decides (whether a lost last instance
@@ -136,13 +135,9 @@ type Fleets[X any] struct {
 	tickOnce  func() // Init's onTick, then armTick; bound once, so re-arming allocates nothing
 }
 
-// Init prepares an empty table on eng. The image defaults to the name
-// plus ".img" and the tick to 10 s; onTick runs every tick while
-// unsettled jobs exist.
+// Init prepares an empty table on eng. The tick defaults to 10 s;
+// onTick runs every tick while unsettled jobs exist.
 func (t *Fleets[X]) Init(eng *sim.Engine, cfg FleetConfig, onTick func()) {
-	if cfg.Image == "" {
-		cfg.Image = cfg.Name + ".img"
-	}
 	if cfg.Tick <= 0 {
 		cfg.Tick = sim.Seconds(10)
 	}
@@ -165,8 +160,8 @@ func (t *Fleets[X]) armTick() {
 // Name implements Framework.
 func (t *Fleets[X]) Name() string { return t.cfg.Name }
 
-// Image implements Framework.
-func (t *Fleets[X]) Image() string { return t.cfg.Image }
+// Image implements Framework: the name plus ".img".
+func (t *Fleets[X]) Image() string { return t.cfg.Name + ".img" }
 
 // Tick returns the evaluation interval.
 func (t *Fleets[X]) Tick() sim.Time { return t.cfg.Tick }
@@ -420,19 +415,6 @@ func (t *Fleets[X]) VisitSuspended(visit func(*Fleet[X])) {
 			visit(f)
 		}
 	}
-}
-
-// JobNodes implements Framework.
-func (t *Fleets[X]) JobNodes(id string) ([]string, error) {
-	f, err := t.runningFleet(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(f.Insts))
-	for i, in := range f.Insts {
-		out[i] = in.Node.ID
-	}
-	return out, nil
 }
 
 // VisitJobNodes implements Framework: assignment order, which is

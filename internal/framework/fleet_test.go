@@ -172,8 +172,8 @@ func TestFleetShrinkPrivateFirstNewestFirst(t *testing.T) {
 			nodesOf(f), f.Target, f.Job.Replicas)
 	}
 	tb.check(t)
-	if free := tb.FreeNodeIDs(); fmt.Sprint(free) != "[p1 p2]" {
-		t.Fatalf("freed %v, want the newest private hosts [p1 p2]", free)
+	if free := fwtest.FreeNodes(tb, false); fmt.Sprint(free) != "[p1 p2]" || tb.FreeLen() != 2 {
+		t.Fatalf("freed %v of %d, want the newest private hosts [p1 p2]", free, tb.FreeLen())
 	}
 
 	// The private pass runs dry and the cloud pass takes the newest lease.

@@ -1,7 +1,7 @@
 // Package framework defines the boundary between Meryn and the
 // programming frameworks it hosts (OGE, Hadoop in the paper's prototype).
 // The interface deliberately exposes only what the paper assumes an
-// unmodified framework can do — add/remove/drain nodes, submit jobs,
+// unmodified framework can do — add/remove nodes, submit jobs,
 // suspend/resume jobs, report progress — because Meryn's extensibility
 // argument (§2) rests on leaving framework internals untouched.
 //
@@ -145,14 +145,13 @@ type Events struct {
 
 // NodeStatus is a framework's introspective view of one attached node.
 // It exists for invariant auditing: the platform Auditor and the fwtest
-// helpers recount index state (free lists, idle-disabled lists,
-// per-kind counts) from per-node status and compare against the
-// maintained indexes. Busy means the node currently hosts work: a batch
-// job, at least one MapReduce task slot, or a service replica.
+// helpers recount the free index per kind from per-node status and
+// compare against the maintained index. Busy means the node currently
+// hosts work: a batch job, at least one MapReduce task slot, or a
+// service replica.
 type NodeStatus struct {
-	Busy     bool
-	Disabled bool
-	Cloud    bool
+	Busy  bool
+	Cloud bool
 }
 
 // NodeRef is a framework's own record of one attached node, returned
@@ -200,10 +199,8 @@ type Framework interface {
 	// AddNode attaches a slave node and returns the framework's record
 	// of it.
 	AddNode(Node) NodeRef
-	// DisableNode drains a node: running work continues, but the
-	// scheduler stops assigning new work to it. Used before removal.
-	DisableNode(id string) error
-	// RemoveNode detaches an idle node. It fails if the node is busy.
+	// RemoveNode detaches an idle node. It fails with ErrNodeBusy if
+	// the node hosts work.
 	RemoveNode(id string) error
 	// FailNode forcibly detaches a node (VM crash). Work running on it
 	// is lost: batch jobs requeue with their last checkpoint, MapReduce
@@ -211,10 +208,6 @@ type Framework interface {
 	FailNode(id string) error
 	// NumNodes returns the number of attached nodes.
 	NumNodes() int
-	// FreeNodeIDs lists enabled nodes with no work assigned, in attach
-	// order. It allocates; hot paths should use FreeNodeCount or
-	// VisitFreeNodes instead.
-	FreeNodeIDs() []string
 	// FreeNodeCount returns the number of free nodes of one kind
 	// (cloud or private) without allocating.
 	FreeNodeCount(cloud bool) int
@@ -222,9 +215,6 @@ type Framework interface {
 	// attach order, stopping early when visit returns false. The
 	// framework must not be mutated during the visit.
 	VisitFreeNodes(cloud bool, visit func(id string) bool)
-	// IdleDisabledNodeIDs lists disabled nodes with no work assigned
-	// (ready for removal), in attach order.
-	IdleDisabledNodeIDs() []string
 
 	// Submit enqueues a job.
 	Submit(*Job) error
@@ -232,14 +222,11 @@ type Framework interface {
 	Suspend(id string) error
 	// Resume re-queues a suspended job with priority.
 	Resume(id string) error
-	// JobNodes lists the node IDs a running job occupies.
-	JobNodes(id string) ([]string, error)
 	// VisitJobNodes calls visit for each node a running job occupies,
-	// stopping early when visit returns false — the allocation-free
-	// variant of JobNodes. The visit order is framework-specific but
-	// deterministic for a given simulation (floating-point aggregation
-	// over a run-dependent order would break reproducibility); callers
-	// must not rely on any particular order.
+	// stopping early when visit returns false. The visit order is
+	// framework-specific but deterministic for a given simulation
+	// (floating-point aggregation over a run-dependent order would break
+	// reproducibility); callers must not rely on any particular order.
 	VisitJobNodes(id string, visit func(id string) bool) error
 	// Progress returns completed fraction in [0,1].
 	Progress(id string) (float64, error)

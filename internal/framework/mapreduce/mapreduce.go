@@ -9,10 +9,10 @@
 // Manager drives it through exactly the same framework.Framework
 // interface as the batch framework.
 //
-// Scheduler state is indexed, not rescanned: enabled nodes with spare
-// slots live in per-usage-level buckets (framework.NodeIndex per slot
-// count, attach-ordered), so the least-loaded node pick is the head of
-// the lowest non-empty bucket instead of a full node scan per task; the
+// Scheduler state is indexed, not rescanned: nodes with spare slots
+// live in per-usage-level buckets (framework.NodeIndex per slot count,
+// attach-ordered), so the least-loaded node pick is the head of the
+// lowest non-empty bucket instead of a full node scan per task; the
 // scheduler sweeps only active (queued or running) jobs; and the running
 // set is maintained in submission order so Running() neither filters
 // the whole job history nor allocates.
@@ -20,7 +20,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
 
 	"meryn/internal/framework"
 	"meryn/internal/sim"
@@ -37,7 +36,6 @@ const (
 // AddNode returns for it.
 type nodeState struct {
 	node      framework.Node
-	disabled  bool
 	dropped   bool // removed from the table (RemoveNode, FailNode)
 	usedSlots int
 	entry     framework.IndexEntry
@@ -49,11 +47,7 @@ func (ns *nodeState) Status() (framework.NodeStatus, bool) {
 	if ns.dropped {
 		return framework.NodeStatus{}, false
 	}
-	return framework.NodeStatus{
-		Busy:     ns.usedSlots > 0,
-		Disabled: ns.disabled,
-		Cloud:    ns.node.Cloud,
-	}, true
+	return framework.NodeStatus{Busy: ns.usedSlots > 0, Cloud: ns.node.Cloud}, true
 }
 
 type taskRun struct {
@@ -74,10 +68,10 @@ type jobState struct {
 	tasks         map[int]*taskRun
 	nextTask      int
 	// nodeUse counts the job's in-flight tasks per node, and nodeList
-	// keeps those nodes in first-use order, so JobNodes and
-	// VisitJobNodes need no per-call dedup pass over tasks — and visits
-	// run in a deterministic order (float aggregation over a randomized
-	// map order would make summed cost rates differ run to run).
+	// keeps those nodes in first-use order, so VisitJobNodes needs no
+	// per-call dedup pass over tasks — and visits run in a deterministic
+	// order (float aggregation over a randomized map order would make
+	// summed cost rates differ run to run).
 	nodeUse  map[string]int
 	nodeList []string
 }
@@ -85,7 +79,6 @@ type jobState struct {
 // Config configures a MapReduce framework instance.
 type Config struct {
 	Name         string
-	Image        string
 	SlotsPerNode int // task slots each node contributes; default 2
 	Events       framework.Events
 }
@@ -99,11 +92,9 @@ type MapReduce struct {
 	// attachSeq stamps nodes in attach order; the bucket indexes keep
 	// that order so node selection matches the pre-index full scans.
 	attachSeq uint64
-	// buckets[u] holds enabled nodes with usedSlots == u (u <
-	// SlotsPerNode); fully loaded or busy-disabled nodes are unindexed.
+	// buckets[u] holds nodes with usedSlots == u (u < SlotsPerNode);
+	// fully loaded nodes are unindexed.
 	buckets []framework.NodeIndex
-	idleDis framework.NodeIndex // disabled nodes with no running tasks
-	enabled int                 // enabled node count, for TotalSlots
 
 	jobs   map[string]*jobState
 	jobSeq uint64
@@ -116,7 +107,7 @@ type MapReduce struct {
 
 	// started collects jobs that transitioned to running during the
 	// current scheduling sweep; OnStart fires after the sweep so the
-	// job's first task wave is visible to JobNodes in the callback
+	// job's first task wave is visible to VisitJobNodes in the callback
 	// (firing per-task used to announce a start before any task was
 	// registered, hiding the job's nodes from the Cluster Manager's
 	// usage accounting).
@@ -129,9 +120,6 @@ var _ framework.Framework = (*MapReduce)(nil)
 func New(eng *sim.Engine, cfg Config) *MapReduce {
 	if cfg.Name == "" {
 		cfg.Name = "mapreduce"
-	}
-	if cfg.Image == "" {
-		cfg.Image = cfg.Name + ".img"
 	}
 	if cfg.SlotsPerNode <= 0 {
 		cfg.SlotsPerNode = 2
@@ -148,16 +136,11 @@ func New(eng *sim.Engine, cfg Config) *MapReduce {
 // Name implements framework.Framework.
 func (m *MapReduce) Name() string { return m.cfg.Name }
 
-// Image implements framework.Framework.
-func (m *MapReduce) Image() string { return m.cfg.Image }
+// Image implements framework.Framework: the name plus ".img".
+func (m *MapReduce) Image() string { return m.cfg.Name + ".img" }
 
 // SlotsPerNode returns the per-node slot count.
 func (m *MapReduce) SlotsPerNode() int { return m.cfg.SlotsPerNode }
-
-// TotalSlots returns the cluster-wide slot count over enabled nodes.
-func (m *MapReduce) TotalSlots() int {
-	return m.enabled * m.cfg.SlotsPerNode
-}
 
 // AddNode implements framework.Framework.
 func (m *MapReduce) AddNode(n framework.Node) framework.NodeRef {
@@ -172,26 +155,8 @@ func (m *MapReduce) AddNode(n framework.Node) framework.NodeRef {
 	m.attachSeq++
 	m.nodes[n.ID] = ns
 	m.buckets[0].Insert(&ns.entry)
-	m.enabled++
 	m.schedule()
 	return ns
-}
-
-// DisableNode implements framework.Framework.
-func (m *MapReduce) DisableNode(id string) error {
-	ns, ok := m.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", framework.ErrNodeUnknown, id)
-	}
-	if !ns.disabled {
-		ns.disabled = true
-		m.enabled--
-		ns.entry.Unlink() // no-op when fully loaded (unindexed)
-		if ns.usedSlots == 0 {
-			m.idleDis.Insert(&ns.entry)
-		}
-	}
-	return nil
 }
 
 // RemoveNode implements framework.Framework.
@@ -204,9 +169,6 @@ func (m *MapReduce) RemoveNode(id string) error {
 		return fmt.Errorf("%w: %s", framework.ErrNodeBusy, id)
 	}
 	ns.entry.Unlink()
-	if !ns.disabled {
-		m.enabled--
-	}
 	ns.dropped = true
 	delete(m.nodes, id)
 	return nil
@@ -236,9 +198,6 @@ func (m *MapReduce) FailNode(id string) error {
 		}
 	}
 	ns.entry.Unlink()
-	if !ns.disabled {
-		m.enabled--
-	}
 	ns.dropped = true
 	delete(m.nodes, id)
 	m.schedule()
@@ -271,22 +230,12 @@ func (m *MapReduce) VisitNodeJobs(nodeID string, visit func(jobID string) bool) 
 	}
 }
 
-// FreeNodeIDs implements framework.Framework (fully idle enabled nodes).
-func (m *MapReduce) FreeNodeIDs() []string {
-	return m.buckets[0].CollectN(nil, -1)
-}
-
 // FreeNodeCount implements framework.Framework.
 func (m *MapReduce) FreeNodeCount(cloud bool) int { return m.buckets[0].Count(cloud) }
 
 // VisitFreeNodes implements framework.Framework.
 func (m *MapReduce) VisitFreeNodes(cloud bool, visit func(id string) bool) {
 	m.buckets[0].Visit(cloud, visit)
-}
-
-// IdleDisabledNodeIDs implements framework.Framework.
-func (m *MapReduce) IdleDisabledNodeIDs() []string {
-	return m.idleDis.CollectN(nil, -1)
 }
 
 // Submit implements framework.Framework. MapReduce jobs must declare at
@@ -385,19 +334,6 @@ func (js *jobState) decNodeUse(nodeID string) {
 	}
 }
 
-// JobNodes implements framework.Framework: nodes currently running at
-// least one of the job's tasks.
-func (m *MapReduce) JobNodes(id string) ([]string, error) {
-	js, ok := m.jobs[id]
-	if !ok || js.job.State != framework.JobRunning {
-		return nil, fmt.Errorf("%w: %s is not running", framework.ErrJobState, id)
-	}
-	out := make([]string, len(js.nodeList))
-	copy(out, js.nodeList)
-	sort.Strings(out)
-	return out, nil
-}
-
 // VisitJobNodes implements framework.Framework: first-use order, which
 // is deterministic for a given simulation.
 func (m *MapReduce) VisitJobNodes(id string, visit func(id string) bool) error {
@@ -464,19 +400,13 @@ func (m *MapReduce) claimSlot(ns *nodeState) {
 func (m *MapReduce) releaseSlot(ns *nodeState) {
 	ns.entry.Unlink() // no-op when the node was fully loaded
 	ns.usedSlots--
-	if ns.disabled {
-		if ns.usedSlots == 0 {
-			m.idleDis.Insert(&ns.entry)
-		}
-		return
-	}
 	m.buckets[ns.usedSlots].Insert(&ns.entry)
 }
 
-// freeSlotNode returns an enabled node with a spare slot, preferring the
-// least-loaded node (Hadoop spreads tasks), or "" when none exists. With
-// the bucket indexes this is the head of the lowest non-empty bucket —
-// exactly the node the old full scan picked.
+// freeSlotNode returns a node with a spare slot, preferring the
+// least-loaded node (Hadoop spreads tasks), or "" when none exists.
+// With the bucket indexes this is the head of the lowest non-empty
+// bucket — exactly the node the old full scan picked.
 func (m *MapReduce) freeSlotNode() string {
 	for u := range m.buckets {
 		if e := m.buckets[u].First(); e != nil {

@@ -159,7 +159,7 @@ func TestSuspendLosesInFlightKeepsCompleted(t *testing.T) {
 		t.Fatalf("progress = %v", p)
 	}
 	// The slot must be free.
-	if len(m.FreeNodeIDs()) != 1 {
+	if m.FreeNodeCount(false) != 1 {
 		t.Fatal("suspension did not free slots")
 	}
 	must(t, m.Resume("a"))
@@ -193,24 +193,26 @@ func TestSuspendResumeErrors(t *testing.T) {
 	}
 }
 
+// TestNodeDrainFlow runs the Cluster Manager's flow from paper §3.4: a
+// node running tasks refuses removal, suspending the job frees its
+// slots, and a free node is removed.
 func TestNodeDrainFlow(t *testing.T) {
 	eng := sim.NewEngine()
 	m := New(eng, Config{SlotsPerNode: 2})
 	addNodes(m, 2, 1.0)
 	must(t, m.Submit(mrJob("a", 8, 0, 100, 0)))
 	eng.Run(sim.Seconds(10))
-	nodes, err := m.JobNodes("a")
+	nodes, err := fwtest.JobNodes(m, "a")
 	must(t, err)
-	if len(nodes) != 2 {
-		t.Fatalf("JobNodes = %v", nodes)
+	if fmt.Sprint(nodes) != "[n00 n01]" {
+		t.Fatalf("job nodes = %v", nodes)
 	}
-	must(t, m.DisableNode("n01"))
 	if err := m.RemoveNode("n01"); !errors.Is(err, framework.ErrNodeBusy) {
 		t.Fatalf("busy node removed: %v", err)
 	}
 	must(t, m.Suspend("a"))
-	if got := m.IdleDisabledNodeIDs(); len(got) != 1 || got[0] != "n01" {
-		t.Fatalf("IdleDisabledNodeIDs = %v", got)
+	if got := fwtest.FreeNodes(m, false); fmt.Sprint(got) != "[n00 n01]" {
+		t.Fatalf("free after suspension = %v, want [n00 n01]", got)
 	}
 	must(t, m.RemoveNode("n01"))
 	if m.NumNodes() != 1 {
@@ -222,35 +224,6 @@ func TestNodeDrainFlow(t *testing.T) {
 	j, _ := m.Get("a")
 	if j.State != framework.JobDone {
 		t.Fatalf("state = %v", j.State)
-	}
-}
-
-func TestDisabledNodeGetsNoNewTasks(t *testing.T) {
-	eng := sim.NewEngine()
-	m := New(eng, Config{SlotsPerNode: 1})
-	addNodes(m, 2, 1.0)
-	must(t, m.DisableNode("n01"))
-	must(t, m.Submit(mrJob("a", 2, 0, 10, 0)))
-	eng.RunAll()
-	j, _ := m.Get("a")
-	// Only one slot available: 2 sequential waves.
-	if j.FinishedAt != sim.Seconds(20) {
-		t.Fatalf("FinishedAt = %v, want 20s", j.FinishedAt)
-	}
-}
-
-func TestTotalSlots(t *testing.T) {
-	m := New(sim.NewEngine(), Config{SlotsPerNode: 3})
-	addNodes(m, 2, 1.0)
-	if m.TotalSlots() != 6 {
-		t.Fatalf("TotalSlots = %d", m.TotalSlots())
-	}
-	must(t, m.DisableNode("n00"))
-	if m.TotalSlots() != 3 {
-		t.Fatalf("TotalSlots after disable = %d", m.TotalSlots())
-	}
-	if m.SlotsPerNode() != 3 {
-		t.Fatalf("SlotsPerNode = %d", m.SlotsPerNode())
 	}
 }
 
@@ -313,7 +286,7 @@ func TestPropertyMapWaveMakespan(t *testing.T) {
 		eng.RunAll()
 		total := n * s
 		waves := (k + total - 1) / total
-		return j.State == framework.JobDone && j.FinishedAt == sim.Seconds(float64(waves)*10)
+		return m.SlotsPerNode() == s && j.State == framework.JobDone && j.FinishedAt == sim.Seconds(float64(waves)*10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -339,7 +312,7 @@ func TestPropertySlotConservation(t *testing.T) {
 			}
 		}
 		eng.RunAll()
-		return len(m.FreeNodeIDs()) == 3
+		return m.FreeNodeCount(false) == 3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -375,8 +348,8 @@ func TestFailNodeLosesInFlightTasksOnly(t *testing.T) {
 }
 
 // TestNodeRefStatus: the record AddNode returns reads what InspectNode
-// reads while the node is attached, busy with task slots or drained,
-// and reports false once RemoveNode or FailNode has dropped it.
+// reads while the node is attached, busy with task slots or idle, and
+// reports false once RemoveNode or FailNode has dropped it.
 func TestNodeRefStatus(t *testing.T) {
 	eng := sim.NewEngine()
 	m := New(eng, Config{SlotsPerNode: 1})
@@ -396,13 +369,12 @@ func TestNodeRefStatus(t *testing.T) {
 		}
 	}
 	must(t, m.Submit(mrJob("a", 2, 0, 20, 0))) // one map on n00, one on n01
-	must(t, m.DisableNode("c00"))
-	agree("submit and disable")
+	agree("submit")
 	if st, ok := refs[0].Status(); !ok || !st.Busy {
 		t.Fatalf("n00 reads %+v, %v; want busy", st, ok)
 	}
-	if st, ok := refs[2].Status(); !ok || st.Busy || !st.Disabled || !st.Cloud {
-		t.Fatalf("c00 reads %+v, %v; want idle disabled cloud", st, ok)
+	if st, ok := refs[2].Status(); !ok || st.Busy || !st.Cloud {
+		t.Fatalf("c00 reads %+v, %v; want idle cloud", st, ok)
 	}
 	must(t, m.RemoveNode("c00"))
 	must(t, m.FailNode("n00"))
@@ -424,26 +396,15 @@ func TestFailNodeUnknown(t *testing.T) {
 // --- Slot-bucket index consistency (PR 2) ---
 
 // checkSlotIndexes runs the shared fwtest index check plus the
-// MapReduce-specific slot-accounting extras (TotalSlots, least-loaded
-// freeSlotNode pick).
+// MapReduce-specific least-loaded freeSlotNode pick.
 func checkSlotIndexes(t *testing.T, m *MapReduce, attachOrder []string) {
 	t.Helper()
 	fwtest.CheckIndexes(t, m, attachOrder)
-	enabled := 0
-	for _, id := range attachOrder {
-		ns, ok := m.nodes[id]
-		if ok && !ns.disabled {
-			enabled++
-		}
-	}
-	if got := m.TotalSlots(); got != enabled*m.SlotsPerNode() {
-		t.Fatalf("TotalSlots = %d, want %d", got, enabled*m.SlotsPerNode())
-	}
 	// The least-loaded pick must match a full scan of the node table.
 	want, wantUsed := "", 0
 	for _, id := range attachOrder {
 		ns, ok := m.nodes[id]
-		if !ok || ns.disabled || ns.usedSlots >= m.SlotsPerNode() {
+		if !ok || ns.usedSlots >= m.SlotsPerNode() {
 			continue
 		}
 		if want == "" || ns.usedSlots < wantUsed {
@@ -456,8 +417,8 @@ func checkSlotIndexes(t *testing.T, m *MapReduce, attachOrder []string) {
 }
 
 // TestSlotIndexConsistency drives the bucket indexes through task
-// launches, completions, disable, suspend/resume, fail and remove,
-// verifying them against a full rescan after each step.
+// launches, completions, suspend/resume, fail and remove, verifying
+// them against a full rescan after each step.
 func TestSlotIndexConsistency(t *testing.T) {
 	eng := sim.NewEngine()
 	m := New(eng, Config{SlotsPerNode: 2})
@@ -483,27 +444,23 @@ func TestSlotIndexConsistency(t *testing.T) {
 	must(t, m.Submit(mrJob("j1", 12, 0, 100, 0)))
 	check("launch j1 tasks")
 
-	must(t, m.DisableNode("p1")) // busy-disabled: out of every index
-	must(t, m.DisableNode("p1")) // idempotent
-	check("disable busy p1")
-
 	eng.Run(sim.Seconds(100)) // first map wave completes
 	check("first wave done")
 
 	must(t, m.Suspend("j1")) // kills in-flight tasks, frees all slots
 	check("suspend j1")
 
-	must(t, m.Resume("j1")) // relaunches on enabled nodes only
+	must(t, m.Resume("j1")) // relaunches on every node
 	check("resume j1")
 
 	must(t, m.FailNode("p0")) // in-flight tasks on p0 lost
 	attachOrder = []string{"c0", "p1"}
 	check("fail p0")
 
-	eng.RunAll() // j1 drains on c0
+	eng.RunAll() // j1 drains on c0 and p1
 	check("run to completion")
 
-	must(t, m.RemoveNode("p1")) // idle-disabled node drained away
+	must(t, m.RemoveNode("p1")) // free node removed
 	attachOrder = []string{"c0"}
 	check("remove p1")
 

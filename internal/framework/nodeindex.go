@@ -2,11 +2,10 @@ package framework
 
 // This file provides the intrusive node index shared by the framework
 // implementations. Every scheduling round used to rescan the full node
-// table to find free (or idle-disabled) nodes; the index instead keeps
-// those sets maintained on every state transition, ordered by attach
-// sequence and segregated by node kind (cloud vs private), so lookups,
-// counts and bounded collections run in time proportional to the answer
-// and allocate nothing.
+// table to find free nodes; the index instead keeps that set maintained
+// on every state transition, ordered by attach sequence and segregated
+// by node kind (cloud vs private), so lookups, counts and visits run in
+// time proportional to the answer and allocate nothing.
 //
 // Invariants (see DESIGN.md "Scheduler indexing invariants"):
 //
@@ -16,8 +15,8 @@ package framework
 //     iteration reproduces exactly the attach-order scans it replaced
 //     (node selection — and therefore simulation output — is unchanged).
 //   - The entry is embedded in the framework's per-node state: moving a
-//     node between "free", "idle-disabled" and "busy" (unlinked) costs
-//     pointer updates only.
+//     node between indexes (free, a MapReduce usage level) and "busy"
+//     (unlinked) costs pointer updates only.
 
 // IndexEntry is the intrusive hook embedded in a framework's per-node
 // state. Initialize it with Init at attach time; it must not be copied
@@ -147,39 +146,4 @@ func (x *NodeIndex) Visit(cloud bool, visit func(id string) bool) {
 			return
 		}
 	}
-}
-
-// CollectN appends up to max node IDs (both kinds, merged in attach
-// order) to dst and returns it. max < 0 collects everything; max caps
-// the appended entries regardless of dst's existing length. Pass a
-// reused scratch slice to avoid allocation.
-func (x *NodeIndex) CollectN(dst []string, max int) []string {
-	if max == 0 {
-		return dst
-	}
-	appended := 0
-	p := x.kinds[0].first()
-	c := x.kinds[1].first()
-	for p != nil || c != nil {
-		var e *IndexEntry
-		if c == nil || (p != nil && p.seq < c.seq) {
-			e = p
-			p = p.next
-			if p == &x.kinds[0].root {
-				p = nil
-			}
-		} else {
-			e = c
-			c = c.next
-			if c == &x.kinds[1].root {
-				c = nil
-			}
-		}
-		dst = append(dst, e.id)
-		appended++
-		if max > 0 && appended >= max {
-			return dst
-		}
-	}
-	return dst
 }

@@ -42,34 +42,29 @@ func TestNodeIndexAttachOrderAcrossKinds(t *testing.T) {
 	for _, i := range []int{3, 0, 4, 1, 2} {
 		x.Insert(es[i])
 	}
-	got := x.CollectN(nil, -1)
-	want := []string{"p0", "c1", "p2", "c3", "p4"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CollectN = %v, want %v", got, want)
-	}
 	if x.Len() != 5 || x.Count(false) != 3 || x.Count(true) != 2 {
 		t.Fatalf("counts: len=%d private=%d cloud=%d", x.Len(), x.Count(false), x.Count(true))
 	}
-	if f := x.First(); f == nil || f.ID() != "p0" {
-		t.Fatalf("First = %v", f)
+	// Popping First in turn reads the merged attach order, as Take does.
+	var got []string
+	for e := x.First(); e != nil; e = x.First() {
+		got = append(got, e.ID())
+		e.Unlink()
+	}
+	want := []string{"p0", "c1", "p2", "c3", "p4"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("First in turn = %v, want %v", got, want)
+	}
+	if x.Len() != 0 {
+		t.Fatalf("len after popping every entry = %d", x.Len())
 	}
 }
 
-func TestNodeIndexCollectNBounded(t *testing.T) {
-	es := entries(spec("a", 0, false), spec("b", 1, true), spec("c", 2, false))
-	var x NodeIndex
-	for _, e := range es {
-		x.Insert(e)
-	}
-	if got := x.CollectN(nil, 2); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("CollectN(2) = %v", got)
-	}
-	// Reused scratch must not allocate a fresh backing array.
-	scratch := make([]string, 0, 8)
-	got := x.CollectN(scratch, -1)
-	if len(got) != 3 || cap(got) != 8 {
-		t.Fatalf("scratch reuse failed: len=%d cap=%d", len(got), cap(got))
-	}
+// visitAll lists one kind's entries in attach order.
+func visitAll(x *NodeIndex, cloud bool) []string {
+	var out []string
+	x.Visit(cloud, func(id string) bool { out = append(out, id); return true })
+	return out
 }
 
 func TestNodeIndexUnlinkAndReinsert(t *testing.T) {
@@ -81,12 +76,12 @@ func TestNodeIndexUnlinkAndReinsert(t *testing.T) {
 	es[0].Unlink() // head leaves (job start)
 	es[2].Unlink()
 	es[2].Unlink() // double unlink is a no-op
-	if got := x.CollectN(nil, -1); !reflect.DeepEqual(got, []string{"b"}) {
+	if got := visitAll(&x, false); !reflect.DeepEqual(got, []string{"b"}) {
 		t.Fatalf("after unlink = %v", got)
 	}
 	x.Insert(es[2]) // re-enter out of order (job finish)
 	x.Insert(es[0])
-	if got := x.CollectN(nil, -1); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+	if got := visitAll(&x, false); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
 		t.Fatalf("after reinsert = %v", got)
 	}
 	if !es[0].Linked() {

@@ -15,11 +15,10 @@ var (
 // nodeState is the table's record of one node, and the NodeRef Attach
 // returns for it.
 type nodeState struct {
-	node     Node
-	disabled bool
-	dropped  bool   // removed from the table (Detach, RemoveNode)
-	jobID    string // "" when idle
-	entry    IndexEntry
+	node    Node
+	dropped bool   // removed from the table (Detach, RemoveNode)
+	jobID   string // "" when idle
+	entry   IndexEntry
 }
 
 // Status implements NodeRef: a node is busy while it hosts a job.
@@ -27,28 +26,27 @@ func (ns *nodeState) Status() (NodeStatus, bool) {
 	if ns.dropped {
 		return NodeStatus{}, false
 	}
-	return NodeStatus{Busy: ns.jobID != "", Disabled: ns.disabled, Cloud: ns.node.Cloud}, true
+	return NodeStatus{Busy: ns.jobID != "", Cloud: ns.node.Cloud}, true
 }
 
 // Nodes is the node table of a framework that dedicates each node to at
 // most one job at a time: a batch job's gang, a service replica, a
-// function instance. Free and idle-disabled nodes live in attach-ordered
-// indexes maintained on every transition, so selection, counts and
-// visits never rescan the table.
+// function instance. Free nodes live in an attach-ordered index
+// maintained on every transition, so selection, counts and visits never
+// rescan the table.
 //
 // A framework embeds Nodes to get the node half of Framework
-// (DisableNode, RemoveNode, NumNodes, the free/idle-disabled listings,
-// InspectNode and VisitNodeJobs). It implements AddNode
-// with Attach and FailNode with Detach, and moves nodes between free
-// and busy with Take and Release. The zero value is an empty table.
+// (RemoveNode, NumNodes, FreeNodeCount, VisitFreeNodes, InspectNode and
+// VisitNodeJobs). It implements AddNode with Attach and FailNode with
+// Detach, and moves nodes between free and busy with Take and Release.
+// The zero value is an empty table.
 type Nodes struct {
 	nodes map[string]*nodeState
 
-	// attachSeq stamps nodes in attach order; the indexes keep that
+	// attachSeq stamps nodes in attach order; the index keeps that
 	// order so node selection is deterministic and attach-ordered.
 	attachSeq uint64
-	free      NodeIndex // enabled nodes hosting no job
-	idleDis   NodeIndex // disabled nodes hosting no job
+	free      NodeIndex // nodes hosting no job
 }
 
 // Attach adds a free node and returns the table's record of it. A
@@ -110,33 +108,12 @@ func (t *Nodes) Release(ids ...string) {
 			continue
 		}
 		ns.jobID = ""
-		if ns.disabled {
-			t.idleDis.Insert(&ns.entry)
-		} else {
-			t.free.Insert(&ns.entry)
-		}
+		t.free.Insert(&ns.entry)
 	}
 }
 
 // FreeLen returns the number of free nodes of both kinds.
 func (t *Nodes) FreeLen() int { return t.free.Len() }
-
-// DisableNode implements Framework. A disabled node hosting a job keeps
-// it until the job releases the node; no new work is assigned to it.
-func (t *Nodes) DisableNode(id string) error {
-	ns, ok := t.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNodeUnknown, id)
-	}
-	if !ns.disabled {
-		ns.disabled = true
-		if ns.jobID == "" {
-			ns.entry.Unlink()
-			t.idleDis.Insert(&ns.entry)
-		}
-	}
-	return nil
-}
 
 // RemoveNode implements Framework.
 func (t *Nodes) RemoveNode(id string) error {
@@ -156,9 +133,6 @@ func (t *Nodes) RemoveNode(id string) error {
 // NumNodes implements Framework.
 func (t *Nodes) NumNodes() int { return len(t.nodes) }
 
-// FreeNodeIDs implements Framework.
-func (t *Nodes) FreeNodeIDs() []string { return t.free.CollectN(nil, -1) }
-
 // FreeNodeCount implements Framework.
 func (t *Nodes) FreeNodeCount(cloud bool) int { return t.free.Count(cloud) }
 
@@ -166,9 +140,6 @@ func (t *Nodes) FreeNodeCount(cloud bool) int { return t.free.Count(cloud) }
 func (t *Nodes) VisitFreeNodes(cloud bool, visit func(id string) bool) {
 	t.free.Visit(cloud, visit)
 }
-
-// IdleDisabledNodeIDs implements Framework.
-func (t *Nodes) IdleDisabledNodeIDs() []string { return t.idleDis.CollectN(nil, -1) }
 
 // InspectNode implements Inspector.
 func (t *Nodes) InspectNode(id string) (NodeStatus, bool) {

@@ -47,8 +47,8 @@ func TestNodesTakeOrder(t *testing.T) {
 }
 
 // TestNodeRefStatus: the record Attach returns reads what InspectNode
-// reads while the node is attached, through take, disable and release,
-// and reports false once Detach or RemoveNode has dropped the node.
+// reads while the node is attached, through take and release, and
+// reports false once Detach or RemoveNode has dropped the node.
 func TestNodeRefStatus(t *testing.T) {
 	var nodes framework.Nodes
 	ids := []string{"p0", "c0", "p1", "c1"}
@@ -68,15 +68,12 @@ func TestNodeRefStatus(t *testing.T) {
 	}
 	agree("attach")
 	busy, _ := nodes.Take("job") // p0
-	if err := nodes.DisableNode("c0"); err != nil {
-		t.Fatal(err)
-	}
-	agree("take and disable")
+	agree("take")
 	if st, ok := refs[0].Status(); !ok || !st.Busy || st.Cloud {
 		t.Fatalf("taken p0 reads %+v, %v; want busy private", st, ok)
 	}
-	if st, ok := refs[1].Status(); !ok || st.Busy || !st.Disabled || !st.Cloud {
-		t.Fatalf("disabled c0 reads %+v, %v; want idle disabled cloud", st, ok)
+	if st, ok := refs[1].Status(); !ok || st.Busy || !st.Cloud {
+		t.Fatalf("free c0 reads %+v, %v; want idle cloud", st, ok)
 	}
 	nodes.Release(busy.ID)
 	agree("release")
@@ -96,14 +93,11 @@ func TestNodeRefStatus(t *testing.T) {
 }
 
 // TestNodesErrors covers the unknown-node and busy-node paths, the
-// idle-disabled transition of a released disabled node, and a Release
-// of a detached ID.
+// removal of a busy node once its job releases it, and a Release of a
+// detached ID.
 func TestNodesErrors(t *testing.T) {
 	var nodes framework.Nodes
 	order := attachMixed(&nodes)
-	if err := nodes.DisableNode("ghost"); !errors.Is(err, framework.ErrNodeUnknown) {
-		t.Fatalf("DisableNode(ghost) = %v", err)
-	}
 	if err := nodes.RemoveNode("ghost"); !errors.Is(err, framework.ErrNodeUnknown) {
 		t.Fatalf("RemoveNode(ghost) = %v", err)
 	}
@@ -115,13 +109,10 @@ func TestNodesErrors(t *testing.T) {
 	if err := nodes.RemoveNode(busy.ID); !errors.Is(err, framework.ErrNodeBusy) {
 		t.Fatalf("RemoveNode(busy) = %v", err)
 	}
-	if err := nodes.DisableNode(busy.ID); err != nil {
-		t.Fatal(err)
-	}
 	fwtest.CheckIndexes(t, &nodes, order)
 	nodes.Release(busy.ID)
-	if got := nodes.IdleDisabledNodeIDs(); len(got) != 1 || got[0] != busy.ID {
-		t.Fatalf("IdleDisabledNodeIDs = %v, want [%s]", got, busy.ID)
+	if got := fwtest.FreeNodes(&nodes, false); len(got) != 3 || got[0] != busy.ID {
+		t.Fatalf("free private nodes = %v, want %s back first", got, busy.ID)
 	}
 	if err := nodes.RemoveNode(busy.ID); err != nil {
 		t.Fatal(err)

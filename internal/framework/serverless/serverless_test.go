@@ -56,8 +56,8 @@ func TestFunctionLaunchesColdAndActivates(t *testing.T) {
 	if j.State != framework.JobRunning || j.Replicas != 0 || started != 1 {
 		t.Fatalf("after submit: state=%v replicas=%d starts=%d, want running/0/1", j.State, j.Replicas, started)
 	}
-	if free := s.FreeNodeIDs(); len(free) != 4 {
-		t.Fatalf("free = %v, want all 4 (cold function holds nothing)", free)
+	if free := s.FreeLen(); free != 4 {
+		t.Fatalf("free = %d, want all 4 (cold function holds nothing)", free)
 	}
 
 	// The first tick with demand activates it: instances boot cold.
@@ -84,8 +84,8 @@ func TestFunctionLaunchesColdAndActivates(t *testing.T) {
 	if got := sim.ToSeconds(end); got != 600 {
 		t.Fatalf("function ended at %.0f s, want the 600 s contracted lifetime", got)
 	}
-	if free := s.FreeNodeIDs(); len(free) != 4 {
-		t.Fatalf("free after finish = %v, want all 4", free)
+	if free := s.FreeLen(); free != 4 {
+		t.Fatalf("free after finish = %d, want all 4", free)
 	}
 }
 
@@ -112,8 +112,8 @@ func TestScaleToZeroAndReactivation(t *testing.T) {
 		t.Fatalf("mid-gap: instances=%d zeroScales=%d replicas=%d, want 0/1/0",
 			st.Instances, st.ZeroScales, j.Replicas)
 	}
-	if free := s.FreeNodeIDs(); len(free) != 4 {
-		t.Fatalf("free mid-gap = %v, want all 4", free)
+	if free := s.FreeLen(); free != 4 {
+		t.Fatalf("free mid-gap = %d, want all 4", free)
 	}
 	if st.Activations != 1 {
 		t.Fatalf("activations = %d, want 1 before the second episode", st.Activations)
@@ -275,7 +275,7 @@ func TestFailNodeNeverRequeues(t *testing.T) {
 	j := fn("f", 2, 10, 600, 5, 5)
 	must(t, s.Submit(j))
 	eng.Run(sim.Seconds(25))
-	nodes, err := s.JobNodes("f")
+	nodes, err := fwtest.JobNodes(s, "f")
 	must(t, err)
 	if len(nodes) == 0 {
 		t.Fatal("no instances to crash")
@@ -333,9 +333,9 @@ func TestShrinkPrivateFirstKeepsOne(t *testing.T) {
 	if tgt, _ := s.TargetOf("f"); tgt != 2 {
 		t.Fatalf("target = %d, want lowered to 2 so the autoscaler cannot re-grab", tgt)
 	}
-	free := s.FreeNodeIDs()
-	if len(free) != 2 || free[0] != "p0" || free[1] != "p1" {
-		t.Fatalf("freed = %v, want the private hosts [p0 p1]", free)
+	free := fwtest.FreeNodes(s, false)
+	if s.FreeLen() != 2 || len(free) != 2 || free[0] != "p0" || free[1] != "p1" {
+		t.Fatalf("freed = %v of %d, want the private hosts [p0 p1]", free, s.FreeLen())
 	}
 
 	// Never fully cold by reclaim: at least one instance survives.
@@ -392,8 +392,8 @@ func TestSuspendResumeColdRestart(t *testing.T) {
 	if j.State != framework.JobSuspended || j.DoneWork != 200 || j.Replicas != 0 {
 		t.Fatalf("suspend: state=%v done=%g replicas=%d, want suspended/200/0", j.State, j.DoneWork, j.Replicas)
 	}
-	if free := s.FreeNodeIDs(); len(free) != 2 {
-		t.Fatalf("free after suspend = %v, want both nodes back", free)
+	if free := s.FreeLen(); free != 2 {
+		t.Fatalf("free after suspend = %d, want both nodes back", free)
 	}
 	if err := s.Suspend("f"); err == nil {
 		t.Fatal("double Suspend succeeded")
@@ -459,10 +459,10 @@ func TestSubmitValidationAndDefaults(t *testing.T) {
 
 // TestFreeNodeIndexConsistency drives the index through every node/job
 // transition — add, cold launch, pinned growth, shrink, canary flips,
-// disable, suspend, resume, a crash mid-cold-start, remove, finish —
-// verifying the maintained free/idle-disabled indexes against a full
-// rescan after each step, the same fwtest lifecycle check the batch,
-// mapreduce and service suites run.
+// suspend, resume, a crash mid-cold-start, remove, finish — verifying
+// the maintained free index against a full rescan after each step, the
+// same fwtest lifecycle check the batch, mapreduce and service suites
+// run.
 func TestFreeNodeIndexConsistency(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, Config{Tick: sim.Seconds(10)})
@@ -513,18 +513,13 @@ func TestFreeNodeIndexConsistency(t *testing.T) {
 	check("canary split f1")
 
 	must(t, s.Shrink("f1", 2)) // private first: releases p2, then p0
-	free := s.FreeNodeIDs()
-	if len(free) != 2 || free[0] != "p0" || free[1] != "p2" {
-		t.Fatalf("freed = %v, want the private hosts [p0 p2]", free)
+	free := fwtest.FreeNodes(s, false)
+	if s.FreeLen() != 2 || len(free) != 2 || free[0] != "p0" || free[1] != "p2" {
+		t.Fatalf("freed = %v of %d, want the private hosts [p0 p2]", free, s.FreeLen())
 	}
 	check("shrink f1 to 2")
 
-	must(t, s.DisableNode("p2")) // free -> idle-disabled
-	must(t, s.DisableNode("c1")) // hosts an instance: stays out of both
-	must(t, s.DisableNode("c1")) // idempotent
-	check("disable idle and busy")
-
-	must(t, s.Suspend("f1")) // frees c0 (enabled) and c1 (disabled)
+	must(t, s.Suspend("f1")) // frees c0 and c1
 	check("suspend f1")
 
 	must(t, s.Resume("f1")) // re-registers cold: no nodes taken
@@ -535,17 +530,21 @@ func TestFreeNodeIndexConsistency(t *testing.T) {
 
 	// Re-pin two instances (p0, c0 in attach order), then crash one
 	// mid-cold-start: the 5 s boot has not elapsed, the host vanishes,
-	// and the function keeps running on what remains.
+	// and the function keeps running and re-pins onto c1, the first free
+	// node in attach order.
 	must(t, s.SetTargetInstances("f1", 2))
 	check("re-pin f1")
 	must(t, s.FailNode("p0"))
 	attachOrder = []string{"c0", "p1", "c1", "p2"}
-	if j1.State != framework.JobRunning || j1.Replicas != 1 {
-		t.Fatalf("after mid-boot crash: state=%v replicas=%d, want running/1", j1.State, j1.Replicas)
+	if j1.State != framework.JobRunning || j1.Replicas != 2 {
+		t.Fatalf("after mid-boot crash: state=%v replicas=%d, want running/2", j1.State, j1.Replicas)
+	}
+	if nodes, _ := fwtest.JobNodes(s, "f1"); fmt.Sprint(nodes) != "[c0 c1]" {
+		t.Fatalf("f1 runs on %v, want [c0 c1]", nodes)
 	}
 	check("fail p0 mid-cold-start")
 
-	must(t, s.RemoveNode("p2")) // idle-disabled node drained away
+	must(t, s.RemoveNode("p2")) // the one free node left
 	attachOrder = []string{"c0", "p1", "c1"}
 	check("remove p2")
 
@@ -640,7 +639,7 @@ func TestPropertyRevisionBookkeeping(t *testing.T) {
 			for _, id := range ids {
 				revs, err := s.Revisions(id)
 				must(t, err)
-				nodes, err := s.JobNodes(id)
+				nodes, err := fwtest.JobNodes(s, id)
 				must(t, err)
 				sum := 0
 				for _, r := range revs {

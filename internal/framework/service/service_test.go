@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -49,13 +50,13 @@ func TestServiceRunsForLifetime(t *testing.T) {
 	if len(started) != 1 {
 		t.Fatalf("OnStart fired %d times, want 1", len(started))
 	}
-	nodes, err := s.JobNodes("web")
+	nodes, err := fwtest.JobNodes(s, "web")
 	must(t, err)
 	if len(nodes) != 2 {
-		t.Fatalf("JobNodes = %v, want 2 nodes", nodes)
+		t.Fatalf("job nodes = %v, want 2 nodes", nodes)
 	}
-	if free := s.FreeNodeIDs(); len(free) != 1 {
-		t.Fatalf("free = %v, want 1 node", free)
+	if free := s.FreeLen(); free != 1 {
+		t.Fatalf("free = %d, want 1 node", free)
 	}
 
 	end := eng.RunAll()
@@ -65,8 +66,8 @@ func TestServiceRunsForLifetime(t *testing.T) {
 	if got := sim.ToSeconds(end); got != 600 {
 		t.Fatalf("service ended at %.0f s, want 600", got)
 	}
-	if free := s.FreeNodeIDs(); len(free) != 3 {
-		t.Fatalf("free after finish = %v, want all 3", free)
+	if free := s.FreeLen(); free != 3 {
+		t.Fatalf("free after finish = %d, want all 3", free)
 	}
 }
 
@@ -113,7 +114,7 @@ func TestGrowthTowardTargetAndShrink(t *testing.T) {
 	if j.Replicas != 2 || scales == before {
 		t.Fatalf("replicas = %d, want immediate shrink to 2 with OnScale", j.Replicas)
 	}
-	free := s.FreeNodeIDs()
+	free := fwtest.FreeNodes(s, false)
 	if len(free) != 2 || free[0] != "x0" || free[1] != "x1" {
 		t.Fatalf("freed = %v, want the newest assignments [x0 x1]", free)
 	}
@@ -208,8 +209,8 @@ func TestSuspendResumePreservesLifetime(t *testing.T) {
 	if j.State != framework.JobSuspended || j.DoneWork != 200 || j.Replicas != 0 {
 		t.Fatalf("suspend: state=%v done=%g replicas=%d", j.State, j.DoneWork, j.Replicas)
 	}
-	if free := s.FreeNodeIDs(); len(free) != 2 {
-		t.Fatalf("free after suspend = %v, want 2", free)
+	if free := s.FreeLen(); free != 2 {
+		t.Fatalf("free after suspend = %d, want 2", free)
 	}
 	eng.Run(sim.Seconds(300))
 	must(t, s.Resume("web"))
@@ -233,7 +234,7 @@ func TestFailNodeSurvivesOnRemainingReplicas(t *testing.T) {
 	addNodes(s, 2, 1.0)
 	j := svc("web", 2, 10, 600, 5)
 	must(t, s.Submit(j))
-	nodes, _ := s.JobNodes("web")
+	nodes, _ := fwtest.JobNodes(s, "web")
 
 	must(t, s.FailNode(nodes[0]))
 	if j.State != framework.JobRunning || j.Replicas != 1 {
@@ -281,53 +282,46 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestDrainFlowForVMExchange runs the Cluster Manager's flow from paper
+// §3.4: suspend the victim, remove the nodes that are free, and a node
+// still hosting a replica refuses removal.
 func TestDrainFlowForVMExchange(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, Config{})
 	addNodes(s, 3, 1.0)
 	must(t, s.Submit(svc("web", 2, 10, 600, 5)))
+	must(t, s.Submit(svc("api", 1, 10, 600, 5)))
 
-	// Free node drains: disable then remove, like the CM's detach.
-	free := s.FreeNodeIDs()
-	if len(free) != 1 {
-		t.Fatalf("free = %v, want 1", free)
+	nodes, err := fwtest.JobNodes(s, "web")
+	must(t, err)
+	must(t, s.Suspend("web"))
+	if free := fwtest.FreeNodes(s, false); fmt.Sprint(free) != fmt.Sprint(nodes) {
+		t.Fatalf("free after suspension = %v, want the victim's %v", free, nodes)
 	}
-	must(t, s.DisableNode(free[0]))
-	if got := s.IdleDisabledNodeIDs(); len(got) != 1 || got[0] != free[0] {
-		t.Fatalf("idle-disabled = %v, want [%s]", got, free[0])
+	for _, id := range nodes {
+		must(t, s.RemoveNode(id))
 	}
-	must(t, s.RemoveNode(free[0]))
-	if s.NumNodes() != 2 {
-		t.Fatalf("NumNodes = %d, want 2", s.NumNodes())
+	if err := s.RemoveNode("n02"); !errors.Is(err, framework.ErrNodeBusy) {
+		t.Fatalf("RemoveNode of the api replica host = %v, want ErrNodeBusy", err)
 	}
-
-	// Busy nodes refuse removal until their replica leaves.
-	nodes, _ := s.JobNodes("web")
-	must(t, s.DisableNode(nodes[0]))
-	if err := s.RemoveNode(nodes[0]); err == nil {
-		t.Fatal("RemoveNode of replica host succeeded")
-	}
-	must(t, s.Shrink("web", 1))
-	if err := s.RemoveNode(nodes[0]); err == nil {
-		// The shrink may have released the other node (LIFO); drain it.
-		must(t, s.DisableNode(nodes[1]))
-		must(t, s.RemoveNode(nodes[1]))
+	if s.NumNodes() != 1 {
+		t.Fatalf("NumNodes = %d, want 1", s.NumNodes())
 	}
 }
 
-// checkNodeIndexes compares the maintained free/idle-disabled indexes
-// against a brute-force recomputation from per-node status — the
-// shared fwtest check all three frameworks use.
+// checkNodeIndexes compares the maintained free index against a
+// brute-force recomputation from per-node status — the shared fwtest
+// check all three frameworks use.
 func checkNodeIndexes(t *testing.T, s *Service, attachOrder []string) {
 	t.Helper()
 	fwtest.CheckIndexes(t, s, attachOrder)
 }
 
 // TestFreeNodeIndexConsistency drives the index through every node/job
-// transition — add, start, grow, shrink, disable, suspend, resume,
-// fail, remove, finish — verifying it against a full rescan after each
-// step: the same lifecycle coverage as the batch and mapreduce index
-// tests, plus the service-only scale transitions.
+// transition — add, start, grow, shrink, suspend, resume, fail, remove,
+// finish — verifying it against a full rescan after each step: the same
+// lifecycle coverage as the batch and mapreduce index tests, plus the
+// service-only scale transitions.
 func TestFreeNodeIndexConsistency(t *testing.T) {
 	eng := sim.NewEngine()
 	s := New(eng, Config{})
@@ -366,30 +360,28 @@ func TestFreeNodeIndexConsistency(t *testing.T) {
 	must(t, s.Shrink("s1", 2)) // releases p2, c1 (newest first)
 	check("shrink s1 to 2")
 
-	must(t, s.DisableNode("c1")) // idle -> idle-disabled
-	must(t, s.DisableNode("p1")) // hosts s2: stays out of both indexes
-	must(t, s.DisableNode("p1")) // idempotent
-	check("disable idle and busy")
-
-	must(t, s.Suspend("s1")) // frees p0 (enabled) and c0 (enabled)
+	must(t, s.Suspend("s1")) // frees p0 and c0
 	check("suspend s1")
 
 	must(t, s.Resume("s1")) // restarts on p0, c0
 	eng.Run(sim.Seconds(1))
 	check("resume s1")
 
-	// s1 survives the crash on c0 and immediately re-grows onto the
-	// free p2, chasing its pre-crash target of 2.
+	// s1 survives the crash on c0 and immediately re-grows onto c1, the
+	// first free node in attach order, chasing its pre-crash target of 2.
 	must(t, s.FailNode("p0"))
 	attachOrder = []string{"c0", "p1", "c1", "p2"}
 	if j1.State != framework.JobRunning || j1.Replicas != 2 {
 		t.Fatalf("s1 state=%v replicas=%d, want running/2 (re-grown)", j1.State, j1.Replicas)
 	}
+	if nodes, _ := fwtest.JobNodes(s, "s1"); fmt.Sprint(nodes) != "[c0 c1]" {
+		t.Fatalf("s1 runs on %v, want [c0 c1]", nodes)
+	}
 	check("fail p0")
 
-	must(t, s.RemoveNode("c1")) // idle-disabled node drained away
-	attachOrder = []string{"c0", "p1", "p2"}
-	check("remove c1")
+	must(t, s.RemoveNode("p2")) // the one free node left
+	attachOrder = []string{"c0", "p1", "c1"}
+	check("remove p2")
 
 	eng.RunAll() // both services run out their lifetimes
 	if j1.State != framework.JobDone || j2.State != framework.JobDone {
@@ -397,7 +389,7 @@ func TestFreeNodeIndexConsistency(t *testing.T) {
 	}
 	check("run to completion")
 
-	if got := s.IdleDisabledNodeIDs(); len(got) != 1 || got[0] != "p1" {
-		t.Fatalf("idle-disabled at end = %v, want [p1]", got)
+	if got := s.FreeLen(); got != 3 {
+		t.Fatalf("free at end = %d, want all 3", got)
 	}
 }
