@@ -16,14 +16,14 @@ import (
 // the Cluster Manager is generic.
 type Adapter interface {
 	// Validate rejects malformed application descriptions.
-	Validate(app workload.App) error
+	Validate(app *workload.App) error
 	// SLAProvider builds the negotiation counterpart for an application,
 	// embedding the framework's performance model.
-	SLAProvider(app workload.App) *sla.Provider
+	SLAProvider(app *workload.App) *sla.Provider
 	// Translate converts the user template into a framework job (§3.3:
 	// "translates the application description template to another
 	// template compatible with its programming framework").
-	Translate(app workload.App, c *sla.Contract) *framework.Job
+	Translate(app *workload.App, c *sla.Contract) *framework.Job
 }
 
 // slaProvider builds a negotiation counterpart offering minVMs to
@@ -54,7 +54,7 @@ type BatchAdapter struct {
 var _ Adapter = (*BatchAdapter)(nil)
 
 // Validate implements Adapter.
-func (a *BatchAdapter) Validate(app workload.App) error {
+func (a *BatchAdapter) Validate(app *workload.App) error {
 	if app.VMs < 1 {
 		return fmt.Errorf("core: batch app %s requests %d VMs", app.ID, app.VMs)
 	}
@@ -65,10 +65,12 @@ func (a *BatchAdapter) Validate(app workload.App) error {
 }
 
 // execEst is the batch performance model: perfect scaling over dedicated
-// VMs at the conservative node speed.
-func (a *BatchAdapter) execEst(app workload.App) sla.PerfModel {
+// VMs at the conservative node speed. It keeps the two scalars it reads,
+// not the application.
+func (a *BatchAdapter) execEst(app *workload.App) sla.PerfModel {
+	work, speed := app.Work, a.cfg.ConservativeSpeed
 	return func(n int) sim.Time {
-		return sim.Seconds(app.Work / a.cfg.ConservativeSpeed / float64(n))
+		return sim.Seconds(work / speed / float64(n))
 	}
 }
 
@@ -76,12 +78,12 @@ func (a *BatchAdapter) execEst(app workload.App) sla.PerfModel {
 // count the application requested (so accept-first users get the paper's
 // behaviour); further offers scale the count up to slaScaleOutLimit
 // times for deadline-constrained users to buy speed.
-func (a *BatchAdapter) SLAProvider(app workload.App) *sla.Provider {
+func (a *BatchAdapter) SLAProvider(app *workload.App) *sla.Provider {
 	return a.cfg.slaProvider(a.execEst(app), app.VMs, maxVMs(app.VMs))
 }
 
 // Translate implements Adapter.
-func (a *BatchAdapter) Translate(app workload.App, c *sla.Contract) *framework.Job {
+func (a *BatchAdapter) Translate(app *workload.App, c *sla.Contract) *framework.Job {
 	return &framework.Job{ID: app.ID, VMs: c.NumVMs, Work: app.Work}
 }
 
@@ -96,7 +98,7 @@ type MapReduceAdapter struct {
 var _ Adapter = (*MapReduceAdapter)(nil)
 
 // Validate implements Adapter.
-func (a *MapReduceAdapter) Validate(app workload.App) error {
+func (a *MapReduceAdapter) Validate(app *workload.App) error {
 	if app.VMs < 1 {
 		return fmt.Errorf("core: mapreduce app %s requests %d VMs", app.ID, app.VMs)
 	}
@@ -112,24 +114,28 @@ func (a *MapReduceAdapter) Validate(app workload.App) error {
 // execEst is the MapReduce performance model: wave-based completion for
 // both phases given n nodes of slotsPerNode slots each at the
 // conservative speed. This is the SLA function for MapReduce the paper
-// leaves as future work.
-func (a *MapReduceAdapter) execEst(app workload.App) sla.PerfModel {
+// leaves as future work. Like the batch model it keeps only the
+// scalars it reads.
+func (a *MapReduceAdapter) execEst(app *workload.App) sla.PerfModel {
+	maps, reduces := float64(app.MapTasks), float64(app.ReduceTasks)
+	mapWork, reduceWork := app.MapWork, app.ReduceWork
+	slots, speed := a.slots, a.cfg.ConservativeSpeed
 	return func(n int) sim.Time {
-		total := float64(n * a.slots)
-		mapWaves := math.Ceil(float64(app.MapTasks) / total)
-		redWaves := math.Ceil(float64(app.ReduceTasks) / total)
-		secs := (mapWaves*app.MapWork + redWaves*app.ReduceWork) / a.cfg.ConservativeSpeed
+		total := float64(n * slots)
+		mapWaves := math.Ceil(maps / total)
+		redWaves := math.Ceil(reduces / total)
+		secs := (mapWaves*mapWork + redWaves*reduceWork) / speed
 		return sim.Seconds(secs)
 	}
 }
 
 // SLAProvider implements Adapter.
-func (a *MapReduceAdapter) SLAProvider(app workload.App) *sla.Provider {
+func (a *MapReduceAdapter) SLAProvider(app *workload.App) *sla.Provider {
 	return a.cfg.slaProvider(a.execEst(app), app.VMs, maxVMs(app.VMs))
 }
 
 // Translate implements Adapter.
-func (a *MapReduceAdapter) Translate(app workload.App, c *sla.Contract) *framework.Job {
+func (a *MapReduceAdapter) Translate(app *workload.App, c *sla.Contract) *framework.Job {
 	return &framework.Job{
 		ID:          app.ID,
 		VMs:         c.NumVMs,

@@ -30,16 +30,18 @@ func NewClientManager(p *Platform) *ClientManager {
 	return &ClientManager{p: p, Submissions: make([]metrics.Counter, NumClientManagers)}
 }
 
-// Submit receives a user submission and the session's negotiation
-// handle for it: it opens the accounting record and transfers the
-// description, the record and the handle to the Cluster Manager of the
-// application's VC. Routing falls back to the first VC whose framework
-// type matches when the application names no VC.
-func (c *ClientManager) Submit(app workload.App, neg *Negotiation) {
+// Submit receives a user submission through the session's negotiation
+// handle, which holds the description: it opens the accounting record
+// and transfers the application's state (the description, the record
+// and the handle) to the Cluster Manager of the application's VC.
+// Routing falls back to the first VC whose framework type matches when
+// the application names no VC.
+func (c *ClientManager) Submit(neg *Negotiation) {
 	entry := c.next % NumClientManagers
 	c.next++
 	c.Submissions[entry].Inc()
 
+	app := &neg.app
 	cm := c.route(app)
 	if cm == nil {
 		c.p.Counters.Rejections.Inc()
@@ -51,13 +53,12 @@ func (c *ClientManager) Submit(app workload.App, neg *Negotiation) {
 	rec.SubmitTime = c.p.Eng.Now()
 	rec.VC = cm.Name()
 	rec.Type = string(cm.cfg.Type)
-	c.p.Eng.Schedule(cm.lat(latClientTransfer), func() {
-		cm.handleSubmission(app, rec, neg)
-	})
+	st := &appState{app: app, cm: cm, neg: neg, rec: rec}
+	c.p.Eng.Schedule(cm.lat(latClientTransfer), func() { st.cm.handleSubmission(st) })
 }
 
 // route finds the Cluster Manager for an application.
-func (c *ClientManager) route(app workload.App) *ClusterManager {
+func (c *ClientManager) route(app *workload.App) *ClusterManager {
 	if app.VC != "" {
 		return c.p.cms[app.VC]
 	}

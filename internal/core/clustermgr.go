@@ -37,7 +37,7 @@ type nodeInfo struct {
 // every later step reaches it by pointer: the framework job carries it
 // as its Owner, a bid and a resume queue entry name it directly.
 type appState struct {
-	app      workload.App
+	app      *workload.App // the submission, held by its Negotiation
 	cm       *ClusterManager
 	neg      *Negotiation // the session's handle on the submission
 	contract *sla.Contract
@@ -327,11 +327,11 @@ func (cm *ClusterManager) BoostWithCloud(n int) {
 // (paper §3.3): open the SLA negotiation, then — depending on the
 // submission mode — park it for the session's interactive caller or
 // resolve it in place with the user strategy, and select resources.
-// rec is the accounting record the Client Manager opened and neg the
-// session's handle; the application's state keeps both.
-func (cm *ClusterManager) handleSubmission(app workload.App, rec *metrics.AppRecord, neg *Negotiation) {
-	st := &appState{app: app, cm: cm, neg: neg, rec: rec}
-	rec.VC = cm.name
+// The Client Manager built st around the record it opened and the
+// session's handle.
+func (cm *ClusterManager) handleSubmission(st *appState) {
+	app, neg := st.app, st.neg
+	st.rec.VC = cm.name
 	if err := cm.ad.Validate(app); err != nil {
 		cm.rejectSubmission(st, err)
 		return
@@ -343,11 +343,12 @@ func (cm *ClusterManager) handleSubmission(app workload.App, rec *metrics.AppRec
 		neg.offersReady(cm, st, m)
 		return
 	}
-	u := cm.p.cfg.UserStrategy(app)
+	u := cm.p.cfg.UserStrategy(*app)
 	if neg.user != nil {
 		u = neg.user
 	}
 	contract, err := sla.Drive(m, u)
+	neg.s.negRounds += m.Round()
 	if err != nil {
 		cm.rejectSubmission(st, err)
 		return
@@ -515,7 +516,7 @@ func (cm *ClusterManager) onJobStart(j *framework.Job) {
 		st.rec.PeakReplicas = j.Replicas
 	}
 	cm.openSegment(st, j)
-	st.neg.s.emitLocked(j.ID, "started", "")
+	st.neg.s.emitLocked(st.neg, evStarted, "")
 	if st.controller != nil {
 		st.controller.jobStarted()
 	}
@@ -581,7 +582,7 @@ func (cm *ClusterManager) onJobSuspend(j *framework.Job) {
 	st.rec.Suspended = true
 	cm.closeSegment(st)
 	st.lastReplicas = 0 // a suspended service holds no replicas
-	st.neg.s.emitLocked(j.ID, "suspended", "")
+	st.neg.s.emitLocked(st.neg, evSuspended, "")
 	if st.controller != nil {
 		st.controller.jobInterrupted()
 	}
@@ -740,7 +741,7 @@ func (cm *ClusterManager) onJobFinish(j *framework.Job) {
 		cm.avail += st.lastReplicas - st.contract.NumVMs
 		st.lastReplicas = 0
 	}
-	st.neg.s.emitLocked(j.ID, "completed", "")
+	st.neg.s.emitLocked(st.neg, evCompleted, "")
 	cm.settle(st)
 
 	// Release idle cloud VMs first so they never masquerade as free

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"testing"
@@ -69,11 +70,21 @@ func mixedWorkload() workload.Workload {
 	return w
 }
 
+// eventLogHash is the SHA-256 of a session event list, one line per
+// event with every field.
+func eventLogHash(evs []SessionEvent) string {
+	h := sha256.New()
+	for _, e := range evs {
+		fmt.Fprintf(h, "%d|%d|%s|%s|%s\n", e.Seq, int64(e.Time), e.AppID, e.Kind, e.Detail)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // TestMixedWorkloadGolden pins the mixed workload's observable outcome:
 // the session digest (every submission snapshot, VC, gauge and
-// counter), the length of the session event log and the number of
-// events the engine fired. A refactor of the dispatch path must leave
-// all three in place.
+// counter), the session event log (its length and a hash of every
+// event) and the number of events the engine fired. A refactor of the
+// dispatch path must leave all of them in place.
 func TestMixedWorkloadGolden(t *testing.T) {
 	p := newPlatform(t, mixedConfig())
 	s, err := p.Open()
@@ -95,8 +106,12 @@ func TestMixedWorkloadGolden(t *testing.T) {
 	if got := fmt.Sprintf("%016x", s.Digest()); got != "507a6fdc9944ca4c" {
 		t.Errorf("digest %s, want 507a6fdc9944ca4c", got)
 	}
-	if got := len(s.EventsSince(-1)); got != 400 {
+	evs := s.EventsSince(-1)
+	if got := len(evs); got != 400 {
 		t.Errorf("%d session events, want 400", got)
+	}
+	if got, want := eventLogHash(evs), "4373d61d9f27faa38f923b410b0329f940bbfac5d1f5cf3759628c4fb3eff85d"; got != want {
+		t.Errorf("session event log hashes to %s, want %s", got, want)
 	}
 	if res.EventsFired != 823 {
 		t.Errorf("%d events fired, want 823", res.EventsFired)

@@ -484,7 +484,7 @@ func (cm *ClusterManager) leaseReplacement(st *appState) {
 			// mapreduce node hosts several jobs) can use the capacity,
 			// and any future finish garbage-collects it if idle. Only
 			// a fully drained framework would strand the lease.
-			drained := len(cm.fw.Running()) == 0 && len(cm.fw.QueuedJobs()) == 0
+			drained := len(cm.fw.Running()) == 0 && cm.fw.QueuedJobCount() == 0
 			for _, inst := range live {
 				if drained {
 					cm.p.RM.Release(p, inst.ID)

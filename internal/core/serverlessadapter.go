@@ -30,7 +30,7 @@ var _ Adapter = (*ServerlessAdapter)(nil)
 // Validate implements Adapter. A function with no expected traffic
 // (nil profile, zero declared peak) is valid — it negotiates a
 // premium-only contract and scales to zero for its whole lifetime.
-func (a *ServerlessAdapter) Validate(app workload.App) error {
+func (a *ServerlessAdapter) Validate(app *workload.App) error {
 	if app.Replicas < 1 {
 		return fmt.Errorf("core: serverless app %s requests instance ceiling %d", app.ID, app.Replicas)
 	}
@@ -53,7 +53,7 @@ func (a *ServerlessAdapter) Validate(app workload.App) error {
 // expectedRate dampens the sizing rate to a lifetime mean for the
 // pay-per-use projection: an on/off profile only offers load during its
 // duty fraction.
-func (a *ServerlessAdapter) expectedRate(app workload.App) float64 {
+func (a *ServerlessAdapter) expectedRate(app *workload.App) float64 {
 	duty := 1.0
 	if app.Load != nil && app.Load.OnOff != nil && app.Load.OnOff.Period > 0 {
 		duty = float64(app.Load.OnOff.Active) / float64(app.Load.OnOff.Period)
@@ -68,11 +68,12 @@ func (a *ServerlessAdapter) expectedRate(app workload.App) float64 {
 // and the residual cold-start charge per offer is ColdStartS / n. The
 // target the user buys already prices the cold starts the idle-gap
 // profile will cause.
-func (a *ServerlessAdapter) p95Model(app workload.App) sla.PerfModel {
+func (a *ServerlessAdapter) p95Model(app *workload.App) sla.PerfModel {
 	peak := a.sizingRate(app)
 	mu := a.replicaRate(app)
+	coldStart := app.ColdStartS
 	return func(n int) sim.Time {
-		cold := app.ColdStartS / float64(n)
+		cold := coldStart / float64(n)
 		c := float64(n) * mu
 		if c <= peak {
 			return sim.Seconds(1e6) // saturated sentinel, never offered
@@ -84,7 +85,7 @@ func (a *ServerlessAdapter) p95Model(app workload.App) sla.PerfModel {
 
 // SLAProvider implements Adapter: the service contract around the
 // cold-start-aware p95 model, with per-invocation pricing.
-func (a *ServerlessAdapter) SLAProvider(app workload.App) *sla.Provider {
+func (a *ServerlessAdapter) SLAProvider(app *workload.App) *sla.Provider {
 	p := a.provider(app, a.p95Model(app))
 	p.SLO.Invocation = &sla.InvocationPricing{
 		ExpectedRate: a.expectedRate(app),
@@ -97,7 +98,7 @@ func (a *ServerlessAdapter) SLAProvider(app workload.App) *sla.Provider {
 
 // Translate implements Adapter: the service job plus the function
 // shape.
-func (a *ServerlessAdapter) Translate(app workload.App, c *sla.Contract) *framework.Job {
+func (a *ServerlessAdapter) Translate(app *workload.App, c *sla.Contract) *framework.Job {
 	j := a.ServiceAdapter.Translate(app, c)
 	j.ColdStartS = app.ColdStartS
 	j.ConcTarget = app.ConcTarget

@@ -33,7 +33,7 @@ var _ Adapter = (*ServiceAdapter)(nil)
 // negotiation may propose saturates at the declared peak rate, no
 // finite p95 exists and the contract would sell an SLO the platform
 // knows it cannot meet.
-func (a *ServiceAdapter) Validate(app workload.App) error {
+func (a *ServiceAdapter) Validate(app *workload.App) error {
 	if app.Replicas < 1 {
 		return fmt.Errorf("core: service app %s requests %d replicas", app.ID, app.Replicas)
 	}
@@ -51,7 +51,7 @@ func (a *ServiceAdapter) Validate(app workload.App) error {
 }
 
 // replicaRate is one replica's conservative capacity in requests/s.
-func (a *ServiceAdapter) replicaRate(app workload.App) float64 {
+func (a *ServiceAdapter) replicaRate(app *workload.App) float64 {
 	return app.SvcRate * a.cfg.ConservativeSpeed
 }
 
@@ -61,7 +61,7 @@ func (a *ServiceAdapter) replicaRate(app workload.App) float64 {
 // time, so the peak is taken over the service's actual window
 // [SubmitAt, SubmitAt+Duration] — Peak(duration) would miss bursts that
 // only materialize after the submission instant.
-func (a *ServiceAdapter) sizingRate(app workload.App) float64 {
+func (a *ServiceAdapter) sizingRate(app *workload.App) float64 {
 	if app.DeclaredPeak > 0 {
 		return app.DeclaredPeak
 	}
@@ -71,7 +71,7 @@ func (a *ServiceAdapter) sizingRate(app workload.App) float64 {
 // minViableReplicas is the smallest replica count that does not
 // saturate at the sizing rate — the floor of the proposal set (the
 // provider refuses to offer configurations it knows will melt).
-func (a *ServiceAdapter) minViableReplicas(app workload.App) int {
+func (a *ServiceAdapter) minViableReplicas(app *workload.App) int {
 	mu := a.replicaRate(app)
 	min := int(a.sizingRate(app)/mu) + 1
 	if min < app.Replicas {
@@ -84,7 +84,7 @@ func (a *ServiceAdapter) minViableReplicas(app workload.App) int {
 // the sizing rate — the service analogue of the batch perfect-scaling
 // execution estimate (see service.Service's latency model: M/M/1-PS
 // aggregate, p95 = 3*S0/(1-rho)).
-func (a *ServiceAdapter) p95Model(app workload.App) sla.PerfModel {
+func (a *ServiceAdapter) p95Model(app *workload.App) sla.PerfModel {
 	peak := a.sizingRate(app)
 	mu := a.replicaRate(app)
 	return func(n int) sim.Time {
@@ -103,14 +103,14 @@ func (a *ServiceAdapter) p95Model(app workload.App) sla.PerfModel {
 // SLAProvider implements Adapter. The proposal floor is the smallest
 // replica count that keeps the declared peak below saturation, so
 // accept-first users get the cheapest viable configuration.
-func (a *ServiceAdapter) SLAProvider(app workload.App) *sla.Provider {
+func (a *ServiceAdapter) SLAProvider(app *workload.App) *sla.Provider {
 	return a.provider(app, a.p95Model(app))
 }
 
 // provider builds the service-contract negotiation counterpart around a
 // p95 model. The processing allowance becomes the startup grace on the
 // completion bound: the offer's time column is a pure p95 target.
-func (a *ServiceAdapter) provider(app workload.App, model sla.PerfModel) *sla.Provider {
+func (a *ServiceAdapter) provider(app *workload.App, model sla.PerfModel) *sla.Provider {
 	p := a.cfg.slaProvider(model, a.minViableReplicas(app), maxVMs(app.Replicas))
 	p.SLO = &sla.SLOTemplate{
 		Lifetime:     sim.Seconds(app.DurationS),
@@ -123,7 +123,7 @@ func (a *ServiceAdapter) provider(app workload.App, model sla.PerfModel) *sla.Pr
 }
 
 // Translate implements Adapter.
-func (a *ServiceAdapter) Translate(app workload.App, c *sla.Contract) *framework.Job {
+func (a *ServiceAdapter) Translate(app *workload.App, c *sla.Contract) *framework.Job {
 	return &framework.Job{
 		ID:        app.ID,
 		VMs:       c.NumVMs,

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 
 	"meryn/internal/framework"
@@ -161,8 +160,12 @@ type Session struct {
 	mu     sync.Mutex
 	negs   map[string]*Negotiation
 	order  []string // submission order
-	events []SessionEvent
+	log    eventLog
 	closed bool
+
+	// negRounds sums the negotiation rounds completed over every
+	// submission.
+	negRounds int
 }
 
 // Open starts a session on the platform. One session may be open at a
@@ -185,7 +188,7 @@ func (p *Platform) Open() (*Session, error) {
 // Platform.Run workload entry) pass through it already resolved.
 type Negotiation struct {
 	s           *Session
-	appID       string
+	app         workload.App // the submission, stored once; everything else points here
 	interactive bool
 	user        sla.User // strategy for non-interactive submissions (nil = platform default)
 
@@ -219,7 +222,7 @@ func (s *Session) submit(app workload.App, interactive bool, u sla.User) (*Negot
 			return nil, fmt.Errorf("core: app %s targets unknown VC %q", app.ID, app.VC)
 		}
 	}
-	g := &Negotiation{s: s, appID: app.ID, interactive: interactive, user: u}
+	g := &Negotiation{s: s, app: app, interactive: interactive, user: u}
 	s.negs[app.ID] = g
 	s.order = append(s.order, app.ID)
 	s.p.remaining++
@@ -227,8 +230,8 @@ func (s *Session) submit(app workload.App, interactive bool, u sla.User) (*Negot
 	// The timer disarms itself once the platform settles, so drained
 	// engines still run dry.
 	s.p.Audit.arm()
-	s.p.Eng.At(app.SubmitAt, func() { s.p.Client.Submit(app, g) })
-	s.emitLocked(app.ID, "submitted", "")
+	s.p.Eng.At(app.SubmitAt, func() { g.s.p.Client.Submit(g) })
+	s.emitLocked(g, evSubmitted, "")
 	return g, nil
 }
 
@@ -316,27 +319,13 @@ func (s *Session) Negotiation(appID string) (*Negotiation, bool) {
 func (s *Session) EventsSince(seq int) []SessionEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if seq < 0 {
-		seq = 0
-	}
-	if seq >= len(s.events) {
-		return nil
-	}
-	out := make([]SessionEvent, len(s.events)-seq)
-	copy(out, s.events[seq:])
-	return out
+	return s.log.since(seq)
 }
 
 // emitLocked appends to the event log. Callers hold s.mu (or run inside
 // an engine step driven under it).
-func (s *Session) emitLocked(appID, kind, detail string) {
-	s.events = append(s.events, SessionEvent{
-		Seq:    len(s.events) + 1,
-		Time:   s.p.Eng.Now(),
-		AppID:  appID,
-		Kind:   kind,
-		Detail: detail,
-	})
+func (s *Session) emitLocked(g *Negotiation, kind eventKind, detail string) {
+	s.log.add(eventRec{at: s.p.Eng.Now(), neg: g, kind: kind, detail: detail})
 }
 
 // Status snapshots one submission.
@@ -397,11 +386,7 @@ func (s *Session) Metrics() PlatformMetrics {
 	if s.p.Audit != nil {
 		m.AuditChecks = s.p.Audit.Checks
 	}
-	for _, id := range s.order {
-		if g := s.negs[id]; g.m != nil {
-			m.NegRounds += g.m.Round()
-		}
-	}
+	m.NegRounds = s.negRounds
 	for _, prov := range s.p.Clouds {
 		m.CloudSpend += prov.TotalSpend
 		m.SpotSpend += prov.SpotSpend
@@ -409,21 +394,21 @@ func (s *Session) Metrics() PlatformMetrics {
 	return m
 }
 
-// serverlessForLocked resolves an accepted submission to the serverless
-// framework hosting it. Callers hold s.mu.
-func (s *Session) serverlessForLocked(appID string) (*serverless.Serverless, error) {
+// serverlessForLocked resolves an accepted submission to its handle and
+// the serverless framework hosting it. Callers hold s.mu.
+func (s *Session) serverlessForLocked(appID string) (*Negotiation, *serverless.Serverless, error) {
 	g, ok := s.negs[appID]
 	if !ok {
-		return nil, fmt.Errorf("core: unknown app %q", appID)
+		return nil, nil, fmt.Errorf("core: unknown app %q", appID)
 	}
 	if g.state != NegotiationAccepted || g.cm == nil {
-		return nil, fmt.Errorf("core: app %s has no agreed contract", appID)
+		return nil, nil, fmt.Errorf("core: app %s has no agreed contract", appID)
 	}
 	fw := g.cm.serverlessFW()
 	if fw == nil {
-		return nil, fmt.Errorf("core: app %s is not a serverless application", appID)
+		return nil, nil, fmt.Errorf("core: app %s is not a serverless application", appID)
 	}
-	return fw, nil
+	return g, fw, nil
 }
 
 // DeployRevision registers a new immutable revision for a serverless
@@ -435,7 +420,7 @@ func (s *Session) DeployRevision(appID, name string) error {
 	if s.closed {
 		return fmt.Errorf("core: session is drained")
 	}
-	fw, err := s.serverlessForLocked(appID)
+	g, fw, err := s.serverlessForLocked(appID)
 	if err != nil {
 		return err
 	}
@@ -443,7 +428,7 @@ func (s *Session) DeployRevision(appID, name string) error {
 		return err
 	}
 	s.p.Counters.RevisionDeploys.Inc()
-	s.emitLocked(appID, "revision", name)
+	s.emitLocked(g, evRevision, name)
 	return nil
 }
 
@@ -456,7 +441,7 @@ func (s *Session) SetTrafficSplit(appID string, weights map[string]int) error {
 	if s.closed {
 		return fmt.Errorf("core: session is drained")
 	}
-	fw, err := s.serverlessForLocked(appID)
+	g, fw, err := s.serverlessForLocked(appID)
 	if err != nil {
 		return err
 	}
@@ -477,7 +462,7 @@ func (s *Session) SetTrafficSplit(appID string, weights map[string]int) error {
 		}
 		detail += fmt.Sprintf("%s=%d", name, weights[name])
 	}
-	s.emitLocked(appID, "traffic", detail)
+	s.emitLocked(g, evTraffic, detail)
 	return nil
 }
 
@@ -486,7 +471,7 @@ func (s *Session) SetTrafficSplit(appID string, weights map[string]int) error {
 func (s *Session) Revisions(appID string) ([]serverless.RevisionStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fw, err := s.serverlessForLocked(appID)
+	_, fw, err := s.serverlessForLocked(appID)
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +534,7 @@ func (s *Session) closeLocked() {
 }
 
 // AppID returns the application the negotiation is for.
-func (g *Negotiation) AppID() string { return g.appID }
+func (g *Negotiation) AppID() string { return g.app.ID }
 
 // State returns the handle's current state.
 func (g *Negotiation) State() NegotiationState {
@@ -608,7 +593,7 @@ func (g *Negotiation) Await() error {
 	for g.state == NegotiationPending && !g.s.closed && g.s.p.Eng.Step() {
 	}
 	if g.state == NegotiationPending {
-		return fmt.Errorf("core: %s: no queued event can progress the negotiation", g.appID)
+		return fmt.Errorf("core: %s: no queued event can progress the negotiation", g.app.ID)
 	}
 	return nil
 }
@@ -620,7 +605,7 @@ func (g *Negotiation) Accept(i int) (*sla.Contract, error) {
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
 	if g.state != NegotiationOffered {
-		return nil, fmt.Errorf("core: accepting offer for %s: negotiation is %s", g.appID, g.state)
+		return nil, fmt.Errorf("core: accepting offer for %s: negotiation is %s", g.app.ID, g.state)
 	}
 	c, err := g.m.Accept(i)
 	if err != nil {
@@ -638,19 +623,20 @@ func (g *Negotiation) Counter(deadline sim.Time, price float64) ([]sla.Offer, er
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
 	if deadline > 0 && price > 0 {
-		return nil, fmt.Errorf("core: countering %s: impose exactly one of deadline or price", g.appID)
+		return nil, fmt.Errorf("core: countering %s: impose exactly one of deadline or price", g.app.ID)
 	}
 	if g.state != NegotiationOffered {
-		return nil, fmt.Errorf("core: countering %s: negotiation is %s", g.appID, g.state)
+		return nil, fmt.Errorf("core: countering %s: negotiation is %s", g.app.ID, g.state)
 	}
 	if err := g.m.Impose(sla.Response{ImposeDeadline: deadline, ImposePrice: price}); err != nil {
 		return nil, err
 	}
+	g.s.negRounds++
 	if g.m.State() == sla.NegFailed {
 		g.rejectLocked(sla.ErrNoAgreement)
 		return nil, sla.ErrNoAgreement
 	}
-	g.s.emitLocked(g.appID, "offers", fmt.Sprintf("round %d", g.m.Round()))
+	g.s.emitLocked(g, evOffers, fmt.Sprintf("round %d", g.m.Round()))
 	return g.offersLocked(), nil
 }
 
@@ -660,7 +646,7 @@ func (g *Negotiation) Reject() error {
 	g.s.mu.Lock()
 	defer g.s.mu.Unlock()
 	if g.state != NegotiationOffered {
-		return fmt.Errorf("core: rejecting %s: negotiation is %s", g.appID, g.state)
+		return fmt.Errorf("core: rejecting %s: negotiation is %s", g.app.ID, g.state)
 	}
 	if g.m != nil {
 		_ = g.m.Reject()
@@ -684,7 +670,7 @@ func (g *Negotiation) rejectLocked(err error) {
 		rec = g.st.rec
 	}
 	g.s.p.Counters.Rejections.Inc()
-	g.s.p.appSettled(g.appID, rec, 0)
+	g.s.p.appSettled(g.app.ID, rec, 0)
 	g.noteRejected(err)
 }
 
@@ -693,25 +679,16 @@ func (g *Negotiation) rejectLocked(err error) {
 func (g *Negotiation) offersReady(cm *ClusterManager, st *appState, m *sla.Negotiation) {
 	g.cm, g.st, g.m = cm, st, m
 	g.state = NegotiationOffered
-	g.s.emitLocked(g.appID, "offers", fmt.Sprintf("%d offers", len(m.Offers())))
+	g.s.emitLocked(g, evOffers, fmt.Sprintf("%d offers", len(m.Offers())))
 }
 
 // noteAgreed records the agreed contract (called from acceptContract,
-// on both the interactive and the strategy-driven path).
+// on both the interactive and the strategy-driven path). The "agreed"
+// event keeps the VM count and price; reading it renders the detail.
 func (g *Negotiation) noteAgreed(cm *ClusterManager, st *appState, c *sla.Contract) {
 	g.cm, g.st, g.contract = cm, st, c
 	g.state = NegotiationAccepted
-	g.s.emitLocked(g.appID, "agreed", agreedDetail(c.NumVMs, c.Price))
-}
-
-// agreedDetail is the detail of an "agreed" event: the bytes of fmt's
-// "%d VMs for %.0f units", built without fmt.
-func agreedDetail(vms int, price float64) string {
-	var buf [64]byte
-	b := strconv.AppendInt(buf[:0], int64(vms), 10)
-	b = append(b, " VMs for "...)
-	b = strconv.AppendFloat(b, price, 'f', 0, 64)
-	return string(append(b, " units"...))
+	g.s.log.add(eventRec{at: g.s.p.Eng.Now(), neg: g, kind: evAgreed, vms: int32(c.NumVMs), price: c.Price})
 }
 
 // noteRejected records a rejection (validation failure, routing
@@ -723,12 +700,12 @@ func (g *Negotiation) noteRejected(err error) {
 	if err != nil {
 		detail = err.Error()
 	}
-	g.s.emitLocked(g.appID, "rejected", detail)
+	g.s.emitLocked(g, evRejected, detail)
 }
 
 // statusLocked builds the submission snapshot.
 func (g *Negotiation) statusLocked() AppStatus {
-	st := AppStatus{ID: g.appID, Round: 0}
+	st := AppStatus{ID: g.app.ID, Round: 0}
 	if g.m != nil {
 		st.Round = g.m.Round()
 	}
@@ -756,7 +733,7 @@ func (g *Negotiation) statusLocked() AppStatus {
 	if g.st != nil {
 		rec = g.st.rec
 	} else {
-		rec = g.s.p.Ledger.Get(g.appID)
+		rec = g.s.p.Ledger.Get(g.app.ID)
 	}
 	if rec != nil {
 		st.VC = rec.VC

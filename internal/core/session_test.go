@@ -545,3 +545,156 @@ func TestSecondSessionLeavesFirstLogAlone(t *testing.T) {
 		t.Fatalf("the second session logged %d completions, want 3", completed)
 	}
 }
+
+// TestEventsSinceAcrossChunks reads the event log at every cursor that
+// matters to its chunked storage (a chunk's first and last record, the
+// record past a boundary, the end) and compares each read with the
+// matching suffix of the whole log. The whole log, 1780 events over
+// fourteen chunks, is pinned by a hash recorded before the log was
+// chunked.
+func TestEventsSinceAcrossChunks(t *testing.T) {
+	p := newPlatform(t, onevcConfig(10))
+	s, err := p.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At least four events per application: submitted, agreed, started,
+	// completed.
+	for i := 0; i < 300; i++ {
+		if _, err := s.SubmitWith(batchApp(fmt.Sprintf("app-%03d", i), "vc1", float64(i*10), 300), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	all := s.EventsSince(-1)
+	if len(all) <= 2*eventChunkLen+1 {
+		t.Fatalf("%d events, want more than two chunks of %d", len(all), eventChunkLen)
+	}
+	if got, want := eventLogHash(all), "83a56dda204f06ad69f139c5870db3871ffede4a9a9036bc2940ae1dbdbbc396"; got != want {
+		t.Fatalf("%d events hash to %s, want %s", len(all), got, want)
+	}
+	for i, ev := range all {
+		if ev.Seq != i+1 {
+			t.Fatalf("event %d has Seq %d", i, ev.Seq)
+		}
+	}
+	for _, seq := range []int{0, 1, eventChunkLen - 1, eventChunkLen, eventChunkLen + 1,
+		2 * eventChunkLen, 2*eventChunkLen + 1, len(all) - 1, len(all), len(all) + 5} {
+		got := s.EventsSince(seq)
+		var want []SessionEvent
+		if seq < len(all) {
+			want = all[seq:]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("EventsSince(%d) = %d events, want the log's last %d", seq, len(got), len(want))
+		}
+	}
+}
+
+// recountNegRounds sums the completed rounds of every submission whose
+// handle holds its negotiation machine: the walk Metrics made on every
+// call before it kept a running sum.
+func recountNegRounds(s *Session) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, id := range s.order {
+		if g := s.negs[id]; g.m != nil {
+			n += g.m.Round()
+		}
+	}
+	return n
+}
+
+// TestNegRoundsRunningSum checks the running sum of negotiation rounds
+// that Metrics reports against a recount over every submission: after
+// the mixed workload, and after each interactive counter, one of which
+// exhausts MaxRounds. A strategy-driven negotiation keeps no machine on
+// its handle, so only the sum sees its rounds.
+func TestNegRoundsRunningSum(t *testing.T) {
+	p := newPlatform(t, mixedConfig())
+	s, err := p.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range mixedWorkload() {
+		if _, err := s.SubmitWith(app, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Metrics().NegRounds, recountNegRounds(s); got != want {
+		t.Fatalf("mixed workload: NegRounds = %d, recount %d", got, want)
+	}
+
+	_, s = openTestSession(t)
+	check := func(step string) {
+		t.Helper()
+		if got, want := s.Metrics().NegRounds, recountNegRounds(s); got != want {
+			t.Fatalf("%s: NegRounds = %d, recount %d", step, got, want)
+		}
+	}
+	g1 := submitOffered(t, s, "app-1")
+	g2 := submitOffered(t, s, "app-2")
+	if _, err := g1.Counter(0, g1.Offers()[0].Price); err != nil {
+		t.Fatal(err)
+	}
+	check("one counter")
+	if _, err := g1.Counter(0, 0); err == nil {
+		t.Fatal("empty counter succeeded")
+	}
+	check("an empty counter")
+	var lastErr error
+	for i := 0; i < sla.MaxRounds && lastErr == nil; i++ {
+		_, lastErr = g2.Counter(0, 1) // impossible budget
+		check(fmt.Sprintf("exhausting counter %d", i+1))
+	}
+	if !errors.Is(lastErr, sla.ErrNoAgreement) {
+		t.Fatalf("exhausting rounds: err = %v, want ErrNoAgreement", lastErr)
+	}
+	if got := s.Metrics().NegRounds; got != 1+sla.MaxRounds {
+		t.Fatalf("NegRounds = %d, want %d", got, 1+sla.MaxRounds)
+	}
+	if _, err := g1.Accept(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SubmitWith(sessionApp("app-3"), sla.DeadlineBound{Deadline: sim.Seconds(1e6)}); err != nil {
+		t.Fatal(err)
+	}
+	if !s.RunToSettle() {
+		t.Fatal("did not settle")
+	}
+	if got, want := s.Metrics().NegRounds, recountNegRounds(s)+1; got != want {
+		t.Fatalf("after a one-round strategy: NegRounds = %d, want the recount plus one, %d", got, want)
+	}
+}
+
+// TestSubmitRejectsCompletedID: the batch framework forgets a finished
+// job, but the session still refuses a new submission under the ID of
+// an application that completed.
+func TestSubmitRejectsCompletedID(t *testing.T) {
+	p, s := openTestSession(t)
+	if _, err := s.SubmitWith(sessionApp("done"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !s.RunToSettle() {
+		t.Fatal("did not settle")
+	}
+	if st, _ := s.Status("done"); st.Phase != PhaseCompleted {
+		t.Fatalf("phase = %s, want completed", st.Phase)
+	}
+	cm, _ := p.CM("vc1")
+	if _, ok := cm.Framework().Get("done"); ok {
+		t.Fatal("the batch framework still holds the finished job")
+	}
+	if _, err := s.SubmitWith(sessionApp("done"), nil); err == nil {
+		t.Fatal("SubmitWith accepted the ID of a completed application")
+	}
+	if _, err := s.Submit(sessionApp("done")); err == nil {
+		t.Fatal("Submit accepted the ID of a completed application")
+	}
+}

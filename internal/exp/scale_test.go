@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -61,5 +62,27 @@ func TestParseAppsList(t *testing.T) {
 		if _, err := ParseAppsList(bad); err == nil && bad != "10," {
 			t.Errorf("ParseAppsList(%q): want error", bad)
 		}
+	}
+}
+
+// TestScaleWindowAllocsPerApp bounds the allocations per application in
+// the Step windows of a 2,000-app scale run. Each batch application
+// allocates its ledger record, state, negotiation, offers, contract,
+// framework job and controller, plus the closures of the engine events
+// that carry it; a copy of the application, a slice grown offer by
+// offer or a detail string formatted per agreement would each add one.
+func TestScaleWindowAllocsPerApp(t *testing.T) {
+	s, last := openScaleSession(t, 2000)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	items := stepScaleWindows(s, last)
+	runtime.ReadMemStats(&ms)
+	if items == 0 {
+		t.Fatal("no Step window below the last arrival")
+	}
+	const bound = 17.0
+	if got := float64(ms.Mallocs-before) / float64(items); got > bound {
+		t.Fatalf("%.2f allocations per application in the Step windows, want at most %.1f", got, bound)
 	}
 }

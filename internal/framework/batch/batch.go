@@ -50,7 +50,7 @@ type Batch struct {
 	eng *sim.Engine
 	cfg Config
 
-	jobs   map[string]*jobEntry // by ID, for the by-ID operations
+	jobs   map[string]*jobEntry // unfinished jobs by ID, for the by-ID operations
 	jobSeq uint64
 	queue  framework.Deque[*jobEntry] // jobs waiting
 
@@ -231,14 +231,8 @@ func (b *Batch) Running() []*framework.Job {
 	return b.running.Values()
 }
 
-// QueuedJobs implements framework.Framework.
-func (b *Batch) QueuedJobs() []*framework.Job {
-	out := make([]*framework.Job, 0, b.queue.Len())
-	for i := 0; i < b.queue.Len(); i++ {
-		out = append(out, b.queue.At(i).job)
-	}
-	return out
-}
+// QueuedJobCount implements framework.Framework.
+func (b *Batch) QueuedJobCount() int { return b.queue.Len() }
 
 // schedule starts queued jobs in strict FIFO order while the head's
 // nodes are free: a blocked head blocks everyone. The free set is
@@ -286,6 +280,9 @@ func (b *Batch) start(je *jobEntry) {
 	}
 }
 
+// finish completes a job and forgets it: the job table holds only
+// queued, running and suspended jobs, so its size follows the live set
+// rather than the history. The submitter keeps the *Job.
 func (b *Batch) finish(je *jobEntry) {
 	j := je.job
 	j.State = framework.JobDone
@@ -294,6 +291,7 @@ func (b *Batch) finish(je *jobEntry) {
 	b.Release(je.nodeIDs...)
 	je.nodeIDs = nil
 	b.running.Remove(je.seq)
+	delete(b.jobs, j.ID)
 	if b.cfg.Events.OnFinish != nil {
 		b.cfg.Events.OnFinish(j)
 	}

@@ -44,8 +44,71 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 	if j.FinishedAt != sim.Seconds(1550) {
 		t.Fatalf("FinishedAt = %v, want 1550s", j.FinishedAt)
 	}
-	if p, _ := b.Progress("a"); p != 1 {
+	if p := j.DoneWork / j.Work; p != 1 {
 		t.Fatalf("progress = %v", p)
+	}
+}
+
+// TestFinishedJobIsForgotten: from its OnFinish on, a finished job is
+// gone from the job table — Get, Progress, ProgressAt and VisitJobNodes
+// no longer know it, and its ID may be submitted again — while Submit
+// still rejects the ID of a queued, running or suspended job. The
+// submitter reads the finished job through its own *Job.
+func TestFinishedJobIsForgotten(t *testing.T) {
+	eng := sim.NewEngine()
+	var b *Batch
+	forgotten := false
+	b = New(eng, Config{Events: framework.Events{
+		OnFinish: func(j *framework.Job) { _, known := b.Get(j.ID); forgotten = !known },
+	}})
+	addNodes(b, 2, 1.0)
+	run := job("run", 1, 100)
+	must(t, b.Submit(run))
+	must(t, b.Submit(job("susp", 1, 1000)))
+	must(t, b.Submit(job("wait", 2, 50))) // needs both nodes: queued
+	eng.Run(sim.Seconds(10))
+	must(t, b.Suspend("susp"))
+	for id, want := range map[string]framework.JobState{
+		"run": framework.JobRunning, "susp": framework.JobSuspended, "wait": framework.JobQueued,
+	} {
+		if j, ok := b.Get(id); !ok || j.State != want {
+			t.Fatalf("%s: Get = %v, %v, want %v", id, j, ok, want)
+		}
+		if err := b.Submit(job(id, 1, 10)); !errors.Is(err, framework.ErrJobExists) {
+			t.Fatalf("resubmitting %s job %s: err = %v, want ErrJobExists", want, id, err)
+		}
+	}
+
+	eng.Run(sim.Seconds(100)) // run finishes
+	if run.State != framework.JobDone || run.FinishedAt != sim.Seconds(100) || run.DoneWork != run.Work {
+		t.Fatalf("run: state=%v finished=%v done=%v", run.State, run.FinishedAt, run.DoneWork)
+	}
+	if !forgotten {
+		t.Fatal("OnFinish could still Get the finished job")
+	}
+	if _, ok := b.Get("run"); ok {
+		t.Fatal("Get found the finished job")
+	}
+	if _, err := b.Progress("run"); !errors.Is(err, framework.ErrJobUnknown) {
+		t.Fatalf("Progress: err = %v, want ErrJobUnknown", err)
+	}
+	if _, err := b.ProgressAt("run", sim.Seconds(200)); !errors.Is(err, framework.ErrJobUnknown) {
+		t.Fatalf("ProgressAt: err = %v, want ErrJobUnknown", err)
+	}
+	if err := b.VisitJobNodes("run", func(string) bool { return true }); err == nil {
+		t.Fatal("VisitJobNodes visited the finished job")
+	}
+	again := job("run", 1, 10)
+	must(t, b.Submit(again)) // the ID is free again
+	must(t, b.Resume("susp"))
+	eng.RunAll()
+	if again.State != framework.JobDone || b.QueuedJobCount() != 0 || len(b.Running()) != 0 {
+		t.Fatalf("after the run: again=%v queued=%d running=%d", again.State, b.QueuedJobCount(), len(b.Running()))
+	}
+	for _, id := range []string{"run", "susp", "wait"} {
+		if _, ok := b.Get(id); ok {
+			t.Fatalf("Get found finished job %s", id)
+		}
 	}
 }
 
@@ -72,20 +135,21 @@ func TestFIFOQueueing(t *testing.T) {
 		OnStart: func(j *framework.Job) { order = append(order, j.ID) },
 	}})
 	addNodes(b, 1, 1.0)
+	var jc *framework.Job
 	for _, id := range []string{"a", "b", "c"} {
-		if err := b.Submit(job(id, 1, 100)); err != nil {
+		jc = job(id, 1, 100)
+		if err := b.Submit(jc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(b.QueuedJobs()) != 2 {
-		t.Fatalf("queued = %d, want 2", len(b.QueuedJobs()))
+	if n := b.QueuedJobCount(); n != 2 {
+		t.Fatalf("queued = %d, want 2", n)
 	}
 	eng.RunAll()
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("start order = %v", order)
 	}
 	// Sequential on one node: finish at 100, 200, 300.
-	jc, _ := b.Get("c")
 	if jc.FinishedAt != sim.Seconds(300) {
 		t.Fatalf("c finished at %v", jc.FinishedAt)
 	}
@@ -399,17 +463,18 @@ func TestPropertyMakespanIdenticalJobs(t *testing.T) {
 		eng := sim.NewEngine()
 		b := New(eng, Config{})
 		addNodes(b, n, 1.0)
-		for i := 0; i < k; i++ {
-			if err := b.Submit(job(fmt.Sprintf("j%02d", i), 1, 100)); err != nil {
+		submitted := make([]*framework.Job, k)
+		for i := range submitted {
+			submitted[i] = job(fmt.Sprintf("j%02d", i), 1, 100)
+			if err := b.Submit(submitted[i]); err != nil {
 				return false
 			}
 		}
 		eng.RunAll()
 		waves := (k + n - 1) / n
 		want := sim.Seconds(float64(waves) * 100)
-		for i := 0; i < k; i++ {
-			j, ok := b.Get(fmt.Sprintf("j%02d", i))
-			if !ok || j.State != framework.JobDone {
+		for _, j := range submitted {
+			if j.State != framework.JobDone {
 				return false
 			}
 			if j.FinishedAt > want {
@@ -538,13 +603,13 @@ func TestCrashRequeueRestartsFirst(t *testing.T) {
 	if v.State != framework.JobQueued {
 		t.Fatalf("victim state = %v, want queued", v.State)
 	}
-	if q := b.QueuedJobs(); len(q) != 3 || q[0].ID != "victim" {
-		t.Fatalf("queue head = %v, want victim first of 3", q)
+	if n := b.QueuedJobCount(); n != 3 {
+		t.Fatalf("queued = %d, want 3", n)
 	}
 	b.AddNode(framework.Node{ID: "replacement", SpeedFactor: 1.0})
 	eng.RunAll()
 	want := []string{"victim", "victim", "w1", "w2"}
-	if len(order) != 4 || order[1] != "victim" || order[2] != "w1" {
+	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("start order = %v, want %v", order, want)
 	}
 	if v.DoneWork != 100 || v.State != framework.JobDone {

@@ -104,8 +104,8 @@ func (f *Fleet[X]) OfferedRate(t sim.Time) float64 {
 // of instances on dedicated nodes for a contracted lifetime of wall
 // seconds (Job.Work): service replicas, function instances. It embeds
 // the node table and implements the job half of Framework (Get,
-// Running, QueuedJobs, Progress, VisitJobNodes) plus Name, Image and
-// Tick.
+// Running, QueuedJobCount, Progress, VisitJobNodes) plus Name, Image
+// and Tick.
 //
 // Everything else is a primitive that changes the table and returns:
 // the framework validates and decides (whether a lost last instance
@@ -391,15 +391,6 @@ func (t *Fleets[X]) LookupRunning(id string) (*Fleet[X], error) {
 	return f, nil
 }
 
-// TargetOf returns a job's current target.
-func (t *Fleets[X]) TargetOf(id string) (int, error) {
-	f, err := t.Lookup(id)
-	if err != nil {
-		return 0, err
-	}
-	return f.Target, nil
-}
-
 // VisitSuspended calls visit for each suspended job. Suspension is rare
 // (reclaim shrinks fleets instead), so this scans the job table in map
 // order: visit may only advance per-job counters, so that the order
@@ -466,14 +457,8 @@ func (t *Fleets[X]) Get(id string) (*Job, bool) {
 // retain it across state changes.
 func (t *Fleets[X]) Running() []*Job { return t.running.Values() }
 
-// QueuedJobs implements Framework.
-func (t *Fleets[X]) QueuedJobs() []*Job {
-	out := make([]*Job, 0, t.Queue.Len())
-	for i := 0; i < t.Queue.Len(); i++ {
-		out = append(out, t.Queue.At(i).Job)
-	}
-	return out
-}
+// QueuedJobCount implements Framework.
+func (t *Fleets[X]) QueuedJobCount() int { return t.Queue.Len() }
 
 // runningFleet returns a running job's fleet; any other job, or an
 // unknown one, is ErrJobState.

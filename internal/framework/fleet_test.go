@@ -275,46 +275,40 @@ func TestFleetSLOAccounting(t *testing.T) {
 	}
 }
 
-// fleetFramework is what the cross-framework cases drive.
-type fleetFramework interface {
-	framework.Framework
-	TargetOf(id string) (int, error)
-}
-
 // fleetCases builds the two fleet frameworks with a job shape each: a
 // service of n replicas, or a function with ceiling n that boots in 5 s;
 // both offer a constant 5 req/s against 10 req/s per instance.
 var fleetCases = []struct {
 	name string
-	new  func(*sim.Engine) fleetFramework
+	new  func(*sim.Engine) framework.Framework
 	job  func(id string, n int, lifetime float64) *framework.Job
 	// slo reads a job's evaluated and burned SLO intervals.
-	slo func(fw fleetFramework, id string) (intervals, burned int, err error)
+	slo func(fw framework.Framework, id string) (intervals, burned int, err error)
 }{
 	{
 		name: "service",
-		new: func(eng *sim.Engine) fleetFramework {
+		new: func(eng *sim.Engine) framework.Framework {
 			return service.New(eng, service.Config{Tick: sim.Seconds(10)})
 		},
 		job: func(id string, n int, lifetime float64) *framework.Job {
 			return &framework.Job{ID: id, VMs: n, SvcRate: 10, Work: lifetime,
 				Rate: func(sim.Time) float64 { return 5 }}
 		},
-		slo: func(fw fleetFramework, id string) (int, int, error) {
+		slo: func(fw framework.Framework, id string) (int, int, error) {
 			st, err := fw.(*service.Service).ServiceStats(id)
 			return st.Intervals, st.Burned, err
 		},
 	},
 	{
 		name: "serverless",
-		new: func(eng *sim.Engine) fleetFramework {
+		new: func(eng *sim.Engine) framework.Framework {
 			return serverless.New(eng, serverless.Config{Tick: sim.Seconds(10)})
 		},
 		job: func(id string, n int, lifetime float64) *framework.Job {
 			return &framework.Job{ID: id, VMs: n, SvcRate: 10, Work: lifetime, ColdStartS: 5,
 				Rate: func(sim.Time) float64 { return 5 }}
 		},
-		slo: func(fw fleetFramework, id string) (int, int, error) {
+		slo: func(fw framework.Framework, id string) (int, int, error) {
 			st, err := fw.(*serverless.Serverless).FunctionStats(id)
 			return st.Intervals, st.Burned, err
 		},
@@ -458,8 +452,8 @@ func TestDuplicateSubmitLeavesJobUntouched(t *testing.T) {
 				dup.ConcTarget != 0 || dup.IdleWindowS != 0 || dup.Revision != "" {
 				t.Fatalf("rejected job changed: %+v", dup)
 			}
-			if tgt, err := fw.TargetOf("a"); err != nil || tgt == 3 {
-				t.Fatalf("TargetOf(a) = %d, %v, want the registered job's target", tgt, err)
+			if j, ok := fw.Get("a"); !ok || j == dup || j.VMs != 2 {
+				t.Fatalf("Get(a) = %+v, %v, want the registered job", j, ok)
 			}
 		})
 	}

@@ -187,6 +187,12 @@ type NodeJobVisitor interface {
 // Framework is what the Cluster Manager's generic part drives. All
 // methods are synchronous in simulated time; real-world latencies (VM
 // boot, daemon configuration) are charged by the callers that wrap them.
+//
+// A framework may forget a job once it is done: from its OnFinish on,
+// Get reports false and Progress reports ErrJobUnknown, and Submit may
+// accept the ID again. A caller reads a finished job through the *Job
+// it submitted, which the framework leaves in its final state (the
+// batch framework forgets its done jobs; the others keep them).
 type Framework interface {
 	Inspector
 	NodeJobVisitor
@@ -230,12 +236,12 @@ type Framework interface {
 	VisitJobNodes(id string, visit func(id string) bool) error
 	// Progress returns completed fraction in [0,1].
 	Progress(id string) (float64, error)
-	// Get looks a job up.
+	// Get looks a job up. A forgotten done job reports false.
 	Get(id string) (*Job, bool)
 	// Running lists running jobs in submission order. The returned
 	// slice is owned by the framework: callers must not mutate it or
 	// retain it across calls that change job state.
 	Running() []*Job
-	// QueuedJobs lists queued jobs in queue order.
-	QueuedJobs() []*Job
+	// QueuedJobCount returns the number of queued jobs.
+	QueuedJobCount() int
 }

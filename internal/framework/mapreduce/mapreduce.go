@@ -376,16 +376,9 @@ func (m *MapReduce) Running() []*framework.Job {
 	return m.running.Values()
 }
 
-// QueuedJobs implements framework.Framework.
-func (m *MapReduce) QueuedJobs() []*framework.Job {
-	var out []*framework.Job
-	for _, js := range m.active.Values() {
-		if js.job.State == framework.JobQueued {
-			out = append(out, js.job)
-		}
-	}
-	return out
-}
+// QueuedJobCount implements framework.Framework: the active set holds
+// the queued and the running jobs, and running holds the latter.
+func (m *MapReduce) QueuedJobCount() int { return m.active.Len() - m.running.Len() }
 
 // claimSlot moves a node up one usage level after a task launch.
 func (m *MapReduce) claimSlot(ns *nodeState) {

@@ -236,8 +236,11 @@ func TestRunningAndQueuedLists(t *testing.T) {
 	if r := m.Running(); len(r) != 1 || r[0].ID != "a" {
 		t.Fatalf("Running = %v", r)
 	}
-	if q := m.QueuedJobs(); len(q) != 1 || q[0].ID != "b" {
-		t.Fatalf("Queued = %v", q)
+	if n := m.QueuedJobCount(); n != 1 {
+		t.Fatalf("queued = %d, want 1", n)
+	}
+	if b, _ := m.Get("b"); b.State != framework.JobQueued {
+		t.Fatalf("b is %v, want queued", b.State)
 	}
 }
 

@@ -40,9 +40,6 @@ func (e *IndexEntry) Init(id string, seq uint64, cloud bool) {
 // ID returns the node ID the entry indexes.
 func (e *IndexEntry) ID() string { return e.id }
 
-// Linked reports whether the entry is currently in some index.
-func (e *IndexEntry) Linked() bool { return e.list != nil }
-
 // Unlink removes the entry from whichever index holds it (no-op when
 // unlinked).
 func (e *IndexEntry) Unlink() {

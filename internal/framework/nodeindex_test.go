@@ -84,8 +84,9 @@ func TestNodeIndexUnlinkAndReinsert(t *testing.T) {
 	if got := visitAll(&x, false); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
 		t.Fatalf("after reinsert = %v", got)
 	}
-	if !es[0].Linked() {
-		t.Fatal("entry must report linked")
+	es[0].Unlink() // a re-entered entry unlinks again
+	if got := visitAll(&x, false); !reflect.DeepEqual(got, []string{"b", "c"}) {
+		t.Fatalf("after unlinking the re-entered head = %v", got)
 	}
 }
 

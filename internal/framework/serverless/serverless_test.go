@@ -330,8 +330,10 @@ func TestShrinkPrivateFirstKeepsOne(t *testing.T) {
 	if private != 0 || cloud != 2 {
 		t.Fatalf("kinds after shrink = %d private / %d cloud, want 0/2", private, cloud)
 	}
-	if tgt, _ := s.TargetOf("f"); tgt != 2 {
-		t.Fatalf("target = %d, want lowered to 2 so the autoscaler cannot re-grab", tgt)
+	f, err := s.Lookup("f")
+	must(t, err)
+	if f.Target != 2 {
+		t.Fatalf("target = %d, want lowered to 2 so the autoscaler cannot re-grab", f.Target)
 	}
 	free := fwtest.FreeNodes(s, false)
 	if s.FreeLen() != 2 || len(free) != 2 || free[0] != "p0" || free[1] != "p1" {

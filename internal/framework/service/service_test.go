@@ -131,10 +131,10 @@ func TestShrinkReclaimsAndHoldsTarget(t *testing.T) {
 	if j.Replicas != 2 {
 		t.Fatalf("replicas = %d, want 2 after reclaim", j.Replicas)
 	}
-	tgt, err := s.TargetOf("web")
+	f, err := s.Lookup("web")
 	must(t, err)
-	if tgt != 2 {
-		t.Fatalf("target = %d, want 2 (reclaim lowers it)", tgt)
+	if f.Target != 2 {
+		t.Fatalf("target = %d, want 2 (reclaim lowers it)", f.Target)
 	}
 	// The freed nodes must not be re-grabbed by a scheduling pass.
 	s.schedule()

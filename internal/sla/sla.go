@@ -136,7 +136,7 @@ func (p *Provider) Offers() []Offer {
 		}
 		lifetime = t.Lifetime
 	}
-	var out []Offer
+	out := make([]Offer, 0, hi-lo+1)
 	for n := lo; n <= hi; n++ {
 		exec := p.Model(n)
 		priceBase := exec
